@@ -75,6 +75,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -385,7 +386,7 @@ def _cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    monitor = CampaignMonitor(_thresholds_from_args(args))
+    monitor = CampaignMonitor(_thresholds(args, CampaignMonitor))
     fault_plan_factory = None
     if args.fault_seed is not None:
         from repro.netsim.network import FaultPlan
@@ -428,8 +429,8 @@ def _cmd_campaign_deliver(args) -> int:
     from repro.measurement.delivery_campaign import (
         DeliveryCampaignConfig, run_delivery_campaign,
     )
-    from repro.obs.monitor import ALERT, DeliveryThresholds
-    from repro.obs.tlsrpt_monitor import TlsRptThresholds
+    from repro.obs.monitor import ALERT, DeliveryMonitor
+    from repro.obs.tlsrpt_monitor import TlsRptMonitor
 
     if args.resume and not args.state_dir:
         print("error: --resume requires --state-dir", file=sys.stderr)
@@ -439,17 +440,6 @@ def _cmd_campaign_deliver(args) -> int:
               "(received-report state is not part of the wave "
               "checkpoint)", file=sys.stderr)
         return 2
-    thresholds = DeliveryThresholds()
-    for name in ("bounce_rate_alert", "plaintext_rate_warn",
-                 "refused_rate_warn"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(thresholds, name, value)
-    tlsrpt_thresholds = TlsRptThresholds()
-    for name in ("failure_rate_warn", "failure_rate_alert"):
-        value = getattr(args, "tlsrpt_" + name, None)
-        if value is not None:
-            setattr(tlsrpt_thresholds, name, value)
     progress = None
     if args.progress:
         from repro.obs.progress import ProgressPrinter
@@ -466,9 +456,10 @@ def _cmd_campaign_deliver(args) -> int:
             tlsrpt=bool(args.tlsrpt_out))
         result = run_delivery_campaign(
             config, backend=args.backend, jobs=args.jobs,
-            progress=progress, thresholds=thresholds,
+            progress=progress,
+            thresholds=_thresholds(args, DeliveryMonitor),
             state_dir=args.state_dir, resume=args.resume,
-            tlsrpt_thresholds=tlsrpt_thresholds)
+            tlsrpt_thresholds=_thresholds(args, TlsRptMonitor, "tlsrpt-"))
     except (StoreCorruption, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -517,9 +508,7 @@ def _cmd_tlsrpt(args) -> int:
 
     from repro.core.reporting import ReportAggregator
     from repro.obs.monitor import ALERT
-    from repro.obs.tlsrpt_monitor import (
-        TOP_FAILING_MTAS, TlsRptMonitor, TlsRptThresholds,
-    )
+    from repro.obs.tlsrpt_monitor import TOP_FAILING_MTAS, TlsRptMonitor
 
     path = args.reports
     if os.path.isdir(path):
@@ -531,12 +520,7 @@ def _cmd_tlsrpt(args) -> int:
     for line in _read_text(path).splitlines():
         if line.strip():
             aggregator.ingest(line)
-    thresholds = TlsRptThresholds()
-    for name in ("failure_rate_warn", "failure_rate_alert"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(thresholds, name, value)
-    monitor = TlsRptMonitor(thresholds)
+    monitor = TlsRptMonitor(_thresholds(args, TlsRptMonitor))
     monitor.observe_reports(aggregator.reports)
     census = aggregator.census()
     print(f"tlsrpt: {census['reports']:,} report(s) covering "
@@ -562,14 +546,8 @@ def _cmd_tlsrpt(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.measurement.serve import ServeConfig, run_serve
     from repro.obs.exporters import prometheus_exposition
-    from repro.obs.monitor import ALERT, ServeThresholds
+    from repro.obs.monitor import ALERT, ServeMonitor
 
-    thresholds = ServeThresholds()
-    for name in ("hit_rate_floor_warn", "p99_latency_alert",
-                 "fanin_warn"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(thresholds, name, value)
     progress = None
     if args.progress:
         def progress(served, total):
@@ -588,7 +566,8 @@ def _cmd_serve(args) -> int:
             flash_size=args.flash_size, record_every=args.record_every)
         result = run_serve(config, backend=args.backend,
                            jobs=_resolve_jobs(args.jobs, args.backend),
-                           thresholds=thresholds, progress=progress)
+                           thresholds=_thresholds(args, ServeMonitor),
+                           progress=progress)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -631,13 +610,13 @@ def _cmd_monitor(args) -> int:
         # than a pre-rendered metrics feed.
         try:
             monitor = CampaignMonitor.from_state(
-                args.feed, _thresholds_from_args(args))
+                args.feed, _thresholds(args, CampaignMonitor))
         except StoreCorruption as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
         monitor = CampaignMonitor.from_jsonl(
-            _read_text(args.feed), _thresholds_from_args(args))
+            _read_text(args.feed), _thresholds(args, CampaignMonitor))
     if not monitor.records:
         print(f"no monthly records found in {args.feed}")
         return 1
@@ -648,40 +627,30 @@ def _cmd_monitor(args) -> int:
     return 1 if report.level == ALERT else 0
 
 
-def _thresholds_from_args(args):
-    from repro.obs.monitor import Thresholds
+def _add_threshold_arguments(parser, monitor, prefix: str = "") -> None:
+    """One ``--[prefix]<bound>`` flag per threshold of *monitor*'s rule
+    table, parsed by the bound's kind."""
+    from repro.obs.monitor import COUNT, NUMBER, RATE
 
-    thresholds = Thresholds()
-    for name in ("transient_rate_alert", "transient_jump_alert",
-                 "cache_hit_drop_warn", "bucket_shift_warn",
-                 "retry_jump_warn"):
-        value = getattr(args, name, None)
+    kinds = {RATE: (_rate, "R"), NUMBER: (_non_negative_number, "N"),
+             COUNT: (_positive_int, "N")}
+    for bound in monitor.threshold_class.bounds:
+        parse, metavar = kinds[bound.kind]
+        flag = prefix + bound.name.replace("_", "-")
+        parser.add_argument(f"--{flag}", type=parse, default=None,
+                            dest=flag.replace("-", "_"),
+                            metavar=bound.metavar or metavar,
+                            help=bound.help)
+
+
+def _thresholds(args, monitor, prefix: str = ""):
+    """*monitor*'s thresholds with the flags given on the command line."""
+    given = {}
+    for bound in monitor.threshold_class.bounds:
+        value = getattr(args, (prefix + bound.name).replace("-", "_"))
         if value is not None:
-            setattr(thresholds, name, value)
-    return thresholds
-
-
-def _add_threshold_arguments(parser) -> None:
-    parser.add_argument("--transient-rate-alert", type=_rate, default=None,
-                        dest="transient_rate_alert", metavar="R",
-                        help="ALERT when a month's transient share "
-                             "exceeds R")
-    parser.add_argument("--transient-jump-alert", type=_rate, default=None,
-                        dest="transient_jump_alert", metavar="R",
-                        help="ALERT when the transient share jumps by "
-                             "more than R month-over-month")
-    parser.add_argument("--cache-hit-drop-warn", type=_rate, default=None,
-                        dest="cache_hit_drop_warn", metavar="R",
-                        help="WARN when a cache hit rate drops by more "
-                             "than R month-over-month")
-    parser.add_argument("--bucket-shift-warn", type=_rate, default=None,
-                        dest="bucket_shift_warn", metavar="R",
-                        help="WARN when a taxonomy bucket's share moves "
-                             "by more than R month-over-month")
-    parser.add_argument("--retry-jump-warn", type=float, default=None,
-                        dest="retry_jump_warn", metavar="N",
-                        help="WARN when connect retries per domain jump "
-                             "by more than N month-over-month")
+            given[bound.name] = value
+    return monitor.threshold_class(**given)
 
 
 def _cmd_survey(args) -> int:
@@ -761,7 +730,24 @@ def _rate(text: str) -> float:
     return value
 
 
+def _non_negative_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs.monitor import (
+        CampaignMonitor, DeliveryMonitor, ServeMonitor,
+    )
+    from repro.obs.tlsrpt_monitor import TlsRptMonitor
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MTA-STS deployment & management toolkit "
@@ -891,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="R",
                           help="fraction of endpoints each month's fault "
                                "plan afflicts (default 0.2, range [0, 1])")
-    _add_threshold_arguments(campaign)
+    _add_threshold_arguments(campaign, CampaignMonitor)
     campaign.set_defaults(handler=_cmd_campaign)
 
     campaign_sub = campaign.add_subparsers(dest="campaign_command")
@@ -951,19 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     deliver.add_argument("--resume", action="store_true",
                          help="resume a committed campaign from its "
                               "checkpoint (requires --state-dir)")
-    deliver.add_argument("--bounce-rate-alert", type=_rate, default=None,
-                         dest="bounce_rate_alert", metavar="R",
-                         help="ALERT when the cumulative bounce share "
-                              "exceeds R")
-    deliver.add_argument("--plaintext-rate-warn", type=_rate,
-                         default=None, dest="plaintext_rate_warn",
-                         metavar="R",
-                         help="WARN when the cumulative plaintext "
-                              "delivery share exceeds R")
-    deliver.add_argument("--refused-rate-warn", type=_rate, default=None,
-                         dest="refused_rate_warn", metavar="R",
-                         help="WARN when the cumulative policy-refusal "
-                              "share of attempts exceeds R")
+    _add_threshold_arguments(deliver, DeliveryMonitor)
     deliver.add_argument("--tlsrpt-out", default=None, metavar="DIR",
                          dest="tlsrpt_out",
                          help="run the RFC 8460 reporting pipeline "
@@ -971,16 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "received reports (reports.jsonl) and "
                               "ingestion-monitor windows "
                               "(monitor.jsonl) into DIR")
-    deliver.add_argument("--tlsrpt-failure-rate-warn", type=_rate,
-                         default=None, dest="tlsrpt_failure_rate_warn",
-                         metavar="R",
-                         help="WARN when a reporting window's failed "
-                              "session share exceeds R")
-    deliver.add_argument("--tlsrpt-failure-rate-alert", type=_rate,
-                         default=None, dest="tlsrpt_failure_rate_alert",
-                         metavar="R",
-                         help="ALERT when a reporting window's failed "
-                              "session share exceeds R")
+    _add_threshold_arguments(deliver, TlsRptMonitor, "tlsrpt-")
     deliver.set_defaults(handler=_cmd_campaign_deliver)
 
     tlsrpt = sub.add_parser(
@@ -995,14 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="monitor_out",
                         help="write the rebuilt per-window monitor "
                              "JSONL to FILE")
-    tlsrpt.add_argument("--failure-rate-warn", type=_rate, default=None,
-                        dest="failure_rate_warn", metavar="R",
-                        help="WARN when a reporting window's failed "
-                             "session share exceeds R")
-    tlsrpt.add_argument("--failure-rate-alert", type=_rate, default=None,
-                        dest="failure_rate_alert", metavar="R",
-                        help="ALERT when a reporting window's failed "
-                             "session share exceeds R")
+    _add_threshold_arguments(tlsrpt, TlsRptMonitor)
     tlsrpt.set_defaults(handler=_cmd_tlsrpt)
 
     serve = sub.add_parser(
@@ -1067,18 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "Prometheus text exposition to FILE")
     serve.add_argument("--progress", action="store_true",
                        help="live replay heartbeats on stderr")
-    serve.add_argument("--hit-rate-floor-warn", type=_rate, default=None,
-                       dest="hit_rate_floor_warn", metavar="R",
-                       help="WARN when the cumulative cache hit rate "
-                            "falls below R")
-    serve.add_argument("--p99-latency-alert", type=float, default=None,
-                       dest="p99_latency_alert", metavar="S",
-                       help="ALERT when a window's p99 virtual latency "
-                            "exceeds S seconds")
-    serve.add_argument("--fanin-warn", type=_positive_int, default=None,
-                       dest="fanin_warn", metavar="N",
-                       help="WARN when one computation absorbs more "
-                            "than N concurrent requests")
+    _add_threshold_arguments(serve, ServeMonitor)
     serve.set_defaults(handler=_cmd_serve)
 
     monitor = sub.add_parser(
@@ -1087,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
              "('-' = stdin) or a campaign store directory")
     monitor.add_argument("feed", help="monthly metrics JSONL file, or a "
                                       "campaign store directory")
-    _add_threshold_arguments(monitor)
+    _add_threshold_arguments(monitor, CampaignMonitor)
     monitor.set_defaults(handler=_cmd_monitor)
 
     survey = sub.add_parser("survey", help="print the §7.2 statistics")

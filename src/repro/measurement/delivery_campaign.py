@@ -93,7 +93,7 @@ from repro.measurement.senderside import (
 )
 from repro.measurement.store_io import MANIFEST_NAME, shard_digest
 from repro.netsim.network import FaultPlan
-from repro.obs.monitor import DeliveryMonitor, DeliveryThresholds, WaveRecord
+from repro.obs.monitor import DeliveryMonitor, DeliveryThresholds, FeedRecord
 from repro.obs.progress import ProgressTracker
 from repro.obs.tlsrpt_monitor import TlsRptMonitor, TlsRptThresholds
 from repro.smtp.delivery import DeliveryStatus, Message, SendingMta
@@ -586,7 +586,7 @@ def load_delivery_ledger(state_dir: str) -> str:
 
 def _commit_wave(state_dir: str, config: DeliveryCampaignConfig,
                  committed: List[dict], wave: int, now: Instant,
-                 wave_text: str, record: WaveRecord,
+                 wave_text: str, record: FeedRecord,
                  lanes: Sequence[_SenderLane]) -> None:
     """Durably commit one finished wave: shard first, manifest second
     (the manifest is the commit point, exactly as ``store_io`` commits
@@ -734,7 +734,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                 ledger_parts.append(text)
                 finalized_before += int(entry["rows"])
                 committed.append(dict(entry))
-                monitor.add_record(WaveRecord(
+                monitor.add_record(FeedRecord(
                     int(entry["wave"]), str(entry.get("date", "")),
                     MetricsRegistry.from_dict(entry.get("metrics") or {})))
             checkpoint = manifest.get("checkpoint") or {}

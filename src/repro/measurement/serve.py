@@ -79,7 +79,7 @@ from repro.ecosystem.timeline import (
 from repro.measurement.scanner import Scanner
 from repro.measurement.snapshots import DomainSnapshot
 from repro.measurement.taxonomy import categorize, primary_bucket
-from repro.obs.monitor import ServeMonitor, ServeRecord, ServeThresholds
+from repro.obs.monitor import FeedRecord, ServeMonitor, ServeThresholds
 from repro.trace import Histogram, MetricsRegistry
 
 __all__ = [
@@ -515,13 +515,13 @@ class _WindowAccumulator:
         self.fanin_peak = max(self.fanin_peak, fanin_peak)
 
     def flush(self, window_index: int, now: Instant, month: int,
-              cache_entries: int, evictions: int) -> "ServeRecord":
+              cache_entries: int, evictions: int) -> "FeedRecord":
         registry = self.registry
         registry.count("serve.stampede_fanin_peak", self.fanin_peak)
         registry.count("serve.month", month)
         registry.count("serve.cache_entries", cache_entries)
         registry.count("serve.evictions", evictions)
-        return ServeRecord(window_index, now.date_string(), registry)
+        return FeedRecord(window_index, now.date_string(), registry)
 
 
 def run_serve(config: ServeConfig, *, backend: str = "serial",

@@ -7,9 +7,11 @@ metrics).  This package explains *campaigns*:
   monthly metrics JSONL for any
   :class:`~repro.trace.MetricsRegistry`, deterministically ordered so
   serial and threaded backends emit byte-identical output;
-* :mod:`repro.obs.monitor` — :class:`CampaignMonitor`: per-month
-  registry snapshots, month-over-month drift, and threshold-driven
-  OK/WARN/ALERT health findings;
+* :mod:`repro.obs.monitor` — :class:`FeedMonitor`: one metrics feed
+  of per-record registry snapshots evaluated against a rule table into
+  OK/WARN/ALERT health findings; :class:`CampaignMonitor` (per-month
+  snapshots and month-over-month drift), the delivery and serve
+  monitors, and :mod:`repro.obs.tlsrpt_monitor` are thin subclasses;
 * :mod:`repro.obs.progress` — the heartbeat API on
   :class:`~repro.measurement.executor.ScanExecutor` and its CLI
   renderer;
@@ -22,8 +24,8 @@ from repro.obs.exporters import (
     prometheus_exposition, read_month_records, write_lines_atomic,
 )
 from repro.obs.monitor import (
-    CampaignMonitor, HealthFinding, HealthReport, MonthRecord, Thresholds,
-    build_month_registry,
+    CampaignMonitor, FeedMonitor, FeedRecord, HealthFinding, HealthReport,
+    Thresholds, build_month_registry,
 )
 from repro.obs.profile import ProfileReport, StageProfiler
 from repro.obs.progress import ProgressEvent, ProgressPrinter, ProgressTracker
@@ -32,8 +34,8 @@ __all__ = [
     "prometheus_exposition", "parse_prometheus_exposition",
     "month_jsonl_line", "read_month_records", "write_lines_atomic",
     "append_jsonl_line",
-    "CampaignMonitor", "MonthRecord", "Thresholds", "HealthFinding",
-    "HealthReport", "build_month_registry",
+    "FeedMonitor", "FeedRecord", "HealthFinding", "HealthReport",
+    "CampaignMonitor", "Thresholds", "build_month_registry",
     "ProgressEvent", "ProgressTracker", "ProgressPrinter",
     "StageProfiler", "ProfileReport",
 ]

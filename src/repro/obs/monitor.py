@@ -1,31 +1,48 @@
-"""Longitudinal campaign health monitoring.
+"""Feed health monitoring, driven by rule tables.
 
 The paper's contribution is month-over-month dynamics (Fig. 9, §5) —
 which makes the campaign itself a measurement instrument that can
 silently degrade.  A transient-rate spike is indistinguishable from an
 ecosystem regression unless the scanner's own health is tracked;
 related large-scale scans (Mayer et al., Czybik et al.) all monitor
-their pipelines for exactly this reason.
+their pipelines for exactly this reason.  The delivery engine, the
+``repro serve`` checker and the TLSRPT receiver need the same watch.
 
-:class:`CampaignMonitor` hooks into
-:func:`repro.analysis.series.run_campaign`: after every scan month it
-captures a deterministic :class:`~repro.trace.MetricsRegistry`
-snapshot (:func:`build_month_registry` — scan-stage counters, the
-taxonomy-bucket census, world-build churn), appends it to the monthly
-metrics feed, and evaluates configurable :class:`Thresholds` over the
-month-over-month drift into a :class:`HealthReport` of OK/WARN/ALERT
-findings.  Saved feeds re-evaluate offline through
-:meth:`CampaignMonitor.from_jsonl` (the CLI ``monitor`` subcommand).
+One :class:`FeedMonitor` serves them all.  It holds
+:class:`FeedRecord` snapshots — an index, a date and a deterministic
+:class:`~repro.trace.MetricsRegistry` per scan month, delivery wave or
+metrics window — keeps their JSONL feed (live appends, atomic full
+writes, offline re-reads), and evaluates its subclass's rule table
+into a :class:`HealthReport` of OK/WARN/ALERT findings.  A
+:class:`Rule` reads one :class:`Signal` (a counter, a counter ratio,
+or a histogram's p99) over one scope (the record, the cumulative
+totals, or the change since the previous record) and holds it against
+one :class:`Bound` per level.  The threshold classes
+(:class:`Thresholds`, :class:`DeliveryThresholds`,
+:class:`ServeThresholds`) and the CLI threshold flags are generated
+from the bounds, so a bound's name, default, kind and help text are
+written once.
+
+The subclasses keep only their own capture code:
+:class:`CampaignMonitor` (:func:`build_month_registry`, the drift
+table, re-evaluation from a campaign store), :class:`DeliveryMonitor`
+(the backpressure bound from the campaign config) and
+:class:`ServeMonitor`; the TLSRPT monitor lives in
+:mod:`repro.obs.tlsrpt_monitor`.
 
 Everything recorded here is an integer (or a rounded-to-milliseconds
-virtual duration), so the monthly feed inherits the scan pipeline's
+virtual duration), so every feed inherits its workload's
 serial/threaded byte-identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+import sys
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.measurement.taxonomy import PRIMARY_BUCKETS, primary_bucket
 from repro.obs.exporters import (
@@ -40,14 +57,336 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OK", "WARN", "ALERT",
-    "MonthRecord", "Thresholds", "HealthFinding", "HealthReport",
-    "CampaignMonitor", "build_month_registry",
-    "WaveRecord", "DeliveryThresholds", "DeliveryMonitor",
-    "ServeRecord", "ServeThresholds", "ServeMonitor",
+    "RECORD", "CUMULATIVE", "CHANGE", "UP", "DOWN", "EITHER",
+    "RATE", "NUMBER", "COUNT",
+    "Signal", "Bound", "Rule", "make_threshold_class",
+    "FeedRecord", "HealthFinding", "HealthReport", "FeedMonitor",
+    "Thresholds", "CampaignMonitor", "build_month_registry",
+    "DeliveryThresholds", "DeliveryMonitor",
+    "ServeThresholds", "ServeMonitor",
 ]
 
 OK, WARN, ALERT = "OK", "WARN", "ALERT"
 _SEVERITY = {OK: 0, WARN: 1, ALERT: 2}
+
+#: Rule scopes: the record alone, the totals of every record so far,
+#: or the change since the previous record.
+RECORD, CUMULATIVE, CHANGE = "record", "cumulative", "change"
+#: The direction a rule guards against: the signal (or its change)
+#: going up, going down, or moving either way.
+UP, DOWN, EITHER = "up", "down", "either"
+#: Bound value kinds: a rate in [0, 1], a finite non-negative number,
+#: a positive integer.
+RATE, NUMBER, COUNT = "rate", "number", "count"
+
+
+# ---------------------------------------------------------------------------
+# The rule table vocabulary
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Signal:
+    """A number read off one registry: the sum of *counters*, that sum
+    over the sum of the *over* counters (0.0 when they are zero), or
+    the p99 of histogram *p99_of* (0.0 when it is absent)."""
+
+    counters: Tuple[str, ...] = ()
+    over: Tuple[str, ...] = ()
+    p99_of: Optional[str] = None
+
+    def read(self, metrics: MetricsRegistry) -> float:
+        if self.p99_of is not None:
+            histogram = metrics.histograms.get(self.p99_of)
+            return histogram.quantile(0.99) if histogram is not None else 0.0
+        value = sum(metrics.get(key) for key in self.counters)
+        if not self.over:
+            return value
+        total = sum(metrics.get(key) for key in self.over)
+        return value / total if total else 0.0
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One bound of a rule: the level a crossing raises, and the name,
+    default, value kind, help text and (optional) CLI metavar of its
+    threshold.  A bound without a default is not a threshold: the
+    monitor attribute of that name supplies it, and ``None`` there
+    disarms it."""
+
+    level: str
+    name: str
+    default: Optional[float] = None
+    kind: str = RATE
+    help: str = ""
+    metavar: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One health check of a monitor's rule table.
+
+    *signal* is one :class:`Signal`, or a mapping from key to signal
+    that expands the rule over its keys (``{key}`` in *metric* and
+    *detail* names the key).  The bounds are tried from the most severe
+    down; the first one crossed raises the finding.  *detail* is a
+    :meth:`str.format` template over ``value`` (the measured value),
+    ``bound``, ``key``, ``change`` and ``previous`` (the signed change
+    and the previous record's index, for change rules) and ``metrics``
+    (the record's counters, by key).
+    """
+
+    metric: str
+    scope: str
+    signal: Union[Signal, Mapping[str, Signal]]
+    bad: str
+    bounds: Tuple[Bound, ...]
+    detail: str
+
+    def signals(self) -> Iterable[Tuple[Optional[str], Signal]]:
+        if isinstance(self.signal, Signal):
+            return ((None, self.signal),)
+        return self.signal.items()
+
+    def measure(self, now: float, before: Optional[float]) -> float:
+        """The value held against the bounds: the signal itself, or
+        for a change rule its rise, its fall, or its move either way."""
+        if self.scope != CHANGE:
+            return now
+        if self.bad == UP:
+            return now - before
+        if self.bad == DOWN:
+            return before - now
+        return abs(now - before)
+
+    def crossed(self, measured: float, bound: float) -> bool:
+        if self.scope != CHANGE and self.bad == DOWN:
+            return measured < bound
+        return measured > bound
+
+
+def make_threshold_class(name: str, rules: Iterable[Rule],
+                         doc: str) -> type:
+    """The threshold dataclass of a rule table: one field per bound
+    with a default, in table order.  The class keeps the bounds as
+    ``bounds`` (the CLI generates its flags from them)."""
+    bounds = tuple(bound for rule in rules for bound in rule.bounds
+                   if bound.default is not None)
+
+    def as_dict(self) -> Dict[str, float]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    return make_dataclass(
+        name, [(bound.name, type(bound.default),
+                field(default=bound.default)) for bound in bounds],
+        namespace={"__doc__": doc, "__module__":
+                   sys._getframe(1).f_globals["__name__"],
+                   "bounds": bounds, "as_dict": as_dict})
+
+
+# ---------------------------------------------------------------------------
+# Records, findings, reports
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FeedRecord:
+    """One record of a metrics feed: a scan month, a delivery wave or a
+    metrics window."""
+
+    index: int
+    date: str
+    metrics: MetricsRegistry
+
+    @property
+    def month_index(self) -> int:
+        """The index under the feed's JSON key, ``month``."""
+        return self.index
+
+
+@dataclass
+class HealthFinding:
+    """One evaluated check: what was measured, against which bound."""
+
+    level: str
+    index: int
+    metric: str
+    value: float
+    threshold: float
+    detail: str
+
+    def render(self, unit: str) -> str:
+        return (f"[{self.level:<5}] {unit[0]}{self.index:02d} "
+                f"{self.metric:<24} {self.detail}")
+
+
+@dataclass
+class HealthReport:
+    """Every OK/WARN/ALERT finding of one monitor's evaluation, under
+    the monitor's name and unit of record."""
+
+    name: str
+    unit: str
+    findings: List[HealthFinding] = field(default_factory=list)
+
+    @property
+    def level(self) -> str:
+        worst = OK
+        for finding in self.findings:
+            if _SEVERITY[finding.level] > _SEVERITY[worst]:
+                worst = finding.level
+        return worst
+
+    def ok(self) -> bool:
+        return self.level == OK
+
+    def at_level(self, level: str) -> List[HealthFinding]:
+        return [f for f in self.findings if f.level == level]
+
+    def render(self) -> str:
+        lines = [f"{self.name} health: {self.level} "
+                 f"({len(self.at_level(ALERT))} alert(s), "
+                 f"{len(self.at_level(WARN))} warning(s), "
+                 f"{len(self.at_level(OK))} {self.unit}(s) clean)"]
+        lines.extend(finding.render(self.unit) for finding in self.findings)
+        return "\n".join(lines)
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"level": self.level,
+                "findings": [{"level": f.level, "month": f.index,
+                              "metric": f.metric, "value": f.value,
+                              "threshold": f.threshold,
+                              "detail": f.detail}
+                             for f in self.findings]}
+
+
+# ---------------------------------------------------------------------------
+# The monitor
+# ---------------------------------------------------------------------------
+
+class FeedMonitor:
+    """Collects feed records and evaluates the subclass's rule table.
+
+    ``jsonl_path`` turns on the live feed: every added record is
+    appended to that file as it arrives, so a crashed run still leaves
+    the records it finished.  :meth:`write_jsonl` writes the whole feed
+    atomically (temp file + ``os.replace``); :meth:`from_jsonl` reads
+    it back for offline re-evaluation.
+    """
+
+    #: set by each subclass: the report title, the unit of record, the
+    #: rule table, the threshold class made from it, and the detail
+    #: template of a clean record's OK row (``metrics`` by key)
+    name: str
+    unit: str
+    rules: Tuple[Rule, ...]
+    threshold_class: type
+    ok_detail: str
+
+    def __init__(self, thresholds=None, *,
+                 jsonl_path: Optional[str] = None):
+        self.thresholds = thresholds or self.threshold_class()
+        self.records: List[FeedRecord] = []
+        self.jsonl_path = jsonl_path
+
+    # -- capture ------------------------------------------------------
+
+    def add_record(self, record: FeedRecord) -> FeedRecord:
+        self.records.append(record)
+        self.records.sort(key=lambda r: r.index)
+        if self.jsonl_path is not None:
+            append_jsonl_line(
+                self.jsonl_path,
+                month_jsonl_line(record.index, record.date, record.metrics))
+        return record
+
+    # -- (de)serialisation --------------------------------------------
+
+    def to_jsonl_lines(self) -> List[str]:
+        return [month_jsonl_line(r.index, r.date, r.metrics)
+                for r in self.records]
+
+    def to_jsonl(self) -> str:
+        return "\n".join(self.to_jsonl_lines()) + "\n"
+
+    def write_jsonl(self, path: str) -> int:
+        """Atomically write the full feed; returns the record count."""
+        return write_lines_atomic(path, self.to_jsonl_lines())
+
+    @classmethod
+    def from_jsonl(cls, text: str, thresholds=None, **options):
+        """A monitor over a saved feed; *options* go to the
+        constructor."""
+        monitor = cls(thresholds, **options)
+        monitor.records = [FeedRecord(index, date, registry)
+                           for index, date, registry
+                           in read_month_records(text)]
+        return monitor
+
+    # -- evaluation ---------------------------------------------------
+
+    def _limit(self, bound: Bound) -> Optional[float]:
+        """The value *bound* takes in this monitor (``None``: unarmed)."""
+        if bound.default is None:
+            return getattr(self, bound.name)
+        return getattr(self.thresholds, bound.name)
+
+    def health(self) -> HealthReport:
+        """Evaluate the rule table over every record; every input is an
+        integer counter or an integer-bucket histogram, so the report
+        is byte-identical across backends."""
+        report = HealthReport(self.name, self.unit)
+        cumulative = MetricsRegistry()
+        previous: Optional[FeedRecord] = None
+        for record in self.records:
+            cumulative.merge(record.metrics)
+            findings: List[HealthFinding] = []
+            for rule in self.rules:
+                if rule.scope == CHANGE and previous is None:
+                    continue
+                read_from = (cumulative if rule.scope == CUMULATIVE
+                             else record.metrics)
+                for key, signal in rule.signals():
+                    now = signal.read(read_from)
+                    before = (signal.read(previous.metrics)
+                              if rule.scope == CHANGE else None)
+                    finding = self._check(rule, key, record, previous,
+                                          now, before)
+                    if finding is not None:
+                        findings.append(finding)
+            if not findings:
+                findings.append(HealthFinding(
+                    OK, record.index, "all-checks", 0.0, 0.0,
+                    self.ok_detail.format(metrics=_counters(record))))
+            report.findings.extend(findings)
+            previous = record
+        return report
+
+    def _check(self, rule: Rule, key: Optional[str], record: FeedRecord,
+               previous: Optional[FeedRecord], now: float,
+               before: Optional[float]) -> Optional[HealthFinding]:
+        measured = rule.measure(now, before)
+        for bound in sorted(rule.bounds,
+                            key=lambda b: -_SEVERITY[b.level]):
+            limit = self._limit(bound)
+            if limit is None or not rule.crossed(measured, limit):
+                continue
+            return HealthFinding(
+                bound.level, record.index, rule.metric.format(key=key),
+                measured, limit, rule.detail.format(
+                    value=measured, bound=limit, key=key,
+                    change=None if before is None else now - before,
+                    previous=None if previous is None else previous.index,
+                    metrics=_counters(record)))
+        return None
+
+
+def _counters(record: FeedRecord) -> Dict[str, int]:
+    """The record's counters for detail templates (missing keys read 0)."""
+    return defaultdict(int, record.metrics.counters)
+
+
+# ---------------------------------------------------------------------------
+# Campaign health
+# ---------------------------------------------------------------------------
 
 #: ScanStats integer counters mirrored into the monthly registry, by
 #: (stats attribute, registry key).  Wall-clock fields are deliberately
@@ -106,188 +445,79 @@ def build_month_registry(stats: "ScanStats",
     return registry
 
 
-@dataclass
-class MonthRecord:
-    """One scan month's registry snapshot inside the monitor."""
+#: The campaign signals, shared by the rules and the drift table.
+TRANSIENT_RATE = Signal(("scan.transient_domains",), over=("scan.domains",))
+RETRIES_PER_DOMAIN = Signal(("net.connect_retries",), over=("scan.domains",))
+#: cache hit share (hits over work plus hits), by stage
+CACHE_HIT_RATE = {
+    stage: Signal((f"{stage}.cache_hits",),
+                  over=(work, f"{stage}.cache_hits"))
+    for stage, work in (("dns", "dns.queries"), ("smtp", "smtp.probes"))}
+BUCKET_SHARE = {bucket: Signal((f"taxonomy.{bucket}",), over=("scan.domains",))
+                for bucket in sorted(PRIMARY_BUCKETS)}
 
-    month_index: int
-    date: str
-    metrics: MetricsRegistry
+CAMPAIGN_RULES = (
+    Rule("transient-rate", RECORD, TRANSIENT_RATE, UP,
+         (Bound(ALERT, "transient_rate_alert", 0.02,
+                help="ALERT when a month's transient share exceeds R"),),
+         "transient share {value:.2%} exceeds {bound:.2%} — scanner or "
+         "network pathology, month is untrustworthy"),
+    Rule("transient-rate-jump", CHANGE, TRANSIENT_RATE, UP,
+         (Bound(ALERT, "transient_jump_alert", 0.01,
+                help="ALERT when the transient share jumps by more than "
+                     "R month-over-month"),),
+         "transient share jumped {value:+.2%} vs m{previous:02d}"),
+    Rule("{key}-cache-collapse", CHANGE, CACHE_HIT_RATE, DOWN,
+         (Bound(WARN, "cache_hit_drop_warn", 0.25,
+                help="WARN when a cache hit rate drops by more than R "
+                     "month-over-month"),),
+         "{key} cache hit rate dropped {value:.2%} vs m{previous:02d}"),
+    Rule("taxonomy-shift:{key}", CHANGE, BUCKET_SHARE, EITHER,
+         (Bound(WARN, "bucket_shift_warn", 0.15,
+                help="WARN when a taxonomy bucket's share moves by more "
+                     "than R month-over-month"),),
+         "bucket '{key}' moved {change:+.2%} vs m{previous:02d}"),
+    Rule("retry-spike", CHANGE, RETRIES_PER_DOMAIN, UP,
+         (Bound(WARN, "retry_jump_warn", 0.5, NUMBER,
+                help="WARN when connect retries per domain jump by more "
+                     "than N month-over-month"),),
+         "connect retries per domain jumped {value:+.2f} vs "
+         "m{previous:02d}"),
+)
 
-    # -- derived signals ----------------------------------------------
-
-    def domains(self) -> int:
-        return self.metrics.get("scan.domains")
-
-    def transient_rate(self) -> float:
-        domains = self.domains()
-        return (self.metrics.get("scan.transient_domains") / domains
-                if domains else 0.0)
-
-    def cache_hit_rate(self, stage: str) -> float:
-        """Cache hit share for ``dns`` / ``smtp`` / ``pkix``."""
-        work_key = {"dns": "dns.queries", "smtp": "smtp.probes",
-                    "pkix": "pkix.validations"}[stage]
-        hits = self.metrics.get(f"{stage}.cache_hits")
-        total = self.metrics.get(work_key) + hits
-        return hits / total if total else 0.0
-
-    def bucket_fractions(self) -> Dict[str, float]:
-        domains = self.domains()
-        if not domains:
-            return {bucket: 0.0 for bucket in PRIMARY_BUCKETS}
-        return {bucket: self.metrics.get(f"taxonomy.{bucket}") / domains
-                for bucket in PRIMARY_BUCKETS}
-
-    def retries_per_domain(self) -> float:
-        domains = self.domains()
-        return (self.metrics.get("net.connect_retries") / domains
-                if domains else 0.0)
+Thresholds = make_threshold_class(
+    "Thresholds", CAMPAIGN_RULES,
+    """Campaign drift bounds; defaults calibrated so the clean 12-month
+    campaign is all-OK while a seeded fault-rate bump alerts.""")
 
 
-@dataclass
-class Thresholds:
-    """Configurable drift bounds; defaults calibrated so the clean
-    12-month campaign is all-OK while a seeded fault-rate bump alerts.
+class CampaignMonitor(FeedMonitor):
+    """Per-month registry snapshots of a scan campaign, with drift.
 
-    Rates are fractions in [0, 1]; ``*_drop``/``*_shift``/``*_jump``
-    bound month-over-month changes of those fractions.
+    Hooks into :func:`repro.analysis.series.run_campaign`; saved feeds
+    re-evaluate offline through :meth:`from_jsonl` and checkpointed
+    campaigns through :meth:`from_state` (the CLI ``monitor``
+    subcommand).
     """
 
-    #: absolute transient share of a month's scans (ALERT)
-    transient_rate_alert: float = 0.02
-    #: month-over-month increase of the transient share (ALERT)
-    transient_jump_alert: float = 0.01
-    #: month-over-month drop of a cache hit rate (WARN)
-    cache_hit_drop_warn: float = 0.25
-    #: month-over-month shift of any taxonomy-bucket fraction (WARN)
-    bucket_shift_warn: float = 0.15
-    #: month-over-month increase of connect retries per domain (WARN)
-    retry_jump_warn: float = 0.5
-
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class HealthFinding:
-    """One evaluated check: what was measured, against which bound."""
-
-    level: str
-    month_index: int
-    metric: str
-    value: float
-    threshold: float
-    detail: str
-
-    def render(self) -> str:
-        return (f"[{self.level:<5}] m{self.month_index:02d} "
-                f"{self.metric:<24} {self.detail}")
-
-
-@dataclass
-class HealthReport:
-    """Every OK/WARN/ALERT finding of one campaign evaluation."""
-
-    findings: List[HealthFinding] = field(default_factory=list)
-
-    @property
-    def level(self) -> str:
-        worst = OK
-        for finding in self.findings:
-            if _SEVERITY[finding.level] > _SEVERITY[worst]:
-                worst = finding.level
-        return worst
-
-    def ok(self) -> bool:
-        return self.level == OK
-
-    def at_level(self, level: str) -> List[HealthFinding]:
-        return [f for f in self.findings if f.level == level]
-
-    def render(self) -> str:
-        lines = [f"campaign health: {self.level} "
-                 f"({len(self.at_level(ALERT))} alert(s), "
-                 f"{len(self.at_level(WARN))} warning(s), "
-                 f"{len(self.at_level(OK))} month(s) clean)"]
-        lines.extend(finding.render() for finding in self.findings)
-        return "\n".join(lines)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"level": self.level,
-                "findings": [{"level": f.level, "month": f.month_index,
-                              "metric": f.metric, "value": f.value,
-                              "threshold": f.threshold,
-                              "detail": f.detail}
-                             for f in self.findings]}
-
-
-class CampaignMonitor:
-    """Collects per-month registry snapshots and evaluates drift.
-
-    ``jsonl_path`` turns on the live feed: every observed month is
-    appended to that file as it completes, so a crashed campaign still
-    leaves the months it finished.  :meth:`write_jsonl` additionally
-    writes the whole feed atomically (temp file + ``os.replace``).
-    """
-
-    def __init__(self, thresholds: Optional[Thresholds] = None,
-                 *, jsonl_path: Optional[str] = None):
-        self.thresholds = thresholds or Thresholds()
-        self.records: List[MonthRecord] = []
-        self.jsonl_path = jsonl_path
-
-    # -- capture ------------------------------------------------------
+    name, unit = "campaign", "month"
+    rules = CAMPAIGN_RULES
+    threshold_class = Thresholds
+    ok_detail = "{metrics[scan.domains]} domains, all checks passed"
 
     def observe_month(self, month_index: int, date: str,
                       stats: "ScanStats",
                       snapshots: Iterable["DomainSnapshot"] = (),
                       *, build_stats: Optional[Dict[str, int]] = None,
-                      ) -> MonthRecord:
+                      ) -> FeedRecord:
         """Snapshot one finished scan month into the monitor."""
         registry = build_month_registry(stats, snapshots,
                                         build_stats=build_stats)
-        return self.add_record(MonthRecord(month_index, date, registry))
-
-    def add_record(self, record: MonthRecord) -> MonthRecord:
-        self.records.append(record)
-        self.records.sort(key=lambda r: r.month_index)
-        if self.jsonl_path is not None:
-            append_jsonl_line(
-                self.jsonl_path,
-                month_jsonl_line(record.month_index, record.date,
-                                 record.metrics))
-        return record
-
-    # -- (de)serialisation --------------------------------------------
-
-    def to_jsonl_lines(self) -> List[str]:
-        return [month_jsonl_line(r.month_index, r.date, r.metrics)
-                for r in self.records]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.to_jsonl_lines()) + "\n"
-
-    def write_jsonl(self, path: str) -> int:
-        """Atomically write the full monthly feed; returns the record
-        count."""
-        return write_lines_atomic(path, self.to_jsonl_lines())
+        return self.add_record(FeedRecord(month_index, date, registry))
 
     @classmethod
-    def from_jsonl(cls, text: str,
-                   thresholds: Optional[Thresholds] = None,
-                   ) -> "CampaignMonitor":
-        monitor = cls(thresholds)
-        for month_index, date, registry in read_month_records(text):
-            monitor.records.append(
-                MonthRecord(month_index, date, registry))
-        return monitor
-
-    @classmethod
-    def from_state(cls, state_dir: str,
-                   thresholds: Optional[Thresholds] = None,
-                   *, columnar: bool = False,
-                   ) -> "CampaignMonitor":
+    def from_state(cls, state_dir: str, thresholds=None,
+                   *, columnar: bool = False) -> "CampaignMonitor":
         """Re-evaluate campaign health from a checkpointed state dir.
 
         Each committed month's registry is rebuilt from the manifest's
@@ -316,8 +546,7 @@ class CampaignMonitor:
                     build_stats=entry.build_stats,
                     bucket_census=taxonomy_census_view(
                         store.month_view(month)))
-                monitor.add_record(
-                    MonthRecord(month, entry.date, registry))
+                monitor.add_record(FeedRecord(month, entry.date, registry))
             return monitor
         from repro.measurement.store_io import load_state
 
@@ -329,429 +558,152 @@ class CampaignMonitor:
                 build_stats=entry.build_stats)
         return monitor
 
-    # -- evaluation ---------------------------------------------------
-
     def drift(self) -> List[Dict[str, float]]:
         """Month-over-month signal table (one row per month)."""
         rows: List[Dict[str, float]] = []
-        previous: Optional[MonthRecord] = None
+        previous: Optional[FeedRecord] = None
         for record in self.records:
+            metrics = record.metrics
             row: Dict[str, float] = {
-                "month": record.month_index,
-                "domains": record.domains(),
-                "transient_rate": record.transient_rate(),
-                "dns_hit_rate": record.cache_hit_rate("dns"),
-                "smtp_hit_rate": record.cache_hit_rate("smtp"),
-                "retries_per_domain": record.retries_per_domain(),
-                "backoff_millis": record.metrics.get("net.backoff_millis"),
+                "month": record.index,
+                "domains": metrics.get("scan.domains"),
+                "transient_rate": TRANSIENT_RATE.read(metrics),
+                "dns_hit_rate": CACHE_HIT_RATE["dns"].read(metrics),
+                "smtp_hit_rate": CACHE_HIT_RATE["smtp"].read(metrics),
+                "retries_per_domain": RETRIES_PER_DOMAIN.read(metrics),
+                "backoff_millis": metrics.get("net.backoff_millis"),
             }
             if previous is not None:
-                row["transient_jump"] = (record.transient_rate()
-                                         - previous.transient_rate())
-                fractions = record.bucket_fractions()
-                before = previous.bucket_fractions()
-                shifts = {bucket: abs(fractions[bucket] - before[bucket])
-                          for bucket in fractions}
-                worst = max(shifts, key=lambda b: (shifts[b], b))
-                row["max_bucket_shift"] = shifts[worst]
+                before = previous.metrics
+                row["transient_jump"] = (row["transient_rate"]
+                                         - TRANSIENT_RATE.read(before))
+                row["max_bucket_shift"] = max(
+                    abs(share.read(metrics) - share.read(before))
+                    for share in BUCKET_SHARE.values())
             rows.append(row)
             previous = record
         return rows
-
-    def health(self) -> HealthReport:
-        """Evaluate the thresholds over every observed month."""
-        report = HealthReport()
-        bounds = self.thresholds
-        previous: Optional[MonthRecord] = None
-        for record in self.records:
-            month_findings: List[HealthFinding] = []
-
-            rate = record.transient_rate()
-            if rate > bounds.transient_rate_alert:
-                month_findings.append(HealthFinding(
-                    ALERT, record.month_index, "transient-rate",
-                    rate, bounds.transient_rate_alert,
-                    f"transient share {rate:.2%} exceeds "
-                    f"{bounds.transient_rate_alert:.2%} — scanner or "
-                    f"network pathology, month is untrustworthy"))
-            if previous is not None:
-                jump = rate - previous.transient_rate()
-                if jump > bounds.transient_jump_alert:
-                    month_findings.append(HealthFinding(
-                        ALERT, record.month_index, "transient-rate-jump",
-                        jump, bounds.transient_jump_alert,
-                        f"transient share jumped {jump:+.2%} vs "
-                        f"m{previous.month_index:02d}"))
-                for stage in ("dns", "smtp"):
-                    drop = (previous.cache_hit_rate(stage)
-                            - record.cache_hit_rate(stage))
-                    if drop > bounds.cache_hit_drop_warn:
-                        month_findings.append(HealthFinding(
-                            WARN, record.month_index,
-                            f"{stage}-cache-collapse",
-                            drop, bounds.cache_hit_drop_warn,
-                            f"{stage} cache hit rate dropped "
-                            f"{drop:.2%} vs m{previous.month_index:02d}"))
-                fractions = record.bucket_fractions()
-                before = previous.bucket_fractions()
-                for bucket in sorted(fractions):
-                    shift = abs(fractions[bucket] - before[bucket])
-                    if shift > bounds.bucket_shift_warn:
-                        month_findings.append(HealthFinding(
-                            WARN, record.month_index,
-                            f"taxonomy-shift:{bucket}",
-                            shift, bounds.bucket_shift_warn,
-                            f"bucket '{bucket}' moved "
-                            f"{fractions[bucket] - before[bucket]:+.2%} "
-                            f"vs m{previous.month_index:02d}"))
-                retry_jump = (record.retries_per_domain()
-                              - previous.retries_per_domain())
-                if retry_jump > bounds.retry_jump_warn:
-                    month_findings.append(HealthFinding(
-                        WARN, record.month_index, "retry-spike",
-                        retry_jump, bounds.retry_jump_warn,
-                        f"connect retries per domain jumped "
-                        f"{retry_jump:+.2f} vs m{previous.month_index:02d}"))
-
-            if not month_findings:
-                month_findings.append(HealthFinding(
-                    OK, record.month_index, "all-checks", 0.0, 0.0,
-                    f"{record.domains()} domains, all checks passed"))
-            report.findings.extend(month_findings)
-            previous = record
-        return report
 
 
 # ---------------------------------------------------------------------------
 # Delivery-campaign health
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WaveRecord:
-    """One delivery wave's registry snapshot inside the monitor.
+#: Rates are *cumulative*: a per-wave bounce rate would false-alarm on
+#: the sparse tail waves where only stragglers bounce; the cumulative
+#: rate converges to the campaign's true rate.
+DELIVERY_RULES = (
+    Rule("backpressure-violated", RECORD,
+         Signal(("deliver.queue_depth",)), UP,
+         (Bound(ALERT, "backpressure"),),
+         "queue depth {value} exceeds the campaign bound {bound} — "
+         "admission control is broken"),
+    Rule("bounce-rate", CUMULATIVE,
+         Signal(("deliver.bounced",), over=("deliver.finalized",)), UP,
+         (Bound(ALERT, "bounce_rate_alert", 0.35,
+                help="ALERT when the cumulative bounce share exceeds R"),),
+         "cumulative bounce share {value:.2%} exceeds {bound:.2%}"),
+    Rule("plaintext-fallback", CUMULATIVE,
+         Signal(("deliver.delivered_plaintext",),
+                over=("deliver.delivered",)), UP,
+         (Bound(WARN, "plaintext_rate_warn", 0.25,
+                help="WARN when the cumulative plaintext delivery share "
+                     "exceeds R"),),
+         "cumulative plaintext share {value:.2%} of deliveries exceeds "
+         "{bound:.2%} — downgrade exposure"),
+    Rule("policy-refusals", CUMULATIVE,
+         Signal(("deliver.refused_attempts",), over=("deliver.attempts",)),
+         UP,
+         (Bound(WARN, "refused_rate_warn", 0.30,
+                help="WARN when the cumulative policy-refusal share of "
+                     "attempts exceeds R"),),
+         "cumulative policy-refused share {value:.2%} of attempts exceeds "
+         "{bound:.2%}"),
+)
 
-    The registry carries only per-sender-derived integer counters (see
-    ``repro.measurement.delivery_campaign``), so the wave feed — like
-    the monthly scan feed — is byte-identical between the serial and
-    threaded delivery backends.
-    """
-
-    wave_index: int
-    date: str
-    metrics: MetricsRegistry
-
-    def finalized(self) -> int:
-        return self.metrics.get("deliver.finalized")
-
-    def delivered(self) -> int:
-        return self.metrics.get("deliver.delivered")
-
-    def bounced(self) -> int:
-        return self.metrics.get("deliver.bounced")
-
-    def queue_depth(self) -> int:
-        return self.metrics.get("deliver.queue_depth")
-
-
-@dataclass
-class DeliveryThresholds:
-    """Health bounds for a delivery campaign, evaluated over
-    *cumulative* totals at each wave (a per-wave bounce rate would
-    false-alarm on the sparse tail waves where only stragglers bounce;
-    the cumulative rate converges to the campaign's true rate).
-
-    Defaults are calibrated so a clean campaign against the simulated
-    world is all-OK while a heavily fault-seeded one surfaces findings.
-    """
-
-    #: cumulative bounced share of finalised messages (ALERT)
-    bounce_rate_alert: float = 0.35
-    #: cumulative plaintext share of delivered messages (WARN) — the
-    #: downgrade exposure the paper warns about
-    plaintext_rate_warn: float = 0.25
-    #: cumulative policy-refused share of delivery attempts (WARN)
-    refused_rate_warn: float = 0.30
-
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+DeliveryThresholds = make_threshold_class(
+    "DeliveryThresholds", DELIVERY_RULES,
+    """Delivery-campaign health bounds over cumulative rates; defaults
+    calibrated so a clean campaign against the simulated world is all-OK
+    while a heavily fault-seeded one surfaces findings.""")
 
 
-class DeliveryMonitor:
-    """Collects per-wave registry snapshots and evaluates health.
+class DeliveryMonitor(FeedMonitor):
+    """Per-wave registry snapshots of a delivery campaign.
 
-    The API mirrors :class:`CampaignMonitor` (live JSONL feed, atomic
-    full-feed writes, offline re-evaluation from a saved feed) with the
-    scan month replaced by the delivery wave as the unit of record.
+    The registries carry only per-sender-derived integer counters (see
+    ``repro.measurement.delivery_campaign``), so the wave feed is
+    byte-identical between the serial and threaded delivery backends.
     *backpressure*, when given, arms the invariant check that no wave
     ever reports a queue depth above the campaign's global bound.
     """
 
-    def __init__(self, thresholds: Optional[DeliveryThresholds] = None,
-                 *, backpressure: Optional[int] = None,
-                 jsonl_path: Optional[str] = None):
-        self.thresholds = thresholds or DeliveryThresholds()
-        self.backpressure = backpressure
-        self.records: List[WaveRecord] = []
-        self.jsonl_path = jsonl_path
+    name, unit = "delivery", "wave"
+    rules = DELIVERY_RULES
+    threshold_class = DeliveryThresholds
+    ok_detail = "{metrics[deliver.finalized]} finalized, all checks passed"
 
-    # -- capture ------------------------------------------------------
+    def __init__(self, thresholds=None, *,
+                 backpressure: Optional[int] = None,
+                 jsonl_path: Optional[str] = None):
+        super().__init__(thresholds, jsonl_path=jsonl_path)
+        self.backpressure = backpressure
 
     def observe_wave(self, wave_index: int, date: str,
-                     metrics: MetricsRegistry) -> WaveRecord:
-        return self.add_record(WaveRecord(wave_index, date, metrics))
-
-    def add_record(self, record: WaveRecord) -> WaveRecord:
-        self.records.append(record)
-        self.records.sort(key=lambda r: r.wave_index)
-        if self.jsonl_path is not None:
-            append_jsonl_line(
-                self.jsonl_path,
-                month_jsonl_line(record.wave_index, record.date,
-                                 record.metrics))
-        return record
-
-    # -- (de)serialisation --------------------------------------------
-
-    def to_jsonl_lines(self) -> List[str]:
-        return [month_jsonl_line(r.wave_index, r.date, r.metrics)
-                for r in self.records]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.to_jsonl_lines()) + "\n"
-
-    def write_jsonl(self, path: str) -> int:
-        return write_lines_atomic(path, self.to_jsonl_lines())
-
-    @classmethod
-    def from_jsonl(cls, text: str,
-                   thresholds: Optional[DeliveryThresholds] = None,
-                   *, backpressure: Optional[int] = None,
-                   ) -> "DeliveryMonitor":
-        monitor = cls(thresholds, backpressure=backpressure)
-        for wave_index, date, registry in read_month_records(text):
-            monitor.records.append(WaveRecord(wave_index, date, registry))
-        return monitor
-
-    # -- evaluation ---------------------------------------------------
-
-    def health(self) -> HealthReport:
-        """Evaluate the thresholds over the cumulative totals at every
-        wave; every input is an integer counter, so the report is
-        byte-identical across delivery backends."""
-        report = HealthReport()
-        bounds = self.thresholds
-        finalized = delivered = plaintext = bounced = 0
-        attempts = refused = 0
-        for record in self.records:
-            finalized += record.finalized()
-            delivered += record.delivered()
-            plaintext += record.metrics.get("deliver.delivered_plaintext")
-            bounced += record.bounced()
-            attempts += record.metrics.get("deliver.attempts")
-            refused += record.metrics.get("deliver.refused_attempts")
-            findings: List[HealthFinding] = []
-
-            if (self.backpressure is not None
-                    and record.queue_depth() > self.backpressure):
-                findings.append(HealthFinding(
-                    ALERT, record.wave_index, "backpressure-violated",
-                    record.queue_depth(), self.backpressure,
-                    f"queue depth {record.queue_depth()} exceeds the "
-                    f"campaign bound {self.backpressure} — admission "
-                    f"control is broken"))
-            bounce_rate = bounced / finalized if finalized else 0.0
-            if bounce_rate > bounds.bounce_rate_alert:
-                findings.append(HealthFinding(
-                    ALERT, record.wave_index, "bounce-rate",
-                    bounce_rate, bounds.bounce_rate_alert,
-                    f"cumulative bounce share {bounce_rate:.2%} exceeds "
-                    f"{bounds.bounce_rate_alert:.2%}"))
-            plaintext_rate = plaintext / delivered if delivered else 0.0
-            if plaintext_rate > bounds.plaintext_rate_warn:
-                findings.append(HealthFinding(
-                    WARN, record.wave_index, "plaintext-fallback",
-                    plaintext_rate, bounds.plaintext_rate_warn,
-                    f"cumulative plaintext share {plaintext_rate:.2%} of "
-                    f"deliveries exceeds "
-                    f"{bounds.plaintext_rate_warn:.2%} — downgrade "
-                    f"exposure"))
-            refused_rate = refused / attempts if attempts else 0.0
-            if refused_rate > bounds.refused_rate_warn:
-                findings.append(HealthFinding(
-                    WARN, record.wave_index, "policy-refusals",
-                    refused_rate, bounds.refused_rate_warn,
-                    f"cumulative policy-refused share {refused_rate:.2%} "
-                    f"of attempts exceeds "
-                    f"{bounds.refused_rate_warn:.2%}"))
-
-            if not findings:
-                findings.append(HealthFinding(
-                    OK, record.wave_index, "all-checks", 0.0, 0.0,
-                    f"{record.finalized()} finalized, all checks passed"))
-            report.findings.extend(findings)
-        return report
+                     metrics: MetricsRegistry) -> FeedRecord:
+        return self.add_record(FeedRecord(wave_index, date, metrics))
 
 
 # ---------------------------------------------------------------------------
 # Policy-checker service health
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ServeRecord:
-    """One ``repro serve`` metrics window inside the monitor.
+#: The hit-rate floor is cumulative (early windows are all cold misses —
+#: a per-window floor would false-alarm before the cache warms); latency
+#: and fan-in are per window, since a p99 regression in one window is
+#: actionable on its own.  The single-flight cache makes even a flash
+#: crowd one computation, so the fan-in bound watches *workload*
+#: spikes, not wasted work.
+SERVE_RULES = (
+    Rule("hit-rate-floor", CUMULATIVE,
+         Signal(("serve.hits", "serve.collapsed"), over=("serve.requests",)),
+         DOWN,
+         (Bound(WARN, "hit_rate_floor_warn", 0.60,
+                help="WARN when the cumulative cache hit rate falls "
+                     "below R"),),
+         "cumulative cache hit rate {value:.2%} below {bound:.2%} — the "
+         "verdict cache is not absorbing the query mix"),
+    Rule("p99-latency", RECORD, Signal(p99_of="serve.latency"), UP,
+         (Bound(ALERT, "p99_latency_alert", 5.0, NUMBER, metavar="S",
+                help="ALERT when a window's p99 virtual latency exceeds "
+                     "S seconds"),),
+         "window p99 virtual latency {value:.3f}s exceeds {bound:.3f}s"),
+    Rule("stampede-fanin", RECORD,
+         Signal(("serve.stampede_fanin_peak",)), UP,
+         (Bound(WARN, "fanin_warn", 50_000, COUNT,
+                help="WARN when one computation absorbs more than N "
+                     "concurrent requests"),),
+         "{value} concurrent requests collapsed onto one computation "
+         "(bound {bound})"),
+)
 
-    The registry carries the coordinator-derived integer counters and
-    the virtual-latency histogram from
-    ``repro.measurement.serve`` — every value is computed from batch
-    composition on the single-threaded coordinator, so the window feed
-    is byte-identical between the serial and threaded serve backends.
+ServeThresholds = make_threshold_class(
+    "ServeThresholds", SERVE_RULES,
+    """Policy-checker service health bounds; defaults calibrated so the
+    default seeded query mix is all-OK.""")
+
+
+class ServeMonitor(FeedMonitor):
+    """Per-window registry snapshots of a ``repro serve`` replay.
+
+    The registries carry the coordinator-derived integer counters and
+    the virtual-latency histogram from ``repro.measurement.serve`` —
+    every value is computed from batch composition on the
+    single-threaded coordinator, so the window feed is byte-identical
+    between the serial and threaded serve backends.
     """
 
-    window_index: int
-    date: str
-    metrics: MetricsRegistry
-
-    def requests(self) -> int:
-        return self.metrics.get("serve.requests")
-
-    def computations(self) -> int:
-        return self.metrics.get("serve.computations")
-
-    def served_from_cache(self) -> int:
-        """Requests answered without a fresh scan: direct cache hits
-        plus followers collapsed onto an in-flight computation."""
-        return (self.metrics.get("serve.hits")
-                + self.metrics.get("serve.collapsed"))
-
-    def hit_rate(self) -> float:
-        requests = self.requests()
-        return self.served_from_cache() / requests if requests else 0.0
-
-    def fanin_peak(self) -> int:
-        return self.metrics.get("serve.stampede_fanin_peak")
-
-    def p99_latency_seconds(self) -> float:
-        histogram = self.metrics.histograms.get("serve.latency")
-        return histogram.quantile(0.99) if histogram is not None else 0.0
-
-
-@dataclass
-class ServeThresholds:
-    """Health bounds for the policy-checker service.
-
-    The hit-rate floor is evaluated over *cumulative* totals (early
-    windows are all cold misses — a per-window floor would false-alarm
-    before the cache warms); latency and fan-in are per-window, since
-    a p99 regression in one window is actionable on its own.  Defaults
-    are calibrated so the default seeded query mix is all-OK.
-    """
-
-    #: cumulative served-from-cache share of all requests (WARN below)
-    hit_rate_floor_warn: float = 0.60
-    #: per-window p99 virtual latency in seconds (ALERT above)
-    p99_latency_alert: float = 5.0
-    #: per-window stampede fan-in a single computation absorbed
-    #: (WARN above — the single-flight cache should make even a flash
-    #: crowd one computation, so this bounds *workload* spikes, not
-    #: wasted work)
-    fanin_warn: int = 50_000
-
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-class ServeMonitor:
-    """Collects per-window registry snapshots and evaluates health.
-
-    The API mirrors :class:`DeliveryMonitor` (live JSONL feed, atomic
-    full-feed writes, offline re-evaluation from a saved feed) with the
-    metrics window as the unit of record.
-    """
-
-    def __init__(self, thresholds: Optional[ServeThresholds] = None,
-                 *, jsonl_path: Optional[str] = None):
-        self.thresholds = thresholds or ServeThresholds()
-        self.records: List[ServeRecord] = []
-        self.jsonl_path = jsonl_path
-
-    # -- capture ------------------------------------------------------
-
-    def observe_window(self, window_index: int, date: str,
-                       metrics: MetricsRegistry) -> ServeRecord:
-        return self.add_record(ServeRecord(window_index, date, metrics))
-
-    def add_record(self, record: ServeRecord) -> ServeRecord:
-        self.records.append(record)
-        self.records.sort(key=lambda r: r.window_index)
-        if self.jsonl_path is not None:
-            append_jsonl_line(
-                self.jsonl_path,
-                month_jsonl_line(record.window_index, record.date,
-                                 record.metrics))
-        return record
-
-    # -- (de)serialisation --------------------------------------------
-
-    def to_jsonl_lines(self) -> List[str]:
-        return [month_jsonl_line(r.window_index, r.date, r.metrics)
-                for r in self.records]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.to_jsonl_lines()) + "\n"
-
-    def write_jsonl(self, path: str) -> int:
-        return write_lines_atomic(path, self.to_jsonl_lines())
-
-    @classmethod
-    def from_jsonl(cls, text: str,
-                   thresholds: Optional[ServeThresholds] = None,
-                   ) -> "ServeMonitor":
-        monitor = cls(thresholds)
-        for window_index, date, registry in read_month_records(text):
-            monitor.records.append(
-                ServeRecord(window_index, date, registry))
-        return monitor
-
-    # -- evaluation ---------------------------------------------------
-
-    def health(self) -> HealthReport:
-        """Evaluate the thresholds over every observed window; every
-        input is an integer counter or an integer-bucket histogram, so
-        the report is byte-identical across serve backends."""
-        report = HealthReport()
-        bounds = self.thresholds
-        requests = cached = 0
-        for record in self.records:
-            requests += record.requests()
-            cached += record.served_from_cache()
-            findings: List[HealthFinding] = []
-
-            hit_rate = cached / requests if requests else 0.0
-            if hit_rate < bounds.hit_rate_floor_warn:
-                findings.append(HealthFinding(
-                    WARN, record.window_index, "hit-rate-floor",
-                    hit_rate, bounds.hit_rate_floor_warn,
-                    f"cumulative cache hit rate {hit_rate:.2%} below "
-                    f"{bounds.hit_rate_floor_warn:.2%} — the verdict "
-                    f"cache is not absorbing the query mix"))
-            p99 = record.p99_latency_seconds()
-            if p99 > bounds.p99_latency_alert:
-                findings.append(HealthFinding(
-                    ALERT, record.window_index, "p99-latency",
-                    p99, bounds.p99_latency_alert,
-                    f"window p99 virtual latency {p99:.3f}s exceeds "
-                    f"{bounds.p99_latency_alert:.3f}s"))
-            fanin = record.fanin_peak()
-            if fanin > bounds.fanin_warn:
-                findings.append(HealthFinding(
-                    WARN, record.window_index, "stampede-fanin",
-                    fanin, bounds.fanin_warn,
-                    f"{fanin} concurrent requests collapsed onto one "
-                    f"computation (bound {bounds.fanin_warn})"))
-
-            if not findings:
-                findings.append(HealthFinding(
-                    OK, record.window_index, "all-checks", 0.0, 0.0,
-                    f"{record.requests()} requests, all checks passed"))
-            report.findings.extend(findings)
-        return report
+    name, unit = "serve", "window"
+    rules = SERVE_RULES
+    threshold_class = ServeThresholds
+    ok_detail = "{metrics[serve.requests]} requests, all checks passed"

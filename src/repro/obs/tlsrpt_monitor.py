@@ -4,17 +4,16 @@ The delivery campaign's senders emit daily aggregate reports; the
 operator-side :class:`~repro.core.reporting.ReportAggregator` receives
 them.  :class:`TlsRptMonitor` turns that received stream into
 per-window metrics — reports received, sessions attempted, failure
-rate by result type, the top failing sending MTAs — evaluated against
-:class:`TlsRptThresholds` into the same OK/WARN/ALERT
-:class:`~repro.obs.monitor.HealthReport` the scan and delivery
-monitors produce, with Prometheus + JSONL exposition through
-:mod:`repro.obs.exporters`.
+rate by result type, the top failing sending MTAs — kept and evaluated
+by the shared :class:`~repro.obs.monitor.FeedMonitor` against its
+one-rule table (:class:`TlsRptThresholds` is generated from it), with
+Prometheus + JSONL exposition through :mod:`repro.obs.exporters`.
 
-Unlike :class:`~repro.obs.monitor.DeliveryThresholds` (cumulative),
-the failure-rate bounds here are **per window**: a seeded fault spike
-must raise an ALERT on exactly the poisoned window, not smear across
-the campaign.  Every recorded value is an integer counter derived from
-the deterministically ordered report set, so the window JSONL is
+Unlike the delivery monitor's cumulative rates, the failure-rate
+bounds here are **per window**: a seeded fault spike must raise an
+ALERT on exactly the poisoned window, not smear across the campaign.
+Every recorded value is an integer counter derived from the
+deterministically ordered report set, so the window JSONL is
 byte-identical between serial and threaded delivery backends, clean
 and fault-seeded.
 
@@ -29,21 +28,19 @@ are triggered by *received reports* rather than rescans.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.tlsrpt import ResultType, TlsRptReport
-from repro.obs.exporters import (
-    append_jsonl_line, month_jsonl_line, read_month_records,
-    write_lines_atomic,
+from repro.obs.monitor import (
+    ALERT, RECORD, UP, WARN, Bound, FeedMonitor, FeedRecord, Rule, Signal,
+    make_threshold_class,
 )
-from repro.obs.monitor import ALERT, OK, WARN, HealthFinding, HealthReport
 from repro.trace import MetricsRegistry
 
 __all__ = [
     "TOP_FAILING_MTAS",
-    "TlsRptVerdict", "TlsRptThresholds", "TlsRptWindowRecord",
-    "TlsRptMonitor",
+    "TlsRptVerdict", "TlsRptThresholds", "TlsRptMonitor",
 ]
 
 #: How many failing sender organisations each window's registry names
@@ -61,68 +58,53 @@ class TlsRptVerdict:
     failed_sessions: int
 
 
-@dataclass
-class TlsRptThresholds:
+TLSRPT_RULES = (
+    Rule("tlsrpt-failure-rate", RECORD,
+         Signal(("tlsrpt.failure",), over=("tlsrpt.sessions",)), UP,
+         (Bound(WARN, "failure_rate_warn", 0.15,
+                help="WARN when a reporting window's failed session "
+                     "share exceeds R"),
+          Bound(ALERT, "failure_rate_alert", 0.35,
+                help="ALERT when a reporting window's failed session "
+                     "share exceeds R")),
+         "window failure share {value:.2%} exceeds {bound:.2%} "
+         "({metrics[tlsrpt.failure]} of {metrics[tlsrpt.sessions]} "
+         "sessions)"),
+)
+
+TlsRptThresholds = make_threshold_class(
+    "TlsRptThresholds", TLSRPT_RULES,
     """Per-window health bounds over the received report stream.
 
     Defaults are calibrated so a clean campaign stays all-OK (its only
     failures are the sparse misconfigured-recipient tail) while a
     fault-seeded one pushes the poisoned window's failure share over
-    the ALERT line.
+    the ALERT line.""")
+
+
+class TlsRptMonitor(FeedMonitor):
+    """Per-window report aggregates, plus the verdict feed.
+
+    A monitor rebuilt with :meth:`from_jsonl` has the window feed but
+    no verdict tallies — those need the reports themselves; re-ingest
+    via :meth:`observe_reports` for a verdict-capable monitor.
     """
 
-    #: per-window failed share of sessions (WARN)
-    failure_rate_warn: float = 0.15
-    #: per-window failed share of sessions (ALERT)
-    failure_rate_alert: float = 0.35
+    name, unit = "tlsrpt", "window"
+    rules = TLSRPT_RULES
+    threshold_class = TlsRptThresholds
+    ok_detail = ("{metrics[tlsrpt.reports]} report(s), "
+                 "{metrics[tlsrpt.sessions]} session(s), all checks passed")
 
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class TlsRptWindowRecord:
-    """One reporting window's registry snapshot inside the monitor."""
-
-    window_index: int
-    date: str
-    metrics: MetricsRegistry
-
-    def reports(self) -> int:
-        return self.metrics.get("tlsrpt.reports")
-
-    def sessions(self) -> int:
-        return self.metrics.get("tlsrpt.sessions")
-
-    def failed_sessions(self) -> int:
-        return self.metrics.get("tlsrpt.failure")
-
-    def failure_rate(self) -> float:
-        sessions = self.sessions()
-        return self.failed_sessions() / sessions if sessions else 0.0
-
-
-class TlsRptMonitor:
-    """Collects per-window report aggregates and evaluates health.
-
-    The API mirrors :class:`~repro.obs.monitor.DeliveryMonitor` (live
-    JSONL feed, atomic full-feed writes, offline re-evaluation from a
-    saved feed) with the reporting window as the unit of record.
-    """
-
-    def __init__(self, thresholds: Optional[TlsRptThresholds] = None,
-                 *, jsonl_path: Optional[str] = None):
-        self.thresholds = thresholds or TlsRptThresholds()
-        self.records: List[TlsRptWindowRecord] = []
-        self.jsonl_path = jsonl_path
+    def __init__(self, thresholds=None, *, jsonl_path=None):
+        super().__init__(thresholds, jsonl_path=jsonl_path)
         self._verdict_tallies: Dict[Tuple[str, ResultType], int] = \
             defaultdict(int)
 
     # -- capture ------------------------------------------------------
 
     def observe_window(self, window_index: int, date: str,
-                       reports: Sequence[TlsRptReport]
-                       ) -> TlsRptWindowRecord:
+                       reports: Sequence[TlsRptReport]) -> FeedRecord:
         """Aggregate one window's received reports into a record.
 
         *reports* must arrive in a deterministic order (the campaign's
@@ -160,11 +142,10 @@ class TlsRptMonitor:
         top = sorted(by_org.items(), key=lambda kv: (-kv[1], kv[0]))
         for org, count in top[:TOP_FAILING_MTAS]:
             registry.count(f"tlsrpt.failing_mta.{org}", count)
-        return self.add_record(
-            TlsRptWindowRecord(window_index, date, registry))
+        return self.add_record(FeedRecord(window_index, date, registry))
 
     def observe_reports(self, reports: Sequence[TlsRptReport]
-                        ) -> List[TlsRptWindowRecord]:
+                        ) -> List[FeedRecord]:
         """Group *reports* into windows by their start date and observe
         each (sorted by date) — the whole-campaign / report-dir entry
         point shared by the campaign driver and ``repro tlsrpt``."""
@@ -176,41 +157,6 @@ class TlsRptMonitor:
             records.append(self.observe_window(
                 len(self.records), date, by_window[date]))
         return records
-
-    def add_record(self, record: TlsRptWindowRecord) -> TlsRptWindowRecord:
-        self.records.append(record)
-        self.records.sort(key=lambda r: r.window_index)
-        if self.jsonl_path is not None:
-            append_jsonl_line(
-                self.jsonl_path,
-                month_jsonl_line(record.window_index, record.date,
-                                 record.metrics))
-        return record
-
-    # -- (de)serialisation --------------------------------------------
-
-    def to_jsonl_lines(self) -> List[str]:
-        return [month_jsonl_line(r.window_index, r.date, r.metrics)
-                for r in self.records]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.to_jsonl_lines()) + "\n"
-
-    def write_jsonl(self, path: str) -> int:
-        return write_lines_atomic(path, self.to_jsonl_lines())
-
-    @classmethod
-    def from_jsonl(cls, text: str,
-                   thresholds: Optional[TlsRptThresholds] = None,
-                   ) -> "TlsRptMonitor":
-        """Rebuild the window feed (not the verdict tallies — those
-        need the reports themselves; re-ingest via
-        :meth:`observe_reports` for a verdict-capable monitor)."""
-        monitor = cls(thresholds)
-        for window_index, date, registry in read_month_records(text):
-            monitor.records.append(
-                TlsRptWindowRecord(window_index, date, registry))
-        return monitor
 
     def total_registry(self) -> MetricsRegistry:
         total = MetricsRegistry()
@@ -241,38 +187,3 @@ class TlsRptMonitor:
                     self._verdict_tallies.items(),
                     key=lambda kv: (kv[0][0], kv[0][1].value))
                 if count >= min_failed_sessions]
-
-    # -- evaluation ---------------------------------------------------
-
-    def health(self) -> HealthReport:
-        """Per-window threshold evaluation; every input is an integer
-        counter, so the report is byte-identical across delivery
-        backends."""
-        report = HealthReport()
-        bounds = self.thresholds
-        for record in self.records:
-            findings: List[HealthFinding] = []
-            rate = record.failure_rate()
-            if rate > bounds.failure_rate_alert:
-                findings.append(HealthFinding(
-                    ALERT, record.window_index, "tlsrpt-failure-rate",
-                    rate, bounds.failure_rate_alert,
-                    f"window failure share {rate:.2%} exceeds "
-                    f"{bounds.failure_rate_alert:.2%} "
-                    f"({record.failed_sessions()} of "
-                    f"{record.sessions()} sessions)"))
-            elif rate > bounds.failure_rate_warn:
-                findings.append(HealthFinding(
-                    WARN, record.window_index, "tlsrpt-failure-rate",
-                    rate, bounds.failure_rate_warn,
-                    f"window failure share {rate:.2%} exceeds "
-                    f"{bounds.failure_rate_warn:.2%} "
-                    f"({record.failed_sessions()} of "
-                    f"{record.sessions()} sessions)"))
-            if not findings:
-                findings.append(HealthFinding(
-                    OK, record.window_index, "all-checks", 0.0, 0.0,
-                    f"{record.reports()} report(s), "
-                    f"{record.sessions()} session(s), all checks passed"))
-            report.findings.extend(findings)
-        return report

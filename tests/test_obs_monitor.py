@@ -20,8 +20,8 @@ from repro.measurement.executor import ScanExecutor, ScanStats
 from repro.measurement.snapshots import SnapshotStore
 from repro.netsim.network import FaultPlan
 from repro.obs.monitor import (
-    ALERT, OK, WARN, CampaignMonitor, MonthRecord, Thresholds,
-    build_month_registry,
+    ALERT, CACHE_HIT_RATE, OK, RETRIES_PER_DOMAIN, TRANSIENT_RATE, WARN,
+    CampaignMonitor, FeedRecord, Thresholds, build_month_registry,
 )
 
 SCALE = 0.003
@@ -47,27 +47,30 @@ def observe(monitor: CampaignMonitor, month: int, **overrides):
 
 
 class TestMonthRecord:
+    """A month record's signals, read through the campaign rule signals."""
+
     def test_derived_signals(self):
-        record = MonthRecord(0, "2024-01-01", build_month_registry(
-            make_stats(transient_domains=20, connect_retries=500)))
-        assert record.domains() == 1000
-        assert record.transient_rate() == pytest.approx(0.02)
-        assert record.retries_per_domain() == pytest.approx(0.5)
+        metrics = build_month_registry(
+            make_stats(transient_domains=20, connect_retries=500))
+        assert metrics.get("scan.domains") == 1000
+        assert TRANSIENT_RATE.read(metrics) == pytest.approx(0.02)
+        assert RETRIES_PER_DOMAIN.read(metrics) == pytest.approx(0.5)
         # hits / (misses + hits)
-        assert record.cache_hit_rate("dns") == pytest.approx(2000 / 6000)
-        assert record.cache_hit_rate("smtp") == pytest.approx(700 / 2200)
+        assert CACHE_HIT_RATE["dns"].read(metrics) == pytest.approx(
+            2000 / 6000)
+        assert CACHE_HIT_RATE["smtp"].read(metrics) == pytest.approx(
+            700 / 2200)
 
     def test_backoff_recorded_as_integer_millis(self):
-        record = MonthRecord(0, "2024-01-01", build_month_registry(
-            make_stats(retry_backoff_seconds=1.2345)))
-        assert record.metrics.get("net.backoff_millis") == 1234
+        metrics = build_month_registry(
+            make_stats(retry_backoff_seconds=1.2345))
+        assert metrics.get("net.backoff_millis") == 1234
 
     def test_zero_domains_are_safe(self):
-        record = MonthRecord(0, "2024-01-01",
-                             build_month_registry(ScanStats()))
-        assert record.transient_rate() == 0.0
-        assert record.retries_per_domain() == 0.0
-        assert record.cache_hit_rate("dns") == 0.0
+        metrics = build_month_registry(ScanStats())
+        assert TRANSIENT_RATE.read(metrics) == 0.0
+        assert RETRIES_PER_DOMAIN.read(metrics) == 0.0
+        assert CACHE_HIT_RATE["dns"].read(metrics) == 0.0
 
 
 class TestThresholds:
@@ -88,7 +91,7 @@ class TestThresholds:
         assert report.level == ALERT
         metrics = {f.metric for f in report.at_level(ALERT)}
         assert "transient-rate" in metrics
-        assert all(f.month_index == 1 for f in report.at_level(ALERT))
+        assert all(f.index == 1 for f in report.at_level(ALERT))
 
     def test_transient_jump_alerts_below_absolute_bound(self):
         monitor = CampaignMonitor()
@@ -121,8 +124,8 @@ class TestThresholds:
         second = build_month_registry(make_stats())
         second.count("taxonomy.ok", 800)
         second.count("taxonomy.not-sts", 200)       # 20% shift > 15%
-        monitor.add_record(MonthRecord(0, "2024-01-01", first))
-        monitor.add_record(MonthRecord(1, "2024-02-01", second))
+        monitor.add_record(FeedRecord(0, "2024-01-01", first))
+        monitor.add_record(FeedRecord(1, "2024-02-01", second))
         report = monitor.health()
         metrics = {f.metric for f in report.at_level(WARN)}
         assert metrics == {"taxonomy-shift:not-sts", "taxonomy-shift:ok"}
@@ -174,7 +177,8 @@ class TestCleanCampaign:
         assert [r.month_index for r in monitor.records] == list(range(12))
         for record in monitor.records:
             month_stats = analysis.stats_by_month[record.month_index]
-            assert record.domains() == month_stats.domains_scanned
+            assert (record.metrics.get("scan.domains")
+                    == month_stats.domains_scanned)
 
     def test_all_ok(self, monitored):
         monitor, _ = monitored
@@ -233,10 +237,10 @@ class TestFaultSpike:
         report = monitor.health()
         assert report.level == ALERT, report.render()
         alerts = report.at_level(ALERT)
-        assert {f.month_index for f in alerts} == {3}
+        assert {f.index for f in alerts} == {3}
         assert "transient-rate" in {f.metric for f in alerts}
         # The months before the plan landed stay clean.
-        clean = [f for f in report.findings if f.month_index < 3]
+        clean = [f for f in report.findings if f.index < 3]
         assert all(f.level == OK for f in clean)
 
 

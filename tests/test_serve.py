@@ -15,7 +15,7 @@ from repro.measurement.serve import (
     verdict_ttl,
 )
 from repro.obs.monitor import (
-    ALERT, OK, WARN, ServeMonitor, ServeRecord, ServeThresholds,
+    ALERT, OK, WARN, FeedRecord, ServeMonitor, ServeThresholds, Signal,
 )
 from repro.trace import Histogram, MetricsRegistry
 
@@ -408,7 +408,7 @@ def make_window(window_index, *, requests=1_000, computations=100,
     for value in latency_micros:
         histogram.observe_micros(value)
     registry.histograms["serve.latency"] = histogram
-    return ServeRecord(window_index, "2024-01-01", registry)
+    return FeedRecord(window_index, "2024-01-01", registry)
 
 
 class TestServeMonitor:
@@ -461,8 +461,9 @@ class TestServeMonitor:
         assert (monitor.health().as_dict()
                 == small_result.monitor.health().as_dict())
         restored = monitor.records[0].metrics.histograms["serve.latency"]
-        assert restored.quantile(0.99) == (
-            small_result.monitor.records[0].p99_latency_seconds())
+        assert restored.quantile(0.99) == Signal(
+            p99_of="serve.latency").read(
+                small_result.monitor.records[0].metrics)
 
     def test_live_jsonl_feed(self, tmp_path):
         path = str(tmp_path / "serve.jsonl")
@@ -553,6 +554,9 @@ class TestServeCli:
         assert code == 0
         output = capsys.readouterr().out
         assert "serve:" in output and "hit rate" in output
+        # The report is titled with the monitor and its unit of record.
+        assert ("\nserve health: OK (0 alert(s), 0 warning(s), 1 window(s) "
+                "clean)\n[OK   ] w00 all-checks" in output), output
         lines = metrics.read_text(encoding="utf-8").splitlines()
         assert lines and all(json.loads(line)["type"] == "month"
                              for line in lines)

@@ -161,7 +161,7 @@ class TestTlsRptMonitor:
         findings = monitor.health().findings
         assert [f.level for f in findings] == [OK, ALERT, OK]
         alert = findings[1]
-        assert alert.month_index == 1
+        assert alert.index == 1
         assert alert.metric == "tlsrpt-failure-rate"
 
     def test_warn_band(self):
@@ -354,13 +354,21 @@ class TestCli:
         reports_path = out / "reports.jsonl"
         monitor_path = out / "monitor.jsonl"
         assert reports_path.exists() and monitor_path.exists()
-        assert "tlsrpt:" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "tlsrpt:" in output
+        # Each report is titled with its monitor and unit of record.
+        assert "\ndelivery health: OK (0 alert(s), 0 warning(s), " in output
+        assert " wave(s) clean)\n[OK   ] w00 all-checks" in output
+        assert "\ntlsrpt health: OK (0 alert(s), 0 warning(s), 1 window(s) " \
+            "clean)\n[OK   ] w00 all-checks" in output
+        assert "campaign health" not in output
 
         rebuilt = tmp_path / "monitor2.jsonl"
         assert main(["tlsrpt", str(out),
                      "--monitor-out", str(rebuilt)]) == 0
         output = capsys.readouterr().out
         assert "report(s) covering" in output
+        assert "\ntlsrpt health: OK (" in output
         # Re-ingesting the saved reports reproduces the campaign's
         # monitor feed byte for byte.
         assert rebuilt.read_text() == monitor_path.read_text()
