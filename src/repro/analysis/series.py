@@ -3,8 +3,9 @@ time series behind Figures 4-10.
 
 :func:`run_campaign` is the expensive step (it materialises a world
 per scan month and runs the full scanner); :class:`CampaignAnalysis`
-then answers every figure's question from the stored snapshots, so
-benchmarks share one campaign run.
+then answers every figure's question from the month columns of a
+:class:`~repro.measurement.columnar.ColumnarStore`, so benchmarks
+share one campaign run.
 """
 
 from __future__ import annotations
@@ -17,44 +18,38 @@ if TYPE_CHECKING:
     from repro.obs.monitor import CampaignMonitor
 
 from repro.ecosystem.timeline import (
-    EcosystemTimeline, IncrementalMaterializer, MaterializedSnapshot,
-    population_to_dict, timeline_from_population,
+    EcosystemTimeline, IncrementalMaterializer, population_to_dict,
+    timeline_from_population,
 )
-from repro.errors import ManagingEntity, MisconfigCategory
-from repro.measurement.classify import EntityClassifier, EntityVerdict
-from repro.measurement.delegation import delegation_census
-from repro.measurement.executor import ScanExecutor, ScanStats
+from repro.errors import MisconfigCategory
 from repro.measurement.columnar import (
     ColumnarStore, delegation_census_view, historical_series_view,
-    mismatch_census_view, snapshot_summary_view,
+    mismatch_census_view, outsourcing_census_view, snapshot_summary_view,
+    taxonomy_census_view,
 )
-from repro.measurement.historical import historical_series
-from repro.measurement.inconsistency import classify_snapshot, mismatch_census
+from repro.measurement.executor import ScanExecutor, ScanStats
 from repro.measurement.snapshots import SnapshotStore
+# Re-exported: the object-list adapter over ``snapshot_summary_view``.
 from repro.measurement.taxonomy import SnapshotSummary, snapshot_summary
 
 
 @dataclass
 class CampaignAnalysis:
-    """Everything one full scan campaign produced."""
+    """Everything one full scan campaign produced.
+
+    Every figure series and census reads ``columns``; ``store`` holds
+    the live campaign's snapshot objects and is ``None`` for a
+    campaign loaded from disk, which decodes straight to columns.
+    """
 
     timeline: EcosystemTimeline
-    #: The object representation; ``None`` when the analysis was built
-    #: from a :class:`ColumnarStore` instead.
-    store: Optional[SnapshotStore]
-    verdicts_by_month: Dict[int, Dict[str, EntityVerdict]] = field(
-        default_factory=dict)
+    columns: ColumnarStore
+    store: Optional[SnapshotStore] = None
     summaries: Dict[int, SnapshotSummary] = field(default_factory=dict)
     stats_by_month: Dict[int, ScanStats] = field(default_factory=dict)
-    #: The columnar representation (``load_campaign(columnar=True)``).
-    #: Figure series dispatch to the column ports when this is set;
-    #: both representations produce byte-identical output.
-    columnar: Optional[ColumnarStore] = None
 
-    def _months(self) -> List[int]:
-        if self.columnar is not None:
-            return self.columnar.months()
-        return self.store.months()
+    def months(self) -> List[int]:
+        return self.columns.months()
 
     def total_stats(self) -> ScanStats:
         """Per-stage counters and timings summed over every scan month."""
@@ -65,11 +60,23 @@ class CampaignAnalysis:
             total.merge(stats)
         return total
 
+    def _record_month(self, month: int, date: str, stats: ScanStats,
+                      build_stats: Dict[str, int],
+                      monitor: Optional["CampaignMonitor"]) -> None:
+        """Fold one finished month into the summaries and the monitor."""
+        view = self.columns.month_view(month)
+        self.stats_by_month[month] = stats
+        self.summaries[month] = snapshot_summary_view(view)
+        if monitor is not None:
+            monitor.observe_month(month, date, stats,
+                                  build_stats=build_stats,
+                                  bucket_census=taxonomy_census_view(view))
+
     # -- Figure 4 ---------------------------------------------------------
 
     def figure4_series(self) -> List[dict]:
         rows = []
-        for month in self._months():
+        for month in self.months():
             summary = self.summaries[month]
             rows.append({
                 "month_index": month,
@@ -88,7 +95,7 @@ class CampaignAnalysis:
         """Per-month policy-server error percentages for one entity
         ('self-managed' or 'third-party'), split by failure stage."""
         rows = []
-        for month in self._months():
+        for month in self.months():
             summary = self.summaries[month]
             total = summary.policy_entity_totals[entity]
             errors = summary.policy_errors_by_entity[entity]
@@ -104,7 +111,7 @@ class CampaignAnalysis:
 
     def figure6_series(self, entity: str) -> List[dict]:
         rows = []
-        for month in self._months():
+        for month in self.months():
             summary = self.summaries[month]
             total = summary.mx_entity_totals[entity]
             classes = summary.mx_cert_by_entity[entity]
@@ -120,7 +127,7 @@ class CampaignAnalysis:
 
     def figure7_series(self) -> List[dict]:
         rows = []
-        for month in self._months():
+        for month in self.months():
             summary = self.summaries[month]
             total = summary.total_sts or 1
             rows.append({
@@ -140,11 +147,8 @@ class CampaignAnalysis:
 
     def figure8_series(self) -> List[dict]:
         rows = []
-        for month in self._months():
-            if self.columnar is not None:
-                census = mismatch_census_view(self.columnar.month_view(month))
-            else:
-                census = mismatch_census(self.store.month(month))
+        for month in self.months():
+            census = mismatch_census_view(self.columns.month_view(month))
             total = census["total_sts"] or 1
             row = {"month_index": month,
                    "enforce": census["enforce"],
@@ -156,78 +160,26 @@ class CampaignAnalysis:
         return rows
 
     def figure9_series(self) -> List[dict]:
-        if self.columnar is not None:
-            return historical_series_view(self.columnar)
-        return historical_series(self.store)
+        return historical_series_view(self.columns)
 
     # -- Figure 10 ----------------------------------------------------------------
 
     def figure10_series(self) -> List[dict]:
-        rows = []
-        for month in self._months():
-            if self.columnar is not None:
-                rows.append(self._figure10_row_columnar(month))
-                continue
-            verdicts = self.verdicts_by_month[month]
-            snaps = {s.domain: s for s in self.store.month(month)}
-            same_total = same_bad = diff_total = diff_bad = 0
-            for domain, verdict in verdicts.items():
-                if not verdict.both_outsourced:
-                    continue
-                snap = snaps.get(domain)
-                if snap is None:
-                    continue
-                inconsistent = classify_snapshot(snap).mismatch
-                if verdict.same_provider:
-                    same_total += 1
-                    same_bad += inconsistent
-                else:
-                    diff_total += 1
-                    diff_bad += inconsistent
-            rows.append({
-                "month_index": month,
-                "same_total": same_total, "same_bad": same_bad,
-                "same_pct": 100.0 * same_bad / same_total if same_total else 0.0,
-                "diff_total": diff_total, "diff_bad": diff_bad,
-                "diff_pct": 100.0 * diff_bad / diff_total if diff_total else 0.0,
-            })
-        return rows
-
-    def _figure10_row_columnar(self, month: int) -> dict:
-        view = self.columnar.month_view(month)
-        same_total = same_bad = diff_total = diff_bad = 0
-        for i in range(view.n):
-            if not view.both_outsourced[i]:
-                continue
-            inconsistent = 1 if view.mismatch[i] else 0
-            if view.same_provider[i]:
-                same_total += 1
-                same_bad += inconsistent
-            else:
-                diff_total += 1
-                diff_bad += inconsistent
-        return {
-            "month_index": month,
-            "same_total": same_total, "same_bad": same_bad,
-            "same_pct": 100.0 * same_bad / same_total if same_total else 0.0,
-            "diff_total": diff_total, "diff_bad": diff_bad,
-            "diff_pct": 100.0 * diff_bad / diff_total if diff_total else 0.0,
-        }
+        return [outsourcing_census_view(self.columns.month_view(month))
+                for month in self.months()]
 
     # -- Table 2 ------------------------------------------------------------------
 
     def table2_census(self, month: Optional[int] = None,
                       top: int = 8) -> List[dict]:
-        month = month if month is not None else max(self._months())
-        if self.columnar is not None:
-            return delegation_census_view(self.columnar.month_view(month),
-                                          top=top)
-        return delegation_census(self.store.month(month), top=top)
+        month = month if month is not None else max(self.months())
+        return delegation_census_view(self.columns.month_view(month),
+                                      top=top)
 
     # -- headline numbers --------------------------------------------------------
 
     def latest_summary(self) -> SnapshotSummary:
-        return self.summaries[max(self._months())]
+        return self.summaries[max(self.months())]
 
 
 def _load_committed(state_dir: str, timeline: EcosystemTimeline,
@@ -309,7 +261,9 @@ def run_campaign(timeline: EcosystemTimeline,
         population = population_to_dict(timeline.config.population)
     else:
         store = SnapshotStore()
-    analysis = CampaignAnalysis(timeline=timeline, store=store)
+    analysis = CampaignAnalysis(timeline=timeline,
+                                columns=ColumnarStore.from_store(store),
+                                store=store)
     for month in months:
         entry = committed.get(month)
         if entry is not None:
@@ -318,16 +272,9 @@ def run_campaign(timeline: EcosystemTimeline,
             # forward exactly as in the uninterrupted run.
             if materializer is not None:
                 materializer.materialize(month)
-            stats = ScanStats.from_dict(entry.stats)
-            analysis.stats_by_month[month] = stats
-            month_snaps = store.month(month)
-            verdicts = EntityClassifier(month_snaps).classify_all()
-            analysis.verdicts_by_month[month] = verdicts
-            analysis.summaries[month] = snapshot_summary(month_snaps,
-                                                         verdicts)
-            if monitor is not None:
-                monitor.observe_month(month, entry.date, stats, month_snaps,
-                                      build_stats=entry.build_stats)
+            analysis._record_month(month, entry.date,
+                                   ScanStats.from_dict(entry.stats),
+                                   entry.build_stats, monitor)
             continue
 
         built_at = time.perf_counter()
@@ -359,63 +306,32 @@ def run_campaign(timeline: EcosystemTimeline,
                          build_stats=materialized.build_stats,
                          population=population)
             stats.checkpoint_seconds = time.perf_counter() - commit_started
-        analysis.stats_by_month[month] = stats
-        month_snaps = store.month(month)
-        verdicts = EntityClassifier(month_snaps).classify_all()
-        analysis.verdicts_by_month[month] = verdicts
-        analysis.summaries[month] = snapshot_summary(month_snaps, verdicts)
-        if monitor is not None:
-            monitor.observe_month(
-                month, materialized.instant.date_string(), stats,
-                month_snaps, build_stats=materialized.build_stats)
+        analysis._record_month(month, materialized.instant.date_string(),
+                               stats, materialized.build_stats, monitor)
     return analysis
 
 
 def load_campaign(state_dir: str,
                   *, timeline: Optional[EcosystemTimeline] = None,
-                  columnar: bool = False,
                   ) -> CampaignAnalysis:
     """Rebuild a :class:`CampaignAnalysis` offline from a saved store.
 
-    Verifies and loads every committed month, restores each month's
-    :class:`ScanStats` from the manifest, and recomputes the derived
-    verdicts and summaries (pure functions of the snapshots) — so every
+    Shards decode straight to columns
+    (:meth:`ColumnarStore.from_state_dir`, verified against the
+    manifest); each month's :class:`ScanStats` comes back from the
+    manifest and its summary is recomputed from the columns, so every
     figure series, census, and drift table is available without
-    rescanning anything.  The timeline is rebuilt from the persisted
-    population config unless one is supplied.
-
-    ``columnar=True`` takes the columnar path instead: shard rows
-    parse straight into per-field columns (no snapshot objects) and
-    every figure series and census runs over them, byte-identical to
-    the object path at a fraction of the cost.  ``verdicts_by_month``
-    stays empty on this path; the figures that need entity verdicts
-    read the precomputed entity columns.
+    rescanning anything or constructing a snapshot object.  The
+    timeline is rebuilt from the persisted population config unless
+    one is supplied.
     """
-    from repro.measurement.store_io import load_state
-
-    if columnar:
-        cstore = ColumnarStore.from_state_dir(state_dir)
-        if timeline is None:
-            timeline = timeline_from_population(cstore.population)
-        analysis = CampaignAnalysis(timeline=timeline, store=None,
-                                    columnar=cstore)
-        for month in cstore.months():
-            analysis.summaries[month] = snapshot_summary_view(
-                cstore.month_view(month))
-            analysis.stats_by_month[month] = ScanStats.from_dict(
-                cstore.entries[month].stats)
-        return analysis
-
-    state = load_state(state_dir)
+    columns = ColumnarStore.from_state_dir(state_dir)
     if timeline is None:
-        timeline = timeline_from_population(state.population)
-    analysis = CampaignAnalysis(timeline=timeline, store=state.store)
-    for entry in state.months:
-        month_snaps = state.store.month(entry.month)
-        verdicts = EntityClassifier(month_snaps).classify_all()
-        analysis.verdicts_by_month[entry.month] = verdicts
-        analysis.summaries[entry.month] = snapshot_summary(month_snaps,
-                                                           verdicts)
-        analysis.stats_by_month[entry.month] = ScanStats.from_dict(
-            entry.stats)
+        timeline = timeline_from_population(columns.population)
+    analysis = CampaignAnalysis(timeline=timeline, columns=columns)
+    for month in columns.months():
+        analysis.stats_by_month[month] = ScanStats.from_dict(
+            columns.entries[month].stats)
+        analysis.summaries[month] = snapshot_summary_view(
+            columns.month_view(month))
     return analysis

@@ -40,7 +40,7 @@ def compute_takeaways(campaign: CampaignAnalysis) -> List[Takeaway]:
 
     # 1. Policy-server errors dominate in every snapshot (70-85%).
     shares = []
-    for month in campaign.store.months():
+    for month in campaign.months():
         summary = campaign.summaries[month]
         total = sum(summary.category_counts.values())
         if total:

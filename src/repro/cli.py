@@ -155,9 +155,10 @@ def _cmd_audit(args) -> int:
 
     from repro.ecosystem.population import PopulationConfig
     from repro.errors import StoreCorruption
-    from repro.measurement.classify import EntityClassifier
+    from repro.measurement.columnar import (
+        ColumnarStore, snapshot_summary_view, taxonomy_census_view,
+    )
     from repro.measurement.executor import ScanExecutor, ScanStats
-    from repro.measurement.taxonomy import snapshot_summary
 
     if args.json and not args.stats:
         print("error: --json requires --stats", file=sys.stderr)
@@ -172,13 +173,6 @@ def _cmd_audit(args) -> int:
                 print(f"error: {name} requires a live scan and cannot "
                       f"be combined with --load", file=sys.stderr)
                 return 2
-    if args.columnar and not args.load:
-        print("error: --columnar requires --load", file=sys.stderr)
-        return 2
-    if args.columnar and args.show_repairs:
-        print("error: --show-repairs needs snapshot objects and cannot "
-              "be combined with --columnar", file=sys.stderr)
-        return 2
 
     # With --json, stdout carries exactly one machine-readable JSON
     # document; everything informational moves to stderr.
@@ -187,83 +181,47 @@ def _cmd_audit(args) -> int:
     def info(*values, **kwargs) -> None:
         print(*values, file=info_stream, **kwargs)
 
-    if args.load and args.columnar:
-        # Offline, columnar: the month shard is decoded straight into
-        # per-field columns — no DomainSnapshot objects — and every
-        # printed line is byte-identical to the object path's.
-        from repro.measurement.columnar import (
-            ColumnarStore, snapshot_summary_view, taxonomy_census_view,
-        )
+    def write_metrics(stats, view, build_stats=None) -> None:
+        from repro.fsutil import atomic_write_text
+        from repro.obs.exporters import prometheus_exposition
+        from repro.obs.monitor import build_month_registry
+        registry = build_month_registry(
+            stats, build_stats=build_stats,
+            bucket_census=taxonomy_census_view(view))
+        atomic_write_text(args.metrics_out, prometheus_exposition(
+            registry, labels={"month": str(view.month_index)}))
+        info(f"metrics: {len(registry.counters)} series -> "
+             f"{args.metrics_out}")
+
+    if args.load:
+        # Offline: the month's shard decodes straight to columns; no
+        # world is built and nothing is scanned.
         try:
-            cstore = ColumnarStore.from_state_dir(args.load)
+            columns = ColumnarStore.from_state_dir(args.load)
         except StoreCorruption as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        committed = cstore.months()
+        committed = columns.months()
         if not committed:
             print(f"error: {args.load} holds no committed months",
                   file=sys.stderr)
             return 1
         month = (args.month if args.month is not None
                  else committed[-1])
-        if month not in cstore.entries:
+        if month not in committed:
             print(f"error: month {month} is not committed in {args.load} "
                   f"(committed: {committed})", file=sys.stderr)
             return 1
-        entry = cstore.entries[month]
+        entry = columns.entries[month]
         try:
-            view = cstore.month_view(month)
+            view = columns.month_view(month)
         except StoreCorruption as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         stats = ScanStats.from_dict(entry.stats)
         summary = snapshot_summary_view(view)
         if args.metrics_out:
-            from repro.obs.exporters import prometheus_exposition
-            from repro.obs.monitor import build_month_registry
-            from repro.fsutil import atomic_write_text
-            registry = build_month_registry(
-                stats, build_stats=entry.build_stats,
-                bucket_census=taxonomy_census_view(view))
-            atomic_write_text(args.metrics_out, prometheus_exposition(
-                registry, labels={"month": str(month)}))
-            info(f"metrics: {len(registry.counters)} series -> "
-                 f"{args.metrics_out}")
-        info(f"snapshot {entry.date} (loaded from {args.load})")
-    elif args.load:
-        # Offline: everything below runs from the checkpointed store,
-        # no world is built and nothing is scanned.
-        from repro.measurement.store_io import load_state
-        try:
-            state = load_state(args.load)
-        except StoreCorruption as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if not state.months:
-            print(f"error: {args.load} holds no committed months",
-                  file=sys.stderr)
-            return 1
-        month = (args.month if args.month is not None
-                 else state.month_indexes()[-1])
-        entry = state.entry(month)
-        if entry is None:
-            print(f"error: month {month} is not committed in {args.load} "
-                  f"(committed: {state.month_indexes()})", file=sys.stderr)
-            return 1
-        snapshots = state.store.month(month)
-        stats = ScanStats.from_dict(entry.stats)
-        summary = snapshot_summary(
-            snapshots, EntityClassifier(snapshots).classify_all())
-        if args.metrics_out:
-            from repro.obs.exporters import prometheus_exposition
-            from repro.obs.monitor import build_month_registry
-            from repro.fsutil import atomic_write_text
-            registry = build_month_registry(stats, snapshots,
-                                            build_stats=entry.build_stats)
-            atomic_write_text(args.metrics_out, prometheus_exposition(
-                registry, labels={"month": str(month)}))
-            info(f"metrics: {len(registry.counters)} series -> "
-                 f"{args.metrics_out}")
+            write_metrics(stats, view, entry.build_stats)
         info(f"snapshot {entry.date} (loaded from {args.load})")
     else:
         # Live: every backend runs through scan_population, which owns
@@ -296,9 +254,8 @@ def _cmd_audit(args) -> int:
         if args.explain:
             info(executor.last_trace.explain(canonical_host(args.explain)))
             info()
-        snapshots = store.month(month)
-        summary = snapshot_summary(
-            snapshots, EntityClassifier(snapshots).classify_all())
+        view = ColumnarStore.from_store(store).month_view(month)
+        summary = snapshot_summary_view(view)
         if args.save:
             from repro.ecosystem.timeline import population_to_dict
             from repro.measurement.store_io import commit_month
@@ -309,14 +266,7 @@ def _cmd_audit(args) -> int:
                          population=population_to_dict(population))
             info(f"store: month {month} committed -> {args.save}")
         if args.metrics_out:
-            from repro.obs.exporters import prometheus_exposition
-            from repro.obs.monitor import build_month_registry
-            from repro.fsutil import atomic_write_text
-            registry = build_month_registry(stats, snapshots)
-            atomic_write_text(args.metrics_out, prometheus_exposition(
-                registry, labels={"month": str(month)}))
-            info(f"metrics: {len(registry.counters)} series -> "
-                 f"{args.metrics_out}")
+            write_metrics(stats, view)
         info(f"snapshot {result.instant.date_string()} "
              f"(scale={args.scale})")
         if result.worker_peak_rss_kib:
@@ -335,6 +285,14 @@ def _cmd_audit(args) -> int:
     if args.show_repairs:
         from repro.measurement.repair import plan_repairs
         from repro.measurement.taxonomy import categorize
+        if args.load:
+            # The repair planner reads snapshot objects: decode only
+            # this month's.
+            from repro.measurement.store_io import load_state
+            snapshots = load_state(args.load,
+                                   months=[month]).store.month(month)
+        else:
+            snapshots = store.month(month)
         shown = 0
         for snapshot in snapshots:
             if shown >= args.show_repairs:
@@ -836,11 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "store at DIR instead of scanning "
                             "(--month picks a committed month; default "
                             "is the latest)")
-    audit.add_argument("--columnar", action="store_true",
-                       help="with --load: decode the shard into "
-                            "per-field columns instead of snapshot "
-                            "objects (byte-identical output, faster "
-                            "at scale)")
     audit.set_defaults(handler=_cmd_audit)
 
     campaign = sub.add_parser(

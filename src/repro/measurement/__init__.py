@@ -5,7 +5,7 @@ from repro.measurement.scanner import Scanner
 from repro.measurement.classify import EntityClassifier, EntityVerdict
 from repro.measurement.taxonomy import categorize, snapshot_summary
 from repro.measurement.inconsistency import classify_mismatch
-from repro.measurement.historical import historical_match_rate
+from repro.measurement.historical import historical_series
 from repro.measurement.delegation import identify_provider, delegation_census
 from repro.measurement.senderside import SenderSideTestbed, SenderProfile
 from repro.measurement.notify import DisclosureCampaign
@@ -22,7 +22,7 @@ __all__ = [
     "DomainSnapshot", "SnapshotStore", "Scanner",
     "EntityClassifier", "EntityVerdict",
     "categorize", "snapshot_summary",
-    "classify_mismatch", "historical_match_rate",
+    "classify_mismatch", "historical_series",
     "identify_provider", "delegation_census",
     "SenderSideTestbed", "SenderProfile",
     "DisclosureCampaign",

@@ -20,13 +20,14 @@ DNS, MX hosts, and policy server:
 
 Everything else stays :attr:`ManagingEntity.UNCLASSIFIED`, mirroring
 the paper's ~20% unclassifiable share.
+
+The rules live once, on :class:`EntityTallies`, over plain fields.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dns.name import DnsName, registrable_part
 from repro.errors import ManagingEntity
@@ -69,6 +70,116 @@ class EntityVerdict:
         return mx_label == policy_label
 
 
+class EntityTallies:
+    """The cross-section counts the heuristics read, and the rules.
+
+    Fed one :meth:`add` per domain of the month (a cross-section holds
+    each domain once), so every count is a number of distinct domains;
+    a value never tallied counts zero.  The three rule methods are the
+    only implementation of §4.3.1: :class:`EntityClassifier` calls
+    them on snapshot objects and the column builder
+    (:mod:`repro.measurement.columnar`) on shard rows.  Every eSLD list
+    argument is sorted and free of duplicates and empty strings
+    (:func:`eslds`).
+    """
+
+    def __init__(self, third_party_min: int = THIRD_PARTY_MIN,
+                 self_max: int = SELF_MAX):
+        self.third_party_min = third_party_min
+        self.self_max = self_max
+        self.mx_sld: Dict[str, int] = {}
+        self.mx_ip: Dict[str, int] = {}
+        self.ns_sld: Dict[str, int] = {}
+        #: policy-host address -> the sorted MX set of each domain on it
+        self.policy_ip: Dict[str, List[Tuple[str, ...]]] = {}
+        #: MX eSLD -> the configuration signatures of its domains
+        self.signatures: Dict[str, set] = {}
+
+    def add(self, mx_slds: List[str], mx_ips: Iterable[str],
+            ns_slds: Iterable[str], mx_hostnames: Iterable[str],
+            policy_addresses: Iterable[str], delegated: bool) -> None:
+        """Tally one domain; *delegated*: its policy host is a CNAME."""
+        for sld in mx_slds:
+            self.mx_sld[sld] = self.mx_sld.get(sld, 0) + 1
+        for ip in set(mx_ips):
+            self.mx_ip[ip] = self.mx_ip.get(ip, 0) + 1
+        for sld in ns_slds:
+            self.ns_sld[sld] = self.ns_sld.get(sld, 0) + 1
+        mx_set = tuple(sorted(mx_hostnames))
+        for ip in set(policy_addresses):
+            self.policy_ip.setdefault(ip, []).append(mx_set)
+        signature = (mx_set, tuple(sorted(policy_addresses)), delegated)
+        for sld in mx_slds:
+            self.signatures.setdefault(sld, set()).add(signature)
+
+    def dns_entity(self, own: str, ns_slds: List[str]) -> ManagingEntity:
+        if not ns_slds:
+            return ManagingEntity.UNCLASSIFIED
+        if own in ns_slds:
+            return ManagingEntity.SELF_MANAGED
+        if any(self.ns_sld.get(sld, 0) >= self.third_party_min
+               for sld in ns_slds):
+            return ManagingEntity.THIRD_PARTY
+        return ManagingEntity.UNCLASSIFIED
+
+    def mx_entity(self, own: str, mx_slds: List[str],
+                  mx_ips: Iterable[str]) -> Tuple[ManagingEntity, str]:
+        """The MX verdict and, for a third party, its eSLD."""
+        if not mx_slds:
+            return ManagingEntity.UNCLASSIFIED, ""
+        # Heuristic 2: MX under the domain's own eSLD is self-managed.
+        if all(sld == own for sld in mx_slds):
+            return ManagingEntity.SELF_MANAGED, ""
+        ip_popularity = max((self.mx_ip.get(ip, 0) for ip in mx_ips),
+                            default=0)
+        popular = [sld for sld in mx_slds
+                   if self.mx_sld.get(sld, 0) >= self.third_party_min
+                   or ip_popularity >= self.third_party_min]
+        if popular:
+            sld = popular[0]
+            # The single-administrator refinement: one configuration
+            # signature across the entire popular group, and no CNAME
+            # delegation (genuine providers take policy hosting via
+            # CNAME; a lone admin's fleet points A records at itself).
+            signatures = self.signatures.get(sld, set())
+            if len(signatures) == 1 and not next(iter(signatures))[2]:
+                return ManagingEntity.SELF_MANAGED, ""
+            return ManagingEntity.THIRD_PARTY, sld
+        if all(self.mx_sld.get(sld, 0) <= self.self_max for sld in mx_slds):
+            return ManagingEntity.SELF_MANAGED, ""
+        return ManagingEntity.UNCLASSIFIED, ""
+
+    def policy_entity(self, own: str, sts_like: bool,
+                      cname_sld: Optional[str],
+                      policy_addresses: List[str],
+                      ) -> Tuple[ManagingEntity, str]:
+        """The policy-host verdict and, for a CNAME delegation, the
+        target's eSLD.  *cname_sld* is ``None`` without a CNAME."""
+        if not sts_like:
+            return ManagingEntity.UNCLASSIFIED, ""
+        if cname_sld is not None:
+            if cname_sld and cname_sld != own:
+                return ManagingEntity.THIRD_PARTY, cname_sld
+            return ManagingEntity.SELF_MANAGED, ""
+        if not policy_addresses:
+            # Unresolvable policy host: judged by who runs the DNS zone
+            # content — an A record the owner forgot counts as self.
+            return ManagingEntity.SELF_MANAGED, ""
+        popularity = max(len(self.policy_ip.get(ip, ()))
+                         for ip in policy_addresses)
+        if popularity >= self.third_party_min:
+            # One administrator when every domain on these addresses
+            # shares one MX set.
+            mx_sets = {mx_set for ip in policy_addresses
+                       for mx_set in self.policy_ip.get(ip, ())}
+            if len(mx_sets) == 1:
+                return ManagingEntity.SELF_MANAGED, ""
+            return ManagingEntity.THIRD_PARTY, ""
+        if popularity <= self.self_max:
+            return ManagingEntity.SELF_MANAGED, ""
+        return ManagingEntity.UNCLASSIFIED, ""
+
+
 class EntityClassifier:
     """Classifies one month's snapshot cross-section."""
 
@@ -76,125 +187,43 @@ class EntityClassifier:
                  *, third_party_min: int = THIRD_PARTY_MIN,
                  self_max: int = SELF_MAX):
         self._snapshots = snapshots
-        self._third_min = third_party_min
-        self._self_max = self_max
-        self._mx_sld_domains: Dict[str, set] = defaultdict(set)
-        self._mx_ip_domains: Dict[str, set] = defaultdict(set)
-        self._ns_sld_domains: Dict[str, set] = defaultdict(set)
-        self._policy_ip_domains: Dict[str, set] = defaultdict(set)
-        self._group_signatures: Dict[str, set] = defaultdict(set)
-        self._tally()
-
-    def _tally(self) -> None:
-        for snap in self._snapshots:
-            for mx in snap.mx_hostnames:
-                sld = _esld(mx)
-                if sld:
-                    self._mx_sld_domains[sld].add(snap.domain)
-            for obs in snap.mx_observations:
-                for ip in obs.addresses:
-                    self._mx_ip_domains[ip].add(snap.domain)
-            for ns in snap.ns_hostnames:
-                sld = _esld(ns)
-                if sld:
-                    self._ns_sld_domains[sld].add(snap.domain)
-            for ip in snap.policy_host_addresses:
-                self._policy_ip_domains[ip].add(snap.domain)
-            signature = (tuple(sorted(snap.mx_hostnames)),
-                         tuple(sorted(snap.policy_host_addresses)),
-                         snap.policy_host_cname is not None)
-            for mx in snap.mx_hostnames:
-                sld = _esld(mx)
-                if sld:
-                    self._group_signatures[sld].add(signature)
-
-    # -- per-component verdicts -----------------------------------------------
+        self._tallies = EntityTallies(third_party_min, self_max)
+        for snap in snapshots:
+            self._tallies.add(
+                eslds(snap.mx_hostnames), _mx_addresses(snap),
+                eslds(snap.ns_hostnames), snap.mx_hostnames,
+                snap.policy_host_addresses,
+                snap.policy_host_cname is not None)
 
     def classify(self, snap: DomainSnapshot) -> EntityVerdict:
-        verdict = EntityVerdict(domain=snap.domain)
-        verdict.dns = self._classify_dns(snap)
-        verdict.mx, verdict.mx_provider_sld = self._classify_mx(snap)
-        verdict.policy, verdict.policy_provider_sld = \
-            self._classify_policy(snap)
-        return verdict
+        own = registrable_part(snap.domain)
+        tallies = self._tallies
+        mx, mx_sld = tallies.mx_entity(own, eslds(snap.mx_hostnames),
+                                       _mx_addresses(snap))
+        cname = snap.policy_host_cname
+        policy, policy_sld = tallies.policy_entity(
+            own, snap.sts_like, _esld(cname) if cname else None,
+            snap.policy_host_addresses)
+        return EntityVerdict(
+            domain=snap.domain,
+            dns=tallies.dns_entity(own, eslds(snap.ns_hostnames)),
+            mx=mx, policy=policy,
+            mx_provider_sld=mx_sld, policy_provider_sld=policy_sld)
 
     def classify_all(self) -> Dict[str, EntityVerdict]:
         return {snap.domain: self.classify(snap)
                 for snap in self._snapshots}
 
-    def _classify_dns(self, snap: DomainSnapshot) -> ManagingEntity:
-        own = registrable_part(snap.domain)
-        slds = {_esld(ns) for ns in snap.ns_hostnames} - {""}
-        if not slds:
-            return ManagingEntity.UNCLASSIFIED
-        if own in slds:
-            return ManagingEntity.SELF_MANAGED
-        if any(len(self._ns_sld_domains[s]) >= self._third_min for s in slds):
-            return ManagingEntity.THIRD_PARTY
-        return ManagingEntity.UNCLASSIFIED
 
-    def _classify_mx(self, snap: DomainSnapshot):
-        own = registrable_part(snap.domain)
-        slds = sorted({_esld(mx) for mx in snap.mx_hostnames} - {""})
-        if not slds:
-            return ManagingEntity.UNCLASSIFIED, ""
-        # Heuristic 2: MX under the domain's own eSLD is self-managed.
-        if all(s == own for s in slds):
-            return ManagingEntity.SELF_MANAGED, ""
-        popular = [s for s in slds
-                   if len(self._mx_sld_domains[s]) >= self._third_min
-                   or self._ip_popularity(snap) >= self._third_min]
-        if popular:
-            sld = popular[0]
-            # The single-administrator refinement: one configuration
-            # signature across the entire popular group, and no CNAME
-            # delegation (genuine providers take policy hosting via
-            # CNAME; a lone admin's fleet points A records at itself).
-            signatures = self._group_signatures[sld]
-            if len(signatures) == 1 and not next(iter(signatures))[2]:
-                return ManagingEntity.SELF_MANAGED, ""
-            return ManagingEntity.THIRD_PARTY, sld
-        if all(len(self._mx_sld_domains[s]) <= self._self_max for s in slds):
-            return ManagingEntity.SELF_MANAGED, ""
-        return ManagingEntity.UNCLASSIFIED, ""
+def eslds(hostnames: Iterable[str], esld=None) -> List[str]:
+    """The sorted distinct eSLDs of *hostnames* (unparsable ones
+    dropped); *esld* substitutes a memoised :func:`_esld`."""
+    esld = esld or _esld
+    return sorted({esld(host) for host in hostnames} - {""})
 
-    def _ip_popularity(self, snap: DomainSnapshot) -> int:
-        counts = [len(self._mx_ip_domains[ip])
-                  for obs in snap.mx_observations for ip in obs.addresses]
-        return max(counts, default=0)
 
-    def _classify_policy(self, snap: DomainSnapshot):
-        if not snap.sts_like:
-            return ManagingEntity.UNCLASSIFIED, ""
-        own = registrable_part(snap.domain)
-        if snap.policy_host_cname:
-            target_sld = _esld(snap.policy_host_cname)
-            if target_sld and target_sld != own:
-                return ManagingEntity.THIRD_PARTY, target_sld
-            return ManagingEntity.SELF_MANAGED, ""
-        if not snap.policy_host_addresses:
-            # Unresolvable policy host: judged by who runs the DNS zone
-            # content — an A record the owner forgot counts as self.
-            return ManagingEntity.SELF_MANAGED, ""
-        popularity = max(len(self._policy_ip_domains[ip])
-                         for ip in snap.policy_host_addresses)
-        if popularity >= self._third_min:
-            if self._shared_admin_policy_group(snap):
-                return ManagingEntity.SELF_MANAGED, ""
-            return ManagingEntity.THIRD_PARTY, ""
-        if popularity <= self._self_max:
-            return ManagingEntity.SELF_MANAGED, ""
-        return ManagingEntity.UNCLASSIFIED, ""
-
-    def _shared_admin_policy_group(self, snap: DomainSnapshot) -> bool:
-        """True when every domain on this policy IP shares one MX set."""
-        domains = set()
-        for ip in snap.policy_host_addresses:
-            domains |= self._policy_ip_domains[ip]
-        by_domain = {s.domain: s for s in self._snapshots}
-        signatures = {tuple(sorted(by_domain[d].mx_hostnames))
-                      for d in domains if d in by_domain}
-        return len(signatures) == 1
+def _mx_addresses(snap: DomainSnapshot) -> List[str]:
+    return [ip for obs in snap.mx_observations for ip in obs.addresses]
 
 
 def _esld(hostname: str) -> str:

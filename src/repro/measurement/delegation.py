@@ -9,7 +9,6 @@ and reports what a sender would experience.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -23,12 +22,18 @@ from repro.measurement.snapshots import DomainSnapshot
 
 def identify_provider(snap: DomainSnapshot) -> Optional[str]:
     """The registrable domain of the policy-host CNAME target, if any."""
-    if not snap.policy_host_cname:
+    return provider_of(snap.domain, snap.policy_host_cname)
+
+
+def provider_of(domain: str, cname: Optional[str]) -> Optional[str]:
+    """:func:`identify_provider` over raw fields: the CNAME target's
+    registrable domain, unless it is the domain's own."""
+    if not cname:
         return None
-    name = DnsName.try_parse(snap.policy_host_cname)
+    name = DnsName.try_parse(cname)
     if name is None:
         return None
-    own = effective_sld(DnsName.parse(snap.domain))
+    own = effective_sld(DnsName.parse(domain))
     target = effective_sld(name)
     if target is None or (own is not None and target == own):
         return None
@@ -37,20 +42,10 @@ def identify_provider(snap: DomainSnapshot) -> Optional[str]:
 
 def delegation_census(snapshots: List[DomainSnapshot],
                       top: int = 8) -> List[dict]:
-    """Table 2's left columns: the top policy hosting providers."""
-    counts: Counter = Counter()
-    pattern_examples: Dict[str, str] = {}
-    for snap in snapshots:
-        provider = identify_provider(snap)
-        if provider is None:
-            continue
-        counts[provider] += 1
-        pattern_examples.setdefault(provider, snap.policy_host_cname or "")
-    rows = []
-    for provider, count in counts.most_common(top):
-        rows.append({"provider_sld": provider, "domains": count,
-                     "cname_example": pattern_examples[provider]})
-    return rows
+    """Table 2's left columns: the top policy hosting providers
+    (:func:`~repro.measurement.columnar.delegation_census_view`)."""
+    from repro.measurement.columnar import delegation_census_view, view_of
+    return delegation_census_view(view_of(snapshots), top=top)
 
 
 @dataclass

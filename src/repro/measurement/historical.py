@@ -11,11 +11,9 @@ the end) does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.core.matching import policy_covers_mx
-from repro.errors import MismatchClass
-from repro.measurement.inconsistency import classify_snapshot
 from repro.measurement.snapshots import DomainSnapshot, SnapshotStore
 
 
@@ -25,17 +23,6 @@ class HistoricalMatch:
     matched: bool
     matched_month: int | None = None
     historical_mx: tuple = ()
-
-
-def domain_mismatch_candidates(snapshots: List[DomainSnapshot]
-                               ) -> List[DomainSnapshot]:
-    """The Figure-9 universe: snapshots with complete-domain mismatches."""
-    out = []
-    for snap in snapshots:
-        verdict = classify_snapshot(snap)
-        if verdict.mismatch and verdict.mismatch_class is MismatchClass.DOMAIN:
-            out.append(snap)
-    return out
 
 
 def match_against_history(store: SnapshotStore,
@@ -54,22 +41,10 @@ def match_against_history(store: SnapshotStore,
     return HistoricalMatch(snap.domain, False)
 
 
-def historical_match_rate(store: SnapshotStore, month_index: int) -> dict:
-    """One Figure-9 point: among month *month_index*'s domain-mismatch
-    population, the share explainable by obsolete MX records."""
-    month_snaps = store.month(month_index)
-    candidates = domain_mismatch_candidates(month_snaps)
-    matches = [match_against_history(store, snap) for snap in candidates]
-    matched = sum(1 for m in matches if m.matched)
-    return {
-        "month_index": month_index,
-        "candidates": len(candidates),
-        "matched": matched,
-        "percent": 100.0 * matched / len(candidates) if candidates else 0.0,
-    }
-
-
 def historical_series(store: SnapshotStore) -> List[dict]:
-    """Figure 9's full time series over every stored month."""
-    return [historical_match_rate(store, month)
-            for month in store.months()]
+    """Figure 9's full time series over every stored month
+    (:func:`~repro.measurement.columnar.historical_series_view`)."""
+    from repro.measurement.columnar import (
+        ColumnarStore, historical_series_view,
+    )
+    return historical_series_view(ColumnarStore.from_store(store))

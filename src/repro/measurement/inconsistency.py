@@ -124,19 +124,7 @@ def classify_snapshot(snap: DomainSnapshot) -> MismatchVerdict:
 
 def mismatch_census(snapshots: List[DomainSnapshot]) -> dict:
     """One month's Figure-8 row: counts per mismatch class plus the
-    enforce-mode exposure."""
-    counts = {cls: 0 for cls in MismatchClass}
-    enforce = 0
-    total_sts = 0
-    for snap in snapshots:
-        if not snap.sts_like:
-            continue
-        total_sts += 1
-        verdict = classify_snapshot(snap)
-        if not verdict.mismatch:
-            continue
-        assert verdict.mismatch_class is not None
-        counts[verdict.mismatch_class] += 1
-        if snap.enforce_mode:
-            enforce += 1
-    return {"total_sts": total_sts, "counts": counts, "enforce": enforce}
+    enforce-mode exposure
+    (:func:`~repro.measurement.columnar.mismatch_census_view`)."""
+    from repro.measurement.columnar import mismatch_census_view, view_of
+    return mismatch_census_view(view_of(snapshots))

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.matching import policy_covers_mx
-from repro.errors import ManagingEntity, MisconfigCategory
-from repro.measurement.classify import EntityClassifier, EntityVerdict
+from repro.errors import MisconfigCategory
+from repro.measurement.classify import EntityVerdict
 from repro.measurement.snapshots import DomainSnapshot
 
 
@@ -130,65 +130,13 @@ class SnapshotSummary:
 def snapshot_summary(snapshots: List[DomainSnapshot],
                      verdicts: Optional[Dict[str, EntityVerdict]] = None
                      ) -> SnapshotSummary:
-    """Aggregate one month's snapshots (optionally with entity verdicts).
+    """Aggregate one month's snapshots
+    (:func:`~repro.measurement.columnar.snapshot_summary_view`).
 
-    Snapshots carrying transient markers are tallied in
-    ``summary.transient`` and dropped before attribution: a scan that
-    lost a domain to network faults has no reliable observation to
-    classify, so ``total_sts`` and every figure count only settled
-    snapshots.
+    Entity attribution always comes from the month's own cross-section
+    through the §4.3.1 rules, so *verdicts* — accepted for callers that
+    already ran :class:`~repro.measurement.classify.EntityClassifier`
+    over the same snapshots — is not consulted.
     """
-    transient_count = sum(1 for s in snapshots if s.any_transient)
-    sts = [s for s in snapshots if s.sts_like and not s.any_transient]
-    month = snapshots[0].month_index if snapshots else 0
-    summary = SnapshotSummary(month_index=month, total_sts=len(sts),
-                              transient=transient_count)
-    if verdicts is None:
-        verdicts = EntityClassifier(snapshots).classify_all()
-
-    for snap in sts:
-        verdict = verdicts.get(snap.domain, EntityVerdict(snap.domain))
-        categories = categorize(snap)
-        if categories:
-            summary.misconfigured += 1
-        for category in categories:
-            summary.category_counts[category.value] += 1
-        if delivery_failure_expected(snap):
-            summary.delivery_failures += 1
-
-        # Figure 5 breakdown
-        policy_entity = _entity_key(verdict.policy)
-        summary.policy_entity_totals[policy_entity] += 1
-        if snap.policy_fetch_stage is not None:
-            summary.policy_errors_by_entity[policy_entity][
-                snap.policy_fetch_stage] += 1
-        elif snap.policy_syntax_errors:
-            summary.policy_errors_by_entity[policy_entity]["policy-syntax"] += 1
-
-        # Figures 6/7
-        mx_entity = _entity_key(verdict.mx)
-        summary.mx_entity_totals[mx_entity] += 1
-        if snap.any_invalid_mx_cert:
-            summary.mx_invalid_by_entity[mx_entity] += 1
-            classes = {o.failure_class for o in snap.mx_tls_capable
-                       if not o.cert_valid}
-            for failure_class in classes:
-                summary.mx_cert_by_entity[mx_entity][failure_class] += 1
-            if snap.all_invalid_mx_cert:
-                summary.all_invalid_mx += 1
-            else:
-                summary.partially_invalid_mx += 1
-            if snap.enforce_mode and snap.all_invalid_mx_cert:
-                summary.enforce_invalid_mx += 1
-
-        if not snap.consistent:
-            summary.inconsistent += 1
-            if snap.enforce_mode:
-                summary.enforce_inconsistent += 1
-    return summary
-
-
-def _entity_key(entity: ManagingEntity) -> str:
-    return {ManagingEntity.SELF_MANAGED: "self-managed",
-            ManagingEntity.THIRD_PARTY: "third-party",
-            ManagingEntity.UNCLASSIFIED: "unclassified"}[entity]
+    from repro.measurement.columnar import snapshot_summary_view, view_of
+    return snapshot_summary_view(view_of(snapshots))

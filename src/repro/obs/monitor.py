@@ -44,7 +44,7 @@ from typing import (
     TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
 )
 
-from repro.measurement.taxonomy import PRIMARY_BUCKETS, primary_bucket
+from repro.measurement.taxonomy import PRIMARY_BUCKETS
 from repro.obs.exporters import (
     append_jsonl_line, month_jsonl_line, read_month_records,
     write_lines_atomic,
@@ -408,38 +408,27 @@ _STAT_COUNTERS = (
 
 
 def build_month_registry(stats: "ScanStats",
-                         snapshots: Iterable["DomainSnapshot"] = (),
                          *, build_stats: Optional[Dict[str, int]] = None,
                          bucket_census: Optional[Dict[str, int]] = None,
                          ) -> MetricsRegistry:
     """The deterministic metrics snapshot for one scan month.
 
     Combines the executor's integer :class:`ScanStats` counters, the
-    total-and-exclusive taxonomy-bucket census of the month's
-    snapshots, and (when given) the materialiser's world-build churn.
-    Virtual backoff is recorded in whole milliseconds: the underlying
-    float sum is order-sensitive in its last bits across thread
-    interleavings, integer milliseconds are not.
-
-    *bucket_census* short-circuits the snapshot iteration with a
-    precomputed ``primary_bucket`` census (the columnar analysis path
-    supplies :func:`~repro.measurement.columnar.taxonomy_census_view`'s
-    result); the emitted registry is identical either way.
+    month's total-and-exclusive taxonomy-bucket census
+    (:func:`~repro.measurement.columnar.taxonomy_census_view`; absent
+    buckets count 0), and (when given) the materialiser's world-build
+    churn.  Virtual backoff is recorded in whole milliseconds: the
+    underlying float sum is order-sensitive in its last bits across
+    thread interleavings, integer milliseconds are not.
     """
     registry = MetricsRegistry()
     for attribute, key in _STAT_COUNTERS:
         registry.count(key, getattr(stats, attribute))
     registry.count("net.backoff_millis",
                    round(stats.retry_backoff_seconds * 1_000))
-    if bucket_census is None:
-        census = {bucket: 0 for bucket in PRIMARY_BUCKETS}
-        for snapshot in snapshots:
-            census[primary_bucket(snapshot)] += 1
-    else:
-        census = {bucket: int(bucket_census.get(bucket, 0))
-                  for bucket in PRIMARY_BUCKETS}
-    for bucket, count in census.items():
-        registry.count(f"taxonomy.{bucket}", count)
+    census = bucket_census or {}
+    for bucket in PRIMARY_BUCKETS:
+        registry.count(f"taxonomy.{bucket}", int(census.get(bucket, 0)))
     for key, value in sorted((build_stats or {}).items()):
         registry.count(f"build.{key}", int(value))
     return registry
@@ -509,53 +498,51 @@ class CampaignMonitor(FeedMonitor):
                       stats: "ScanStats",
                       snapshots: Iterable["DomainSnapshot"] = (),
                       *, build_stats: Optional[Dict[str, int]] = None,
+                      bucket_census: Optional[Dict[str, int]] = None,
                       ) -> FeedRecord:
-        """Snapshot one finished scan month into the monitor."""
-        registry = build_month_registry(stats, snapshots,
-                                        build_stats=build_stats)
+        """Snapshot one finished scan month into the monitor.
+
+        *bucket_census* is the month's
+        :func:`~repro.measurement.columnar.taxonomy_census_view`;
+        without it the census is taken from *snapshots* through the
+        same port.
+        """
+        if bucket_census is None:
+            from repro.measurement.columnar import (
+                taxonomy_census_view, view_of,
+            )
+            bucket_census = taxonomy_census_view(view_of(snapshots))
+        registry = build_month_registry(stats, build_stats=build_stats,
+                                        bucket_census=bucket_census)
         return self.add_record(FeedRecord(month_index, date, registry))
 
     @classmethod
-    def from_state(cls, state_dir: str, thresholds=None,
-                   *, columnar: bool = False) -> "CampaignMonitor":
+    def from_state(cls, state_dir: str,
+                   thresholds=None) -> "CampaignMonitor":
         """Re-evaluate campaign health from a checkpointed state dir.
 
         Each committed month's registry is rebuilt from the manifest's
-        persisted :class:`ScanStats` counters, the snapshot shards'
-        taxonomy census, and the recorded world-build churn — exactly
-        the inputs :meth:`observe_month` saw live, so the monthly feed
-        (and therefore drift and health) is byte-identical to the
-        feed the original campaign would have written.
-
-        ``columnar=True`` rebuilds the taxonomy census from the
-        columnar analysis path (no snapshot objects); the feed stays
-        byte-identical.
+        persisted :class:`ScanStats` counters, the taxonomy census of
+        the month's shard (decoded straight to columns), and the
+        recorded world-build churn — exactly the inputs
+        :meth:`observe_month` saw live, so the monthly feed (and
+        therefore drift and health) is byte-identical to the feed the
+        original campaign would have written.
         """
+        from repro.measurement.columnar import (
+            ColumnarStore, taxonomy_census_view,
+        )
         from repro.measurement.executor import ScanStats
 
         monitor = cls(thresholds)
-        if columnar:
-            from repro.measurement.columnar import (
-                ColumnarStore, taxonomy_census_view,
-            )
-            store = ColumnarStore.from_state_dir(state_dir)
-            for month in store.months():
-                entry = store.entries[month]
-                registry = build_month_registry(
-                    ScanStats.from_dict(entry.stats),
-                    build_stats=entry.build_stats,
-                    bucket_census=taxonomy_census_view(
-                        store.month_view(month)))
-                monitor.add_record(FeedRecord(month, entry.date, registry))
-            return monitor
-        from repro.measurement.store_io import load_state
-
-        state = load_state(state_dir)
-        for entry in state.months:
+        columns = ColumnarStore.from_state_dir(state_dir)
+        for month in columns.months():
+            entry = columns.entries[month]
             monitor.observe_month(
-                entry.month, entry.date, ScanStats.from_dict(entry.stats),
-                state.store.month(entry.month),
-                build_stats=entry.build_stats)
+                month, entry.date, ScanStats.from_dict(entry.stats),
+                build_stats=entry.build_stats,
+                bucket_census=taxonomy_census_view(
+                    columns.month_view(month)))
         return monitor
 
     def drift(self) -> List[Dict[str, float]]:

@@ -119,7 +119,15 @@ class TestCampaignAnalysis:
             1 for s in small_campaign.store.latest() if s.sts_like)
 
     def test_verdicts_cover_every_domain(self, small_campaign):
+        from repro.measurement.classify import EntityClassifier
+        from repro.measurement.columnar import ENTITY_KEYS
         month = small_campaign.store.latest_month()
-        verdicts = small_campaign.verdicts_by_month[month]
-        domains = {s.domain for s in small_campaign.store.month(month)}
-        assert set(verdicts) == domains
+        snapshots = small_campaign.store.month(month)
+        view = small_campaign.columns.month_view(month)
+        verdicts = EntityClassifier(snapshots).classify_all()
+        assert set(verdicts) == {s.domain for s in snapshots}
+        # The month's entity columns hold the classifier's verdicts.
+        for i in range(view.n):
+            verdict = verdicts[view.domain(i)]
+            assert ENTITY_KEYS[view.mx_entity[i]] == verdict.mx.value
+            assert ENTITY_KEYS[view.policy_entity[i]] == verdict.policy.value

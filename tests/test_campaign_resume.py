@@ -16,6 +16,7 @@ from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.executor import ScanExecutor
 from repro.netsim.network import FaultPlan
 from repro.obs.monitor import CampaignMonitor
+from tests.test_analysis_golden import figure_dump
 
 MONTHS = [0, 1, 2, 3]
 KILL_AFTER = 2     # months observed before the simulated crash
@@ -131,7 +132,7 @@ def test_load_campaign_matches_the_live_run(tmp_path):
     state_dir = str(tmp_path)
     live = _run(_timeline(), state_dir=state_dir)
     offline = load_campaign(state_dir)
-    assert offline.store.canonical_bytes() == live.store.canonical_bytes()
+    assert figure_dump(offline) == figure_dump(live)
     assert offline.summaries == live.summaries
     # The rebuilt timeline carries the persisted population config.
     assert (offline.timeline.config.population

@@ -4,10 +4,11 @@ import pytest
 
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
+from repro.errors import MismatchClass
 from repro.measurement.historical import (
-    domain_mismatch_candidates, historical_match_rate,
     historical_series, match_against_history,
 )
+from repro.measurement.inconsistency import classify_snapshot
 from repro.measurement.notify import DisclosureCampaign
 from repro.measurement.scanner import Scanner
 from repro.measurement.snapshots import SnapshotStore
@@ -24,8 +25,8 @@ class TestHistoricalMatching:
         store.add(scanner.scan_domain("example.com", 1))
 
         current = store.get(1, "example.com")
-        candidates = domain_mismatch_candidates([current])
-        assert candidates == [current]
+        assert (classify_snapshot(current).mismatch_class
+                is MismatchClass.DOMAIN)
         match = match_against_history(store, current)
         assert match.matched
         assert match.matched_month == 0
@@ -53,18 +54,19 @@ class TestHistoricalMatching:
         world.resolver.flush_cache()
         for d in ("moved.com", "never.com"):
             store.add(scanner.scan_domain(d, 1))
-        rate = historical_match_rate(store, 1)
+        series = historical_series(store)
+        assert [p["month_index"] for p in series] == [0, 1]
+        rate = series[1]
         assert rate["candidates"] == 2
         assert rate["matched"] == 1
         assert rate["percent"] == 50.0
-        series = historical_series(store)
-        assert [p["month_index"] for p in series] == [0, 1]
 
     def test_3ld_mismatch_not_a_candidate(self, world, simple_domain):
         apply_fault(world, simple_domain, Fault.MISMATCH_3LD)
         world.resolver.flush_cache()
-        snap = Scanner(world).scan_domain("example.com", 0)
-        assert domain_mismatch_candidates([snap]) == []
+        store = SnapshotStore()
+        store.add(Scanner(world).scan_domain("example.com", 0))
+        assert historical_series(store)[0]["candidates"] == 0
 
 
 class TestDisclosure:

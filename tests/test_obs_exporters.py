@@ -13,6 +13,7 @@ import pytest
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.fsutil import atomic_write_text
+from repro.measurement.columnar import taxonomy_census_view, view_of
 from repro.measurement.executor import ScanExecutor
 from repro.netsim.network import FaultPlan
 from repro.obs.exporters import (
@@ -40,7 +41,8 @@ def scan_month(backend, jobs, *, fault_seed=None):
     store, stats = executor.scan(
         materialized.world, materialized.deployed.keys(), month,
         instant=materialized.instant)
-    registry = build_month_registry(stats, store.month(month))
+    census = taxonomy_census_view(view_of(store.month(month)))
+    registry = build_month_registry(stats, bucket_census=census)
     return registry, month, materialized.instant.date_string()
 
 
