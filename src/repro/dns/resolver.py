@@ -78,7 +78,8 @@ class Resolver:
         # query/hit counters — and the set of live queries the trace
         # records — identical between serial and threaded backends.
         self._flight_lock = threading.Lock()
-        self._inflight: Dict[Tuple[DnsName, RRType], threading.Event] = {}
+        self._inflight: Dict[Tuple[DnsName, RRType],
+                             threading.Event | None] = {}
         self.query_count = 0
         self.cache_hits = 0
         self.negative_cache_hits = 0
@@ -191,50 +192,42 @@ class Resolver:
                    ) -> Tuple[List[ResourceRecord], CnameRecord | None]:
         key = (name, rrtype)
         tracer = trace.current_tracer() if trace.TRACING else None
-        if tracer is None:
-            # Untraced fast path: lock-free cache reads.  The answer is
-            # a pure function of the world either way; single-flight
-            # only matters when the query/hit *counters* must be
-            # deterministic (i.e. when a trace is being recorded).
-            if self._cache_enabled:
-                entry = self._cache.get(key)
-                if entry is not None and entry.expires > self._clock.now():
-                    self.cache_hits += 1
-                    if entry.negative is not None:
-                        self.negative_cache_hits += 1
-                        raise entry.negative(
-                            f"{name}/{rrtype.value} (cached)")
-                    records = entry.records or []
-                    if (records and isinstance(records[0], CnameRecord)
-                            and rrtype is not RRType.CNAME):
-                        return [], records[0]
-                    return records, None
-            self.query_count += 1
-            return self._query_live(name, rrtype, key)
+        metrics = tracer.metrics if tracer is not None else None
         if not self._cache_enabled:
             with self._flight_lock:
                 self.query_count += 1
-            tracer.metrics.count("dns.queries")
+            if metrics is not None:
+                metrics.count("dns.queries")
             return self._query_live(name, rrtype, key)
 
+        # Traced or not, lookups go through single-flight: the
+        # monitor's registry and ``ScanStats`` are built from these
+        # counters, so they must not depend on thread interleaving.
         while True:
             now = self._clock.now()
             with self._flight_lock:
                 entry = self._cache.get(key)
                 if entry is not None and entry.expires > now:
                     self.cache_hits += 1
-                    tracer.metrics.count("dns.cache_hits")
+                    if metrics is not None:
+                        metrics.count("dns.cache_hits")
                     if entry.negative is not None:
                         self.negative_cache_hits += 1
-                        tracer.metrics.count("dns.negative_cache_hits")
+                        if metrics is not None:
+                            metrics.count("dns.negative_cache_hits")
                         raise entry.negative(
                             f"{name}/{rrtype.value} (cached)")
                     return self._entry_answer(entry, rrtype)
-                flight = self._inflight.get(key)
+                if key not in self._inflight:
+                    # This thread owns the live query.  The Event is
+                    # only made when a second lookup has to wait for
+                    # it, which keeps an uncontended miss cheap.
+                    self._inflight[key] = None
+                    self.query_count += 1
+                    break
+                flight = self._inflight[key]
                 if flight is None:
-                    flight = threading.Event()
-                    self._inflight[key] = flight
-                    break       # this thread owns the live query
+                    flight = self._inflight[key] = threading.Event()
             # Another thread is resolving this key: wait, then re-check
             # the cache.  A non-cacheable failure (timeout, SERVFAIL)
             # leaves the cache empty, in which case the waiter becomes
@@ -243,14 +236,14 @@ class Resolver:
             flight.wait()
 
         try:
-            with self._flight_lock:
-                self.query_count += 1
-            tracer.metrics.count("dns.queries")
+            if metrics is not None:
+                metrics.count("dns.queries")
             return self._query_live(name, rrtype, key)
         finally:
             with self._flight_lock:
-                self._inflight.pop(key, None)
-            flight.set()
+                flight = self._inflight.pop(key)
+            if flight is not None:
+                flight.set()
 
     @staticmethod
     def _entry_answer(entry: _CacheEntry, rrtype: RRType

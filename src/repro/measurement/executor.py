@@ -72,6 +72,7 @@ from repro.measurement.store_io import month_shard_text, shard_digest
 from repro.netsim.network import FaultPlan
 from repro.obs.profile import ProfileReport, StageProfiler
 from repro.obs.progress import ProgressEvent, ProgressTracker
+from repro.pki.keys import fresh_key_ids
 from repro.pki.validation import (
     chain_cache_keys, chain_cache_stats, flush_chain_cache,
 )
@@ -879,7 +880,17 @@ def _process_scan_worker(payload: dict) -> dict:
     installs the same seeded fault plan the serial scan would, scans
     its slice, and returns the month's shard JSONL plus counters and
     the :class:`ShardScanJournal` the parent merges with.
+
+    The pool may run several shards in one process, one after another,
+    so the shard runs under :func:`~repro.pki.keys.fresh_key_ids`: its
+    world's keys, and hence the certificate fingerprints in the PKIX
+    cache keys the parent unions, are the ones a fresh process mints.
     """
+    with fresh_key_ids():
+        return _scan_shard(payload)
+
+
+def _scan_shard(payload: dict) -> dict:
     month_index = payload["month_index"]
     shard = (payload["shard_index"], payload["shard_count"])
 

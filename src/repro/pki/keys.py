@@ -11,9 +11,31 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 _counter = itertools.count(1)
+
+
+@contextmanager
+def fresh_key_ids() -> Iterator[None]:
+    """Number the keys minted inside the block from 1, as in a new process.
+
+    Key ids are the one part of a world build drawn from process-wide
+    state, so a world built after another one in the same process
+    mints every key (and hence every certificate fingerprint) at
+    different ids than the identical world built in a fresh process.
+    A process pool reuses its workers, so the process scan backend
+    builds each shard's world inside this block; keys minted here must
+    never meet keys minted outside it, whose ids they may repeat.
+    """
+    global _counter
+    saved, _counter = _counter, itertools.count(1)
+    try:
+        yield
+    finally:
+        _counter = saved
 
 
 @dataclass(frozen=True)
