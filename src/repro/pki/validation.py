@@ -162,11 +162,12 @@ class _ChainValidationCache:
 
         Keys are plain tuples of (fingerprint, revoked, host,
         generation, epoch) — content-derived, so two identically built
-        worlds produce identical keys.  The process scan backend
-        captures each worker's post-scan key set (the cache is flushed
-        at scan start, so these are exactly the validations the scan
-        performed) and counts the cross-worker union to recover the
-        serial validation total.
+        worlds produce identical keys, provided both number their key
+        pairs alike (:func:`~repro.pki.keys.fresh_key_ids`).  The
+        process scan backend captures each worker's post-scan key set
+        (the cache is flushed at scan start, so these are exactly the
+        validations the scan performed) and counts the cross-worker
+        union to recover the serial validation total.
         """
         with self._lock:
             return sorted(key for entries in self._stores.values()
