@@ -1,14 +1,13 @@
 """Scan-pipeline benchmark: times the monthly component-scan campaign
 under each execution strategy and writes ``BENCH_scan.json``.
 
-Four configurations of the same campaign run at the benchmark scale
+Three configurations of the same campaign run at the benchmark scale
 (0.02, the scale the figure benchmarks use):
 
 * ``full-serial``        — from-scratch world per month, serial scan
   (the pre-optimisation reference path);
 * ``incremental-serial`` — one long-lived world updated by diffing
   (the default pipeline);
-* ``incremental-threaded`` — the same plus the sharded scan backend;
 * ``incremental-serial-checkpointed`` — the default pipeline with
   durable per-month checkpoints (the report records the overhead,
   capped at 10% by the acceptance criteria).
@@ -18,7 +17,7 @@ aborts if the outputs diverge.  The JSON report records wall-clock per
 configuration, the speedup over both the in-run reference and the
 recorded pre-optimisation baseline, and the per-stage ``ScanStats``.
 
-A fifth section exercises the **process backend** at a raised scale
+A fourth section exercises the **process backend** at a raised scale
 (default 0.1, five times the figure scale): one serial reference
 audit plus one ``--backend process`` audit per job count, recording
 the cores-vs-throughput curve and every worker's peak RSS.  The run
@@ -28,37 +27,30 @@ on a single-core machine the process backend *costs* (each worker
 rebuilds its shard's world), and the curve only bends upward once real
 cores are available.
 
-A sixth section exercises the **delivery engine** (the campaign-scale
+A fifth section exercises the **delivery engine** (the campaign-scale
 queued-delivery executor) at its own raised scale: a clean and a
-fault-seeded campaign, each run serial and threaded, with the serial
-run as the byte-identity reference — the run aborts if any threaded
-ledger, metrics feed, or health report diverges.  The section records
-per-variant wall-clock, messages/s, waves, and peak queue depth, and
-``--check`` enforces both the wall-clock regression gate and an
-absolute serial-clean throughput floor
-(``DELIVERY_THROUGHPUT_FLOOR_MPS``).
+fault-seeded campaign.  The section records per-variant wall-clock,
+messages/s, waves, and peak queue depth, and ``--check`` enforces
+both the wall-clock regression gate and an absolute serial-clean
+throughput floor (``DELIVERY_THROUGHPUT_FLOOR_MPS``).
 
 A **tlsrpt pipeline** section exercises the RFC 8460 reporting path
 over the delivery campaign at the delivery scale: clean and
-fault-seeded runs, each serial and threaded, with the serial
-received-report JSONL and ingestion-monitor window JSONL as the
-byte-identity reference (the run aborts on divergence), plus a
-separately timed offline re-ingestion of the saved report feed.
-``--check`` enforces two absolute rate floors:
+fault-seeded runs, plus a separately timed offline re-ingestion of the
+saved report feed.  ``--check`` enforces two absolute rate floors:
 ``TLSRPT_GENERATION_FLOOR_RPS`` (reports minted per second of
 delivery time in the serial clean run) and
 ``TLSRPT_INGEST_FLOOR_RPS`` (aggregator + monitor re-ingestion).
 
-A seventh section exercises the **policy-checker service** (``repro
+A sixth section exercises the **policy-checker service** (``repro
 serve``): a million-request seeded query mix replayed serially against
 the evolving world, recording cache hit rate, p99 virtual latency,
-stampede fan-in, and requests/s, plus a smaller serial-vs-threaded
-pair whose metrics feeds must be byte-identical (the run aborts on
-divergence).  ``--check`` enforces the wall-clock regression gate, an
-absolute requests/s floor (``SERVE_THROUGHPUT_FLOOR_RPS``), and a
-cache hit-rate floor (``SERVE_HITRATE_FLOOR``) — the hit rate is
-deterministic at the pinned operating point, so a drop means the
-verdict cache or the query mix changed behaviour.
+stampede fan-in, and requests/s.  ``--check`` enforces the wall-clock
+regression gate, an absolute requests/s floor
+(``SERVE_THROUGHPUT_FLOOR_RPS``), and a cache hit-rate floor
+(``SERVE_HITRATE_FLOOR``) — the hit rate is deterministic at the
+pinned operating point, so a drop means the verdict cache or the
+query mix changed behaviour.
 
 The run also exercises the observability layer: the incremental-serial
 campaign runs with a :class:`~repro.obs.monitor.CampaignMonitor`
@@ -81,7 +73,7 @@ explicitly instead of being silently recorded in the report.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scan_pipeline.py \
-        [--scale 0.02] [--seed 20240929] [--jobs 4] [--out BENCH_scan.json] \
+        [--scale 0.02] [--seed 20240929] [--out BENCH_scan.json] \
         [--check BASELINE.json] [--max-regression 0.25] \
         [--process-scale 0.1] [--process-jobs 1,2,4] [--skip-process] \
         [--delivery-scale 0.1] [--delivery-senders 2394] \
@@ -199,10 +191,10 @@ def _figures_digest(analysis) -> str:
 
 
 def _run(config: PopulationConfig, *, incremental: bool,
-         backend: str, jobs: int, monitor: CampaignMonitor = None,
-         profile: bool = False, state_dir: str = None) -> dict:
+         monitor: CampaignMonitor = None, profile: bool = False,
+         state_dir: str = None) -> dict:
     timeline = EcosystemTimeline(TimelineConfig(config))
-    executor = ScanExecutor(backend=backend, jobs=jobs, profile=profile)
+    executor = ScanExecutor(profile=profile)
     started = time.perf_counter()
     analysis = run_campaign(timeline, incremental=incremental,
                             executor=executor, monitor=monitor,
@@ -279,12 +271,9 @@ def _process_backend_section(scale: float, seed: int,
     }
 
 
-def _delivery_engine_section(scale: float, senders: int, messages: int,
-                             jobs: int) -> dict:
-    """Clean and fault-seeded delivery campaigns, each serial and
-    threaded, with the serial ledger/metrics/health as the
-    byte-identity reference.  Aborts (``RuntimeError``) on any
-    divergence."""
+def _delivery_engine_section(scale: float, senders: int,
+                             messages: int) -> dict:
+    """Clean and fault-seeded delivery campaigns."""
     print(f"delivery engine (scale {scale}, {senders} senders x "
           f"{messages} messages) ...", flush=True)
     results = {}
@@ -293,49 +282,26 @@ def _delivery_engine_section(scale: float, senders: int, messages: int,
             scale=scale, seed=11, month_index=3, senders=senders,
             messages_per_sender=messages, backpressure=20_000,
             fault_seed=fault_seed, fault_rate=0.2)
-        reference = None
-        for backend in ("serial", "threaded"):
-            started = time.perf_counter()
-            result = run_delivery_campaign(
-                config, backend=backend,
-                jobs=1 if backend == "serial" else jobs)
-            elapsed = time.perf_counter() - started
-            if backend == "serial":
-                reference = result
-            else:
-                if result.ledger_digest != reference.ledger_digest:
-                    raise RuntimeError(
-                        f"delivery engine ({label}, threaded) ledger "
-                        f"diverged from the serial reference: "
-                        f"{result.ledger_digest} != "
-                        f"{reference.ledger_digest}")
-                if (result.monitor.to_jsonl()
-                        != reference.monitor.to_jsonl()
-                        or result.health().render()
-                        != reference.health().render()):
-                    raise RuntimeError(
-                        f"delivery engine ({label}, threaded) metrics "
-                        f"or health diverged from the serial reference")
-            stats = result.stats
-            results[f"{label}-{backend}"] = {
-                "seconds": round(elapsed, 3),
-                "jobs": stats.jobs,
-                "waves": stats.waves,
-                "delivered": stats.delivered,
-                "bounced": stats.bounced,
-                "attempts": stats.attempts,
-                "queue_depth_peak": stats.queue_depth_peak,
-                "world_build_seconds": round(
-                    stats.world_build_seconds, 3),
-                "deliver_seconds": round(stats.deliver_seconds, 3),
-                "messages_per_second": round(
-                    stats.messages_per_second, 1),
-                "ledger_sha256": result.ledger_digest,
-            }
-            print(f"  {label}-{backend:<9s} {elapsed:6.2f}s  "
-                  f"{stats.messages_per_second:8.1f} msg/s  "
-                  f"{stats.waves} waves  peak depth "
-                  f"{stats.queue_depth_peak}", flush=True)
+        started = time.perf_counter()
+        result = run_delivery_campaign(config)
+        elapsed = time.perf_counter() - started
+        stats = result.stats
+        results[f"{label}-serial"] = {
+            "seconds": round(elapsed, 3),
+            "waves": stats.waves,
+            "delivered": stats.delivered,
+            "bounced": stats.bounced,
+            "attempts": stats.attempts,
+            "queue_depth_peak": stats.queue_depth_peak,
+            "world_build_seconds": round(stats.world_build_seconds, 3),
+            "deliver_seconds": round(stats.deliver_seconds, 3),
+            "messages_per_second": round(stats.messages_per_second, 1),
+            "ledger_sha256": result.ledger_digest,
+        }
+        print(f"  {label}-serial    {elapsed:6.2f}s  "
+              f"{stats.messages_per_second:8.1f} msg/s  "
+              f"{stats.waves} waves  peak depth "
+              f"{stats.queue_depth_peak}", flush=True)
     config = DeliveryCampaignConfig(
         scale=scale, senders=senders, messages_per_sender=messages)
     return {
@@ -347,20 +313,16 @@ def _delivery_engine_section(scale: float, senders: int, messages: int,
         "messages": config.total_messages,
         "backpressure": 20_000,
         "cpu_count": os.cpu_count() or 1,
-        "ledgers_identical_across_backends": True,
         "throughput_floor_mps": DELIVERY_THROUGHPUT_FLOOR_MPS,
         "results": results,
     }
 
 
-def _tlsrpt_pipeline_section(scale: float, senders: int, messages: int,
-                             jobs: int) -> dict:
+def _tlsrpt_pipeline_section(scale: float, senders: int,
+                             messages: int) -> dict:
     """The RFC 8460 reporting pipeline over the delivery campaign:
-    clean and fault-seeded runs, each serial and threaded, with the
-    serial received-report JSONL and monitor window JSONL as the
-    byte-identity reference, plus a separately timed offline
-    re-ingestion of the serial clean report feed.  Aborts
-    (``RuntimeError``) on any divergence."""
+    clean and fault-seeded runs, plus a separately timed offline
+    re-ingestion of the clean report feed."""
     from repro.core.reporting import ReportAggregator
     from repro.obs.tlsrpt_monitor import TlsRptMonitor
 
@@ -373,50 +335,27 @@ def _tlsrpt_pipeline_section(scale: float, senders: int, messages: int,
             scale=scale, seed=11, month_index=3, senders=senders,
             messages_per_sender=messages, backpressure=20_000,
             fault_seed=fault_seed, fault_rate=0.2, tlsrpt=True)
-        reference = None
-        for backend in ("serial", "threaded"):
-            started = time.perf_counter()
-            result = run_delivery_campaign(
-                config, backend=backend,
-                jobs=1 if backend == "serial" else jobs)
-            elapsed = time.perf_counter() - started
-            if backend == "serial":
-                reference = result
-                if label == "clean":
-                    clean_serial = result
-            else:
-                if (result.tlsrpt_reports_jsonl
-                        != reference.tlsrpt_reports_jsonl):
-                    raise RuntimeError(
-                        f"tlsrpt pipeline ({label}, threaded) report "
-                        f"feed diverged from the serial reference")
-                if (result.tlsrpt_monitor.to_jsonl()
-                        != reference.tlsrpt_monitor.to_jsonl()
-                        or result.ledger_digest
-                        != reference.ledger_digest):
-                    raise RuntimeError(
-                        f"tlsrpt pipeline ({label}, threaded) monitor "
-                        f"feed or ledger diverged from the serial "
-                        f"reference")
-            stats = result.stats
-            generation_rps = (stats.reports_generated
-                              / stats.deliver_seconds
-                              if stats.deliver_seconds else 0.0)
-            results[f"{label}-{backend}"] = {
-                "seconds": round(elapsed, 3),
-                "jobs": stats.jobs,
-                "waves": stats.waves,
-                "reports_generated": stats.reports_generated,
-                "reports_delivered": stats.reports_delivered,
-                "reports_bounced": stats.reports_bounced,
-                "reports_received": stats.reports_received,
-                "reports_missing_endpoint":
-                    stats.reports_missing_endpoint,
-                "reports_per_second": round(generation_rps, 1),
-            }
-            print(f"  {label}-{backend:<9s} {elapsed:6.2f}s  "
-                  f"{generation_rps:7.1f} reports/s  "
-                  f"{stats.reports_received} received", flush=True)
+        started = time.perf_counter()
+        result = run_delivery_campaign(config)
+        elapsed = time.perf_counter() - started
+        if label == "clean":
+            clean_serial = result
+        stats = result.stats
+        generation_rps = (stats.reports_generated / stats.deliver_seconds
+                          if stats.deliver_seconds else 0.0)
+        results[f"{label}-serial"] = {
+            "seconds": round(elapsed, 3),
+            "waves": stats.waves,
+            "reports_generated": stats.reports_generated,
+            "reports_delivered": stats.reports_delivered,
+            "reports_bounced": stats.reports_bounced,
+            "reports_received": stats.reports_received,
+            "reports_missing_endpoint": stats.reports_missing_endpoint,
+            "reports_per_second": round(generation_rps, 1),
+        }
+        print(f"  {label}-serial    {elapsed:6.2f}s  "
+              f"{generation_rps:7.1f} reports/s  "
+              f"{stats.reports_received} received", flush=True)
 
     lines = [line for line
              in clean_serial.tlsrpt_reports_jsonl.splitlines()
@@ -443,7 +382,6 @@ def _tlsrpt_pipeline_section(scale: float, senders: int, messages: int,
         "messages_per_sender": messages,
         "backpressure": 20_000,
         "cpu_count": os.cpu_count() or 1,
-        "reports_identical_across_backends": True,
         "generation_floor_rps": TLSRPT_GENERATION_FLOOR_RPS,
         "ingest_floor_rps": TLSRPT_INGEST_FLOOR_RPS,
         "ingest": {
@@ -457,12 +395,9 @@ def _tlsrpt_pipeline_section(scale: float, senders: int, messages: int,
     }
 
 
-def _policy_checker_section(scale: float, requests: int,
-                            jobs: int) -> dict:
-    """The ``repro serve`` replay: one serial million-request run for
-    the throughput/hit-rate record, plus a smaller serial-vs-threaded
-    pair as the byte-identity check.  Aborts (``RuntimeError``) if the
-    threaded metrics feed or health report diverges from serial."""
+def _policy_checker_section(scale: float, requests: int) -> dict:
+    """The ``repro serve`` replay: one million-request run for the
+    throughput/hit-rate record."""
     from repro.measurement.serve import ServeConfig, run_serve
 
     print(f"policy-checker service (scale {scale}, "
@@ -477,25 +412,6 @@ def _policy_checker_section(scale: float, requests: int,
           f"hit rate {stats.hit_rate:.2%}  "
           f"p99 {result.p99_latency_seconds:.3f}s", flush=True)
 
-    identity_config = ServeConfig(scale=scale, months=2,
-                                  requests=max(1, requests // 10))
-    reference = run_serve(identity_config)
-    started = time.perf_counter()
-    threaded = run_serve(identity_config, backend="threaded", jobs=jobs)
-    threaded_seconds = time.perf_counter() - started
-    if threaded.monitor.to_jsonl() != reference.monitor.to_jsonl():
-        raise RuntimeError(
-            "policy-checker service (threaded) metrics feed diverged "
-            "from the serial reference")
-    if (threaded.health().render() != reference.health().render()
-            or threaded.stats.comparable()
-            != reference.stats.comparable()):
-        raise RuntimeError(
-            "policy-checker service (threaded) health or stats "
-            "diverged from the serial reference")
-    print(f"  threaded -j{jobs:<2d} {threaded_seconds:6.2f}s  "
-          f"({identity_config.requests:,} requests, metrics "
-          f"byte-identical to serial)", flush=True)
 
     return {
         "scale": scale,
@@ -504,7 +420,6 @@ def _policy_checker_section(scale: float, requests: int,
         "months": config.months,
         "throughput_floor_rps": SERVE_THROUGHPUT_FLOOR_RPS,
         "hit_rate_floor": SERVE_HITRATE_FLOOR,
-        "metrics_identical_across_backends": True,
         "results": {
             "serve-serial": {
                 "seconds": round(elapsed, 3),
@@ -521,11 +436,6 @@ def _policy_checker_section(scale: float, requests: int,
                     stats.requests_per_second, 1),
                 "windows": stats.windows,
                 "health": result.health().level,
-            },
-            "serve-threaded-identity": {
-                "seconds": round(threaded_seconds, 3),
-                "jobs": jobs,
-                "requests": threaded.stats.requests,
             },
         },
     }
@@ -672,7 +582,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.02)
     parser.add_argument("--seed", type=int, default=20240929)
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--out", default="BENCH_scan.json")
     parser.add_argument("--check", default=None, metavar="BASELINE",
                         help="fail if any configuration regresses past "
@@ -756,17 +665,13 @@ def main() -> int:
     monitor = CampaignMonitor()
     state_dir = tempfile.mkdtemp(prefix="bench-campaign-store-")
     configurations = {
-        "full-serial": dict(incremental=False, backend="serial", jobs=1),
-        "incremental-serial": dict(incremental=True, backend="serial",
-                                   jobs=1, monitor=monitor),
-        "incremental-threaded": dict(incremental=True, backend="threaded",
-                                     jobs=args.jobs),
+        "full-serial": dict(incremental=False),
+        "incremental-serial": dict(incremental=True, monitor=monitor),
         # The default pipeline plus durable per-month checkpoints
         # (shard + manifest commit after every scanned month) — the
         # acceptance bar caps the overhead at 10% of incremental-serial.
         "incremental-serial-checkpointed": dict(
-            incremental=True, backend="serial", jobs=1,
-            state_dir=state_dir),
+            incremental=True, state_dir=state_dir),
     }
 
     results = {}
@@ -802,8 +707,7 @@ def main() -> int:
         # overhead by design), but its stage split and slowest-domain
         # list are recorded for the next perf PR.
         print("running incremental-serial (profiled) ...", flush=True)
-        profiled = _run(config, incremental=True, backend="serial",
-                        jobs=1, profile=True)
+        profiled = _run(config, incremental=True, profile=True)
         print(f"  {profiled['seconds']:.2f}s", flush=True)
         reference = results["incremental-serial"]["seconds"]
         profile_report = {
@@ -833,18 +737,17 @@ def main() -> int:
     if not args.skip_delivery:
         delivery_section = _delivery_engine_section(
             args.delivery_scale, args.delivery_senders,
-            args.delivery_messages, args.jobs)
+            args.delivery_messages)
 
     tlsrpt_section = None
     if not args.skip_tlsrpt:
         tlsrpt_section = _tlsrpt_pipeline_section(
-            args.tlsrpt_scale, args.tlsrpt_senders,
-            args.tlsrpt_messages, args.jobs)
+            args.tlsrpt_scale, args.tlsrpt_senders, args.tlsrpt_messages)
 
     serve_section = None
     if not args.skip_serve:
         serve_section = _policy_checker_section(
-            args.serve_scale, args.serve_requests, args.jobs)
+            args.serve_scale, args.serve_requests)
 
     columnar_section = None
     if not args.skip_columnar:

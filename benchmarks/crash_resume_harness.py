@@ -11,10 +11,10 @@ uninterrupted reference run:
 * the monthly metrics JSONL feed the monitor renders;
 * the health report text.
 
-Exit status 0 means every comparison matched for every configuration
-(serial and threaded backends, with and without a seeded fault plan).
-The state directory of the last configuration is left in place so CI
-can upload its ``manifest.json`` as an artifact.
+Exit status 0 means every comparison matched for both configurations
+(a clean and a fault-seeded campaign).  The state directory of the
+last configuration is left in place so CI can upload its
+``manifest.json`` as an artifact.
 
 Usage::
 
@@ -75,8 +75,7 @@ class _SelfKillMonitor(CampaignMonitor):
 
 def _child(args) -> int:
     run_campaign(_timeline(args), list(range(args.months)),
-                 executor=ScanExecutor(backend=args.backend,
-                                       jobs=args.jobs),
+                 executor=ScanExecutor(),
                  monitor=_SelfKillMonitor(args.kill_after),
                  state_dir=args.state_dir,
                  fault_plan_factory=_fault_factory(args))
@@ -85,10 +84,9 @@ def _child(args) -> int:
     return 1
 
 
-def _spawn_child(args, state_dir: str, backend: str, jobs: int) -> int:
+def _spawn_child(args, state_dir: str) -> int:
     command = [sys.executable, os.path.abspath(__file__), "--child",
-               "--state-dir", state_dir, "--backend", backend,
-               "--jobs", str(jobs), "--scale", str(args.scale),
+               "--state-dir", state_dir, "--scale", str(args.scale),
                "--seed", str(args.seed), "--months", str(args.months),
                "--kill-after", str(args.kill_after)]
     if args.fault_seed is not None:
@@ -100,20 +98,19 @@ def _spawn_child(args, state_dir: str, backend: str, jobs: int) -> int:
     return subprocess.run(command, env=env).returncode
 
 
-def _run_config(args, backend: str, jobs: int, keep_dir: str = None) -> bool:
-    label = f"{backend}/j{jobs}" + (
-        f"/faults@{args.fault_seed}" if args.fault_seed is not None else "")
+def _run_config(args, keep_dir: str = None) -> bool:
+    label = ("clean" if args.fault_seed is None
+             else f"faults@{args.fault_seed}")
     months = list(range(args.months))
 
     reference_monitor = CampaignMonitor()
     reference = run_campaign(
-        _timeline(args), months,
-        executor=ScanExecutor(backend=backend, jobs=jobs),
+        _timeline(args), months, executor=ScanExecutor(),
         monitor=reference_monitor, fault_plan_factory=_fault_factory(args))
 
     state_dir = keep_dir or tempfile.mkdtemp(prefix="crash-resume-")
     try:
-        code = _spawn_child(args, state_dir, backend, jobs)
+        code = _spawn_child(args, state_dir)
         if code != -signal.SIGKILL:
             print(f"[{label}] FAIL: child exited {code}, expected "
                   f"SIGKILL ({-signal.SIGKILL})")
@@ -126,8 +123,7 @@ def _run_config(args, backend: str, jobs: int, keep_dir: str = None) -> bool:
 
         resumed_monitor = CampaignMonitor()
         resumed = run_campaign(
-            _timeline(args), months,
-            executor=ScanExecutor(backend=backend, jobs=jobs),
+            _timeline(args), months, executor=ScanExecutor(),
             monitor=resumed_monitor, state_dir=state_dir, resume=True,
             fault_plan_factory=_fault_factory(args))
 
@@ -161,9 +157,6 @@ def main() -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--state-dir", default=None,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "threaded"))
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--fault-seed", type=int, default=None)
     args = parser.parse_args()
 
@@ -171,14 +164,13 @@ def main() -> int:
         return _child(args)
 
     failures = 0
-    matrix = [("serial", 1, None), ("threaded", 3, None),
-              ("serial", 1, 4242), ("threaded", 3, 4242)]
-    for index, (backend, jobs, fault_seed) in enumerate(matrix):
+    matrix = [None, 4242]
+    for index, fault_seed in enumerate(matrix):
         args.fault_seed = fault_seed
         keep = args.keep_dir if index == len(matrix) - 1 else None
         if keep:
             os.makedirs(keep, exist_ok=True)
-        if not _run_config(args, backend, jobs, keep_dir=keep):
+        if not _run_config(args, keep_dir=keep):
             failures += 1
     if failures:
         print(f"FATAL: {failures} configuration(s) diverged after resume")

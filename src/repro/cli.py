@@ -8,25 +8,25 @@
   assessment of a domain's MTA-STS posture from its zone file;
 * ``plan-removal <max_age_seconds>`` — print the RFC 8461 §2.6 removal
   sequence for a policy with the given max_age;
-* ``audit [--scale S] [--backend B --jobs N] [--stats [--json]]
-  [--fault-seed N --fault-rate R] [--trace FILE]
+* ``audit [--scale S] [--month M] [--backend serial|process --jobs N]
+  [--stats [--json]] [--fault-seed N --fault-rate R] [--trace FILE]
   [--explain DOMAIN] [--metrics-out FILE] [--profile]
   [--progress] [--save DIR | --load DIR]`` — run the
-  synthetic-ecosystem scan for the final snapshot and print the
-  misconfiguration census (``--backend`` picks serial, threaded, or
-  process-parallel execution — all byte-identical — and ``--jobs 0``
-  auto-detects one worker per CPU core; with ``--stats``, the
-  per-stage scan statistics — as machine-readable JSON with
-  ``--json``; with
-  ``--fault-seed``, deterministic network faults injected into the
-  scan; with ``--trace``, one JSONL span tree per scanned domain;
+  synthetic-ecosystem scan for one snapshot (the final one by
+  default) and print the misconfiguration census (``--backend`` picks
+  serial or process-parallel execution — byte-identical — and
+  ``--jobs 0`` auto-detects one worker per CPU core; with
+  ``--stats``, the per-stage scan statistics — as machine-readable
+  JSON with ``--json``; with ``--fault-seed``, deterministic network
+  faults injected into the scan; with ``--trace``, one JSONL span
+  tree per scanned domain;
   with ``--explain``, the human-readable span tree for one domain;
   with ``--metrics-out``, the scan's metrics as a Prometheus
   exposition; with ``--profile``, a wall-clock stage profile; with
   ``--progress``, live heartbeats on stderr; with ``--save``, the
   scanned month committed into a campaign store; with ``--load``,
   the census runs offline from a saved store without scanning);
-* ``campaign [--scale S] [--backend B --jobs N]
+* ``campaign [--scale S]
   [--metrics-out FILE] [--progress] [--state-dir DIR [--resume]]
   [--fault-seed N --fault-rate R]`` — run the full monthly scan
   campaign with the health monitor attached, write the monthly
@@ -34,16 +34,16 @@
   (exit 1 on any ALERT; with ``--state-dir``, each completed month
   is committed atomically and ``--resume`` continues a killed run
   from the last committed month);
-* ``campaign deliver [--scale S] [--senders N --messages-per-sender M]
-  [--backend serial|threaded --jobs N] [--backpressure N]
+* ``campaign deliver [--scale S] [--month M]
+  [--senders N --messages-per-sender M] [--backpressure N]
   [--wakeup-seconds S] [--fault-seed N --fault-rate R]
   [--ledger-out FILE] [--metrics-out FILE] [--tlsrpt-out DIR]
   [--progress] [--state-dir DIR [--resume]]`` — run the
   campaign-scale delivery engine: a §6.2-profiled sender population
   queues messages against the materialised world under per-delivery
   MTA-STS enforcement, emitting a canonical delivery ledger, per-wave
-  metrics, and a delivery health report (exit 1 on any ALERT; serial
-  and threaded backends are byte-identical; with ``--tlsrpt-out``,
+  metrics, and a delivery health report (exit 1 on any ALERT; two
+  runs of one configuration are byte-identical; with ``--tlsrpt-out``,
   the senders additionally run the RFC 8460 reporting pipeline —
   daily aggregate reports delivered to each recipient's published
   ``rua`` endpoints through the simulated world — and the received
@@ -56,7 +56,7 @@
   type, top failing sending MTAs — plus the per-window health
   report (exit 1 on any ALERT, exit 2 when no reports exist);
 * ``serve [--scale S] [--requests N --batch-size B]
-  [--month M --months K] [--backend serial|threaded --jobs N]
+  [--month M --months K]
   [--ttl-seconds T --min-ttl-seconds T] [--zipf-s S]
   [--flash-every K --flash-size N] [--metrics-out FILE]
   [--prom-out FILE] [--progress]`` — replay a seeded open-internet
@@ -64,8 +64,8 @@
   computed through the scanner's single-domain path, cached in a
   single-flight TTL verdict cache, with per-window hit-rate, p99
   virtual latency, and stampede fan-in metrics plus a service
-  health report (exit 1 on any ALERT; serial and threaded backends
-  emit byte-identical metrics feeds);
+  health report (exit 1 on any ALERT; two same-seed runs emit
+  byte-identical metrics feeds);
 * ``monitor FILE|DIR`` — re-evaluate a saved monthly metrics JSONL
   feed, or a campaign store directory, against (configurable)
   health thresholds (exit 1 on any ALERT);
@@ -154,6 +154,7 @@ def _cmd_audit(args) -> int:
     import json
 
     from repro.ecosystem.population import PopulationConfig
+    from repro.ecosystem.timeline import scan_instant
     from repro.errors import StoreCorruption
     from repro.measurement.columnar import (
         ColumnarStore, snapshot_summary_view, taxonomy_census_view,
@@ -236,6 +237,8 @@ def _cmd_audit(args) -> int:
             from repro.obs.progress import ProgressPrinter
             progress = ProgressPrinter()
         try:
+            if args.month is not None:
+                scan_instant(args.month)
             executor = ScanExecutor(backend=args.backend,
                                     jobs=_resolve_jobs(args.jobs,
                                                        args.backend),
@@ -337,13 +340,7 @@ def _cmd_campaign(args) -> int:
     if args.progress:
         from repro.obs.progress import ProgressPrinter
         progress = ProgressPrinter()
-    try:
-        executor = ScanExecutor(backend=args.backend,
-                                jobs=_resolve_jobs(args.jobs, args.backend),
-                                progress=progress)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    executor = ScanExecutor(progress=progress)
     monitor = CampaignMonitor(_thresholds(args, CampaignMonitor))
     fault_plan_factory = None
     if args.fault_seed is not None:
@@ -412,9 +409,12 @@ def _cmd_campaign_deliver(args) -> int:
             wakeup_seconds=args.wakeup_seconds,
             fault_seed=args.fault_seed, fault_rate=args.fault_rate,
             tlsrpt=bool(args.tlsrpt_out))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         result = run_delivery_campaign(
-            config, backend=args.backend, jobs=args.jobs,
-            progress=progress,
+            config, progress=progress,
             thresholds=_thresholds(args, DeliveryMonitor),
             state_dir=args.state_dir, resume=args.resume,
             tlsrpt_thresholds=_thresholds(args, TlsRptMonitor, "tlsrpt-"))
@@ -431,7 +431,7 @@ def _cmd_campaign_deliver(args) -> int:
         print(f"wave metrics: {records} records -> {args.metrics_out}")
     print(f"delivery: {stats.messages:,} messages from "
           f"{stats.senders:,} senders in {stats.waves} waves "
-          f"[{stats.backend}] ({stats.deliver_seconds:.2f}s, "
+          f"({stats.deliver_seconds:.2f}s, "
           f"{stats.messages_per_second:,.0f} msg/s)")
     print(f"  delivered {stats.delivered:,} "
           f"({stats.delivered_plaintext:,} plaintext), "
@@ -522,8 +522,7 @@ def _cmd_serve(args) -> int:
             min_ttl_seconds=args.min_ttl_seconds,
             zipf_s=args.zipf_s, flash_every=args.flash_every,
             flash_size=args.flash_size, record_every=args.record_every)
-        result = run_serve(config, backend=args.backend,
-                           jobs=_resolve_jobs(args.jobs, args.backend),
+        result = run_serve(config,
                            thresholds=_thresholds(args, ServeMonitor),
                            progress=progress)
     except ValueError as exc:
@@ -540,7 +539,7 @@ def _cmd_serve(args) -> int:
         print(f"prometheus metrics -> {args.prom_out}")
     print(f"serve: {stats.requests:,} requests "
           f"({stats.flash_requests:,} from flash crowds) over "
-          f"{stats.months} month(s) [{stats.backend}] "
+          f"{stats.months} month(s) "
           f"({stats.serve_seconds:.2f}s, "
           f"{stats.requests_per_second:,.0f} req/s)")
     print(f"  verdicts computed {stats.computations:,}, cache hits "
@@ -663,7 +662,7 @@ def _job_count(text: str) -> int:
 def _resolve_jobs(jobs: int, backend: str) -> int:
     """Resolve ``--jobs 0`` (auto-detect) at the CLI layer.
 
-    Auto means every core for the parallel backends and one worker for
+    Auto means every core for the process backend and one worker for
     serial; :class:`~repro.measurement.executor.ScanExecutor` itself
     never clamps — an explicit ``--jobs N`` on a backend that cannot
     honour it is an error, not a silent downgrade.
@@ -685,6 +684,18 @@ def _rate(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(
             f"expected a rate in [0, 1], got {value}")
+    return value
+
+
+def _positive_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {value}")
     return value
 
 
@@ -739,23 +750,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit",
                            help="scan the synthetic ecosystem snapshot")
-    audit.add_argument("--scale", type=float, default=0.01)
+    audit.add_argument("--scale", type=_positive_number, default=0.01)
     audit.add_argument("--seed", type=int, default=20240929)
     audit.add_argument("--month", type=int, default=None)
     audit.add_argument("--show-repairs", type=int, default=0,
                        metavar="N",
                        help="print repair plans for N misconfigured "
                             "domains")
-    audit.add_argument("--backend",
-                       choices=("serial", "threaded", "process"),
+    audit.add_argument("--backend", choices=("serial", "process"),
                        default="serial",
-                       help="scan execution backend (all produce "
+                       help="scan execution backend (both produce "
                             "identical snapshots; 'process' runs "
                             "shard workers in separate processes, each "
                             "materialising only its population slice)")
     audit.add_argument("--jobs", type=_job_count, default=1,
                        metavar="N",
-                       help="workers for the threaded/process backends "
+                       help="workers for the process backend "
                             "(0 = one per CPU core)")
     audit.add_argument("--stats", action="store_true",
                        help="print the per-stage scan statistics table")
@@ -799,14 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign",
         help="run the monthly scan campaign with health monitoring")
-    campaign.add_argument("--scale", type=float, default=0.01)
+    campaign.add_argument("--scale", type=_positive_number, default=0.01)
     campaign.add_argument("--seed", type=int, default=20240929)
-    campaign.add_argument("--backend", choices=("serial", "threaded"),
-                          default="serial")
-    campaign.add_argument("--jobs", type=_job_count, default=1,
-                          metavar="N",
-                          help="worker threads for the threaded backend "
-                               "(0 = one per CPU core)")
     campaign.add_argument("--full-rebuild", action="store_true",
                           help="rebuild the world from scratch every "
                                "month instead of diffing")
@@ -838,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         "deliver",
         help="run the campaign-scale delivery engine against the "
              "materialised world")
-    deliver.add_argument("--scale", type=float, default=0.02,
+    deliver.add_argument("--scale", type=_positive_number, default=0.02,
                          help="recipient world scale (default 0.02)")
     deliver.add_argument("--seed", type=int, default=11,
                          help="recipient population seed")
@@ -855,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     deliver.add_argument("--sender-seed", type=int, default=20230201,
                          dest="sender_seed",
                          help="§6.2 sender-population seed")
-    deliver.add_argument("--backend", choices=("serial", "threaded"),
-                         default="serial",
-                         help="delivery backend (byte-identical ledgers)")
-    deliver.add_argument("--jobs", type=_job_count, default=0,
-                         help="threaded shard count (0 = auto)")
     deliver.add_argument("--backpressure", type=_positive_int,
                          default=10_000, metavar="N",
                          help="global in-flight message bound")
@@ -920,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="replay a seeded query mix against the policy-checker "
              "service")
-    serve.add_argument("--scale", type=float, default=0.02,
+    serve.add_argument("--scale", type=_positive_number, default=0.02,
                        help="domain world scale (default 0.02)")
     serve.add_argument("--seed", type=int, default=11,
                        help="world population seed")
@@ -943,11 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="month snapshots the service lives through "
                             "(the world re-materialises at each "
                             "boundary; default 1)")
-    serve.add_argument("--backend", choices=("serial", "threaded"),
-                       default="serial",
-                       help="request backend (byte-identical metrics)")
-    serve.add_argument("--jobs", type=_job_count, default=0,
-                       help="threaded worker count (0 = auto)")
     serve.add_argument("--ttl-seconds", type=_positive_int,
                        default=86_400, dest="ttl_seconds", metavar="T",
                        help="default and maximum verdict TTL "
@@ -956,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=3_600, dest="min_ttl_seconds", metavar="T",
                        help="floor for policy-driven verdict TTLs "
                             "(default 3600)")
-    serve.add_argument("--zipf-s", type=float, default=1.1,
+    serve.add_argument("--zipf-s", type=_positive_number, default=1.1,
                        dest="zipf_s", metavar="S",
                        help="popularity skew exponent (default 1.1)")
     serve.add_argument("--flash-every", type=int, default=16,

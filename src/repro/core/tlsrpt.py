@@ -15,8 +15,8 @@ used by the sending side (`repro.core.reporting`) and the delivery
 campaign's TLSRPT pipeline.  Reports render to JSON two ways:
 :meth:`TlsRptReport.to_json` (indented, human-facing) and
 :meth:`TlsRptReport.to_canonical_json` (compact, sorted keys) — the
-latter is the byte-identity surface the serial and threaded delivery
-backends must agree on.
+latter is the byte-identity surface two runs of one delivery campaign
+must agree on.
 """
 
 from __future__ import annotations

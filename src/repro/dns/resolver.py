@@ -76,7 +76,7 @@ class Resolver:
         # by exactly one thread while concurrent lookups wait and then
         # serve the stored answer as a cache hit.  This makes the
         # query/hit counters — and the set of live queries the trace
-        # records — identical between serial and threaded backends.
+        # records — independent of how concurrent callers interleave.
         self._flight_lock = threading.Lock()
         self._inflight: Dict[Tuple[DnsName, RRType],
                              threading.Event | None] = {}
@@ -87,8 +87,7 @@ class Resolver:
         #: query that ends up *cached* — i.e. work a sibling worker may
         #: duplicate — is recorded with its network cost so the parent
         #: can merge per-worker counters back to serial-exact totals.
-        #: Single-threaded use only; the threaded backend relies on
-        #: single-flight instead and never sets this.
+        #: Single-threaded use only.
         self.journal = None
 
     # -- delegation registry -------------------------------------------

@@ -15,6 +15,7 @@ The generator emits *plans*, not infrastructure; the timeline
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
@@ -221,6 +222,11 @@ class PopulationConfig:
     scan_months: int = SCAN_MONTHS
     include_events: bool = True
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(
+                f"scale must be a finite number > 0, got {self.scale}")
+
     def scaled(self, count: int | float) -> int:
         return max(1, round(count * self.scale)) if count > 0 else 0
 
@@ -310,6 +316,12 @@ def generate_population(config: PopulationConfig) -> Dict[str, TldPopulation]:
 # Deterministic sharding (the process scan backend's population API)
 # --------------------------------------------------------------------------
 
+def canonical_names(names: Iterable[str]) -> List[str]:
+    """*names* canonicalised, deduplicated and sorted: the order every
+    scan walks and every shard plan cuts."""
+    return sorted({canonical_host(n) for n in names} - {""})
+
+
 def partition_names(names: Iterable[str], shards: int) -> List[List[str]]:
     """Cut a name set into *shards* contiguous canonical-order slices.
 
@@ -322,7 +334,7 @@ def partition_names(names: Iterable[str], shards: int) -> List[List[str]]:
     the name count (an empty input yields one empty slice) — callers
     needing exactly N slices pad with empties.
     """
-    ordered = sorted({canonical_host(n) for n in names} - {""})
+    ordered = canonical_names(names)
     shards = max(1, min(shards, len(ordered)) if ordered else 1)
     base, remainder = divmod(len(ordered), shards)
     slices: List[List[str]] = []

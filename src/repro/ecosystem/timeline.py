@@ -38,6 +38,23 @@ SCAN_END = Instant.from_date(2024, 9, 29)
 SERIES_START = Instant.from_date(2021, 9, 9)
 SERIES_END = Instant.from_date(2024, 9, 29)
 
+#: The monthly component-scan instants, month 0 first; the final month
+#: is the end of the measurement window.
+SCAN_INSTANTS: Tuple[Instant, ...] = tuple(
+    monthly_instants(SCAN_START, SCAN_END))
+if SCAN_INSTANTS[-1] < SCAN_END:
+    SCAN_INSTANTS += (SCAN_END,)
+
+
+def scan_instant(month_index: int) -> Instant:
+    """The instant of scan month *month_index*: the one place a month
+    index becomes a date, so every out-of-range month fails alike."""
+    if not 0 <= month_index < len(SCAN_INSTANTS):
+        raise ValueError(
+            f"month {month_index} is outside the scan months "
+            f"[0, {len(SCAN_INSTANTS) - 1}]")
+    return SCAN_INSTANTS[month_index]
+
 
 @dataclass
 class TimelineConfig:
@@ -91,10 +108,7 @@ class EcosystemTimeline:
         self.config = config or TimelineConfig()
         self.populations: Dict[str, TldPopulation] = generate_population(
             self.config.population)
-        self.scan_instants: List[Instant] = list(
-            monthly_instants(SCAN_START, SCAN_END))
-        if self.scan_instants[-1] < SCAN_END:
-            self.scan_instants.append(SCAN_END)
+        self.scan_instants: List[Instant] = list(SCAN_INSTANTS)
 
     # -- analytic weekly series (no infrastructure) ---------------------
 
@@ -203,7 +217,7 @@ class EcosystemTimeline:
 
     def _build_full(self, month_index: int,
                     shard: Optional[Tuple[int, int]] = None) -> "_WorldState":
-        instant = self.scan_instants[month_index]
+        instant = scan_instant(month_index)
         week = self.week_of(instant)
         world = World(start=instant)
 
@@ -261,7 +275,7 @@ class EcosystemTimeline:
     def _snapshot(self, state: "_WorldState") -> MaterializedSnapshot:
         return MaterializedSnapshot(
             month_index=state.month_index,
-            instant=self.scan_instants[state.month_index],
+            instant=scan_instant(state.month_index),
             world=state.world, deployed=state.deployed,
             policy_providers=state.policy_providers,
             email_providers=state.email_providers, plans=state.plans,
@@ -383,8 +397,8 @@ class IncrementalMaterializer:
             self._state = timeline._build_full(month_index)
             return timeline._snapshot(self._state)
 
-        previous_instant = timeline.scan_instants[state.month_index]
-        instant = timeline.scan_instants[month_index]
+        previous_instant = scan_instant(state.month_index)
+        instant = scan_instant(month_index)
         week = timeline.week_of(instant)
         world = state.world
         world.clock.advance_to(instant)

@@ -19,11 +19,12 @@ Determinism is the design centre, mirroring the scan pipeline:
 * **wave barriers** — the campaign advances the clock only between
   *waves*.  Within a wave every queue attempt happens at one frozen
   instant, so each delivery outcome is a pure function of (sender
-  profile, message, instant) and thread interleavings cannot matter;
-* **coordinated admission** — a single-threaded coordinator decides
-  which (sender, seq) messages enter the queues each wave,
-  round-robin over canonically sorted senders up to the global
-  ``backpressure`` bound, so wave membership is backend-independent;
+  profile, message, instant), and the lanes run one after another in
+  canonical sender order;
+* **coordinated admission** — the coordinator decides which (sender,
+  seq) messages enter the queues each wave, round-robin over
+  canonically sorted senders up to the global ``backpressure`` bound,
+  so wave membership depends on nothing but the config;
 * **batched wake-ups** — between waves the clock jumps to the minimum
   of every queue's :meth:`~repro.smtp.queue.MailQueue.next_wakeup`,
   rounded up to ``wakeup_seconds`` so thousands of queues coalesce
@@ -34,9 +35,9 @@ Determinism is the design centre, mirroring the scan pipeline:
   (DNS, faults) are reported in :class:`DeliveryStats` but excluded
   from :meth:`DeliveryStats.comparable`.
 
-The serial and threaded backends therefore produce **byte-identical
-delivery ledgers** (canonical JSONL, one row per finalised message),
-metric feeds, and health reports — with and without a seeded
+Two runs of one config therefore produce **byte-identical delivery
+ledgers** (canonical JSONL, one row per finalised message), metric
+feeds, and health reports — with and without a seeded
 :class:`~repro.netsim.network.FaultPlan`, whose transient connect
 faults flow into queue retries via the attempt-ordinal passthrough.
 
@@ -64,7 +65,7 @@ campaign a mailbox sweep over the canonically sorted recipient world
 feeds a :class:`~repro.core.reporting.ReportAggregator` and a
 :class:`~repro.obs.tlsrpt_monitor.TlsRptMonitor`, whose received
 report set, window JSONL, and health findings are byte-identical
-between backends, clean and fault-seeded.
+between runs, clean and fault-seeded.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,8 +84,10 @@ from repro.core.refresh import RefreshDaemon
 from repro.core.reporting import ReportAggregator, ReportCollector
 from repro.core.sender import MtaStsSender, SenderPolicyConfig
 from repro.core.tlsrpt import ResultType, TlsRptReport, lookup_tlsrpt
-from repro.ecosystem.population import PopulationConfig, partition_names
-from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
+from repro.ecosystem.population import PopulationConfig
+from repro.ecosystem.timeline import (
+    EcosystemTimeline, TimelineConfig, scan_instant,
+)
 from repro.errors import StoreCorruption
 from repro.fsutil import atomic_write_text, ensure_dir, read_text
 from repro.measurement.senderside import (
@@ -123,8 +125,8 @@ class DeliveryCampaignConfig:
     """Everything that determines a delivery campaign's outcome.
 
     The config is the identity of a campaign: two runs with equal
-    configs produce byte-identical ledgers regardless of backend, and
-    a resume refuses a state dir committed under a different config.
+    configs produce byte-identical ledgers, and a resume refuses a
+    state dir committed under a different config.
     """
 
     scale: float = 0.02            # recipient world scale
@@ -142,6 +144,7 @@ class DeliveryCampaignConfig:
     tlsrpt: bool = False
 
     def __post_init__(self) -> None:
+        scan_instant(self.month_index)
         if self.senders < 1:
             raise ValueError("senders must be >= 1")
         if self.messages_per_sender < 1:
@@ -172,14 +175,13 @@ class DeliveryStats:
     """Integer campaign totals plus wall-clock throughput.
 
     :meth:`comparable` strips everything that may legitimately differ
-    between backends or runs — backend/jobs labels, wall-clock timings,
-    and the *shared-world* counters (DNS, connects, faults), whose
-    attribution between concurrent lanes is interleaving-dependent even
-    though the per-lane decisions are not.
+    between runs — wall-clock timings and the *shared-world* counters
+    (DNS, connects, faults), which count only this process's traffic:
+    a resumed campaign never re-runs a committed wave, so its world
+    counters differ from an uninterrupted run's even though every
+    per-lane decision agrees.
     """
 
-    backend: str = "serial"
-    jobs: int = 1
     scale: float = 0.0
     seed: int = 0
     month_index: int = 0
@@ -204,7 +206,7 @@ class DeliveryStats:
     deliver_seconds: float = 0.0
 
     _NON_DETERMINISTIC = (
-        "backend", "jobs", "dns_queries", "connects", "faults_injected",
+        "dns_queries", "connects", "faults_injected",
         "world_build_seconds", "deliver_seconds",
     )
 
@@ -264,9 +266,9 @@ class DeliveryResult:
 class _SenderLane:
     """One sender domain's private delivery machinery.
 
-    Everything a lane mutates — queue, cache, wave counters — is owned
-    by exactly one shard worker per wave, so lanes need no locks; the
-    barrier merges their integer counters, which is order-independent.
+    Everything a lane mutates — queue, cache, wave counters — belongs
+    to the lane alone; the wave barrier merges the lanes' integer
+    counters, which is order-independent.
     """
 
     def __init__(self, profile: SenderProfile, world,
@@ -277,8 +279,8 @@ class _SenderLane:
         self.total = config.messages_per_sender
         self.next_seq = 0
         # The workload is a pure function of (campaign seed, sender
-        # identity): backends and resumes always agree on message seq
-        # -> recipient.
+        # identity): runs and resumes always agree on message seq ->
+        # recipient.
         rng = _random.Random(f"deliver:{config.seed}:{self.identity}")
         self.recipients = [recipients[rng.randrange(len(recipients))]
                            for _ in range(self.total)]
@@ -363,12 +365,11 @@ class _SenderLane:
     def run_wave(self, selected: Sequence[int], now: Instant,
                  *, flush_reports: bool = False,
                  https_inboxes: Optional[Dict[str, object]] = None,
-                 ) -> Tuple[List[dict], Dict[str, int],
-                            List[TlsRptReport]]:
+                 ) -> Tuple[List[dict], Dict[str, int]]:
         """Refresh the cache, submit this wave's admissions, retry
         everything due (messages and reports), optionally close the
-        reporting window, and return (finalised rows, counter deltas,
-        reports generated this wave)."""
+        reporting window, and return (finalised rows, counter
+        deltas)."""
         # In tlsrpt mode the refresher only runs while the lane still
         # has message work: bounced reports retry for up to five
         # virtual days past the last message, and keeping every lane's
@@ -387,10 +388,9 @@ class _SenderLane:
             self._bump("deliver.submitted")
         self.queue.run_due()
 
-        reports: List[TlsRptReport] = []
         if self.report_queue is not None:
             if flush_reports:
-                reports = self._flush_reports(https_inboxes or {})
+                self._flush_reports(https_inboxes or {})
             self.report_queue.run_due()
             still_pending: List[QueueEntry] = []
             for entry in self.report_queue.entries:
@@ -447,12 +447,11 @@ class _SenderLane:
 
         counters = self._wave_counters
         self._wave_counters = {}
-        return rows, counters, reports
+        return rows, counters
 
     # -- TLSRPT window flush -------------------------------------------
 
-    def _flush_reports(self, https_inboxes: Dict[str, object]
-                       ) -> List[TlsRptReport]:
+    def _flush_reports(self, https_inboxes: Dict[str, object]) -> None:
         """Close the collector's window and hand every finished report
         to the recipient's published ``rua`` endpoints."""
         assert self.collector is not None
@@ -480,7 +479,6 @@ class _SenderLane:
                         self._bump("tlsrpt.https_unreachable")
                 else:
                     self._bump("tlsrpt.endpoint_unsupported")
-        return reports
 
     # -- checkpoint / resume -------------------------------------------
 
@@ -630,8 +628,8 @@ def _sweep_tlsrpt_reports(world, https_inboxes: Optional[Dict[str, object]],
     handles would miss) for ``tls-reports@`` mail plus any injected
     HTTPS inboxes, parses the bodies (counting malformed ones), and
     returns the reports in canonical (policy domain, reporter, report
-    id) order — the same byte-identity ordering regardless of delivery
-    backend or the interleaving of report mail."""
+    id) order — the same byte-identity ordering whatever order the
+    report mail arrived in."""
     parsed: List[TlsRptReport] = []
     malformed = 0
     for listener in world.network.listeners():
@@ -652,14 +650,7 @@ def _sweep_tlsrpt_reports(world, https_inboxes: Optional[Dict[str, object]],
     return parsed, malformed
 
 
-def _resolve_jobs(jobs: int, lanes: int) -> int:
-    if jobs <= 0:
-        jobs = min(8, os.cpu_count() or 1)
-    return max(1, min(jobs, lanes))
-
-
 def run_delivery_campaign(config: DeliveryCampaignConfig, *,
-                          backend: str = "serial", jobs: int = 0,
                           progress: Optional[Callable] = None,
                           thresholds: Optional[DeliveryThresholds] = None,
                           metrics_jsonl_path: Optional[str] = None,
@@ -673,20 +664,14 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                           ) -> DeliveryResult:
     """Run (or resume) one delivery campaign to completion.
 
-    ``backend="serial"`` processes every sender lane on the caller's
-    thread; ``"threaded"`` cuts the lanes into ``jobs`` canonical-order
-    shards (:func:`~repro.ecosystem.population.partition_names`) worked
-    by a thread pool.  Both produce byte-identical ledgers, metric
-    feeds, and health reports.
-
-    With *state_dir*, every wave is durably committed; ``resume=True``
-    continues a previously committed campaign from its checkpoint (the
-    config must match the manifest's).  *max_waves* stops after that
-    many additional waves — with a state dir this emulates a crash at
-    a wave boundary, the case the resume tests replay.
+    Every wave runs the sender lanes one after another in canonical
+    order.  With *state_dir*, every wave is durably committed;
+    ``resume=True`` continues a previously committed campaign from its
+    checkpoint (the config must match the manifest's).  *max_waves*
+    stops after that many additional waves — with a state dir this
+    emulates a crash at a wave boundary, the case the resume tests
+    replay.
     """
-    if backend not in ("serial", "threaded"):
-        raise ValueError(f"unknown delivery backend {backend!r}")
     if config.tlsrpt and state_dir is not None:
         raise ValueError(
             "tlsrpt reporting does not support durable state dirs yet: "
@@ -748,164 +733,123 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                     lane.restore(lane_states[lane.identity])
             start_wave = len(waves)
 
-    if backend == "threaded":
-        shard_count = _resolve_jobs(jobs, len(lanes))
-    else:
-        shard_count = 1
-    lane_by_id = {lane.identity: lane for lane in lanes}
-    shards = [[lane_by_id[identity] for identity in slice_]
-              for slice_ in partition_names(
-                  [lane.identity for lane in lanes], shard_count)]
-
     total = config.total_messages
     tracker = None
     if progress is not None:
         tracker = ProgressTracker(
             progress, month_index=config.month_index,
-            backend=f"deliver-{backend}", domains_total=total,
+            backend="deliver", domains_total=total,
             shards_total=0, virtual_epoch=snapshot.instant.epoch_seconds)
         if finalized_before:
             tracker.advance(finalized_before)
 
     granularity = Duration(config.wakeup_seconds)
     deliver_started = time.perf_counter()
-    pool = (ThreadPoolExecutor(max_workers=len(shards))
-            if backend == "threaded" and len(shards) > 1 else None)
     wave = start_wave
-    # TLSRPT window scheduling: the coordinator decides, single-
-    # threaded, which waves close the collectors' daily windows, so
-    # window membership is backend-independent like wave membership.
+    # TLSRPT window scheduling: the coordinator decides which waves
+    # close the collectors' daily windows, like wave membership.
     next_flush = world.clock.now() + DAY
     final_flush_done = not config.tlsrpt
-    generated_reports: List[TlsRptReport] = []
-    try:
-        while True:
-            now = world.clock.now()
-            in_flight = sum(lane.queue.pending_count() for lane in lanes)
-            reports_in_flight = (
-                sum(lane.report_queue.pending_count() for lane in lanes)
-                if config.tlsrpt else 0)
-            backlog = [lane for lane in lanes
-                       if lane.next_seq < lane.total]
-            # Coordinated admission: round-robin one message per sender
-            # over canonical order until the global bound is reached.
-            # Membership is decided here, single-threaded, so the wave
-            # is identical no matter how lanes are sharded.
-            selected: Dict[str, List[int]] = {}
-            budget = config.backpressure - in_flight
-            while budget > 0 and backlog:
-                still_hungry: List[_SenderLane] = []
-                for lane in backlog:
-                    if budget <= 0:
-                        still_hungry.append(lane)
-                        continue
-                    selected.setdefault(lane.identity,
-                                        []).append(lane.next_seq)
-                    lane.next_seq += 1
-                    budget -= 1
-                    if lane.next_seq < lane.total:
-                        still_hungry.append(lane)
-                backlog = still_hungry
-            messages_done = not selected and in_flight == 0
-            if messages_done and final_flush_done and not reports_in_flight:
-                break
-            flush = config.tlsrpt and (
-                now >= next_flush
-                or (messages_done and not final_flush_done))
+    while True:
+        now = world.clock.now()
+        in_flight = sum(lane.queue.pending_count() for lane in lanes)
+        reports_in_flight = (
+            sum(lane.report_queue.pending_count() for lane in lanes)
+            if config.tlsrpt else 0)
+        backlog = [lane for lane in lanes if lane.next_seq < lane.total]
+        # Coordinated admission: round-robin one message per sender
+        # over canonical order until the global bound is reached.
+        selected: Dict[str, List[int]] = {}
+        budget = config.backpressure - in_flight
+        while budget > 0 and backlog:
+            still_hungry: List[_SenderLane] = []
+            for lane in backlog:
+                if budget <= 0:
+                    still_hungry.append(lane)
+                    continue
+                selected.setdefault(lane.identity, []).append(lane.next_seq)
+                lane.next_seq += 1
+                budget -= 1
+                if lane.next_seq < lane.total:
+                    still_hungry.append(lane)
+            backlog = still_hungry
+        messages_done = not selected and in_flight == 0
+        if messages_done and final_flush_done and not reports_in_flight:
+            break
+        flush = config.tlsrpt and (
+            now >= next_flush
+            or (messages_done and not final_flush_done))
 
-            def run_shard(shard_lanes: List[_SenderLane]
-                          ) -> Tuple[List[dict], Dict[str, int],
-                                     List[TlsRptReport]]:
-                rows: List[dict] = []
-                counters: Dict[str, int] = {}
-                reports: List[TlsRptReport] = []
-                for lane in shard_lanes:
-                    lane_rows, lane_counters, lane_reports = lane.run_wave(
-                        selected.get(lane.identity, ()), now,
-                        flush_reports=flush,
-                        https_inboxes=tlsrpt_https_inboxes)
-                    rows.extend(lane_rows)
-                    reports.extend(lane_reports)
-                    for key, value in lane_counters.items():
-                        counters[key] = counters.get(key, 0) + value
-                return rows, counters, reports
+        rows: List[dict] = []
+        counters: Dict[str, int] = {}
+        for lane in lanes:
+            lane_rows, lane_counters = lane.run_wave(
+                selected.get(lane.identity, ()), now,
+                flush_reports=flush, https_inboxes=tlsrpt_https_inboxes)
+            rows.extend(lane_rows)
+            for key, value in lane_counters.items():
+                counters[key] = counters.get(key, 0) + value
 
-            if pool is not None:
-                outputs = list(pool.map(run_shard, shards))
-            else:
-                outputs = [run_shard(shard) for shard in shards]
+        # Barrier: emit the wave's ledger block in canonical (sender,
+        # seq) order and its counters in key order.
+        rows.sort(key=lambda row: (row["sender"], row["seq"]))
+        registry = MetricsRegistry()
+        for key in sorted(counters):
+            registry.count(key, counters[key])
+        if flush:
+            if messages_done:
+                final_flush_done = True
+            while next_flush <= now:
+                next_flush = next_flush + DAY
+        queue_depth = sum(lane.queue.pending_count() for lane in lanes)
+        registry.count("deliver.queue_depth", queue_depth)
+        registry.count("deliver.finalized", len(rows))
+        for row in rows:
+            row["wave"] = wave
+        wave_text = "".join(
+            json.dumps(row, sort_keys=True, separators=(",", ":"))
+            + "\n" for row in rows)
+        ledger_parts.append(wave_text)
+        record = monitor.observe_wave(wave, now.date_string(), registry)
+        if tracker is not None and rows:
+            tracker.advance(len(rows))
+        if state_dir is not None:
+            _commit_wave(state_dir, config, committed, wave, now,
+                         wave_text, record, lanes)
+        wave += 1
+        if max_waves is not None and wave - start_wave >= max_waves:
+            break
 
-            # Barrier: merge per-lane integers, emit the wave's ledger
-            # block in canonical (sender, seq) order.
-            rows = [row for shard_rows, _, _ in outputs
-                    for row in shard_rows]
-            rows.sort(key=lambda row: (row["sender"], row["seq"]))
-            registry = MetricsRegistry()
-            for _, counters, _ in outputs:
-                for key in sorted(counters):
-                    registry.count(key, counters[key])
-            if flush:
-                wave_reports = [report for _, _, shard_reports in outputs
-                                for report in shard_reports]
-                wave_reports.sort(
-                    key=lambda r: (r.organization_name, r.report_id))
-                generated_reports.extend(wave_reports)
-                if messages_done:
-                    final_flush_done = True
-                while next_flush <= now:
-                    next_flush = next_flush + DAY
-            queue_depth = sum(lane.queue.pending_count() for lane in lanes)
-            registry.count("deliver.queue_depth", queue_depth)
-            registry.count("deliver.finalized", len(rows))
-            for row in rows:
-                row["wave"] = wave
-            wave_text = "".join(
-                json.dumps(row, sort_keys=True, separators=(",", ":"))
-                + "\n" for row in rows)
-            ledger_parts.append(wave_text)
-            record = monitor.observe_wave(wave, now.date_string(), registry)
-            if tracker is not None and rows:
-                tracker.advance(len(rows))
-            if state_dir is not None:
-                _commit_wave(state_dir, config, committed, wave, now,
-                             wave_text, record, lanes)
-            wave += 1
-            if max_waves is not None and wave - start_wave >= max_waves:
-                break
-
-            if backlog and queue_depth < config.backpressure:
-                # Capacity freed up at this very instant — admit more
-                # before touching the clock.
+        if backlog and queue_depth < config.backpressure:
+            # Capacity freed up at this very instant — admit more
+            # before touching the clock.
+            continue
+        wakeups = [wakeup for lane in lanes
+                   if (wakeup := lane.queue.next_wakeup(
+                       granularity=granularity)) is not None]
+        if config.tlsrpt:
+            wakeups.extend(
+                wakeup for lane in lanes
+                if (wakeup := lane.report_queue.next_wakeup(
+                    granularity=granularity)) is not None)
+            if wakeups and not final_flush_done:
+                # Day boundaries are wake-ups too: the clock never jumps
+                # over a window close without flushing it (after any
+                # flush wave next_flush > now, so this never drags the
+                # clock backwards).
+                wakeups.append(next_flush)
+        if not wakeups:
+            if backlog:
                 continue
-            wakeups = [wakeup for lane in lanes
-                       if (wakeup := lane.queue.next_wakeup(
-                           granularity=granularity)) is not None]
-            if config.tlsrpt:
-                wakeups.extend(
-                    wakeup for lane in lanes
-                    if (wakeup := lane.report_queue.next_wakeup(
-                        granularity=granularity)) is not None)
-                if wakeups and not final_flush_done:
-                    # Day boundaries are wake-ups too: the clock never
-                    # jumps over a window close without flushing it
-                    # (after any flush wave next_flush > now, so this
-                    # never drags the clock backwards).
-                    wakeups.append(next_flush)
-            if not wakeups:
-                if backlog:
-                    continue
-                if not final_flush_done:
-                    # Message work drained this very wave; loop once
-                    # more so the coordinator closes the final
-                    # reporting window at the current instant.
-                    continue
-                break
-            target = min(wakeups)
-            if target > world.clock.now():
-                world.clock.advance_to(target)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+            if not final_flush_done:
+                # Message work drained this very wave; loop once more
+                # so the coordinator closes the final reporting window
+                # at the current instant.
+                continue
+            break
+        target = min(wakeups)
+        if target > world.clock.now():
+            world.clock.advance_to(target)
     deliver_seconds = time.perf_counter() - deliver_started
     if tracker is not None:
         tracker.finish()
@@ -927,8 +871,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     for record in monitor.records:
         total_registry.merge(record.metrics)
     stats = DeliveryStats(
-        backend=backend, jobs=len(shards), scale=config.scale,
-        seed=config.seed, month_index=config.month_index,
+        scale=config.scale, seed=config.seed, month_index=config.month_index,
         senders=config.senders, messages=total, waves=len(monitor.records),
         delivered=total_registry.get("deliver.delivered"),
         delivered_plaintext=total_registry.get("deliver.delivered_plaintext"),

@@ -3,17 +3,12 @@
 The paper's monthly component scans cover every MTA-STS domain in four
 TLD zone files — at that scale the scan pipeline's cost, not the
 analysis, dominates a campaign.  :class:`ScanExecutor` runs one
-month's scan through a pluggable backend:
+month's scan through one of two backends:
 
 ``serial``
     one :class:`~repro.measurement.scanner.Scanner` walks the domains
-    in canonical (sorted) order — the reference execution;
-
-``threaded``
-    the canonical domain order is cut into *jobs* deterministic
-    contiguous shards, each scanned by its own ``Scanner`` over the
-    shared world, and the per-shard stores are merged back in
-    canonical order;
+    in canonical (sorted) order — the reference execution and the
+    only in-process one;
 
 ``process``
     *jobs* shard workers in separate OS processes (``spawn``), each
@@ -32,7 +27,7 @@ month's scan through a pluggable backend:
     pre-built world, so it is driven through :meth:`ScanExecutor.
     scan_population` rather than :meth:`ScanExecutor.scan`.
 
-All backends produce byte-identical
+Both backends produce byte-identical
 :class:`~repro.measurement.snapshots.SnapshotStore` contents (the
 determinism tests assert this through ``canonical_bytes()``): a
 domain's snapshot is a pure function of the world and the scan
@@ -52,17 +47,17 @@ import json
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from queue import Empty
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.clock import Instant
-from repro.ecosystem.population import PopulationConfig, partition_names
+from repro.ecosystem.population import (
+    PopulationConfig, canonical_names, partition_names,
+)
 from repro.ecosystem.timeline import (
-    EcosystemTimeline, TimelineConfig, population_to_dict,
+    EcosystemTimeline, TimelineConfig, population_to_dict, scan_instant,
     timeline_from_population,
 )
 from repro.ecosystem.world import World
@@ -78,7 +73,7 @@ from repro.pki.validation import (
 )
 from repro.trace import MetricsRegistry, TraceReport, Tracer
 
-BACKENDS = ("serial", "threaded", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -218,23 +213,6 @@ class ScanStats:
         return "\n".join(lines)
 
 
-def partition_domains(domains: Iterable[str],
-                      shards: int) -> List[List[str]]:
-    """Cut the canonical domain order into *shards* contiguous slices.
-
-    Deterministic: the same domain set and shard count always yield
-    the same partition, independent of input order or duplicates.
-    Sizes differ by at most one, earlier shards taking the remainder.
-
-    Delegates to :func:`~repro.ecosystem.population.partition_names`,
-    which is the single source of truth for the partition — the
-    process backend's shard-scoped world materialisation partitions
-    through the same function, so a worker's deployed domain set and
-    the executor's shard slices can never drift apart.
-    """
-    return partition_names(domains, shards)
-
-
 class ShardScanJournal:
     """Per-worker record of the memoizable work a shard performed.
 
@@ -263,8 +241,7 @@ class ShardScanJournal:
       counting them in both would double-subtract.
 
     The journal is attached to a worker's resolver and probe by the
-    process backend only; it is written from exactly one thread and
-    must never be combined with the threaded backend.
+    process backend only, and is written from exactly one thread.
     """
 
     def __init__(self, world: World):
@@ -339,8 +316,8 @@ class PopulationScanResult:
     instant: Instant
     month_index: int
     build_stats: Dict[str, int]
-    #: per-worker peak RSS (KiB, ``ru_maxrss``); empty for the
-    #: in-process backends.
+    #: per-worker peak RSS (KiB, ``ru_maxrss``); empty for the serial
+    #: backend.
     worker_peak_rss_kib: List[int] = field(default_factory=list)
 
 
@@ -366,7 +343,7 @@ class ScanExecutor:
         if jobs > 1 and backend == "serial":
             raise ValueError(
                 "the serial backend ignores jobs; pass jobs=1 or pick "
-                "the 'threaded' or 'process' backend")
+                "the 'process' backend")
         self.backend = backend
         self.jobs = jobs
         #: With tracing on, every scan leaves its merged
@@ -380,7 +357,7 @@ class ScanExecutor:
         self.last_profile: Optional[ProfileReport] = None
         #: Progress callback: receives
         #: :class:`~repro.obs.progress.ProgressEvent` heartbeats while
-        #: a scan runs (thread-safe under the threaded backend).
+        #: a scan runs.
         self.progress = progress
         self.heartbeat_every = heartbeat_every
 
@@ -396,32 +373,26 @@ class ScanExecutor:
                 "ScanExecutor.scan_population()")
         store = store if store is not None else SnapshotStore()
         instant = instant if instant is not None else world.now()
-        shards = partition_domains(domains, self.jobs)
-        tracker = self._new_tracker(shards, month_index, instant)
+        domains = canonical_names(domains)
+        tracker = self._new_tracker(domains, month_index, instant)
 
-        resolver = world.resolver
         probe = world.smtp_probe
         probe_was_cached = probe.cache_enabled
         probe.cache_enabled = True
         probe.flush_cache()
         flush_chain_cache()
 
+        scanner = Scanner(
+            world, tracer=Tracer() if self.trace_enabled else None,
+            profiler=StageProfiler() if self.profile_enabled else None)
         before = self._counters(world)
         started = time.perf_counter()
         try:
-            if self.backend == "threaded" and len(shards) > 1:
-                scanners = self._scan_threaded(world, shards, month_index,
-                                               instant, store, tracker)
-            else:
-                scanner = Scanner(world, tracer=self._new_tracer(),
-                                  profiler=self._new_profiler())
-                scanner.scan_all(
-                    [d for shard in shards for d in shard],
-                    month_index, store, instant,
-                    on_domain=tracker.domain_done if tracker else None)
-                if tracker is not None:
-                    tracker.shard_done()
-                scanners = [scanner]
+            scanner.scan_all(
+                domains, month_index, store, instant,
+                on_domain=tracker.domain_done if tracker else None)
+            if tracker is not None:
+                tracker.shard_done()
         finally:
             probe.flush_cache()
             probe.cache_enabled = probe_was_cached
@@ -430,26 +401,24 @@ class ScanExecutor:
         elapsed = time.perf_counter() - started
 
         if self.trace_enabled:
-            self.last_trace = TraceReport.merge(
-                [s.tracer for s in scanners if s.tracer is not None],
-                instant.epoch_seconds)
+            self.last_trace = TraceReport.merge([scanner.tracer],
+                                                instant.epoch_seconds)
         if self.profile_enabled:
-            self.last_profile = ProfileReport.merge(
-                [s.profiler for s in scanners if s.profiler is not None])
+            self.last_profile = ProfileReport.merge([scanner.profiler])
 
         after = self._counters(world)
         deltas = {name: after[name] - before[name] for name in after}
         # Backoff is tracked in integer microseconds end to end and
-        # only converted to seconds here, so the serial, threaded and
-        # process backends all derive the float the same way — exact
-        # equality across backends, no float-subtraction residue.
+        # only converted to seconds here, so the serial and process
+        # backends derive the float the same way — exact equality
+        # across backends, no float-subtraction residue.
         backoff_micros = deltas.pop("retry_backoff_micros")
         stats = ScanStats(
             backend=self.backend, jobs=self.jobs, months=1,
-            domains_scanned=sum(len(shard) for shard in shards),
+            domains_scanned=len(domains),
             scan_seconds=elapsed,
-            policy_fetches=sum(s.policy_fetches for s in scanners),
-            transient_domains=sum(s.transient_domains for s in scanners),
+            policy_fetches=scanner.policy_fetches,
+            transient_domains=scanner.transient_domains,
             retry_backoff_seconds=backoff_micros / 1_000_000,
             **deltas,
         )
@@ -505,7 +474,7 @@ class ScanExecutor:
         the counters back to serial-exact totals through
         :meth:`_merge_process_stats`.
         """
-        instant = timeline.scan_instants[month_index]
+        instant = scan_instant(month_index)
         week = timeline.week_of(instant)
         adopted = [plan.name for plan in timeline.all_plans()
                    if plan.adopted_by_week(week)]
@@ -750,51 +719,13 @@ class ScanExecutor:
         )
         return stats, corrections
 
-    def _scan_threaded(self, world: World, shards: Sequence[List[str]],
-                       month_index: int, instant: Instant,
-                       store: SnapshotStore,
-                       tracker: Optional[ProgressTracker] = None,
-                       ) -> List[Scanner]:
-        """One Scanner per shard; merge shard stores in shard order."""
-        scanners = [Scanner(world, tracer=self._new_tracer(),
-                            profiler=self._new_profiler())
-                    for _ in shards]
-        shard_stores = [SnapshotStore() for _ in shards]
-
-        def scan_shard(scanner: Scanner, shard: List[str],
-                       shard_store: SnapshotStore) -> None:
-            scanner.scan_all(
-                shard, month_index, shard_store, instant,
-                on_domain=tracker.domain_done if tracker else None)
-            if tracker is not None:
-                tracker.shard_done()
-
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [
-                pool.submit(scan_shard, scanner, shard, shard_store)
-                for scanner, shard, shard_store
-                in zip(scanners, shards, shard_stores)
-            ]
-            for future in futures:
-                future.result()
-        for shard_store in shard_stores:
-            store.merge(shard_store)
-        return scanners
-
-    def _new_tracer(self) -> Optional[Tracer]:
-        return Tracer() if self.trace_enabled else None
-
-    def _new_profiler(self) -> Optional[StageProfiler]:
-        return StageProfiler() if self.profile_enabled else None
-
-    def _new_tracker(self, shards: Sequence[List[str]], month_index: int,
+    def _new_tracker(self, domains: List[str], month_index: int,
                      instant: Instant) -> Optional[ProgressTracker]:
         if self.progress is None:
             return None
         return ProgressTracker(
             self.progress, month_index=month_index, backend=self.backend,
-            domains_total=sum(len(shard) for shard in shards),
-            shards_total=len(shards),
+            domains_total=len(domains), shards_total=1,
             virtual_epoch=instant.epoch_seconds,
             heartbeat_every=self.heartbeat_every)
 

@@ -46,10 +46,10 @@ Architecture
   :class:`~repro.ecosystem.timeline.IncrementalMaterializer`, so the
   service runs against a *live, evolving* ecosystem.  Every metric on
   the determinism surface (hit/miss/collapse counters, integer-micro
-  latency histograms, stampede fan-in) is derived by the
-  single-threaded coordinator from batch composition — never from
-  thread interleavings — so serial and threaded backends, and any two
-  same-seed runs, emit **byte-identical** metrics JSONL.
+  latency histograms, stampede fan-in) is derived by the coordinator
+  from batch composition — never from the order requests are served
+  in — so any two same-seed runs emit **byte-identical** metrics
+  JSONL.
 
 Virtual latency is modelled as a pure function of the observed
 snapshot (per-lookup DNS cost, policy fetch cost, per-MX probe cost),
@@ -60,11 +60,11 @@ cache policy, not host scheduling.
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -137,8 +137,8 @@ def verdict_cost_micros(snapshot: DomainSnapshot) -> int:
     scanner performed (NS, apex A, MX, TLSRPT plus one per MX host),
     the HTTPS policy fetch when the domain signals MTA-STS, and one
     SMTP probe per observed MX.  Deliberately *not* measured from
-    shared world counters, whose attribution is interleaving-dependent
-    under the threaded backend.
+    shared world counters, which depend on what earlier verdicts
+    already cached.
     """
     lookups = 4 + len(snapshot.mx_hostnames)
     cost = DNS_LATENCY_MICROS * lookups
@@ -259,7 +259,7 @@ class QueryMixGenerator:
     back-to-back requests — the stampede the single-flight cache must
     collapse.  One generator instance feeds one replay: the sequence
     is a pure function of (seed, universe, tick schedule), identical
-    across backends and runs.
+    across runs.
     """
 
     def __init__(self, universe: Sequence[str], seed: int, *,
@@ -309,8 +309,8 @@ class QueryMixGenerator:
 class ServeConfig:
     """Everything that determines a serve replay's metrics feed.
 
-    Two runs with equal configs emit byte-identical metrics JSONL
-    regardless of backend — the config is the replay's identity.
+    Two runs with equal configs emit byte-identical metrics JSONL —
+    the config is the replay's identity.
     """
 
     scale: float = 0.02            # recipient world scale
@@ -340,8 +340,8 @@ class ServeConfig:
             raise ValueError("min_ttl_seconds must be >= 1")
         if self.ttl_seconds < self.min_ttl_seconds:
             raise ValueError("ttl_seconds must be >= min_ttl_seconds")
-        if self.zipf_s <= 0.0:
-            raise ValueError("zipf_s must be > 0")
+        if not 0.0 < self.zipf_s < math.inf:
+            raise ValueError("zipf_s must be a finite number > 0")
         if self.flash_every < 0 or self.flash_size < 0:
             raise ValueError("flash parameters must be >= 0")
         if self.record_every < 1:
@@ -365,13 +365,10 @@ class ServeConfig:
 class ServeStats:
     """Integer replay totals plus wall-clock throughput.
 
-    :meth:`comparable` strips backend/jobs labels and wall-clock
-    timings; everything left is on the serial/threaded byte-identity
-    surface.
+    :meth:`comparable` strips the wall-clock timings; everything left
+    is on the run-to-run byte-identity surface.
     """
 
-    backend: str = "serial"
-    jobs: int = 1
     scale: float = 0.0
     seed: int = 0
     query_seed: int = 0
@@ -388,8 +385,7 @@ class ServeStats:
     world_build_seconds: float = 0.0
     serve_seconds: float = 0.0
 
-    _NON_DETERMINISTIC = ("backend", "jobs", "world_build_seconds",
-                          "serve_seconds")
+    _NON_DETERMINISTIC = ("world_build_seconds", "serve_seconds")
 
     @property
     def hit_rate(self) -> float:
@@ -524,28 +520,17 @@ class _WindowAccumulator:
         return FeedRecord(window_index, now.date_string(), registry)
 
 
-def run_serve(config: ServeConfig, *, backend: str = "serial",
-              jobs: int = 1,
+def run_serve(config: ServeConfig, *,
               thresholds: Optional[ServeThresholds] = None,
               metrics_path: Optional[str] = None,
               progress: Optional[Callable[[int, int], None]] = None,
               ) -> ServeResult:
     """Replay the seeded query mix against the evolving world.
 
-    *backend* is ``serial`` (the coordinator serves every request
-    inline) or ``threaded`` (every request of a tick is a task on a
-    *jobs*-wide pool, exercising the single-flight path under real
-    concurrency).  Both emit byte-identical metrics feeds; *progress*
-    (when given) receives ``(requests_served, requests_total)`` after
-    every tick.
+    The coordinator serves every request of a tick inline, one verdict
+    computation per stale domain; *progress* (when given) receives
+    ``(requests_served, requests_total)`` after every tick.
     """
-    if backend not in ("serial", "threaded"):
-        raise ValueError(f"unknown serve backend {backend!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if backend == "serial" and jobs != 1:
-        raise ValueError("the serial backend runs exactly one job")
-
     build_started = time.perf_counter()
     timeline = EcosystemTimeline(TimelineConfig(
         PopulationConfig(scale=config.scale, seed=config.seed)))
@@ -567,15 +552,13 @@ def run_serve(config: ServeConfig, *, backend: str = "serial",
     total_registry = MetricsRegistry()
 
     stats = ServeStats(
-        backend=backend, jobs=jobs, scale=config.scale, seed=config.seed,
+        scale=config.scale, seed=config.seed,
         query_seed=config.query_seed, months=config.months,
         world_build_seconds=build_seconds)
 
     ticks_total = config.ticks
     tick_requests = _split(config.requests, ticks_total)
     tick_months = _split(ticks_total, len(segments))
-    pool = (ThreadPoolExecutor(max_workers=jobs)
-            if backend == "threaded" else None)
 
     serve_started = time.perf_counter()
     window = _WindowAccumulator()
@@ -583,92 +566,77 @@ def run_serve(config: ServeConfig, *, backend: str = "serial",
     evictions_seen = 0
     tick_index = 0
     served = 0
-    try:
-        for segment_index, (month, start, end) in enumerate(segments):
-            if month != service.month_index:
-                build_started = time.perf_counter()
-                snapshot = materializer.materialize(month)
-                world = snapshot.world
-                service.bind(Scanner(world), month)
-                stats.world_build_seconds += (time.perf_counter()
-                                              - build_started)
-            ticks_here = tick_months[segment_index]
-            if ticks_here == 0:
-                continue
-            step = max(1, (end - start).seconds // ticks_here)
-            for _ in range(ticks_here):
-                now = world.clock.now()
-                service.instant = now
-                batch, flash = mix.batch(
-                    tick_index, tick_requests[tick_index])
+    for segment_index, (month, start, end) in enumerate(segments):
+        if month != service.month_index:
+            build_started = time.perf_counter()
+            snapshot = materializer.materialize(month)
+            world = snapshot.world
+            service.bind(Scanner(world), month)
+            stats.world_build_seconds += time.perf_counter() - build_started
+        ticks_here = tick_months[segment_index]
+        if ticks_here == 0:
+            continue
+        step = max(1, (end - start).seconds // ticks_here)
+        for _ in range(ticks_here):
+            now = world.clock.now()
+            service.instant = now
+            batch, flash = mix.batch(tick_index, tick_requests[tick_index])
 
-                # Group by canonical key, preserving first-seen order;
-                # classify each group once against the frozen instant.
-                groups: Dict[str, int] = {}
-                for name in batch:
-                    key = canonical_host(name)
-                    groups[key] = groups.get(key, 0) + 1
-                stale = [key for key in groups if not cache.fresh(key)]
-                stale_set = set(stale)
+            # Group by canonical key, preserving first-seen order;
+            # classify each group once against the frozen instant.
+            groups: Dict[str, int] = {}
+            for name in batch:
+                key = canonical_host(name)
+                groups[key] = groups.get(key, 0) + 1
+            stale = [key for key in groups if not cache.fresh(key)]
+            stale_set = set(stale)
 
-                if pool is None:
-                    for key in groups:
-                        cache.get_or_compute(key, service.compute)
+            for key in groups:
+                cache.get_or_compute(key, service.compute)
+
+            # Every determinism-surface metric derives from batch
+            # composition.
+            computations = len(stale)
+            collapsed = sum(groups[key] - 1 for key in stale)
+            hits = len(batch) - computations - collapsed
+            fanin_peak = max((groups[key] for key in stale), default=0)
+            window.observe_batch(len(batch), flash, computations,
+                                 collapsed, hits, fanin_peak)
+            histogram = window.registry.histograms["serve.latency"]
+            for name in batch:
+                key = canonical_host(name)
+                if key in stale_set:
+                    histogram.observe_micros(service.costs[key])
                 else:
-                    futures = [
-                        pool.submit(cache.get_or_compute, name,
-                                    service.compute)
-                        for name in batch]
-                    for future in futures:
-                        future.result()
+                    histogram.observe_micros(HIT_LATENCY_MICROS)
 
-                # Every determinism-surface metric derives from batch
-                # composition, identical for both backends.
-                computations = len(stale)
-                collapsed = sum(groups[key] - 1 for key in stale)
-                hits = len(batch) - computations - collapsed
-                fanin_peak = max((groups[key] for key in stale),
-                                 default=0)
-                window.observe_batch(len(batch), flash, computations,
-                                     collapsed, hits, fanin_peak)
-                histogram = window.registry.histograms["serve.latency"]
-                for name in batch:
-                    key = canonical_host(name)
-                    if key in stale_set:
-                        histogram.observe_micros(service.costs[key])
-                    else:
-                        histogram.observe_micros(HIT_LATENCY_MICROS)
+            stats.requests += len(batch)
+            stats.flash_requests += flash
+            stats.computations += computations
+            stats.collapsed += collapsed
+            stats.hits += hits
+            stats.stampede_fanin_peak = max(
+                stats.stampede_fanin_peak, fanin_peak)
+            served += len(batch)
 
-                stats.requests += len(batch)
-                stats.flash_requests += flash
-                stats.computations += computations
-                stats.collapsed += collapsed
-                stats.hits += hits
-                stats.stampede_fanin_peak = max(
-                    stats.stampede_fanin_peak, fanin_peak)
-                served += len(batch)
-
-                tick_index += 1
-                flush_due = (tick_index % config.record_every == 0
-                             or tick_index == ticks_total)
-                if flush_due:
-                    eviction_total = cache.eviction_count
-                    record = window.flush(
-                        window_index, now, month, len(cache),
-                        eviction_total - evictions_seen)
-                    evictions_seen = eviction_total
-                    monitor.add_record(record)
-                    total_registry.merge(record.metrics)
-                    window_index += 1
-                    window = _WindowAccumulator()
-                if progress is not None:
-                    progress(served, config.requests)
-                world.clock.advance(Duration(step))
-            if month + 1 < len(timeline.scan_instants):
-                world.clock.advance_to(end)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+            tick_index += 1
+            flush_due = (tick_index % config.record_every == 0
+                         or tick_index == ticks_total)
+            if flush_due:
+                eviction_total = cache.eviction_count
+                record = window.flush(
+                    window_index, now, month, len(cache),
+                    eviction_total - evictions_seen)
+                evictions_seen = eviction_total
+                monitor.add_record(record)
+                total_registry.merge(record.metrics)
+                window_index += 1
+                window = _WindowAccumulator()
+            if progress is not None:
+                progress(served, config.requests)
+            world.clock.advance(Duration(step))
+        if month + 1 < len(timeline.scan_instants):
+            world.clock.advance_to(end)
 
     stats.windows = window_index
     stats.evictions = cache.eviction_count

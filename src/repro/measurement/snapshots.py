@@ -247,7 +247,7 @@ class SnapshotStore:
         Snapshots are emitted in sorted (month, domain) order with
         sorted JSON keys, so two stores serialise identically iff they
         hold the same observations — the determinism tests compare
-        serial and threaded scan outputs byte-for-byte through this,
+        serial and process scan outputs byte-for-byte through this,
         and the resume differentials compare interrupted-and-resumed
         campaigns against uninterrupted ones.
         """

@@ -126,8 +126,8 @@ class FaultPlan:
 
     Every decision is a pure function of (endpoint, description,
     attempt index, simulated instant, seed): the plan keeps no
-    schedule state, so serial and threaded scan backends observe
-    byte-identical outcomes under any interleaving.  Counters are the
+    schedule state, so serial and process scan backends observe
+    byte-identical outcomes however the domains are sharded.  Counters are the
     only mutable state and never feed back into decisions.
     """
 

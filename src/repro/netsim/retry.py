@@ -8,8 +8,8 @@ simulated scanner the same semantics without real sleeping.  A
 curve, and a *virtual* per-operation timeout budget; jitter is drawn
 from an RNG seeded by ``(policy seed, operation key, attempt)`` so
 every backoff sequence is a pure function of its inputs — the serial
-and threaded scan backends compute identical schedules regardless of
-thread interleaving, and tests can pin exact sequences.
+and process scan backends compute identical schedules however the
+domains are sharded, and tests can pin exact sequences.
 
 Backoff never sleeps: delays are charged against the operation's
 virtual budget and accumulated as integer microseconds on

@@ -6,7 +6,7 @@ metrics).  This package explains *campaigns*:
 * :mod:`repro.obs.exporters` — Prometheus text-format exposition and
   monthly metrics JSONL for any
   :class:`~repro.trace.MetricsRegistry`, deterministically ordered so
-  serial and threaded backends emit byte-identical output;
+  serial and process backends emit byte-identical output;
 * :mod:`repro.obs.monitor` — :class:`FeedMonitor`: one metrics feed
   of per-record registry snapshots evaluated against a rule table into
   OK/WARN/ALERT health findings; :class:`CampaignMonitor` (per-month

@@ -2,10 +2,10 @@
 
 Both formats serialise a :class:`~repro.trace.MetricsRegistry` with a
 fixed ordering (sorted metric names, sorted label keys, canonical JSON)
-so that the serial and threaded scan backends — whose merged registries
-are equal by construction — emit **byte-identical** artifacts.  The
-determinism tests assert that identity with and without fault
-injection.
+so that the serial and process scan backends — whose month registries
+carry the same serial-exact counters — emit **byte-identical**
+artifacts.  The determinism tests assert that identity with and
+without fault injection.
 
 The Prometheus exposition is self-describing enough to round-trip: the
 ``# HELP`` line of every metric carries the original registry key (dots

@@ -32,7 +32,7 @@ table, re-evaluation from a campaign store), :class:`DeliveryMonitor`
 
 Everything recorded here is an integer (or a rounded-to-milliseconds
 virtual duration), so every feed inherits its workload's
-serial/threaded byte-identity.
+run-to-run byte-identity.
 """
 
 from __future__ import annotations
@@ -390,7 +390,7 @@ def _counters(record: FeedRecord) -> Dict[str, int]:
 
 #: ScanStats integer counters mirrored into the monthly registry, by
 #: (stats attribute, registry key).  Wall-clock fields are deliberately
-#: absent — they would break serial/threaded byte-identity.
+#: absent — they would break run-to-run byte-identity.
 _STAT_COUNTERS = (
     ("domains_scanned", "scan.domains"),
     ("transient_domains", "scan.transient_domains"),
@@ -620,7 +620,7 @@ class DeliveryMonitor(FeedMonitor):
 
     The registries carry only per-sender-derived integer counters (see
     ``repro.measurement.delivery_campaign``), so the wave feed is
-    byte-identical between the serial and threaded delivery backends.
+    byte-identical between runs of one campaign config.
     *backpressure*, when given, arms the invariant check that no wave
     ever reports a queue depth above the campaign's global bound.
     """
@@ -686,8 +686,8 @@ class ServeMonitor(FeedMonitor):
     The registries carry the coordinator-derived integer counters and
     the virtual-latency histogram from ``repro.measurement.serve`` —
     every value is computed from batch composition on the
-    single-threaded coordinator, so the window feed is byte-identical
-    between the serial and threaded serve backends.
+    coordinator, so the window feed is byte-identical between runs of
+    one serve config.
     """
 
     name, unit = "serve", "window"

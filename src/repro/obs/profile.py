@@ -8,8 +8,8 @@ is off by default and costs one ``is None`` branch per scanned domain
 when disabled (the acceptance criteria cap the disabled overhead at
 5%); wall-clock numbers never feed the deterministic exporters.
 
-One :class:`StageProfiler` is owned by each scanner (each shard, under
-the threaded backend), so recording needs no locks;
+One :class:`StageProfiler` is owned by each scanner (each shard
+worker, under the process backend), so recording needs no locks;
 :meth:`ProfileReport.merge` folds the shard profilers into the
 campaign view the executor exposes as ``last_profile``.
 """

@@ -4,10 +4,10 @@
 callback; while a scan runs it receives :class:`ProgressEvent`
 heartbeats (domains done, shards completed, throughput, wall-clock
 ETA) plus one final event.  The executor funnels every backend through
-:class:`ProgressTracker`, which is thread-safe — threaded-shard
-workers report concurrently — and rate-limits emission to one event
-per *heartbeat_every* completed domains, so an attached callback costs
-nothing measurable.
+:class:`ProgressTracker`, which is thread-safe — the process
+backend's drain thread reports worker batches while the parent waits
+— and rate-limits emission to one event per *heartbeat_every*
+completed domains, so an attached callback costs nothing measurable.
 
 :class:`ProgressPrinter` is the CLI consumer: a single overwriting
 status line on a TTY, one line per heartbeat otherwise.

@@ -14,8 +14,7 @@ bounds here are **per window**: a seeded fault spike must raise an
 ALERT on exactly the poisoned window, not smear across the campaign.
 Every recorded value is an integer counter derived from the
 deterministically ordered report set, so the window JSONL is
-byte-identical between serial and threaded delivery backends, clean
-and fault-seeded.
+byte-identical between runs of one campaign, clean and fault-seeded.
 
 The monitor also exposes a **verdict feed** —
 :meth:`TlsRptMonitor.verdicts` yields per-domain

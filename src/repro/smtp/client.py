@@ -130,9 +130,9 @@ class SmtpProbe:
 
         With :attr:`cache_enabled` set, a hostname is probed at most
         once between :meth:`flush_cache` calls; repeat calls return the
-        memoized :class:`ProbeResult`.  The lock makes the memoization
-        compute-once under the threaded scan backend, so every backend
-        observes an identical per-host probe sequence.
+        memoized :class:`ProbeResult`.  The lock keeps the memoization
+        compute-once for concurrent callers, so every caller observes
+        an identical per-host probe sequence.
         """
         name_text = canonical_host(mx_hostname)
         tracer = trace.current_tracer() if trace.TRACING else None

@@ -21,17 +21,20 @@ retry backoff was charged.  This module provides the substrate:
 Determinism rules (the byte-identity invariant)
 -----------------------------------------------
 
-Serial and threaded scans must emit byte-identical traces.  Anything
-attributed to a *domain* span must therefore be a pure function of the
-world and the scan instant — outcomes, verdicts, stage results.  Work
-that is compute-once behind a shared cache (live DNS queries, SMTP
-probes, PKIX validations) is *racy to attribute*: which domain's scan
-happens to execute it depends on thread scheduling.  Such work is
+Repeated scans must emit byte-identical traces, and a process scan's
+merged trace must carry the serial scan's domain trees and counters.
+Anything attributed to a *domain* span must therefore be a pure
+function of the world and the scan instant — outcomes, verdicts,
+stage results.  Work that is compute-once behind a cache (live DNS
+queries, SMTP probes, PKIX validations) has no stable owner: which
+domain's scan executes it depends on which domains the cache has
+already served, and under the process backend every worker has its
+own caches, so each shard executes its own copy.  Such work is
 recorded instead as a flat **resource span** keyed by the operation's
 stable key (``dns:<server>:<name>``, ``probe:<hostname>``); its
 *content* is a pure function of the key and the virtual clock, so the
-merged, key-sorted resource section is identical under any
-interleaving.  Domain spans reference resources by key and record only
+merged, key-sorted resource section is identical however the domains
+are sharded.  Domain spans reference resources by key and record only
 deterministic outcomes, never cache hit/miss flags.  Cache traffic is
 counted in the metrics registry, whose totals are deterministic
 because every shared cache in the pipeline is compute-once.
@@ -267,8 +270,8 @@ class Tracer:
     one thread at a time (the executor gives every shard its own), so
     recording needs no locks.  Domain trees are keyed by
     ``(month, domain)`` and resource spans by their operation key; the
-    merge sorts both, which is what makes the serial and threaded
-    backends emit identical traces.
+    merge sorts both, so the merged span trees do not depend on how
+    the domains were sharded.
     """
 
     def __init__(self) -> None:

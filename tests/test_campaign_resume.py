@@ -3,9 +3,8 @@
 The contract under test: a campaign killed after any committed month
 and resumed with ``resume=True`` produces *byte-identical* results to
 an uninterrupted run — the store's ``canonical_bytes``, the monitor's
-monthly metrics feed, and the health report — on both scan backends,
-with and without seeded fault plans, under the incremental and the
-full-rebuild materialisers.
+monthly metrics feed, and the health report — with and without seeded
+fault plans, under the incremental and the full-rebuild materialisers.
 """
 
 import pytest
@@ -49,32 +48,28 @@ class _CrashingMonitor(CampaignMonitor):
             raise _Killed()
 
 
-def _run(timeline, *, backend="serial", jobs=1, incremental=True,
-         faults=False, state_dir=None, resume=False, monitor=None):
+def _run(timeline, *, incremental=True, faults=False, state_dir=None,
+         resume=False, monitor=None):
     return run_campaign(
-        timeline, MONTHS, incremental=incremental,
-        executor=ScanExecutor(backend=backend, jobs=jobs),
+        timeline, MONTHS, incremental=incremental, executor=ScanExecutor(),
         monitor=monitor, state_dir=state_dir, resume=resume,
         fault_plan_factory=_fault_factory if faults else None)
 
 
-@pytest.mark.parametrize("backend,jobs", [("serial", 1), ("threaded", 3)])
 @pytest.mark.parametrize("faults", [False, True],
                          ids=["clean", "faulted"])
-def test_kill_and_resume_is_byte_identical(tmp_path, backend, jobs, faults):
+def test_kill_and_resume_is_byte_identical(tmp_path, faults):
     reference_monitor = CampaignMonitor()
-    reference = _run(_timeline(), backend=backend, jobs=jobs,
-                     faults=faults, monitor=reference_monitor)
+    reference = _run(_timeline(), faults=faults, monitor=reference_monitor)
 
     state_dir = str(tmp_path)
     with pytest.raises(_Killed):
-        _run(_timeline(), backend=backend, jobs=jobs, faults=faults,
-             state_dir=state_dir, monitor=_CrashingMonitor(KILL_AFTER))
+        _run(_timeline(), faults=faults, state_dir=state_dir,
+             monitor=_CrashingMonitor(KILL_AFTER))
 
     resumed_monitor = CampaignMonitor()
-    resumed = _run(_timeline(), backend=backend, jobs=jobs, faults=faults,
-                   state_dir=state_dir, resume=True,
-                   monitor=resumed_monitor)
+    resumed = _run(_timeline(), faults=faults, state_dir=state_dir,
+                   resume=True, monitor=resumed_monitor)
 
     assert (resumed.store.canonical_bytes()
             == reference.store.canonical_bytes())

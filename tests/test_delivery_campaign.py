@@ -1,10 +1,9 @@
 """The campaign-scale delivery engine and its supporting invariants.
 
 The hard invariant under test mirrors the scan pipeline's: a delivery
-campaign run serial and threaded must produce byte-identical delivery
-ledgers, per-wave metric feeds, and health reports — clean and under a
-seeded fault plan — and a campaign killed at a wave boundary must
-resume to the byte-identical ledger an uninterrupted run writes.
+campaign killed at a wave boundary must resume to the byte-identical
+ledger, per-wave metric feed, and health report an uninterrupted run
+writes — here under a seeded fault plan.
 
 The supporting property suites pin down the pieces the campaign leans
 on: the retry queue's backoff/lifetime semantics for arbitrary
@@ -32,7 +31,6 @@ from repro.measurement.delivery_campaign import (
     DeliveryCampaignConfig, load_delivery_ledger, read_delivery_manifest,
     run_delivery_campaign,
 )
-from repro.obs.exporters import prometheus_exposition
 from repro.obs.monitor import DeliveryMonitor, DeliveryThresholds
 from repro.smtp.delivery import DeliveryAttempt, DeliveryStatus, Message
 from repro.smtp.queue import (
@@ -50,37 +48,19 @@ _CONFIG = dict(scale=SCALE, seed=SEED, month_index=MONTH, senders=40,
 
 
 @functools.lru_cache(maxsize=None)
-def _campaign(backend: str, jobs: int = 0, fault_seed=None):
+def _campaign(fault_seed=None):
     config = DeliveryCampaignConfig(fault_seed=fault_seed,
                                     fault_rate=0.35, **_CONFIG)
-    return run_delivery_campaign(config, backend=backend, jobs=jobs)
+    return run_delivery_campaign(config)
 
 
 # ---------------------------------------------------------------------------
-# Serial vs threaded differential (clean and fault-seeded)
+# Campaign invariants (clean and fault-seeded)
 # ---------------------------------------------------------------------------
 
-class TestSerialThreadedParity:
-    @pytest.mark.parametrize("fault_seed", [None, FAULT_SEED])
-    def test_ledgers_byte_identical(self, fault_seed):
-        serial = _campaign("serial", fault_seed=fault_seed)
-        threaded = _campaign("threaded", jobs=3, fault_seed=fault_seed)
-        assert serial.ledger_text == threaded.ledger_text
-        assert serial.ledger_digest == threaded.ledger_digest
-        assert serial.stats.comparable() == threaded.stats.comparable()
-        assert threaded.stats.jobs == 3
-
-    @pytest.mark.parametrize("fault_seed", [None, FAULT_SEED])
-    def test_metrics_and_health_byte_identical(self, fault_seed):
-        serial = _campaign("serial", fault_seed=fault_seed)
-        threaded = _campaign("threaded", jobs=3, fault_seed=fault_seed)
-        assert serial.monitor.to_jsonl() == threaded.monitor.to_jsonl()
-        assert (prometheus_exposition(serial.total_registry)
-                == prometheus_exposition(threaded.total_registry))
-        assert (serial.health().render() == threaded.health().render())
-
+class TestCampaignInvariants:
     def test_every_message_finalises_exactly_once(self):
-        result = _campaign("serial", fault_seed=FAULT_SEED)
+        result = _campaign(fault_seed=FAULT_SEED)
         rows = [json.loads(line)
                 for line in result.ledger_text.splitlines()]
         assert len(rows) == result.config.total_messages
@@ -99,8 +79,8 @@ class TestSerialThreadedParity:
                     "delivered", "delivered-plaintext")
 
     def test_fault_plan_flows_into_queue_retries(self):
-        clean = _campaign("serial")
-        faulted = _campaign("serial", fault_seed=FAULT_SEED)
+        clean = _campaign()
+        faulted = _campaign(fault_seed=FAULT_SEED)
         assert faulted.stats.faults_injected > 0
         assert clean.stats.faults_injected == 0
         # transient connect faults force retry attempts beyond the
@@ -115,7 +95,7 @@ class TestSerialThreadedParity:
         assert recovered, "no message recovered from a transient fault"
 
     def test_wave_membership_respects_backpressure(self):
-        result = _campaign("serial", fault_seed=FAULT_SEED)
+        result = _campaign(fault_seed=FAULT_SEED)
         for record in result.monitor.records:
             assert (record.metrics.get("deliver.queue_depth")
                     <= result.config.backpressure)
@@ -126,7 +106,7 @@ class TestSerialThreadedParity:
     def test_sender_taxonomy_reaches_the_wire(self):
         """The §6.2 profile mix is visible in the delivery mechanisms:
         most messages go out opportunistically, some under MTA-STS."""
-        result = _campaign("serial")
+        result = _campaign()
         registry = result.total_registry
         opportunistic = registry.get("mech.opportunistic")
         mta_sts = registry.get("mech.mta-sts")
@@ -145,15 +125,15 @@ class TestDurableResume:
 
     def test_crash_at_wave_boundary_resumes_byte_identical(self, tmp_path):
         config = self._config()
-        reference = _campaign("serial", fault_seed=FAULT_SEED)
+        reference = _campaign(fault_seed=FAULT_SEED)
         state = str(tmp_path / "state")
-        partial = run_delivery_campaign(config, backend="serial",
-                                        state_dir=state, max_waves=3)
+        partial = run_delivery_campaign(config, state_dir=state,
+                                        max_waves=3)
         assert partial.stats.waves == 3
-        resumed = run_delivery_campaign(config, backend="threaded",
-                                        jobs=3, state_dir=state,
+        resumed = run_delivery_campaign(config, state_dir=state,
                                         resume=True)
         assert resumed.ledger_text == reference.ledger_text
+        assert resumed.stats.comparable() == reference.stats.comparable()
         assert resumed.monitor.to_jsonl() == reference.monitor.to_jsonl()
         assert (resumed.health().render() == reference.health().render())
         assert load_delivery_ledger(state) == reference.ledger_text
@@ -161,31 +141,26 @@ class TestDurableResume:
     def test_committed_state_verifies_and_loads(self, tmp_path):
         config = self._config()
         state = str(tmp_path / "state")
-        result = run_delivery_campaign(config, backend="serial",
-                                       state_dir=state)
+        result = run_delivery_campaign(config, state_dir=state)
         manifest = read_delivery_manifest(state)
         assert manifest is not None
         assert manifest["config"] == config.to_dict()
         assert len(manifest["waves"]) == result.stats.waves
         assert load_delivery_ledger(state) == result.ledger_text
         # resuming a finished campaign is a no-op continuation
-        again = run_delivery_campaign(config, backend="serial",
-                                      state_dir=state, resume=True)
+        again = run_delivery_campaign(config, state_dir=state, resume=True)
         assert again.ledger_text == result.ledger_text
 
     def test_resume_refuses_foreign_config(self, tmp_path):
         state = str(tmp_path / "state")
-        run_delivery_campaign(self._config(), backend="serial",
-                              state_dir=state, max_waves=1)
+        run_delivery_campaign(self._config(), state_dir=state, max_waves=1)
         other = self._config(messages_per_sender=7)
         with pytest.raises(StoreCorruption, match="different"):
-            run_delivery_campaign(other, backend="serial",
-                                  state_dir=state, resume=True)
+            run_delivery_campaign(other, state_dir=state, resume=True)
 
     def test_corrupted_shard_is_detected(self, tmp_path):
         state = str(tmp_path / "state")
-        run_delivery_campaign(self._config(), backend="serial",
-                              state_dir=state, max_waves=2)
+        run_delivery_campaign(self._config(), state_dir=state, max_waves=2)
         manifest = read_delivery_manifest(state)
         shard = os.path.join(state, manifest["waves"][0]["shard"])
         with open(shard, "a", encoding="utf-8") as handle:
@@ -193,8 +168,8 @@ class TestDurableResume:
         with pytest.raises(StoreCorruption):
             load_delivery_ledger(state)
         with pytest.raises(StoreCorruption):
-            run_delivery_campaign(self._config(), backend="serial",
-                                  state_dir=state, resume=True)
+            run_delivery_campaign(self._config(), state_dir=state,
+                                  resume=True)
 
     def test_foreign_manifest_kind_is_rejected(self, tmp_path):
         state = tmp_path / "state"
@@ -214,11 +189,10 @@ class TestCampaignPlumbing:
     def test_progress_heartbeats(self):
         events = []
         config = DeliveryCampaignConfig(**_CONFIG)
-        result = run_delivery_campaign(config, backend="threaded",
-                                       jobs=2, progress=events.append)
+        result = run_delivery_campaign(config, progress=events.append)
         assert events and events[-1].final
         assert events[-1].domains_done == result.config.total_messages
-        assert events[-1].backend == "deliver-threaded"
+        assert events[-1].backend == "deliver"
         done = [event.domains_done for event in events]
         assert done == sorted(done)
 
@@ -233,12 +207,12 @@ class TestCampaignPlumbing:
             DeliveryCampaignConfig(wakeup_seconds=0)
         with pytest.raises(ValueError):
             DeliveryCampaignConfig(fault_rate=1.5)
-        with pytest.raises(ValueError):
-            run_delivery_campaign(DeliveryCampaignConfig(**_CONFIG),
-                                  backend="process")
+        for month in (-1, 12):
+            with pytest.raises(ValueError, match=r"\[0, 11\]"):
+                DeliveryCampaignConfig(month_index=month)
 
     def test_monitor_feed_round_trips(self):
-        result = _campaign("serial", fault_seed=FAULT_SEED)
+        result = _campaign(fault_seed=FAULT_SEED)
         monitor = DeliveryMonitor.from_jsonl(
             result.monitor.to_jsonl(),
             backpressure=result.config.backpressure)
@@ -669,23 +643,22 @@ class TestCliDeliver:
              "--backpressure", "20", "--fault-seed", str(FAULT_SEED),
              "--fault-rate", "0.35"]
 
-    def test_serial_and_threaded_artifacts_byte_identical(
-            self, capsys, tmp_path):
+    def test_artifacts_match_the_library_run(self, capsys, tmp_path):
         from repro.cli import main
-        artifacts = {}
-        for backend, jobs in (("serial", "1"), ("threaded", "0")):
-            ledger = tmp_path / f"{backend}.jsonl"
-            metrics = tmp_path / f"{backend}-metrics.jsonl"
-            assert main(self._ARGS + [
-                "--backend", backend, "--jobs", jobs,
-                "--ledger-out", str(ledger),
-                "--metrics-out", str(metrics)]) == 0
-            out = capsys.readouterr().out
-            assert "delivery:" in out
-            assert "ledger sha256" in out
-            artifacts[backend] = (ledger.read_text(encoding="utf-8"),
-                                  metrics.read_text(encoding="utf-8"))
-        assert artifacts["serial"] == artifacts["threaded"]
+        ledger = tmp_path / "ledger.jsonl"
+        metrics = tmp_path / "metrics.jsonl"
+        assert main(self._ARGS + ["--ledger-out", str(ledger),
+                                  "--metrics-out", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "delivery:" in out
+        assert "ledger sha256" in out
+        result = run_delivery_campaign(DeliveryCampaignConfig(
+            scale=SCALE, seed=SEED, month_index=MONTH, senders=12,
+            messages_per_sender=3, backpressure=20, fault_seed=FAULT_SEED,
+            fault_rate=0.35))
+        assert ledger.read_text(encoding="utf-8") == result.ledger_text
+        assert (metrics.read_text(encoding="utf-8")
+                == result.monitor.to_jsonl())
 
     def test_resume_requires_state_dir(self, capsys):
         from repro.cli import main

@@ -9,7 +9,9 @@ from repro.ecosystem.population import (
     LUCIDGROW_MONTH, PORKBUN_MONTH, PopulationConfig, ScheduledFault,
     TABLE1, generate_population,
 )
-from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
+from repro.ecosystem.timeline import (
+    EcosystemTimeline, IncrementalMaterializer, TimelineConfig, scan_instant,
+)
 from repro.ecosystem.tranco import TrancoRanking
 
 
@@ -50,6 +52,12 @@ class TestPopulation:
     def test_com_dominates(self, population):
         assert len(population["com"].plans) > \
             4 * len(population["org"].plans)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            PopulationConfig(scale=scale)
 
     def test_deterministic_given_seed(self):
         a = generate_population(PopulationConfig(scale=0.01, seed=1))
@@ -124,6 +132,19 @@ class TestTimeline:
         assert dates[0] == "2023-11-07"
         assert dates[-1] == "2024-09-29"
         assert len(dates) == 12
+
+    def test_scan_instant_names_the_valid_range(self, timeline):
+        assert scan_instant(0) == timeline.scan_instants[0]
+        assert scan_instant(11) == timeline.scan_instants[-1]
+        materializer = IncrementalMaterializer(timeline)
+        materializer.materialize(0)
+        for month in (-1, 12):
+            with pytest.raises(ValueError, match=r"\[0, 11\]"):
+                scan_instant(month)
+            with pytest.raises(ValueError, match=r"\[0, 11\]"):
+                timeline.materialize(month)
+        with pytest.raises(ValueError, match=r"\[0, 11\]"):
+            materializer.materialize(12)
 
     def test_adoption_series_rises(self, timeline):
         series = timeline.adoption_series("com")

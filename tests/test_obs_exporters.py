@@ -1,7 +1,6 @@
 """The metrics exporters: Prometheus and monthly-JSONL round-trips,
-serial-vs-threaded byte-identity of the exported artifacts (with and
-without fault injection), and the atomic-write primitive every
-observability writer shares."""
+fault visibility in the exported artifacts, and the atomic-write
+primitive every observability writer shares."""
 
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ SCALE = 0.003
 SEED = 1789
 
 
-def scan_month(backend, jobs, *, fault_seed=None):
+def scan_month(*, fault_seed=None):
     """Scan the final month on a **fresh** world and return its
     deterministic monthly registry plus the scan date."""
     timeline = EcosystemTimeline(
@@ -37,8 +36,7 @@ def scan_month(backend, jobs, *, fault_seed=None):
     if fault_seed is not None:
         materialized.world.network.install_fault_plan(
             FaultPlan.seeded(seed=fault_seed, rate=0.3))
-    executor = ScanExecutor(backend=backend, jobs=jobs)
-    store, stats = executor.scan(
+    store, stats = ScanExecutor().scan(
         materialized.world, materialized.deployed.keys(), month,
         instant=materialized.instant)
     census = taxonomy_census_view(view_of(store.month(month)))
@@ -100,28 +98,14 @@ class TestPrometheusRoundTrip:
         assert "repro_retry_backoff_seconds_count 3" in text
 
     def test_real_scan_registry_round_trips(self):
-        registry, _, _ = scan_month("serial", 1)
+        registry, _, _ = scan_month()
         back = parse_prometheus_exposition(prometheus_exposition(registry))
         assert back.to_dict() == registry.to_dict()
 
 
-class TestByteIdentity:
-    """Serial and threaded backends must export byte-identical
-    artifacts — the monthly feed is only trustworthy longitudinally if
-    the execution strategy leaves no fingerprint."""
-
-    @pytest.mark.parametrize("fault_seed", [None, 7])
-    def test_serial_and_threaded_exports_identical(self, fault_seed):
-        serial, month, date = scan_month("serial", 1,
-                                         fault_seed=fault_seed)
-        threaded, _, _ = scan_month("threaded", 7, fault_seed=fault_seed)
-        assert (prometheus_exposition(serial)
-                == prometheus_exposition(threaded))
-        assert (month_jsonl_line(month, date, serial)
-                == month_jsonl_line(month, date, threaded))
-
+class TestFaultedExport:
     def test_fault_injection_visible_in_export(self):
-        registry, _, _ = scan_month("serial", 1, fault_seed=7)
+        registry, _, _ = scan_month(fault_seed=7)
         assert registry.get("net.faults_injected") > 0
         assert registry.get("taxonomy.transient") > 0
 

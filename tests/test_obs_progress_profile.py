@@ -1,9 +1,8 @@
 """Scan progress heartbeats and wall-clock stage profiling.
 
-Progress must report monotonically non-decreasing counters from both
-backends (workers emit under the tracker lock); profiling must be a
-strict no-op when disabled — same snapshot bytes, no report — because
-the acceptance criteria cap its disabled overhead."""
+Progress must report monotonically non-decreasing counters; profiling
+must be a strict no-op when disabled — same snapshot bytes, no report
+— because the acceptance criteria cap its disabled overhead."""
 
 from __future__ import annotations
 
@@ -25,13 +24,12 @@ SCALE = 0.003
 SEED = 1789
 
 
-def run_scan(backend, jobs, **executor_options):
+def run_scan(**executor_options):
     timeline = EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=SCALE, seed=SEED)))
     month = len(timeline.scan_instants) - 1
     materialized = timeline.materialize(month)
-    executor = ScanExecutor(backend=backend, jobs=jobs,
-                            **executor_options)
+    executor = ScanExecutor(**executor_options)
     store, stats = executor.scan(
         materialized.world, materialized.deployed.keys(), month,
         instant=materialized.instant)
@@ -39,14 +37,9 @@ def run_scan(backend, jobs, **executor_options):
 
 
 class TestProgressOrdering:
-    @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1),
-        ("threaded", 5),
-    ])
-    def test_counters_monotonic_and_complete(self, backend, jobs):
+    def test_counters_monotonic_and_complete(self):
         events = []
-        executor, _, stats = run_scan(backend, jobs,
-                                      progress=events.append)
+        executor, _, stats = run_scan(progress=events.append)
         assert len(events) >= 2
 
         done = shards = 0
@@ -54,25 +47,19 @@ class TestProgressOrdering:
             assert event.domains_done >= done
             assert event.shards_done >= shards
             assert 0.0 <= event.percent <= 100.0
-            assert event.backend == backend
+            assert event.backend == "serial"
             done, shards = event.domains_done, event.shards_done
 
         final = events[-1]
         assert final.final
         assert final.domains_done == final.domains_total
         assert final.domains_total == stats.domains_scanned
-        assert final.shards_done == final.shards_total
+        assert final.shards_done == final.shards_total == 1
         assert not any(event.final for event in events[:-1])
-
-    def test_threaded_reports_one_shard_per_job(self):
-        events = []
-        run_scan("threaded", 5, progress=events.append)
-        assert events[-1].shards_total == 5
 
     def test_heartbeat_every_domain(self):
         events = []
-        _, _, stats = run_scan("serial", 1, progress=events.append,
-                               heartbeat_every=1)
+        _, _, stats = run_scan(progress=events.append, heartbeat_every=1)
         # one per domain + one shard boundary + one final
         assert len(events) == stats.domains_scanned + 2
 
@@ -139,7 +126,7 @@ class TestProgressTracker:
 class TestProgressPrinter:
     def event(self, done, final=False):
         return ProgressEvent(
-            month_index=3, backend="threaded", domains_total=200,
+            month_index=3, backend="process", domains_total=200,
             domains_done=done, shards_total=4, shards_done=1,
             wall_elapsed_seconds=2.0, virtual_epoch=0, final=final)
 
@@ -150,7 +137,7 @@ class TestProgressPrinter:
         printer(self.event(200, final=True))
         lines = stream.getvalue().splitlines()
         assert len(lines) == 2
-        assert "scan m03 [threaded] 50/200 domains" in lines[0]
+        assert "scan m03 [process] 50/200 domains" in lines[0]
         assert "dom/s" in lines[0]
         assert "eta" in lines[0]
 
@@ -171,18 +158,14 @@ class TestProgressPrinter:
 
 class TestProfiling:
     def test_disabled_profiling_is_a_no_op(self):
-        executor_off, store_off, _ = run_scan("serial", 1)
-        executor_on, store_on, _ = run_scan("serial", 1, profile=True)
+        executor_off, store_off, _ = run_scan()
+        executor_on, store_on, _ = run_scan(profile=True)
         assert executor_off.last_profile is None
         assert executor_on.last_profile is not None
         assert store_off.canonical_bytes() == store_on.canonical_bytes()
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1),
-        ("threaded", 6),
-    ])
-    def test_profile_covers_every_domain(self, backend, jobs):
-        executor, _, stats = run_scan(backend, jobs, profile=True)
+    def test_profile_covers_every_domain(self):
+        executor, _, stats = run_scan(profile=True)
         profile = executor.last_profile
         assert profile.domains_profiled == stats.domains_scanned
         assert set(profile.stage_seconds) <= set(STAGES)
@@ -210,7 +193,7 @@ class TestProfiling:
         assert merged.stage_seconds["dns"] == pytest.approx(1.25)
 
     def test_to_dict_shape(self):
-        executor, _, _ = run_scan("serial", 1, profile=True)
+        executor, _, _ = run_scan(profile=True)
         data = executor.last_profile.to_dict()
         assert set(data) == {"domains_profiled", "total_seconds",
                              "stages", "slowest_domains"}
@@ -220,7 +203,7 @@ class TestProfiling:
             assert set(stage) == {"seconds", "calls"}
 
     def test_render_profile(self):
-        executor, _, _ = run_scan("serial", 1, profile=True)
+        executor, _, _ = run_scan(profile=True)
         text = render_profile(executor.last_profile)
         assert "wall-clock stage profile" in text
         assert "dns" in text

@@ -2,9 +2,9 @@
 
 The fault layer's contract with the scan pipeline:
 
-* serial and threaded backends stay byte-identical under any FaultPlan
-  seed (fault decisions are pure functions of the operation, never of
-  thread interleaving);
+* the memoizing executor matches a cache-free scan under any
+  FaultPlan seed (fault decisions are pure functions of the
+  operation, and transient verdicts never leak into the memo caches);
 * a 12-month incremental campaign matches a from-scratch rebuild even
   when endpoints flap between months (description-keyed schedules are
   portable across worlds whose IP allocation order differs);
@@ -38,10 +38,10 @@ def _fault_seeds() -> list[int]:
     return sorted(set(seeds))
 
 
-# -- backend determinism under faults -------------------------------------
+# -- executor determinism under faults ------------------------------------
 
 @pytest.mark.parametrize("fault_seed", _fault_seeds())
-def test_serial_and_threaded_byte_identical_under_faults(fault_seed):
+def test_executor_matches_cache_free_scanner_under_faults(fault_seed):
     timeline = EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=0.004, seed=11)))
     month = len(timeline.scan_instants) - 1
@@ -50,17 +50,13 @@ def test_serial_and_threaded_byte_identical_under_faults(fault_seed):
     materialized.world.network.install_fault_plan(
         FaultPlan.seeded(seed=fault_seed, rate=0.3))
 
-    serial, serial_stats = ScanExecutor(backend="serial").scan(
-        materialized.world, domains, month)
-    threaded, _ = ScanExecutor(backend="threaded", jobs=3).scan(
-        materialized.world, domains, month)
-    # A plain cache-free Scanner must agree too: the memo caches must
-    # not leak transient verdicts into later domains.
+    scanned, _ = ScanExecutor().scan(materialized.world, domains, month)
+    # A plain cache-free Scanner must agree: the memo caches must not
+    # leak transient verdicts into later domains.
     reference = SnapshotStore()
     Scanner(materialized.world).scan_all(sorted(domains), month, reference)
 
-    assert serial.canonical_bytes() == threaded.canonical_bytes()
-    assert serial.canonical_bytes() == reference.canonical_bytes()
+    assert scanned.canonical_bytes() == reference.canonical_bytes()
 
 
 def test_scanning_twice_under_one_plan_is_stable():

@@ -1,21 +1,19 @@
-"""Tests for the scan execution subsystem: deterministic sharded
-backends, the memoization caches, incremental world materialisation,
-and the per-stage instrumentation."""
+"""Tests for the scan execution subsystem: deterministic sharding,
+the memoization caches, incremental world materialisation, and the
+per-stage instrumentation."""
 
 import pytest
 
 from repro.clock import HOUR
 from repro.dns.records import RRType
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
-from repro.ecosystem.population import PopulationConfig
+from repro.ecosystem.population import PopulationConfig, partition_names
 from repro.ecosystem.providers import default_email_providers
 from repro.ecosystem.timeline import (
     EcosystemTimeline, IncrementalMaterializer, TimelineConfig,
 )
 from repro.errors import NxDomain
-from repro.measurement.executor import (
-    ScanExecutor, ScanStats, partition_domains,
-)
+from repro.measurement.executor import BACKENDS, ScanExecutor, ScanStats
 from repro.measurement.scanner import Scanner
 from repro.measurement.snapshots import SnapshotStore
 from repro.pki.validation import (
@@ -29,7 +27,7 @@ from repro.pki.validation import (
 class TestPartitioning:
     def test_covers_all_disjoint_and_ordered(self):
         domains = [f"d{i}.example" for i in range(17)]
-        shards = partition_domains(domains, 4)
+        shards = partition_names(domains, 4)
         assert len(shards) == 4
         merged = [d for shard in shards for d in shard]
         assert merged == sorted(domains)
@@ -38,18 +36,18 @@ class TestPartitioning:
 
     def test_deterministic_under_input_order_and_case(self):
         domains = ["B.example", "a.example.", "c.example"]
-        expected = partition_domains(sorted(domains), 2)
-        assert partition_domains(reversed(sorted(domains)), 2) == expected
+        expected = partition_names(sorted(domains), 2)
+        assert partition_names(reversed(sorted(domains)), 2) == expected
         assert expected[0][0] == "a.example"
 
     def test_duplicates_collapse(self):
-        shards = partition_domains(["x.example", "X.EXAMPLE."], 3)
+        shards = partition_names(["x.example", "X.EXAMPLE."], 3)
         assert sum(len(s) for s in shards) == 1
 
     def test_excess_shards_clamp_to_domain_count(self):
-        shards = partition_domains(["only.example"], 8)
+        shards = partition_names(["only.example"], 8)
         assert shards == [["only.example"]]
-        assert partition_domains([], 4) == [[]]
+        assert partition_names([], 4) == [[]]
 
 
 # -- ScanStats ------------------------------------------------------------
@@ -68,42 +66,42 @@ class TestScanStats:
         assert a.months == 2
 
     def test_as_dict_and_render(self):
-        stats = ScanStats(backend="threaded", jobs=4, domains_scanned=7)
+        stats = ScanStats(backend="process", jobs=4, domains_scanned=7)
         data = stats.as_dict()
-        assert data["backend"] == "threaded"
+        assert data["backend"] == "process"
         assert data["domains_scanned"] == 7
         table = stats.render_table()
-        assert "threaded" in table
+        assert "backend=process jobs=4" in table
         assert "domains scanned" in table
 
     def test_invalid_backend_rejected(self):
+        assert BACKENDS == ("serial", "process")
         with pytest.raises(ValueError):
             ScanExecutor(backend="processes")
+        with pytest.raises(ValueError):
+            ScanExecutor(backend="threaded", jobs=2)
         with pytest.raises(ValueError):
             ScanExecutor(jobs=0)
 
 
-# -- backend determinism --------------------------------------------------
+# -- executor determinism -------------------------------------------------
 
 @pytest.mark.parametrize("seed", [11, 4242])
-def test_serial_and_threaded_snapshots_byte_identical(seed):
+def test_executor_matches_cache_free_scanner(seed):
     timeline = EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=0.004, seed=seed)))
     month = len(timeline.scan_instants) - 1
     materialized = timeline.materialize(month)
     domains = materialized.deployed.keys()
 
-    serial, _ = ScanExecutor(backend="serial").scan(
-        materialized.world, domains, month)
-    threaded, _ = ScanExecutor(backend="threaded", jobs=3).scan(
-        materialized.world, domains, month)
+    scanned, _ = ScanExecutor().scan(materialized.world, domains, month)
 
-    # The executor must also agree with a plain, cache-free Scanner.
+    # The memoizing executor must agree with a plain, cache-free
+    # Scanner.
     reference = SnapshotStore()
     Scanner(materialized.world).scan_all(sorted(domains), month, reference)
 
-    assert serial.canonical_bytes() == threaded.canonical_bytes()
-    assert serial.canonical_bytes() == reference.canonical_bytes()
+    assert scanned.canonical_bytes() == reference.canonical_bytes()
 
 
 # -- incremental materialisation -----------------------------------------

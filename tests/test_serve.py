@@ -265,7 +265,8 @@ class TestServeConfig:
         {"month_index": -1}, {"min_ttl_seconds": 0},
         {"ttl_seconds": 10, "min_ttl_seconds": 60},
         {"zipf_s": 0.0}, {"flash_every": -1}, {"flash_size": -1},
-        {"record_every": 0},
+        {"record_every": 0}, {"zipf_s": float("nan")},
+        {"zipf_s": float("inf")},
     ])
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
@@ -323,15 +324,6 @@ class TestServeReplay:
         assert totals.get("serve.collapsed") == stats.collapsed
         assert totals.get("serve.evictions") == stats.evictions
 
-    def test_serial_threaded_byte_identical(self, small_result):
-        threaded = run_serve(ServeConfig(**SMALL), backend="threaded",
-                             jobs=8)
-        assert (threaded.monitor.to_jsonl()
-                == small_result.monitor.to_jsonl())
-        assert (threaded.stats.comparable()
-                == small_result.stats.comparable())
-        assert threaded.stats.backend == "threaded"
-
     def test_rerun_byte_identical(self, small_result):
         again = run_serve(ServeConfig(**SMALL))
         assert again.monitor.to_jsonl() == small_result.monitor.to_jsonl()
@@ -373,14 +365,6 @@ class TestServeReplay:
         payload = json.loads(first)
         assert payload["domain"] == domain
         assert cache.computed_count == 2
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_serve(ServeConfig(**SMALL), backend="process")
-        with pytest.raises(ValueError):
-            run_serve(ServeConfig(**SMALL), backend="serial", jobs=4)
-        with pytest.raises(ValueError):
-            run_serve(ServeConfig(**SMALL), backend="threaded", jobs=0)
 
     def test_progress_reaches_total(self):
         seen = []
@@ -511,8 +495,7 @@ class TestHistogramQuantile:
 
 class TestServeStats:
     def test_comparable_strips_wall_clock(self):
-        stats = ServeStats(backend="threaded", jobs=8, requests=100,
-                           hits=60, collapsed=20,
+        stats = ServeStats(requests=100, hits=60, collapsed=20,
                            serve_seconds=1.5, world_build_seconds=2.0)
         comparable = stats.comparable()
         for key in ServeStats._NON_DETERMINISTIC:
@@ -562,17 +545,6 @@ class TestServeCli:
                              for line in lines)
         assert "repro_serve_requests_total" in prom.read_text(
             encoding="utf-8")
-
-    def test_serve_threaded_matches_serial(self, tmp_path):
-        serial = tmp_path / "serial.jsonl"
-        threaded = tmp_path / "threaded.jsonl"
-        base = ["serve", "--scale", "0.01", "--requests", "1000",
-                "--batch-size", "250"]
-        assert self.run_cli(base + ["--metrics-out", str(serial)]) == 0
-        assert self.run_cli(base + ["--backend", "threaded", "--jobs",
-                                    "4", "--metrics-out",
-                                    str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_serve_month_span_error_is_usage_error(self, capsys):
         code = self.run_cli(["serve", "--scale", "0.01",

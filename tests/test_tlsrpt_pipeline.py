@@ -2,9 +2,9 @@
 
 The tentpole invariants under test:
 
-* a campaign run with ``tlsrpt=True`` produces **byte-identical**
-  received-report JSONL and ingestion-monitor window JSONL between the
-  serial and threaded backends, clean and fault-seeded;
+* a campaign run with ``tlsrpt=True`` delivers its reports through
+  the simulated world — retrying through the fault layer when seeded —
+  and receives every report it delivered;
 * a poisoned reporting window raises an ALERT on exactly that window
   while a clean campaign stays all-OK;
 * the verdict feed closes the loop: received reports drive
@@ -46,44 +46,15 @@ _CONFIG = dict(scale=0.004, seed=11, month_index=3, senders=30,
 
 
 @functools.lru_cache(maxsize=None)
-def _campaign(backend: str, jobs: int = 0, fault_seed=None):
+def _campaign(fault_seed=None):
     config = DeliveryCampaignConfig(fault_seed=fault_seed,
                                     fault_rate=0.35, **_CONFIG)
-    return run_delivery_campaign(config, backend=backend, jobs=jobs)
-
-
-# ---------------------------------------------------------------------------
-# Serial vs threaded differential (clean and fault-seeded)
-# ---------------------------------------------------------------------------
-
-class TestBackendParity:
-    @pytest.mark.parametrize("fault_seed", [None, FAULT_SEED])
-    def test_report_jsonl_byte_identical(self, fault_seed):
-        serial = _campaign("serial", fault_seed=fault_seed)
-        threaded = _campaign("threaded", jobs=3, fault_seed=fault_seed)
-        assert serial.tlsrpt_reports_jsonl == threaded.tlsrpt_reports_jsonl
-        assert serial.stats.comparable() == threaded.stats.comparable()
-
-    @pytest.mark.parametrize("fault_seed", [None, FAULT_SEED])
-    def test_monitor_jsonl_and_health_byte_identical(self, fault_seed):
-        serial = _campaign("serial", fault_seed=fault_seed)
-        threaded = _campaign("threaded", jobs=3, fault_seed=fault_seed)
-        assert (serial.tlsrpt_monitor.to_jsonl()
-                == threaded.tlsrpt_monitor.to_jsonl())
-        assert (serial.tlsrpt_monitor.health().render()
-                == threaded.tlsrpt_monitor.health().render())
-        assert (serial.tlsrpt_aggregator.census()
-                == threaded.tlsrpt_aggregator.census())
-
-    def test_message_ledger_still_byte_identical(self):
-        serial = _campaign("serial", fault_seed=FAULT_SEED)
-        threaded = _campaign("threaded", jobs=3, fault_seed=FAULT_SEED)
-        assert serial.ledger_text == threaded.ledger_text
+    return run_delivery_campaign(config)
 
 
 class TestCampaignReporting:
     def test_reports_flow_end_to_end(self):
-        result = _campaign("serial")
+        result = _campaign()
         stats = result.stats
         assert stats.reports_generated > 0
         assert stats.reports_delivered > 0
@@ -95,8 +66,15 @@ class TestCampaignReporting:
         # recipients (Figure 12): the rest have no rua endpoint.
         assert stats.reports_missing_endpoint > 0
 
+    def test_fault_plan_reaches_report_delivery(self):
+        stats = _campaign(fault_seed=FAULT_SEED).stats
+        assert stats.faults_injected > 0
+        # Report mail rides the fault layer, so some deliveries retry.
+        assert stats.report_attempts > stats.reports_delivered
+        assert stats.reports_received == stats.reports_delivered
+
     def test_reports_are_canonically_ordered_and_parseable(self):
-        result = _campaign("serial")
+        result = _campaign()
         keys = [(r.policy_domain, r.organization_name, r.report_id)
                 for r in result.tlsrpt_reports]
         assert keys == sorted(keys)
@@ -105,13 +83,13 @@ class TestCampaignReporting:
             assert report.policies
 
     def test_clean_campaign_is_all_ok(self):
-        result = _campaign("serial")
+        result = _campaign()
         report = result.tlsrpt_monitor.health()
         assert report.findings
         assert all(f.level == OK for f in report.findings)
 
     def test_census_counts_real_failures(self):
-        census = _campaign("serial").tlsrpt_aggregator.census()
+        census = _campaign().tlsrpt_aggregator.census()
         assert census["malformed"] == 0
         assert census["sessions"] == (census["successful_sessions"]
                                       + census["failed_sessions"])
@@ -185,7 +163,7 @@ class TestTlsRptMonitor:
         assert monitor.health().findings[0].level == ALERT
 
     def test_jsonl_round_trip(self):
-        monitor = _campaign("serial").tlsrpt_monitor
+        monitor = _campaign().tlsrpt_monitor
         rebuilt = TlsRptMonitor.from_jsonl(monitor.to_jsonl())
         assert rebuilt.to_jsonl() == monitor.to_jsonl()
         assert rebuilt.health().render() == monitor.health().render()

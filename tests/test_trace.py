@@ -2,8 +2,8 @@
 
 The load-bearing invariants:
 
-* serial and threaded scans of identical worlds serialise to
-  **byte-identical** JSONL traces;
+* repeated scans of identical worlds serialise to **byte-identical**
+  JSONL traces, even under fault injection;
 * the trace's merged metric counters are exactly the counter-delta
   :class:`~repro.measurement.executor.ScanStats` the executor computes
   around the same scan;
@@ -34,10 +34,9 @@ INT_STATS = (
 )
 
 
-def run_scan(backend, jobs, *, fault_seed=None, fault_rate=0.3,
-             scale=SCALE, seed=SEED):
+def run_scan(*, fault_seed=None, fault_rate=0.3, scale=SCALE, seed=SEED):
     """One traced scan over a **fresh** world (shared caches would
-    otherwise leak state between the serial and threaded runs)."""
+    otherwise leak state between repeated runs)."""
     timeline = EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=scale, seed=seed)))
     month = len(timeline.scan_instants) - 1
@@ -45,7 +44,7 @@ def run_scan(backend, jobs, *, fault_seed=None, fault_rate=0.3,
     if fault_seed is not None:
         materialized.world.network.install_fault_plan(
             FaultPlan.seeded(seed=fault_seed, rate=fault_rate))
-    executor = ScanExecutor(backend=backend, jobs=jobs, trace=True)
+    executor = ScanExecutor(trace=True)
     store, stats = executor.scan(
         materialized.world, materialized.deployed.keys(), month,
         instant=materialized.instant)
@@ -53,45 +52,25 @@ def run_scan(backend, jobs, *, fault_seed=None, fault_rate=0.3,
 
 
 class TestByteIdentity:
-    def test_serial_and_threaded_traces_identical(self):
-        report_serial, _, store_serial = run_scan("serial", 1)
-        report_threaded, _, store_threaded = run_scan("threaded", 7)
-        assert report_serial.to_jsonl() == report_threaded.to_jsonl()
-        assert (store_serial.canonical_bytes()
-                == store_threaded.canonical_bytes())
-
-    def test_identical_under_fault_injection(self):
-        report_serial, stats_serial, _ = run_scan(
-            "serial", 1, fault_seed=7)
-        report_threaded, stats_threaded, _ = run_scan(
-            "threaded", 8, fault_seed=7)
-        assert stats_serial.faults_injected > 0
-        assert stats_serial.transient_domains > 0
-        assert report_serial.to_jsonl() == report_threaded.to_jsonl()
-        for name in INT_STATS:
-            assert (getattr(stats_serial, name)
-                    == getattr(stats_threaded, name)), name
-
     def test_repeated_runs_identical(self):
-        first, _, _ = run_scan("threaded", 5, fault_seed=3)
-        second, _, _ = run_scan("threaded", 5, fault_seed=3)
+        first, first_stats, _ = run_scan(fault_seed=3)
+        second, second_stats, _ = run_scan(fault_seed=3)
+        assert first_stats.faults_injected > 0
+        assert first_stats.transient_domains > 0
         assert first.to_jsonl() == second.to_jsonl()
+        for name in INT_STATS:
+            assert (getattr(first_stats, name)
+                    == getattr(second_stats, name)), name
 
 
 class TestMetricsEqualStats:
     """The trace registry is a *view* over the same scan the legacy
     counter-delta stats measure; the two must agree exactly."""
 
-    @pytest.mark.parametrize("backend,jobs,fault_seed", [
-        ("serial", 1, None),
-        ("threaded", 6, None),
-        ("serial", 1, 11),
-        ("threaded", 6, 11),
-    ])
-    def test_counters_match(self, backend, jobs, fault_seed):
-        report, stats, _ = run_scan(backend, jobs, fault_seed=fault_seed)
-        view = ScanStats.from_metrics(
-            report.metrics, backend=backend, jobs=jobs)
+    @pytest.mark.parametrize("fault_seed", [None, 11])
+    def test_counters_match(self, fault_seed):
+        report, stats, _ = run_scan(fault_seed=fault_seed)
+        view = ScanStats.from_metrics(report.metrics)
         for name in INT_STATS:
             assert getattr(view, name) == getattr(stats, name), name
         # Backoff: the registry keeps integer microseconds, the legacy
@@ -102,7 +81,7 @@ class TestMetricsEqualStats:
 
 class TestJsonlFormat:
     def test_record_layout(self):
-        report, stats, _ = run_scan("serial", 1)
+        report, stats, _ = run_scan()
         lines = report.to_jsonl().splitlines()
         records = [json.loads(line) for line in lines]
         kinds = [record["type"] for record in records]
@@ -121,7 +100,7 @@ class TestJsonlFormat:
         assert metrics["counters"]["scan.domains"] == stats.domains_scanned
 
     def test_span_ids_deterministic(self):
-        report, _, _ = run_scan("serial", 1)
+        report, _, _ = run_scan()
         (month, domain) = sorted(report.domain_spans)[0]
         span = report.domain_spans[(month, domain)]
         import hashlib
@@ -132,7 +111,7 @@ class TestJsonlFormat:
             assert child.span_id.startswith(expected + ".")
 
     def test_write_jsonl_round_trips(self, tmp_path):
-        report, _, _ = run_scan("serial", 1)
+        report, _, _ = run_scan()
         path = tmp_path / "trace.jsonl"
         count = report.write_jsonl(str(path))
         assert count == len(report.to_jsonl().splitlines())
@@ -141,7 +120,7 @@ class TestJsonlFormat:
 
 class TestExplain:
     def test_explain_renders_tree_and_resources(self):
-        report, _, _ = run_scan("serial", 1)
+        report, _, _ = run_scan()
         domain = sorted(key[1] for key in report.domain_spans)[0]
         text = report.explain(domain)
         assert f"scan [{domain}]" in text
@@ -150,12 +129,12 @@ class TestExplain:
             assert stage in text
 
     def test_unknown_domain(self):
-        report, _, _ = run_scan("serial", 1)
+        report, _, _ = run_scan()
         assert "no trace recorded" in report.explain("absent.example")
 
     def test_trace_summary_aggregates(self):
         from repro.analysis.report import render_trace_summary
-        report, stats, _ = run_scan("serial", 1, fault_seed=5)
+        report, stats, _ = run_scan(fault_seed=5)
         text = render_trace_summary(report)
         assert "scan verdicts" in text
         assert "trace counters" in text
@@ -283,6 +262,5 @@ class TestCliValidation:
         args = parser.parse_args(["audit", "--jobs", "0"])
         assert args.jobs == 0
         assert _resolve_jobs(0, "serial") == 1
-        assert _resolve_jobs(0, "threaded") == (os.cpu_count() or 1)
         assert _resolve_jobs(0, "process") == (os.cpu_count() or 1)
         assert _resolve_jobs(3, "process") == 3
