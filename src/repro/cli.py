@@ -62,7 +62,7 @@
   [--prom-out FILE] [--progress]`` — replay a seeded open-internet
   query mix against the MTA-STS policy-checker service: verdicts
   computed through the scanner's single-domain path, cached in a
-  single-flight TTL verdict cache, with per-window hit-rate, p99
+  TTL verdict cache, with per-window hit-rate, p99
   virtual latency, and stampede fan-in metrics plus a service
   health report (exit 1 on any ALERT; two same-seed runs emit
   byte-identical metrics feeds);
@@ -646,7 +646,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _job_count(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -654,8 +654,7 @@ def _job_count(text: str) -> int:
             f"expected an integer, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer (0 = auto-detect), "
-            f"got {value}")
+            f"expected a non-negative integer, got {value}")
     return value
 
 
@@ -753,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--scale", type=_positive_number, default=0.01)
     audit.add_argument("--seed", type=int, default=20240929)
     audit.add_argument("--month", type=int, default=None)
-    audit.add_argument("--show-repairs", type=int, default=0,
+    audit.add_argument("--show-repairs", type=_non_negative_int, default=0,
                        metavar="N",
                        help="print repair plans for N misconfigured "
                             "domains")
@@ -763,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "identical snapshots; 'process' runs "
                             "shard workers in separate processes, each "
                             "materialising only its population slice)")
-    audit.add_argument("--jobs", type=_job_count, default=1,
+    audit.add_argument("--jobs", type=_non_negative_int, default=1,
                        metavar="N",
                        help="workers for the process backend "
                             "(0 = one per CPU core)")

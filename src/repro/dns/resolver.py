@@ -11,7 +11,6 @@ set of DNS outcomes the paper's Figure 5 "DNS" bar aggregates.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -71,15 +70,6 @@ class Resolver:
         self._cache: Dict[Tuple[DnsName, RRType], _CacheEntry] = {}
         self._cache_enabled = cache_enabled
         self._negative_ttl = negative_ttl
-        # Single-flight machinery: one lock guards the cache and the
-        # in-flight table, so a cacheable (name, rrtype) is live-queried
-        # by exactly one thread while concurrent lookups wait and then
-        # serve the stored answer as a cache hit.  This makes the
-        # query/hit counters — and the set of live queries the trace
-        # records — independent of how concurrent callers interleave.
-        self._flight_lock = threading.Lock()
-        self._inflight: Dict[Tuple[DnsName, RRType],
-                             threading.Event | None] = {}
         self.query_count = 0
         self.cache_hits = 0
         self.negative_cache_hits = 0
@@ -87,7 +77,6 @@ class Resolver:
         #: query that ends up *cached* — i.e. work a sibling worker may
         #: duplicate — is recorded with its network cost so the parent
         #: can merge per-worker counters back to serial-exact totals.
-        #: Single-threaded use only.
         self.journal = None
 
     # -- delegation registry -------------------------------------------
@@ -192,57 +181,22 @@ class Resolver:
         key = (name, rrtype)
         tracer = trace.current_tracer() if trace.TRACING else None
         metrics = tracer.metrics if tracer is not None else None
-        if not self._cache_enabled:
-            with self._flight_lock:
-                self.query_count += 1
-            if metrics is not None:
-                metrics.count("dns.queries")
-            return self._query_live(name, rrtype, key)
-
-        # Traced or not, lookups go through single-flight: the
-        # monitor's registry and ``ScanStats`` are built from these
-        # counters, so they must not depend on thread interleaving.
-        while True:
-            now = self._clock.now()
-            with self._flight_lock:
-                entry = self._cache.get(key)
-                if entry is not None and entry.expires > now:
-                    self.cache_hits += 1
+        if self._cache_enabled:
+            entry = self._cache.get(key)
+            if entry is not None and entry.expires > self._clock.now():
+                self.cache_hits += 1
+                if metrics is not None:
+                    metrics.count("dns.cache_hits")
+                if entry.negative is not None:
+                    self.negative_cache_hits += 1
                     if metrics is not None:
-                        metrics.count("dns.cache_hits")
-                    if entry.negative is not None:
-                        self.negative_cache_hits += 1
-                        if metrics is not None:
-                            metrics.count("dns.negative_cache_hits")
-                        raise entry.negative(
-                            f"{name}/{rrtype.value} (cached)")
-                    return self._entry_answer(entry, rrtype)
-                if key not in self._inflight:
-                    # This thread owns the live query.  The Event is
-                    # only made when a second lookup has to wait for
-                    # it, which keeps an uncontended miss cheap.
-                    self._inflight[key] = None
-                    self.query_count += 1
-                    break
-                flight = self._inflight[key]
-                if flight is None:
-                    flight = self._inflight[key] = threading.Event()
-            # Another thread is resolving this key: wait, then re-check
-            # the cache.  A non-cacheable failure (timeout, SERVFAIL)
-            # leaves the cache empty, in which case the waiter becomes
-            # the next owner — the same per-lookup live query a serial
-            # scan would perform.
-            flight.wait()
-
-        try:
-            if metrics is not None:
-                metrics.count("dns.queries")
-            return self._query_live(name, rrtype, key)
-        finally:
-            with self._flight_lock:
-                flight = self._inflight.pop(key)
-            if flight is not None:
-                flight.set()
+                        metrics.count("dns.negative_cache_hits")
+                    raise entry.negative(f"{name}/{rrtype.value} (cached)")
+                return self._entry_answer(entry, rrtype)
+        self.query_count += 1
+        if metrics is not None:
+            metrics.count("dns.queries")
+        return self._query_live(name, rrtype, key)
 
     @staticmethod
     def _entry_answer(entry: _CacheEntry, rrtype: RRType
@@ -322,22 +276,18 @@ class Resolver:
         if not self._cache_enabled:
             return
         ttl = min(r.ttl for r in records)
-        entry = _CacheEntry(self._clock.now() + Duration(ttl), list(records))
-        with self._flight_lock:
-            self._cache[key] = entry
+        self._cache[key] = _CacheEntry(
+            self._clock.now() + Duration(ttl), list(records))
 
     def _store_negative(self, key, error_type: type) -> None:
         if not self._cache_enabled:
             return
-        entry = _CacheEntry(
+        self._cache[key] = _CacheEntry(
             self._clock.now() + Duration(self._negative_ttl), None,
             error_type)
-        with self._flight_lock:
-            self._cache[key] = entry
 
     def flush_cache(self) -> None:
-        with self._flight_lock:
-            self._cache.clear()
+        self._cache.clear()
 
     # -- instrumentation --------------------------------------------------
 

@@ -32,8 +32,10 @@ Both backends produce byte-identical
 determinism tests assert this through ``canonical_bytes()``): a
 domain's snapshot is a pure function of the world and the scan
 instant, the per-snapshot memo caches (SMTP probe results keyed by MX
-hostname, PKIX verdicts keyed by certificate fingerprint) are
-compute-once under a lock, and the merge order is fixed.
+hostname, PKIX verdicts keyed by certificate fingerprint) compute each
+entry once, and the merge order is fixed.  Neither backend starts a
+thread: the process parent drains worker heartbeats between waits on
+the shard futures, so progress callbacks run on the caller's thread.
 
 Every scan also yields a :class:`ScanStats` — the per-stage counter
 and timing block (DNS queries and cache hits, policy fetches, SMTP
@@ -45,9 +47,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from queue import Empty
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -241,7 +242,7 @@ class ShardScanJournal:
       counting them in both would double-subtract.
 
     The journal is attached to a worker's resolver and probe by the
-    process backend only, and is written from exactly one thread.
+    process backend only.
     """
 
     def __init__(self, world: World):
@@ -507,31 +508,34 @@ class ScanExecutor:
         } for index in range(shard_count)]
 
         context = multiprocessing.get_context("spawn")
-        manager = queue = drain = stop = None
+        manager = queue = None
         if tracker is not None:
             # A plain mp.Queue cannot ride through ProcessPoolExecutor
             # initargs; a Manager proxy queue can.
             manager = context.Manager()
             queue = manager.Queue()
-            stop = threading.Event()
-            drain = threading.Thread(target=_drain_progress,
-                                     args=(queue, tracker, stop),
-                                     daemon=True)
-            drain.start()
         started = time.perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=shard_count,
                                      mp_context=context,
                                      initializer=_worker_init,
                                      initargs=(queue,)) as pool:
-                results = list(pool.map(_process_scan_worker, payloads))
+                futures = [pool.submit(_process_scan_worker, payload)
+                           for payload in payloads]
+                if tracker is not None:
+                    # A worker's ``put`` is a synchronous round trip to
+                    # the manager, so the drain after the last future
+                    # completes sees every batch.
+                    pending = futures
+                    while pending:
+                        pending = wait(pending, timeout=0.1).not_done
+                        _drain_progress(queue, tracker)
+                results = [future.result() for future in futures]
         finally:
-            if tracker is not None:
-                stop.set()
-                drain.join()
-                tracker.finish()
             if manager is not None:
                 manager.shutdown()
+            if tracker is not None:
+                tracker.finish()
         elapsed = time.perf_counter() - started
 
         store = SnapshotStore()
@@ -750,7 +754,7 @@ class ScanExecutor:
 # The process backend's worker side.  Everything here is module-level so
 # the ``spawn`` start method can pickle it by reference; the payload and
 # result are plain dicts of picklable data (plus the worker's Tracer /
-# StageProfiler, which are lock-free plain-data objects by design).
+# StageProfiler, which are plain-data objects by design).
 # ---------------------------------------------------------------------------
 
 #: Set by :func:`_worker_init` in each worker process; ``None`` when the
@@ -769,21 +773,13 @@ def _worker_init(progress_queue: Any) -> None:
     _PROGRESS_QUEUE = progress_queue
 
 
-def _drain_progress(queue: Any, tracker: ProgressTracker,
-                    stop: threading.Event) -> None:
-    """Parent-side thread: feed worker heartbeats into the tracker.
-
-    Runs until *stop* is set **and** the queue is drained, so batches
-    enqueued just before worker exit still land in the final counts.
-    """
+def _drain_progress(queue: Any, tracker: ProgressTracker) -> None:
+    """Feed every queued worker heartbeat into the tracker, without
+    blocking."""
     while True:
         try:
-            kind, value = queue.get(timeout=0.1)
+            kind, value = queue.get_nowait()
         except Empty:
-            if stop.is_set():
-                return
-            continue
-        except (EOFError, OSError):  # manager torn down under us
             return
         if kind == "domains":
             tracker.advance(value)

@@ -45,8 +45,8 @@ class Scanner:
         self._fetcher = PolicyFetcher(world.resolver, world.https_client)
         self._probe: SmtpProbe = world.smtp_probe
         #: When set, every scanned domain records a span tree on this
-        #: tracer (bound thread-locally for the duration of the scan so
-        #: the resolver / HTTPS / SMTP clients report into it).
+        #: tracer (bound as the active tracer for the duration of the
+        #: scan so the resolver / HTTPS / SMTP clients report into it).
         self._tracer = tracer
         #: When set, every stage records its *wall-clock* seconds here
         #: (never mixed into the deterministic trace metrics).

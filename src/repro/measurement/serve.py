@@ -27,12 +27,12 @@ Architecture
   (clamped into ``[min_ttl_seconds, ttl_seconds]``); domains without a
   usable ``max_age`` cache for the configured default.
 
-* **Single-flight deduplication** extends the PR 3 resolver pattern
-  (flight lock + per-key :class:`threading.Event`): a flash crowd on
-  one domain computes the verdict once, every other request waits and
-  is served the cached result.  A failed computation stores nothing,
-  so the next waiter becomes the owner — exactly the resolver's
-  semantics.
+* **Per-tick request grouping** — the coordinator groups each tick's
+  batch by canonical key before it touches the cache, so a flash
+  crowd on one domain computes the verdict once and every other
+  request in the crowd is served the stored result (counted as
+  *collapsed*).  A failed computation stores nothing, so the next
+  request for the key computes afresh.
 
 * **Seeded query mix** — an open-internet workload over the full
   domain universe (adopted or not: real checkers get asked about
@@ -62,7 +62,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import threading
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
@@ -164,70 +163,47 @@ def verdict_ttl(snapshot: DomainSnapshot, *, ttl_seconds: int,
 
 
 # ---------------------------------------------------------------------------
-# The single-flight verdict cache
+# The verdict cache
 # ---------------------------------------------------------------------------
 
 class VerdictCache:
-    """A TTL verdict cache with single-flight deduplication.
+    """A TTL verdict cache keyed by canonical host.
 
     Wraps :class:`~repro.core.cache.TtlCache` (the policy cache's
-    expiry/eviction semantics) with the resolver's flight protocol:
-    one lock guards cache reads and the in-flight table; the first
-    requester of a missing key becomes the owner and computes, every
-    concurrent requester waits on the owner's event and re-checks the
-    cache.  A computation that raises stores nothing — the next waiter
-    becomes the new owner rather than caching a failure.
+    expiry/eviction semantics) with a compute-on-miss path.  A
+    computation that raises stores nothing, so a failure is never
+    cached and the next request for the key computes afresh.
     """
 
     def __init__(self, clock):
         self._cache: TtlCache[str] = TtlCache(clock)
-        self._flight_lock = threading.Lock()
-        self._inflight: Dict[str, threading.Event] = {}
-        #: Verdict computations performed (single-flight owners).
+        #: Verdict computations performed.
         self.computed_count = 0
 
     def get_or_compute(self, domain: str,
                        compute: Callable[[str], Tuple[str, int]]) -> str:
-        """The fresh verdict for *domain*, computing it at most once
-        per expiry across every concurrent requester.  *compute*
-        receives the canonical key and returns ``(payload, ttl)``."""
+        """The fresh verdict for *domain*, computing and storing it on
+        a miss.  *compute* receives the canonical key and returns
+        ``(payload, ttl)``."""
         key = canonical_host(domain)
-        while True:
-            with self._flight_lock:
-                value = self._cache.get(key)
-                if value is not None:
-                    return value
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = threading.Event()
-                    self._inflight[key] = flight
-                    break           # this caller owns the computation
-            flight.wait()
-
-        try:
-            payload, ttl = compute(key)
-            with self._flight_lock:
-                self._cache.store(key, payload, ttl)
-                self.computed_count += 1
-            return payload
-        finally:
-            with self._flight_lock:
-                self._inflight.pop(key, None)
-            flight.set()
+        value = self._cache.get(key)
+        if value is not None:
+            return value
+        payload, ttl = compute(key)
+        self._cache.store(key, payload, ttl)
+        self.computed_count += 1
+        return payload
 
     def fresh(self, domain: str) -> bool:
         """Non-counting freshness probe (evicts stale entries)."""
-        with self._flight_lock:
-            return self._cache.fresh(canonical_host(domain))
+        return self._cache.fresh(canonical_host(domain))
 
     def lookup(self, domain: str) -> Optional[str]:
         """A counted cache read without the compute path."""
-        with self._flight_lock:
-            return self._cache.get(canonical_host(domain))
+        return self._cache.get(canonical_host(domain))
 
     def evict(self, domain: str) -> None:
-        with self._flight_lock:
-            self._cache.evict(canonical_host(domain))
+        self._cache.evict(canonical_host(domain))
 
     @property
     def hit_count(self) -> int:
@@ -256,7 +232,7 @@ class QueryMixGenerator:
     sorted universe; request *i* samples rank ``r`` with probability
     proportional to ``1/(r+1)**zipf_s``.  Every ``flash_every``-th
     tick additionally slams one seeded domain with ``flash_size``
-    back-to-back requests — the stampede the single-flight cache must
+    back-to-back requests — the stampede the per-tick grouping must
     collapse.  One generator instance feeds one replay: the sequence
     is a pure function of (seed, universe, tick schedule), identical
     across runs.
@@ -491,7 +467,7 @@ def _split(total: int, parts: int) -> List[int]:
 
 
 class _WindowAccumulator:
-    """Builds one metrics window record (single-threaded)."""
+    """Builds one metrics window record."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()

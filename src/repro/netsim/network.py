@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -144,7 +143,6 @@ class FaultPlan:
         self._by_endpoint: Dict[Tuple[str, int], Tuple[FaultSpec, ...]] = {}
         self._by_description: Dict[str, Tuple[FaultSpec, ...]] = {}
         self._seeded_cache: Dict[str, Tuple[FaultSpec, ...]] = {}
-        self._lock = threading.Lock()
         self.injections = 0
         self.injected_by_kind: Dict[str, int] = {}
 
@@ -192,8 +190,7 @@ class FaultPlan:
                                    after_bytes=rng.randint(0, 1400)),)
             else:
                 specs = (FaultSpec(kind, count=rng.randint(1, 4)),)
-        with self._lock:
-            self._seeded_cache[description] = specs
+        self._seeded_cache[description] = specs
         return specs
 
     def specs_for(self, ip_text: str, port: int,
@@ -235,10 +232,9 @@ class FaultPlan:
                 f"{spec.kind.value}, attempt {attempt})"))
 
     def _count(self, kind: FaultKind, attempt: int = 0) -> None:
-        with self._lock:
-            self.injections += 1
-            self.injected_by_kind[kind.value] = (
-                self.injected_by_kind.get(kind.value, 0) + 1)
+        self.injections += 1
+        self.injected_by_kind[kind.value] = (
+            self.injected_by_kind.get(kind.value, 0) + 1)
         tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is not None:
             tracer.metrics.count("net.faults_injected")
@@ -264,7 +260,6 @@ class Network:
         #: the merged totals.  It also matches the unit the trace
         #: registry counts (``net.backoff_micros``) exactly.
         self.backoff_micros = 0
-        self._counter_lock = threading.Lock()
 
     # -- server side --------------------------------------------------
 
@@ -314,8 +309,7 @@ class Network:
     def record_backoff(self, seconds: float) -> None:
         """Charge virtual retry-backoff time (ScanStats accounting)."""
         delay_micros = trace.micros(seconds)
-        with self._counter_lock:
-            self.backoff_micros += delay_micros
+        self.backoff_micros += delay_micros
         tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is not None:
             tracer.metrics.count("net.backoff_micros", delay_micros)
@@ -344,10 +338,9 @@ class Network:
         ConnectionReset
             An injected mid-exchange reset fired.
         """
-        with self._counter_lock:
-            self.connect_count += 1
-            if attempt:
-                self.retried_connects += 1
+        self.connect_count += 1
+        if attempt:
+            self.retried_connects += 1
         tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is not None:
             tracer.metrics.count("net.connects")

@@ -92,7 +92,7 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
     # byte-identical regardless of attribution.  This is the pipeline's
     # hottest trace site, so the untraced path pays only the
     # ``trace.TRACING`` read plus ``span is None`` checks — no extra
-    # function call, thread-local lookup, or generator frame.
+    # function call or generator frame.
     tracer = trace.current_tracer() if trace.TRACING else None
     span = (tracer.begin_resource(f"net:{key}", "connect", key)
             if tracer is not None else None)

@@ -419,7 +419,7 @@ def build_month_registry(stats: "ScanStats",
     buckets count 0), and (when given) the materialiser's world-build
     churn.  Virtual backoff is recorded in whole milliseconds: the
     underlying float sum is order-sensitive in its last bits across
-    thread interleavings, integer milliseconds are not.
+    shard merge orders, integer milliseconds are not.
     """
     registry = MetricsRegistry()
     for attribute, key in _STAT_COUNTERS:
@@ -648,7 +648,7 @@ class DeliveryMonitor(FeedMonitor):
 #: The hit-rate floor is cumulative (early windows are all cold misses —
 #: a per-window floor would false-alarm before the cache warms); latency
 #: and fan-in are per window, since a p99 regression in one window is
-#: actionable on its own.  The single-flight cache makes even a flash
+#: actionable on its own.  Per-tick request grouping makes even a flash
 #: crowd one computation, so the fan-in bound watches *workload*
 #: spikes, not wasted work.
 SERVE_RULES = (
@@ -669,7 +669,7 @@ SERVE_RULES = (
          Signal(("serve.stampede_fanin_peak",)), UP,
          (Bound(WARN, "fanin_warn", 50_000, COUNT,
                 help="WARN when one computation absorbs more than N "
-                     "concurrent requests"),),
+                     "same-tick requests for one domain"),),
          "{value} concurrent requests collapsed onto one computation "
          "(bound {bound})"),
 )

@@ -4,9 +4,9 @@
 callback; while a scan runs it receives :class:`ProgressEvent`
 heartbeats (domains done, shards completed, throughput, wall-clock
 ETA) plus one final event.  The executor funnels every backend through
-:class:`ProgressTracker`, which is thread-safe — the process
-backend's drain thread reports worker batches while the parent waits
-— and rate-limits emission to one event per *heartbeat_every*
+:class:`ProgressTracker` on the calling thread — the process backend
+drains worker batches between waits on its shard futures — and the
+tracker rate-limits emission to one event per *heartbeat_every*
 completed domains, so an attached callback costs nothing measurable.
 
 :class:`ProgressPrinter` is the CLI consumer: a single overwriting
@@ -16,7 +16,6 @@ status line on a TTY, one line per heartbeat otherwise.
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
@@ -63,13 +62,13 @@ class ProgressEvent:
 
 
 class ProgressTracker:
-    """Thread-safe heartbeat aggregator for one scan.
+    """Heartbeat aggregator for one scan.
 
-    Workers call :meth:`domain_done` / :meth:`shard_done`; the tracker
-    emits to the callback at shard boundaries, every
-    ``heartbeat_every`` domains, and once from :meth:`finish` with
-    ``final=True``.  Events are emitted under the lock, so the callback
-    observes monotonically non-decreasing counters.
+    The executor calls :meth:`domain_done` / :meth:`advance` /
+    :meth:`shard_done`; the tracker emits to the callback at shard
+    boundaries, every ``heartbeat_every`` domains, and once from
+    :meth:`finish` with ``final=True``.  Counters only grow, so the
+    callback observes monotonically non-decreasing counters.
     """
 
     def __init__(self, callback: Callable[[ProgressEvent], None], *,
@@ -85,7 +84,6 @@ class ProgressTracker:
         if heartbeat_every <= 0:
             heartbeat_every = max(1, domains_total // 20)
         self._heartbeat_every = heartbeat_every
-        self._lock = threading.Lock()
         self._domains_done = 0
         self._shards_done = 0
         self._started = time.perf_counter()
@@ -101,10 +99,9 @@ class ProgressTracker:
             virtual_epoch=self._virtual_epoch, final=final))
 
     def domain_done(self, domain: str) -> None:
-        with self._lock:
-            self._domains_done += 1
-            if self._domains_done % self._heartbeat_every == 0:
-                self._emit()
+        self._domains_done += 1
+        if self._domains_done % self._heartbeat_every == 0:
+            self._emit()
 
     def advance(self, count: int) -> None:
         """Credit *count* completed domains in one step.
@@ -117,21 +114,18 @@ class ProgressTracker:
         """
         if count <= 0:
             return
-        with self._lock:
-            before = self._domains_done
-            self._domains_done += count
-            if (before // self._heartbeat_every
-                    != self._domains_done // self._heartbeat_every):
-                self._emit()
-
-    def shard_done(self) -> None:
-        with self._lock:
-            self._shards_done += 1
+        before = self._domains_done
+        self._domains_done += count
+        if (before // self._heartbeat_every
+                != self._domains_done // self._heartbeat_every):
             self._emit()
 
+    def shard_done(self) -> None:
+        self._shards_done += 1
+        self._emit()
+
     def finish(self) -> None:
-        with self._lock:
-            self._emit(final=True)
+        self._emit(final=True)
 
 
 class ProgressPrinter:

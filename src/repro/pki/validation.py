@@ -10,7 +10,6 @@ missing/untrusted certificates.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -117,7 +116,6 @@ class _ChainValidationCache:
     def __init__(self):
         self._stores: "weakref.WeakKeyDictionary[TrustStore, Dict[Tuple, ValidationResult]]" = (
             weakref.WeakKeyDictionary())
-        self._lock = threading.Lock()
         self.validations = 0
         self.cache_hits = 0
 
@@ -131,23 +129,22 @@ class _ChainValidationCache:
         # so it is part of the key explicitly.
         key = (cert.cert_fingerprint(), cert.revoked, host,
                getattr(trust_store, "generation", 0), now.epoch_seconds)
-        with self._lock:
-            entries = self._stores.get(trust_store)
-            if entries is None:
-                entries = {}
-                self._stores[trust_store] = entries
-            cached = entries.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                if trace.TRACING:
-                    trace.count("pkix.cache_hits")
-                return cached
-            self.validations += 1
+        entries = self._stores.get(trust_store)
+        if entries is None:
+            entries = {}
+            self._stores[trust_store] = entries
+        cached = entries.get(key)
+        if cached is not None:
+            self.cache_hits += 1
             if trace.TRACING:
-                trace.count("pkix.validations")
-            result = validate_chain(cert, host, trust_store, now)
-            entries[key] = result
-            return result
+                trace.count("pkix.cache_hits")
+            return cached
+        self.validations += 1
+        if trace.TRACING:
+            trace.count("pkix.validations")
+        result = validate_chain(cert, host, trust_store, now)
+        entries[key] = result
+        return result
 
     def stats(self) -> Dict[str, int | float]:
         lookups = self.validations + self.cache_hits
@@ -169,13 +166,11 @@ class _ChainValidationCache:
         validations the scan performed) and counts the cross-worker
         union to recover the serial validation total.
         """
-        with self._lock:
-            return sorted(key for entries in self._stores.values()
-                          for key in entries)
+        return sorted(key for entries in self._stores.values()
+                      for key in entries)
 
     def flush(self) -> None:
-        with self._lock:
-            self._stores = weakref.WeakKeyDictionary()
+        self._stores = weakref.WeakKeyDictionary()
 
     def reset_stats(self) -> None:
         self.validations = 0

@@ -16,7 +16,6 @@ offline PKIX verdict so the measurement layer can build Figures 6/7.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -114,15 +113,13 @@ class SmtpProbe:
         #: snapshot scan and flush it between snapshots.
         self.cache_enabled = cache_enabled
         self._cache: Dict[str, ProbeResult] = {}
-        self._cache_lock = threading.Lock()
         self.probes_performed = 0
         self.cache_hits = 0
         #: Optional shard-scan journal (process backend): each *settled*
         #: probe execution — the memoizable work a sibling worker may
         #: duplicate — is recorded with its network/DNS/PKIX cost so the
         #: parent can merge per-worker counters back to serial-exact
-        #: totals.  Only consulted on the memoized path; single-threaded
-        #: use only.
+        #: totals.  Only consulted on the memoized path.
         self.journal = None
 
     def probe_host(self, mx_hostname: str | DnsName) -> ProbeResult:
@@ -130,9 +127,8 @@ class SmtpProbe:
 
         With :attr:`cache_enabled` set, a hostname is probed at most
         once between :meth:`flush_cache` calls; repeat calls return the
-        memoized :class:`ProbeResult`.  The lock keeps the memoization
-        compute-once for concurrent callers, so every caller observes
-        an identical per-host probe sequence.
+        memoized :class:`ProbeResult`, so every domain pointing at the
+        host observes the same per-host probe outcome.
         """
         name_text = canonical_host(mx_hostname)
         tracer = trace.current_tracer() if trace.TRACING else None
@@ -144,36 +140,34 @@ class SmtpProbe:
             with tracer.resource(f"probe:{name_text}", "smtp-probe",
                                  name_text):
                 return self._probe_uncached(name_text)
-        with self._cache_lock:
-            cached = self._cache.get(name_text)
-            if cached is not None:
-                self.cache_hits += 1
-                if tracer is not None:
-                    tracer.metrics.count("smtp.cache_hits")
-                return cached
-            self.probes_performed += 1
-            journal = self.journal
-            token = journal.probe_started() if journal is not None else None
-            if tracer is None:
+        cached = self._cache.get(name_text)
+        if cached is not None:
+            self.cache_hits += 1
+            if tracer is not None:
+                tracer.metrics.count("smtp.cache_hits")
+            return cached
+        self.probes_performed += 1
+        journal = self.journal
+        token = journal.probe_started() if journal is not None else None
+        if tracer is None:
+            result = self._probe_uncached(name_text)
+        else:
+            tracer.metrics.count("smtp.probes")
+            with tracer.resource(f"probe:{name_text}", "smtp-probe",
+                                 name_text):
                 result = self._probe_uncached(name_text)
-            else:
-                tracer.metrics.count("smtp.probes")
-                with tracer.resource(f"probe:{name_text}", "smtp-probe",
-                                     name_text):
-                    result = self._probe_uncached(name_text)
-            if journal is not None:
-                journal.probe_finished(name_text, result.transient, token)
-            # A retry-exhausted transient verdict says nothing durable
-            # about the host — memoizing it would serve a stale failure
-            # after the endpoint recovers, so only settled outcomes
-            # (success or deterministic hard failure) are cached.
-            if not result.transient:
-                self._cache[name_text] = result
-            return result
+        if journal is not None:
+            journal.probe_finished(name_text, result.transient, token)
+        # A retry-exhausted transient verdict says nothing durable
+        # about the host — memoizing it would serve a stale failure
+        # after the endpoint recovers, so only settled outcomes
+        # (success or deterministic hard failure) are cached.
+        if not result.transient:
+            self._cache[name_text] = result
+        return result
 
     def flush_cache(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
+        self._cache.clear()
 
     def cache_stats(self) -> Dict[str, int | float]:
         lookups = self.probes_performed + self.cache_hits

@@ -13,9 +13,10 @@ retry backoff was charged.  This module provides the substrate:
   histograms; :class:`~repro.measurement.executor.ScanStats` is a view
   over the merged registry when tracing is enabled;
 * :class:`Tracer` — the per-shard recorder.  Each scan shard owns one
-  tracer and binds it thread-locally while scanning, so the clients
-  (resolver, HTTPS client, SMTP probe, retry layer) report into the
-  right shard without threading a handle through every call;
+  tracer and binds it as the process's active tracer while scanning,
+  so the clients (resolver, HTTPS client, SMTP probe, retry layer)
+  report into the right shard without passing a handle through every
+  call;
 * :class:`TraceReport` — the canonical merge of all shard tracers.
 
 Determinism rules (the byte-identity invariant)
@@ -48,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -209,9 +209,9 @@ class Histogram:
 class MetricsRegistry:
     """Counters and virtual-time histograms for one tracer.
 
-    Lock-free by design: a registry is only ever written by the shard
-    thread that owns it; cross-shard totals come from :meth:`merge`,
-    which is integer addition and therefore order-independent.
+    A registry is only ever written by the shard that owns it;
+    cross-shard totals come from :meth:`merge`, which is integer
+    addition and therefore order-independent.
     """
 
     def __init__(self) -> None:
@@ -260,15 +260,14 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# The per-shard tracer and its thread-local binding
+# The per-shard tracer and the active-tracer binding
 # ---------------------------------------------------------------------------
 
 class Tracer:
     """Records span trees and metrics for one scan shard.
 
-    One tracer is owned by exactly one scanner and used from exactly
-    one thread at a time (the executor gives every shard its own), so
-    recording needs no locks.  Domain trees are keyed by
+    One tracer is owned by exactly one scanner (the executor gives
+    every shard its own).  Domain trees are keyed by
     ``(month, domain)`` and resource spans by their operation key; the
     merge sorts both, so the merged span trees do not depend on how
     the domains were sharded.
@@ -342,41 +341,33 @@ class Tracer:
         self.resource_spans.setdefault(key, span)
 
 
-_ACTIVE = threading.local()
-# Process-wide count of live ``bind`` contexts, mirrored into the
-# public ``TRACING`` flag.  When no tracer is bound anywhere — the
-# normal untraced case — hot pipeline sites skip their instrumentation
-# behind a plain ``trace.TRACING`` attribute read, without paying a
-# function call or a thread-local lookup per operation.  Always read it
-# as ``trace.TRACING`` (never ``from repro.trace import TRACING``,
-# which would freeze the value at import time).
-_BIND_DEPTH = 0
-_BIND_LOCK = threading.Lock()
+# The process's active tracer; ``TRACING`` mirrors ``_active is not
+# None``.  When no tracer is bound — the normal untraced case — hot
+# pipeline sites skip their instrumentation behind a plain
+# ``trace.TRACING`` attribute read, without paying a function call per
+# operation.  Always read it as ``trace.TRACING`` (never ``from
+# repro.trace import TRACING``, which would freeze the value at import
+# time).
+_active: Optional[Tracer] = None
 TRACING = False
 
 
 def current_tracer() -> Optional[Tracer]:
-    if not TRACING:
-        return None
-    return getattr(_ACTIVE, "tracer", None)
+    return _active
 
 
 @contextmanager
 def bind(tracer: Optional[Tracer]) -> Iterator[None]:
-    """Bind *tracer* as the calling thread's active tracer."""
-    global _BIND_DEPTH, TRACING
-    previous = getattr(_ACTIVE, "tracer", None)
-    _ACTIVE.tracer = tracer
-    with _BIND_LOCK:
-        _BIND_DEPTH += 1
-        TRACING = True
+    """Make *tracer* the active tracer until the context exits."""
+    global _active, TRACING
+    previous = _active
+    _active = tracer
+    TRACING = tracer is not None
     try:
         yield
     finally:
-        _ACTIVE.tracer = previous
-        with _BIND_LOCK:
-            _BIND_DEPTH -= 1
-            TRACING = _BIND_DEPTH > 0
+        _active = previous
+        TRACING = previous is not None
 
 
 # -- module-level helpers used by the pipeline clients ---------------------

@@ -1,6 +1,7 @@
 """Numeric CLI arguments fail fast: a non-finite or non-positive
-``--scale``, a non-finite ``--zipf-s`` and a scan month outside the
-timeline exit 2 with a one-line error, before any work is done."""
+``--scale``, a non-finite ``--zipf-s``, a negative ``--show-repairs``
+and a scan month outside the timeline exit 2 with a one-line error,
+before any work is done."""
 
 import pytest
 
@@ -56,3 +57,14 @@ def test_audit_out_of_range_month_saves_nothing(tmp_path, capsys):
     assert main(["audit", "--scale", "0.001", "--month", "-1",
                  "--save", str(store)]) == 2
     assert not store.exists() or not any(store.iterdir())
+
+
+def test_negative_show_repairs_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "--scale", "0.001", "--show-repairs", "-1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert ("--show-repairs: expected a non-negative integer, got -1"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -185,94 +185,3 @@ class TestResolverCache:
         with pytest.raises(DnsTimeout):
             resolver.resolve("dead.org", RRType.A)
 
-
-class TestSingleFlight:
-    def test_concurrent_lookups_query_once(self, setup):
-        # The cache is compute-once: N threads racing on a cold name
-        # must produce exactly one live query, with every other lookup
-        # served as a cache hit — the invariant that makes the
-        # query/hit counters identical across scan backends.
-        import threading
-
-        _, _, _, _, resolver = setup
-        barrier = threading.Barrier(8)
-        results, errors = [], []
-
-        def lookup():
-            barrier.wait()
-            try:
-                results.append(
-                    resolver.resolve(n("example.com"), RRType.A))
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=lookup) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(results) == 8
-        assert resolver.query_count == 1
-        assert resolver.cache_hits == 7
-
-    def test_overlapping_untraced_lookups_query_once(self, setup):
-        # The same invariant with the overlap forced: the live query
-        # is held open until every thread has started its lookup.  It
-        # holds untraced too — the campaign monitor's registry is built
-        # from these counters, so a duplicate live query would make a
-        # threaded campaign drift from serial (dns.queries +1,
-        # dns.cache_hits -1).
-        import threading
-
-        _, _, _, _, resolver = setup
-        lookups = 4
-        started, all_started = [], threading.Event()
-        query_one, resolve_live = resolver._query_one, resolver._resolve_live
-
-        def counting_query_one(name, rrtype):
-            started.append(name)
-            if len(started) == lookups:
-                all_started.set()
-            return query_one(name, rrtype)
-
-        def held_resolve_live(*args):
-            assert all_started.wait(timeout=10)
-            return resolve_live(*args)
-
-        resolver._query_one = counting_query_one
-        resolver._resolve_live = held_resolve_live
-        results = []
-        threads = [threading.Thread(target=lambda: results.append(
-            resolver.resolve(n("example.com"), RRType.A)))
-            for _ in range(lookups)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert len(results) == lookups
-        assert resolver.query_count == 1
-        assert resolver.cache_hits == lookups - 1
-
-    def test_noncacheable_failure_releases_waiters(self, setup):
-        # A timeout leaves the cache empty; a waiter must become the
-        # next owner instead of deadlocking or serving a stale miss.
-        import threading
-
-        network, clock, _, _, _ = setup
-        resolver = Resolver(network, clock)  # no delegation → timeout
-        outcomes = []
-
-        def lookup():
-            try:
-                resolver.resolve(n("nowhere.test"), RRType.A)
-            except DnsTimeout:
-                outcomes.append("timeout")
-
-        threads = [threading.Thread(target=lookup) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert outcomes == ["timeout"] * 4
-        assert not resolver._inflight

@@ -9,6 +9,7 @@ shard-scoped world materialisation keeps exactly the shard's domains.
 """
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,27 @@ class TestProcessProgress:
         assert final.backend == "process"
         done = [e.domains_done for e in events]
         assert done == sorted(done)
+
+    @pytest.mark.parametrize("backend,jobs", [("serial", 1),
+                                              ("process", 2)])
+    def test_callback_errors_propagate(self, backend, jobs):
+        # The callback raises on its first heartbeat.  Both backends
+        # run it on the calling thread, so the error reaches the caller
+        # instead of dying on a helper thread and leaving a truncated
+        # "final" heartbeat behind.
+        calls = []
+
+        def callback(event):
+            calls.append(threading.get_ident())
+            if len(calls) == 1:
+                raise RuntimeError("progress sink failed")
+
+        executor = ScanExecutor(backend=backend, jobs=jobs,
+                                progress=callback, heartbeat_every=5)
+        with pytest.raises(RuntimeError, match="progress sink failed"):
+            executor.scan_population(
+                PopulationConfig(scale=SCALE, seed=SEED), MONTH)
+        assert set(calls) == {threading.get_ident()}
 
     def test_tracker_advance_batches(self):
         events = []

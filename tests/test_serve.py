@@ -1,8 +1,7 @@
-"""The policy-checker service: TTL verdict cache, single-flight
-deduplication, the seeded query mix, and the deterministic replay."""
+"""The policy-checker service: TTL verdict cache, the seeded query
+mix, and the deterministic replay."""
 
 import json
-import threading
 
 import pytest
 from hypothesis import given
@@ -101,41 +100,10 @@ class TestTtlCache:
 
 
 # ---------------------------------------------------------------------------
-# Single-flight deduplication
+# The verdict cache
 # ---------------------------------------------------------------------------
 
-class TestSingleFlight:
-    def test_concurrent_requests_one_computation(self):
-        cache = VerdictCache(make_clock())
-        release = threading.Event()
-        started = threading.Barrier(9)
-        calls = []
-
-        def compute(key):
-            calls.append(key)
-            release.wait(timeout=10)
-            return f"verdict:{key}", 3600
-
-        results = [None] * 8
-
-        def request(index):
-            started.wait(timeout=10)
-            results[index] = cache.get_or_compute("EXAMPLE.com.",
-                                                  compute)
-
-        workers = [threading.Thread(target=request, args=(index,))
-                   for index in range(8)]
-        for worker in workers:
-            worker.start()
-        started.wait(timeout=10)   # all eight requesters are racing
-        release.set()
-        for worker in workers:
-            worker.join(timeout=10)
-
-        assert calls == ["example.com"]    # one canonicalised owner
-        assert results == ["verdict:example.com"] * 8
-        assert cache.computed_count == 1
-
+class TestVerdictCache:
     def test_failed_computation_is_not_cached(self):
         cache = VerdictCache(make_clock())
         attempts = []
@@ -303,7 +271,7 @@ class TestServeReplay:
         assert stats.windows == len(small_result.monitor.records)
 
     def test_flash_crowds_collapse(self, small_result):
-        # The single-flight cache turns every flash crowd into at most
+        # Per-tick grouping turns every flash crowd into at most
         # one computation: collapsed requests dominate the flash load.
         assert small_result.stats.collapsed >= SMALL["flash_size"]
 
