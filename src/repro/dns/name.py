@@ -18,8 +18,10 @@ the library accepts an extended suffix set for users who need one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Tuple, TypeVar
+
+V = TypeVar("V")
 
 _LABEL_RE = re.compile(r"^[a-z0-9_*]([a-z0-9_-]*[a-z0-9_])?$")
 
@@ -55,11 +57,21 @@ DEFAULT_MULTI_LABEL_SUFFIXES = frozenset({
 })
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DnsName:
-    """A fully-qualified DNS name, stored lowercase without a root dot."""
+    """A fully-qualified DNS name, stored lowercase without a root dot.
+
+    The dotted ``text`` and the hash are computed once, at construction,
+    because every resolver, zone and delegation lookup reads them;
+    equality and ordering are by ``labels`` alone.
+    """
 
     labels: Tuple[str, ...]
+    text: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _set_text(self, ".".join(self.labels))
 
     @classmethod
     def parse(cls, text: str) -> "DnsName":
@@ -74,9 +86,14 @@ class DnsName:
                 raise ValueError(f"label too long in {text!r}")
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label {label!r} in {text!r}")
-        if sum(len(l) + 1 for l in labels) > 254:
+        # Every label plus its dot: the canonical text plus the root dot.
+        if len(text) + 1 > 254:
             raise ValueError(f"name too long: {text!r}")
-        return cls(labels)
+        # *text* is already the joined labels: skip the re-join.
+        name = object.__new__(cls)
+        object.__setattr__(name, "labels", labels)
+        _set_text(name, text)
+        return name
 
     @classmethod
     def try_parse(cls, text: str) -> "DnsName | None":
@@ -85,9 +102,12 @@ class DnsName:
         except ValueError:
             return None
 
-    @property
-    def text(self) -> str:
-        return ".".join(self.labels)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its labels: a str hash differs between processes.
+        return self.__class__, (self.labels,)
 
     def __str__(self) -> str:
         return self.text
@@ -115,6 +135,26 @@ class DnsName:
 
     def strictly_under(self, other: "DnsName") -> bool:
         return self != other and self.is_subdomain_of(other)
+
+
+def _set_text(name: DnsName, text: str) -> None:
+    object.__setattr__(name, "text", text)
+    object.__setattr__(name, "_hash", hash(text))
+
+
+def longest_suffix_match(table: Mapping[str, V], name: DnsName) -> V | None:
+    """*table*'s value for the longest suffix of *name* (itself
+    included) that it holds, keyed by name text: O(labels) probes
+    instead of a scan of the table."""
+    text = name.text
+    while True:
+        value = table.get(text)
+        if value is not None:
+            return value
+        dot = text.find(".")
+        if dot < 0:
+            return None
+        text = text[dot + 1:]
 
 
 def _suffix_length(name: DnsName,

@@ -11,12 +11,12 @@ set of DNS outcomes the paper's Figure 5 "DNS" bar aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro import trace
-from repro.clock import Clock, Duration, Instant
-from repro.dns.name import DnsName
+from repro.clock import Clock
+from repro.dns.name import DnsName, longest_suffix_match
 from repro.dns.records import CnameRecord, ResourceRecord, RRType
 from repro.dns.server import DNS_PORT, AuthoritativeServer
 from repro.errors import (
@@ -31,15 +31,22 @@ from repro.netsim.retry import (
 
 MAX_CNAME_DEPTH = 8
 
+#: A resolved RRset.  Immutable, so the cache shares one with every
+#: answer built from it and no caller can change a cached answer.
+Records = Tuple[ResourceRecord, ...]
 
-@dataclass
+#: The ``(records, cname)`` result of a NODATA answer.
+_NO_DATA: Tuple[Records, None] = ((), None)
+
+
+@dataclass(slots=True)
 class Answer:
     """A successful resolution."""
 
     name: DnsName                      # the name originally queried
     rrtype: RRType
-    records: List[ResourceRecord]      # records at the end of any CNAME chain
-    cname_chain: List[CnameRecord] = field(default_factory=list)
+    records: Records                   # records at the end of any CNAME chain
+    cname_chain: Tuple[CnameRecord, ...] = ()
     from_cache: bool = False
 
     @property
@@ -49,15 +56,24 @@ class Answer:
         return self.name
 
 
-@dataclass
+@dataclass(slots=True)
 class _CacheEntry:
-    expires: Instant
-    records: List[ResourceRecord] | None   # None encodes a negative entry
-    negative: type | None = None           # NxDomain or NoData
+    """One cached outcome: the ``(records, cname)`` pair a lookup
+    returns, built once and handed to every hit, or the error type
+    (``NxDomain`` or ``NoData``) of a negative entry."""
+
+    expires: int                        # epoch second the entry dies
+    result: Tuple[Records, CnameRecord | None]
+    negative: type | None
 
 
 class Resolver:
-    """Recursive resolver with TTL-based positive and negative caching."""
+    """Recursive resolver with TTL-based positive and negative caching.
+
+    Every table is keyed by plain values — name text, and the RRType's
+    string value — so a lookup hashes in C; a positive answer shares the
+    cached record tuple instead of copying it.
+    """
 
     def __init__(self, network: Network, clock: Clock,
                  *, cache_enabled: bool = True,
@@ -66,8 +82,13 @@ class Resolver:
         self._network = network
         self._clock = clock
         self._retry_policy = retry_policy
-        self._delegations: Dict[DnsName, List[IpAddress]] = {}
-        self._cache: Dict[Tuple[DnsName, RRType], _CacheEntry] = {}
+        #: apex text -> authoritative server addresses
+        self._delegations: Dict[str, List[IpAddress]] = {}
+        #: (name text, RRType value) -> cached outcome
+        self._cache: Dict[Tuple[str, str], _CacheEntry] = {}
+        #: name text as callers spell it -> its parsed name; cleared with
+        #: the cache, so it holds the names of one cache lifetime
+        self._names: Dict[str, DnsName] = {}
         self._cache_enabled = cache_enabled
         self._negative_ttl = negative_ttl
         self.query_count = 0
@@ -86,26 +107,18 @@ class Resolver:
         """Register the authoritative servers for a zone apex."""
         if isinstance(apex, str):
             apex = DnsName.parse(apex)
-        self._delegations[apex] = list(servers)
+        self._delegations[apex.text] = list(servers)
 
     def undelegate(self, apex: DnsName | str) -> None:
         if isinstance(apex, str):
             apex = DnsName.parse(apex)
-        self._delegations.pop(apex, None)
+        self._delegations.pop(apex.text, None)
 
     def servers_for(self, name: DnsName) -> List[IpAddress]:
-        # Longest-suffix match via direct dict probes: every suffix of
-        # *name* is a candidate apex, and the longest one wins.  This is
-        # O(labels) instead of O(registered zones) — the delegation
-        # registry holds one entry per deployed domain, so a linear scan
-        # here dominated the entire scan pipeline at ecosystem scale.
-        labels = name.labels
-        delegations = self._delegations
-        for i in range(len(labels)):
-            servers = delegations.get(DnsName(labels[i:]))
-            if servers is not None:
-                return servers
-        return []
+        # The registry holds one entry per deployed domain, so a scan
+        # of it would dominate the scan pipeline at ecosystem scale;
+        # the longest apex wins.
+        return longest_suffix_match(self._delegations, name) or []
 
     # -- resolution -----------------------------------------------------
 
@@ -115,25 +128,27 @@ class Resolver:
         Raises the appropriate :class:`~repro.errors.DnsError` subclass
         on failure.  NODATA (empty answer for an existing name) raises
         :class:`NoData` so callers never confuse "no record" with an
-        empty RRset.
+        empty RRset.  The answer's record tuple is shared with the
+        cache.
         """
         if isinstance(name, str):
-            name = DnsName.parse(name)
-        chain: List[CnameRecord] = []
+            parsed = self._names.get(name)
+            if parsed is None:
+                parsed = self._names[name] = DnsName.parse(name)
+            name = parsed
+        chain: Tuple[CnameRecord, ...] = ()
         current = name
-        seen = {current}
         for _ in range(MAX_CNAME_DEPTH + 1):
             records, cname = self._query_one(current, rrtype)
-            if cname is not None:
-                chain.append(cname)
-                current = cname.target
-                if current in seen:
-                    raise CnameLoop(f"CNAME loop at {current}")
-                seen.add(current)
-                continue
-            if not records:
-                raise NoData(f"{current}/{rrtype.value}: no data")
-            return Answer(name, rrtype, records, chain)
+            if cname is None:
+                if not records:
+                    raise NoData(f"{current}/{rrtype.value}: no data")
+                return Answer(name, rrtype, records, chain)
+            current = cname.target
+            # Chains are short: scanning one beats building a set.
+            if current == name or any(c.target == current for c in chain):
+                raise CnameLoop(f"CNAME loop at {current}")
+            chain += (cname,)
         raise CnameLoop(f"CNAME chain too long resolving {name}")
 
     def try_resolve(self, name: DnsName | str,
@@ -149,11 +164,12 @@ class Resolver:
         """:meth:`resolve` returning ``(answer, error)`` instead of
         raising.  The error (when set) carries the ``transient`` flag
         the scanner uses to separate retry-exhausted fault injections
-        from deterministic failures."""
+        from deterministic failures; it comes without its traceback,
+        which would tie the caller's frame into a reference cycle."""
         try:
             return self.resolve(name, rrtype), None
         except DnsError as exc:
-            return None, exc
+            return None, exc.with_traceback(None)
 
     def resolve_address(self, name: DnsName | str) -> List[IpAddress]:
         """Resolve A then AAAA, returning every address found.
@@ -162,28 +178,36 @@ class Resolver:
         """
         addresses: List[IpAddress] = []
         first_error: DnsError | None = None
-        for rrtype in (RRType.A, RRType.AAAA):
-            try:
-                answer = self.resolve(name, rrtype)
-            except DnsError as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            addresses.extend(r.address for r in answer.records)  # type: ignore[attr-defined]
-        if not addresses:
-            raise first_error or NoData(f"{name}: no address records")
-        return addresses
+        try:
+            for rrtype in (RRType.A, RRType.AAAA):
+                try:
+                    answer = self.resolve(name, rrtype)
+                except DnsError as exc:
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                for record in answer.records:
+                    addresses.append(record.address)  # type: ignore[attr-defined]
+            if not addresses:
+                raise first_error or NoData(f"{name}: no address records")
+            return addresses
+        finally:
+            # A kept error's traceback holds this frame (a cycle).
+            first_error = None
 
     # -- internals --------------------------------------------------------
 
     def _query_one(self, name: DnsName, rrtype: RRType
-                   ) -> Tuple[List[ResourceRecord], CnameRecord | None]:
-        key = (name, rrtype)
+                   ) -> Tuple[Records, CnameRecord | None]:
+        # ``_value_`` is ``rrtype.value`` without the Enum property's
+        # Python-level descriptor call.
+        key = (name.text, rrtype._value_)
         tracer = trace.current_tracer() if trace.TRACING else None
         metrics = tracer.metrics if tracer is not None else None
         if self._cache_enabled:
             entry = self._cache.get(key)
-            if entry is not None and entry.expires > self._clock.now():
+            if (entry is not None
+                    and entry.expires > self._clock.now().epoch_seconds):
                 self.cache_hits += 1
                 if metrics is not None:
                     metrics.count("dns.cache_hits")
@@ -192,26 +216,10 @@ class Resolver:
                     if metrics is not None:
                         metrics.count("dns.negative_cache_hits")
                     raise entry.negative(f"{name}/{rrtype.value} (cached)")
-                return self._entry_answer(entry, rrtype)
+                return entry.result
         self.query_count += 1
         if metrics is not None:
             metrics.count("dns.queries")
-        return self._query_live(name, rrtype, key)
-
-    @staticmethod
-    def _entry_answer(entry: _CacheEntry, rrtype: RRType
-                      ) -> Tuple[List[ResourceRecord], CnameRecord | None]:
-        records = entry.records or []
-        cname = None
-        if (records and isinstance(records[0], CnameRecord)
-                and rrtype is not RRType.CNAME):
-            cname = records[0]
-            records = []
-        return records, cname
-
-    def _query_live(self, name: DnsName, rrtype: RRType,
-                    key: Tuple[DnsName, RRType]
-                    ) -> Tuple[List[ResourceRecord], CnameRecord | None]:
         journal = self.journal
         if journal is None:
             return self._resolve_live(name, rrtype, key)
@@ -231,63 +239,68 @@ class Resolver:
                     entry.negative is not None, token)
 
     def _resolve_live(self, name: DnsName, rrtype: RRType,
-                      key: Tuple[DnsName, RRType]
-                      ) -> Tuple[List[ResourceRecord], CnameRecord | None]:
-        servers = self.servers_for(name)
+                      key: Tuple[str, str]
+                      ) -> Tuple[Records, CnameRecord | None]:
+        servers = longest_suffix_match(self._delegations, name)
         if not servers:
             raise DnsTimeout(f"no delegation covers {name}")
-        last_error: DnsError = DnsTimeout(f"all servers failed for {name}")
-        for server_ip in servers:
-            try:
-                server = connect_with_retries(
-                    self._network, server_ip, DNS_PORT,
-                    policy=self._retry_policy,
-                    key=f"dns:{server_ip.text}:{name.text}")
-            except NetworkError as exc:
-                # Transient (fault-injected) unreachability must not be
-                # confused with — or negatively cached as — a dead
-                # server, so the flag rides along on the DNS error.
-                timeout = DnsTimeout(f"{server_ip} unreachable: {exc}")
-                timeout.transient = getattr(exc, "transient", False)
-                last_error = timeout
-                continue
-            if not isinstance(server, AuthoritativeServer):
-                last_error = ServFail(f"{server_ip} is not a DNS server")
-                continue
-            try:
-                result = server.query(name, rrtype)
-            except ServFail as exc:
-                last_error = exc
-                continue
-            if result.rcode == "NXDOMAIN":
-                self._store_negative(key, NxDomain)
-                raise NxDomain(f"{name} does not exist")
-            if result.cname is not None:
-                self._store_positive(key, [result.cname])
-                return [], result.cname
-            if not result.records:
-                self._store_negative(key, NoData)
-                return [], None
-            self._store_positive(key, result.records)
-            return list(result.records), None
-        raise last_error
+        last_error: DnsError | None = None
+        try:
+            for server_ip in servers:
+                try:
+                    server = connect_with_retries(
+                        self._network, server_ip, DNS_PORT,
+                        policy=self._retry_policy,
+                        key=f"dns:{server_ip.text}:{name.text}")
+                except NetworkError as exc:
+                    # Transient (fault-injected) unreachability must not
+                    # be confused with — or negatively cached as — a dead
+                    # server, so the flag rides along on the DNS error.
+                    last_error = DnsTimeout(f"{server_ip} unreachable: {exc}")
+                    last_error.transient = getattr(exc, "transient", False)
+                    continue
+                if not isinstance(server, AuthoritativeServer):
+                    last_error = ServFail(f"{server_ip} is not a DNS server")
+                    continue
+                try:
+                    result = server.query(name, rrtype)
+                except ServFail as exc:
+                    last_error = exc
+                    continue
+                if result.rcode == "NXDOMAIN":
+                    self._store(key, self._negative_ttl, _NO_DATA,
+                                NxDomain)
+                    raise NxDomain(f"{name} does not exist")
+                if result.cname is not None:
+                    return self._store(key, result.cname.ttl,
+                                       ((), result.cname))
+                if not result.records:
+                    return self._store(key, self._negative_ttl, _NO_DATA,
+                                       NoData)
+                records = tuple(result.records)
+                ttl = records[0].ttl
+                for record in records:
+                    if record.ttl < ttl:
+                        ttl = record.ttl
+                return self._store(key, ttl, (records, None))
+            raise last_error or DnsTimeout(f"all servers failed for {name}")
+        finally:
+            # The raised error's traceback holds this frame (a cycle).
+            last_error = None
 
-    def _store_positive(self, key, records: List[ResourceRecord]) -> None:
-        if not self._cache_enabled:
-            return
-        ttl = min(r.ttl for r in records)
-        self._cache[key] = _CacheEntry(
-            self._clock.now() + Duration(ttl), list(records))
-
-    def _store_negative(self, key, error_type: type) -> None:
-        if not self._cache_enabled:
-            return
-        self._cache[key] = _CacheEntry(
-            self._clock.now() + Duration(self._negative_ttl), None,
-            error_type)
+    def _store(self, key: Tuple[str, str], ttl: int,
+               result: Tuple[Records, CnameRecord | None],
+               negative: type | None = None
+               ) -> Tuple[Records, CnameRecord | None]:
+        """Cache *result* for *ttl* seconds (if caching) and return it."""
+        if self._cache_enabled:
+            self._cache[key] = _CacheEntry(
+                self._clock.now().epoch_seconds + ttl, result, negative)
+        return result
 
     def flush_cache(self) -> None:
         self._cache.clear()
+        self._names.clear()
 
     # -- instrumentation --------------------------------------------------
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.dns.name import DnsName
+from repro.dns.name import DnsName, longest_suffix_match
 from repro.dns.records import CnameRecord, ResourceRecord, RRType
 from repro.dns.zone import Zone
 from repro.errors import ServFail
@@ -44,25 +44,21 @@ class AuthoritativeServer:
     def __init__(self, name: str, ip: IpAddress, network: Network):
         self.name = name
         self.ip = ip
-        self._zones: Dict[DnsName, Zone] = {}
+        #: apex text -> zone
+        self._zones: Dict[str, Zone] = {}
         self.fault = ServerFault.NONE
         self.query_count = 0
         network.register(ip, DNS_PORT, self, description=f"dns:{name}")
 
     def add_zone(self, zone: Zone) -> None:
-        self._zones[zone.apex] = zone
+        self._zones[zone.apex.text] = zone
 
     def remove_zone(self, apex: DnsName) -> None:
-        self._zones.pop(apex, None)
+        self._zones.pop(apex.text, None)
 
     def zone_for(self, name: DnsName) -> Zone | None:
         """Longest-suffix zone match."""
-        best: Zone | None = None
-        for apex, zone in self._zones.items():
-            if name.is_subdomain_of(apex):
-                if best is None or apex.label_count() > best.apex.label_count():
-                    best = zone
-        return best
+        return longest_suffix_match(self._zones, name)
 
     def query(self, name: DnsName, rrtype: RRType) -> QueryResult:
         """Answer a query for *name*/*rrtype*.

@@ -9,7 +9,6 @@ addition to the synthetic registry.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -20,60 +19,87 @@ from repro.dns.records import (
 )
 from repro.netsim.ip import IpAddress
 
+_CNAME = RRType.CNAME.value
+
 
 @dataclass
 class Zone:
-    """A DNS zone: an apex name and its records, indexed by (name, type)."""
+    """A DNS zone: an apex name and its records, indexed by (name, type).
+
+    Both tables are keyed by plain strings: name text, and the
+    RRType's value (read as ``_value_``, which skips the Python-level
+    ``Enum.value`` property on the lookup path).  Besides the RRsets,
+    the zone counts the records at or below every name (each suffix of
+    each owner), so :meth:`name_exists` takes O(labels) and the
+    CNAME-conflict check in :meth:`add` one probe per record type,
+    rather than a scan of the zone.
+    """
 
     apex: DnsName
     default_ttl: int = 3600
-    _records: Dict[Tuple[DnsName, RRType], List[ResourceRecord]] = field(
-        default_factory=lambda: defaultdict(list))
+    #: (owner text, RRType value) -> RRset; empty RRsets are not kept
+    _records: Dict[Tuple[str, str], List[ResourceRecord]] = field(
+        default_factory=dict, init=False)
+    #: name text -> records at or below that name
+    _under: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, record: ResourceRecord) -> None:
-        if not record.name.is_subdomain_of(self.apex):
+        name = record.name
+        if not name.is_subdomain_of(self.apex):
             raise ValueError(
-                f"{record.name} is outside zone {self.apex}")
-        existing = self._records[(record.name, record.rrtype)]
-        if record.rrtype is RRType.CNAME and existing:
-            raise ValueError(f"duplicate CNAME at {record.name}")
-        other_types = [t for (n, t) in self._records
-                       if n == record.name and self._records[(n, t)]]
+                f"{name} is outside zone {self.apex}")
+        text = name.text
+        if (text, _CNAME) in self._records:
+            if record.rrtype is RRType.CNAME:
+                raise ValueError(f"duplicate CNAME at {name}")
+            raise ValueError(f"data at {name} conflicts with CNAME")
         if record.rrtype is RRType.CNAME and any(
-                t is not RRType.CNAME for t in other_types):
-            raise ValueError(f"CNAME at {record.name} conflicts with data")
-        if (record.rrtype is not RRType.CNAME
-                and self._records.get((record.name, RRType.CNAME))):
-            raise ValueError(f"data at {record.name} conflicts with CNAME")
-        existing.append(record)
+                (text, rrtype._value_) in self._records for rrtype in RRType):
+            raise ValueError(f"CNAME at {name} conflicts with data")
+        self._records.setdefault(
+            (text, record.rrtype._value_), []).append(record)
+        self._count(text, 1)
 
     def remove(self, name: DnsName, rrtype: RRType) -> int:
         """Delete the whole RRset; returns how many records were removed."""
-        removed = self._records.pop((name, rrtype), [])
+        removed = self._records.pop((name.text, rrtype._value_), [])
+        if removed:
+            self._count(name.text, -len(removed))
         return len(removed)
 
     def replace(self, record: ResourceRecord) -> None:
         """Replace the RRset of this name/type with the single *record*."""
-        self._records.pop((record.name, record.rrtype), None)
+        self.remove(record.name, record.rrtype)
         self.add(record)
 
+    def _count(self, text: str, delta: int) -> None:
+        """Add *delta* records at *text* and at each of its ancestors."""
+        under = self._under
+        while True:
+            count = under.get(text, 0) + delta
+            if count:
+                under[text] = count
+            else:
+                del under[text]
+            dot = text.find(".")
+            if dot < 0:
+                return
+            text = text[dot + 1:]
+
     def lookup(self, name: DnsName, rrtype: RRType) -> List[ResourceRecord]:
-        return list(self._records.get((name, rrtype), ()))
+        return list(self._records.get((name.text, rrtype._value_), ()))
 
     def cname_at(self, name: DnsName) -> CnameRecord | None:
-        records = self._records.get((name, RRType.CNAME))
+        records = self._records.get((name.text, _CNAME))
         return records[0] if records else None  # type: ignore[return-value]
 
     def name_exists(self, name: DnsName) -> bool:
         """True if any record exists at *name* or underneath it (ENT)."""
-        for (owner, _), records in self._records.items():
-            if records and owner.is_subdomain_of(name):
-                return True
-        return False
+        return name.text in self._under
 
     def names(self) -> List[DnsName]:
-        return sorted({name for (name, _), recs in self._records.items()
-                       if recs})
+        return sorted({records[0].name for records in self._records.values()})
 
     def all_records(self) -> List[ResourceRecord]:
         out: List[ResourceRecord] = []

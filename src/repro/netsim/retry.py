@@ -126,5 +126,9 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
         assert last_error is not None
         raise last_error
     finally:
+        # The raised error's traceback holds this frame: a live
+        # ``last_error`` would close a reference cycle that pins the
+        # whole call stack above it until the cyclic collector runs.
+        last_error = None
         if tracer is not None:
             tracer.end_resource(f"net:{key}")

@@ -76,8 +76,9 @@ class HttpsClient:
 
         # Stage 1: DNS
         try:
-            name = DnsName.parse(host_text)
-            addresses = self._resolver.resolve_address(name)
+            # The resolver parses (and interns) the text; a malformed
+            # name raises ValueError from there.
+            addresses = self._resolver.resolve_address(host_text)
         except (ValueError, DnsError) as exc:
             outcome.failed_stage = PolicyFetchStage.DNS
             outcome.transient = getattr(exc, "transient", False)
@@ -102,7 +103,9 @@ class HttpsClient:
                     key=f"https:{host_text}:{address.text}")
                 break
             except NetworkError as exc:
-                tcp_error = exc
+                # Only the type, message and ``transient`` flag are read
+                # below; the traceback would tie this frame into a cycle.
+                tcp_error = exc.with_traceback(None)
         if server is None:
             outcome.failed_stage = PolicyFetchStage.TCP
             outcome.transient = getattr(tcp_error, "transient", False)

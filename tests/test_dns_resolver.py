@@ -185,3 +185,40 @@ class TestResolverCache:
         with pytest.raises(DnsTimeout):
             resolver.resolve("dead.org", RRType.A)
 
+
+
+class TestResolverKeys:
+    def test_spellings_share_one_cache_entry(self, setup):
+        *_, resolver = setup
+        resolver.resolve("Example.COM.", RRType.A)
+        resolver.resolve("example.com", RRType.A)
+        resolver.resolve(n("example.com"), RRType.A)
+        assert resolver.query_count == 1
+        assert resolver.cache_hits == 2
+        assert resolver.cache_stats()["entries"] == 1
+
+    def test_nested_delegation_goes_to_the_longest_apex(self, setup):
+        network, clock, server, zone, resolver = setup
+        child_server = AuthoritativeServer(
+            "ns2", IpAddress.v4(10, 53, 0, 2), network)
+        child = Zone(apex=n("sub.example.com"))
+        child.add(ARecord(n("host.sub.example.com"), 60,
+                          IpAddress.v4(10, 7, 7, 7)))
+        child_server.add_zone(child)
+        resolver.delegate("sub.example.com", [child_server.ip])
+        # The parent server would answer NXDOMAIN for this name.
+        answer = resolver.resolve("host.sub.example.com", RRType.A)
+        assert answer.records[0].address.text == "10.7.7.7"
+        assert (child_server.query_count, server.query_count) == (1, 0)
+        resolver.resolve("example.com", RRType.A)
+        assert (child_server.query_count, server.query_count) == (1, 1)
+
+    def test_mutating_an_answer_leaves_the_cache_alone(self, setup):
+        *_, resolver = setup
+        first = resolver.resolve("example.com", RRType.A)
+        with pytest.raises(AttributeError):
+            first.records.append(first.records[0])
+        first.records = ()
+        second = resolver.resolve("example.com", RRType.A)
+        assert resolver.query_count == 1
+        assert [r.address.text for r in second.records] == ["10.9.9.9"]

@@ -68,6 +68,26 @@ class TestZone:
         assert zone.name_exists(n("b.example.com"))
         assert not zone.name_exists(n("c.example.com"))
 
+    def test_removing_the_only_record_below_an_empty_non_terminal(self):
+        zone = Zone(apex=n("example.com"))
+        zone.add(ARecord(n("a.b.example.com"), 3600, IpAddress.v4(10, 0, 0, 1)))
+        assert zone.remove(n("a.b.example.com"), RRType.A) == 1
+        assert not zone.name_exists(n("b.example.com"))
+        assert not zone.name_exists(n("a.b.example.com"))
+        # The removed data no longer blocks a CNAME at its owner.
+        zone.add(CnameRecord(n("a.b.example.com"), 3600, n("example.com")))
+        assert zone.name_exists(n("b.example.com"))
+
+    def test_replace_keeps_name_counts_exact(self):
+        zone = Zone(apex=n("example.com"))
+        zone.add(TxtRecord(n("_mta-sts.example.com"), 300, "v=STSv1; id=1;"))
+        zone.add(TxtRecord(n("_mta-sts.example.com"), 300, "v=STSv1; id=2;"))
+        zone.replace(TxtRecord(n("_mta-sts.example.com"), 300,
+                               "v=STSv1; id=3;"))
+        assert zone.remove(n("_mta-sts.example.com"), RRType.TXT) == 1
+        assert not zone.name_exists(n("_mta-sts.example.com"))
+        assert not zone.name_exists(n("example.com"))
+
 
 MASTER = """\
 $ORIGIN example.com.
