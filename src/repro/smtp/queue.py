@@ -13,7 +13,6 @@ saved most of the lucidgrow cohort ("the issue was quickly resolved").
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -71,7 +70,8 @@ PERMANENT = {
 
 
 class MailQueue:
-    """Outbound queue in front of any sender with a ``send(Message)``.
+    """Outbound queue in front of any sender with a
+    ``send(message, *, attempt)`` method.
 
     The queue is clock-driven: callers advance the simulated clock and
     invoke :meth:`run_due` to process every entry whose retry time has
@@ -97,16 +97,6 @@ class MailQueue:
         self._lifetime = lifetime
         self._capacity = capacity
         self._on_attempt = on_attempt
-        # Senders that accept the retry ordinal get it passed through
-        # (attempt-scoped fault injections then recover on retry, like
-        # a real greylist); plain ``send(message)`` senders still work.
-        try:
-            parameters = inspect.signature(sender.send).parameters
-        except (TypeError, ValueError):
-            parameters = {}
-        self._pass_attempt = "attempt" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in parameters.values())
         self.entries: List[QueueEntry] = []
         self.delivered_count = 0
         self.bounced_count = 0
@@ -148,11 +138,10 @@ class MailQueue:
         return processed
 
     def _attempt(self, entry: QueueEntry) -> None:
-        if self._pass_attempt:
-            attempt: DeliveryAttempt = self._sender.send(
-                entry.message, attempt=entry.attempts)
-        else:
-            attempt = self._sender.send(entry.message)
+        # The retry ordinal is passed through, so attempt-scoped fault
+        # injections recover on retry, like a real greylist.
+        attempt: DeliveryAttempt = self._sender.send(
+            entry.message, attempt=entry.attempts)
         entry.attempts += 1
         entry.last_status = attempt.status
         entry.history.append(attempt.status)

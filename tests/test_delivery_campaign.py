@@ -449,22 +449,6 @@ class TestQueueExtensions:
         queue.submit(Message("a@s.example", "u@x.example"), tag=17)
         assert observed == [(17, DeliveryStatus.DELIVERED)]
 
-    def test_plain_send_signature_still_works(self):
-        class LegacySender:
-            def __init__(self):
-                self.calls = 0
-
-            def send(self, message):
-                self.calls += 1
-                return DeliveryAttempt(message, DeliveryStatus.DELIVERED)
-
-        clock = Clock(Instant.from_date(2024, 1, 1))
-        sender = LegacySender()
-        queue = MailQueue(sender, clock)
-        entry = queue.submit(Message("a@s.example", "u@x.example"))
-        assert entry.outcome is QueueOutcome.DELIVERED
-        assert sender.calls == 1
-
 
 # ---------------------------------------------------------------------------
 # Satellite: cache + refresh property tests (virtual clock)
