@@ -35,9 +35,6 @@ MAX_CNAME_DEPTH = 8
 #: answer built from it and no caller can change a cached answer.
 Records = Tuple[ResourceRecord, ...]
 
-#: The ``(records, cname)`` result of a NODATA answer.
-_NO_DATA: Tuple[Records, None] = ((), None)
-
 
 @dataclass(slots=True)
 class Answer:
@@ -58,12 +55,12 @@ class Answer:
 
 @dataclass(slots=True)
 class _CacheEntry:
-    """One cached outcome: the ``(records, cname)`` pair a lookup
-    returns, built once and handed to every hit, or the error type
-    (``NxDomain`` or ``NoData``) of a negative entry."""
+    """One cached outcome.  *negative* (``NxDomain`` or ``NoData``)
+    marks a negative entry; *cname* is set when the name is an alias."""
 
     expires: int                        # epoch second the entry dies
-    result: Tuple[Records, CnameRecord | None]
+    records: Records
+    cname: CnameRecord | None
     negative: type | None
 
 
@@ -216,7 +213,7 @@ class Resolver:
                     if metrics is not None:
                         metrics.count("dns.negative_cache_hits")
                     raise entry.negative(f"{name}/{rrtype.value} (cached)")
-                return entry.result
+                return entry.records, entry.cname
         self.query_count += 1
         if metrics is not None:
             metrics.count("dns.queries")
@@ -268,35 +265,34 @@ class Resolver:
                     last_error = exc
                     continue
                 if result.rcode == "NXDOMAIN":
-                    self._store(key, self._negative_ttl, _NO_DATA,
-                                NxDomain)
+                    self._store(key, self._negative_ttl, (), None, NxDomain)
                     raise NxDomain(f"{name} does not exist")
                 if result.cname is not None:
-                    return self._store(key, result.cname.ttl,
-                                       ((), result.cname))
+                    self._store(key, result.cname.ttl, (), result.cname)
+                    return (), result.cname
                 if not result.records:
-                    return self._store(key, self._negative_ttl, _NO_DATA,
-                                       NoData)
+                    self._store(key, self._negative_ttl, (), None, NoData)
+                    return (), None
+                # The zone's own RRset tuple: ``tuple`` copies nothing.
                 records = tuple(result.records)
                 ttl = records[0].ttl
                 for record in records:
                     if record.ttl < ttl:
                         ttl = record.ttl
-                return self._store(key, ttl, (records, None))
+                self._store(key, ttl, records, None)
+                return records, None
             raise last_error or DnsTimeout(f"all servers failed for {name}")
         finally:
             # The raised error's traceback holds this frame (a cycle).
             last_error = None
 
-    def _store(self, key: Tuple[str, str], ttl: int,
-               result: Tuple[Records, CnameRecord | None],
-               negative: type | None = None
-               ) -> Tuple[Records, CnameRecord | None]:
-        """Cache *result* for *ttl* seconds (if caching) and return it."""
+    def _store(self, key: Tuple[str, str], ttl: int, records: Records,
+               cname: CnameRecord | None, negative: type | None = None
+               ) -> None:
         if self._cache_enabled:
             self._cache[key] = _CacheEntry(
-                self._clock.now().epoch_seconds + ttl, result, negative)
-        return result
+                self._clock.now().epoch_seconds + ttl, records, cname,
+                negative)
 
     def flush_cache(self) -> None:
         self._cache.clear()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Sequence
 
 from repro.dns.name import DnsName, longest_suffix_match
 from repro.dns.records import CnameRecord, ResourceRecord, RRType
@@ -29,12 +29,12 @@ class ServerFault(enum.Enum):
     LAME = "lame"           # claims no knowledge of its zones
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """An authoritative response."""
 
     rcode: str                      # NOERROR | NXDOMAIN | SERVFAIL
-    records: List[ResourceRecord]
+    records: Sequence[ResourceRecord]   # a positive answer's zone RRset
     cname: CnameRecord | None = None
 
 
@@ -79,7 +79,7 @@ class AuthoritativeServer:
         if cname is not None and rrtype is not RRType.CNAME:
             return QueryResult("NOERROR", [], cname=cname)
 
-        records = zone.lookup(name, rrtype)
+        records = zone.rrset(name, rrtype)
         if records:
             return QueryResult("NOERROR", records)
         if zone.name_exists(name):

@@ -28,9 +28,11 @@ class Zone:
 
     Both tables are keyed by plain strings: name text, and the
     RRType's value (read as ``_value_``, which skips the Python-level
-    ``Enum.value`` property on the lookup path).  Besides the RRsets,
-    the zone counts the records at or below every name (each suffix of
-    each owner), so :meth:`name_exists` takes O(labels) and the
+    ``Enum.value`` property on the lookup path).  An RRset is an
+    immutable tuple, so the server answers with it uncopied and the
+    resolver caches that same tuple.  Besides the RRsets, the zone
+    counts the records at or below every name (each suffix of each
+    owner), so :meth:`name_exists` takes O(labels) and the
     CNAME-conflict check in :meth:`add` one probe per record type,
     rather than a scan of the zone.
     """
@@ -38,7 +40,7 @@ class Zone:
     apex: DnsName
     default_ttl: int = 3600
     #: (owner text, RRType value) -> RRset; empty RRsets are not kept
-    _records: Dict[Tuple[str, str], List[ResourceRecord]] = field(
+    _records: Dict[Tuple[str, str], Tuple[ResourceRecord, ...]] = field(
         default_factory=dict, init=False)
     #: name text -> records at or below that name
     _under: Dict[str, int] = field(
@@ -57,13 +59,13 @@ class Zone:
         if record.rrtype is RRType.CNAME and any(
                 (text, rrtype._value_) in self._records for rrtype in RRType):
             raise ValueError(f"CNAME at {name} conflicts with data")
-        self._records.setdefault(
-            (text, record.rrtype._value_), []).append(record)
+        key = (text, record.rrtype._value_)
+        self._records[key] = self._records.get(key, ()) + (record,)
         self._count(text, 1)
 
     def remove(self, name: DnsName, rrtype: RRType) -> int:
         """Delete the whole RRset; returns how many records were removed."""
-        removed = self._records.pop((name.text, rrtype._value_), [])
+        removed = self._records.pop((name.text, rrtype._value_), ())
         if removed:
             self._count(name.text, -len(removed))
         return len(removed)
@@ -88,7 +90,12 @@ class Zone:
             text = text[dot + 1:]
 
     def lookup(self, name: DnsName, rrtype: RRType) -> List[ResourceRecord]:
-        return list(self._records.get((name.text, rrtype._value_), ()))
+        return list(self.rrset(name, rrtype))
+
+    def rrset(self, name: DnsName, rrtype: RRType
+              ) -> Tuple[ResourceRecord, ...]:
+        """The RRset itself: immutable, so it is handed out uncopied."""
+        return self._records.get((name.text, rrtype._value_), ())
 
     def cname_at(self, name: DnsName) -> CnameRecord | None:
         records = self._records.get((name.text, _CNAME))
