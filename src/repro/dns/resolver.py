@@ -135,7 +135,7 @@ class Resolver:
             name = parsed
         chain: Tuple[CnameRecord, ...] = ()
         current = name
-        for _ in range(MAX_CNAME_DEPTH + 1):
+        while True:
             records, cname = self._query_one(current, rrtype)
             if cname is None:
                 if not records:
@@ -145,8 +145,9 @@ class Resolver:
             # Chains are short: scanning one beats building a set.
             if current == name or any(c.target == current for c in chain):
                 raise CnameLoop(f"CNAME loop at {current}")
+            if len(chain) == MAX_CNAME_DEPTH:
+                raise CnameLoop(f"CNAME chain too long resolving {name}")
             chain += (cname,)
-        raise CnameLoop(f"CNAME chain too long resolving {name}")
 
     def try_resolve(self, name: DnsName | str,
                     rrtype: RRType) -> Answer | None:
@@ -264,35 +265,33 @@ class Resolver:
                 except ServFail as exc:
                     last_error = exc
                     continue
+                records: Records = ()
+                cname = result.cname
+                negative = None
                 if result.rcode == "NXDOMAIN":
-                    self._store(key, self._negative_ttl, (), None, NxDomain)
+                    ttl, negative = self._negative_ttl, NxDomain
+                elif cname is not None:
+                    ttl = cname.ttl
+                elif not result.records:
+                    ttl, negative = self._negative_ttl, NoData
+                else:
+                    # The zone's own RRset tuple: ``tuple`` copies nothing.
+                    records = tuple(result.records)
+                    ttl = records[0].ttl
+                    for record in records:
+                        if record.ttl < ttl:
+                            ttl = record.ttl
+                if self._cache_enabled:
+                    self._cache[key] = _CacheEntry(
+                        self._clock.now().epoch_seconds + ttl, records,
+                        cname, negative)
+                if negative is NxDomain:
                     raise NxDomain(f"{name} does not exist")
-                if result.cname is not None:
-                    self._store(key, result.cname.ttl, (), result.cname)
-                    return (), result.cname
-                if not result.records:
-                    self._store(key, self._negative_ttl, (), None, NoData)
-                    return (), None
-                # The zone's own RRset tuple: ``tuple`` copies nothing.
-                records = tuple(result.records)
-                ttl = records[0].ttl
-                for record in records:
-                    if record.ttl < ttl:
-                        ttl = record.ttl
-                self._store(key, ttl, records, None)
-                return records, None
+                return records, cname
             raise last_error or DnsTimeout(f"all servers failed for {name}")
         finally:
             # The raised error's traceback holds this frame (a cycle).
             last_error = None
-
-    def _store(self, key: Tuple[str, str], ttl: int, records: Records,
-               cname: CnameRecord | None, negative: type | None = None
-               ) -> None:
-        if self._cache_enabled:
-            self._cache[key] = _CacheEntry(
-                self._clock.now().epoch_seconds + ttl, records, cname,
-                negative)
 
     def flush_cache(self) -> None:
         self._cache.clear()
