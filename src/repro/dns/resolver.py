@@ -239,7 +239,7 @@ class Resolver:
     def _resolve_live(self, name: DnsName, rrtype: RRType,
                       key: Tuple[str, str]
                       ) -> Tuple[Records, CnameRecord | None]:
-        servers = longest_suffix_match(self._delegations, name)
+        servers = self.servers_for(name)
         if not servers:
             raise DnsTimeout(f"no delegation covers {name}")
         last_error: DnsError | None = None
