@@ -2,9 +2,9 @@
 
 Builds a tiny simulated internet, stands up ``example.com`` with a
 full MTA-STS stack (DNS record, HTTPS policy host, STARTTLS-capable
-MX), assesses its health the way the paper's scanner does, and then
-delivers a message with an RFC 8461-compliant sender — including what
-happens when the domain breaks.
+MX), assesses its health with the paper's scanner, and then delivers
+a message with an RFC 8461-compliant sender — including what happens
+when the domain breaks.
 
 Run:  python examples/quickstart.py
 """
@@ -12,10 +12,11 @@ Run:  python examples/quickstart.py
 from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
 from repro.core.sender import MtaStsSender
-from repro.core.validator import MtaStsValidator
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.ecosystem.world import World
+from repro.measurement.scanner import Scanner
+from repro.measurement.taxonomy import categorize, delivery_failure_expected
 from repro.smtp.delivery import Message
 
 
@@ -32,18 +33,18 @@ def main() -> None:
     print("  MX records :", deployed.mx_record_hostnames())
     print("  policy     :", deployed.policy_text.strip().splitlines())
 
-    # 3. Assess it like the paper's scanner: record, policy, MX certs.
-    fetcher = PolicyFetcher(world.resolver, world.https_client)
-    validator = MtaStsValidator(world.resolver, fetcher, world.smtp_probe)
-    assessment = validator.assess("example.com")
+    # 3. Scan it like the paper does: record, policy, MX certificates.
+    scanner = Scanner(world)
+    snapshot = scanner.scan_domain("example.com", 0)
     print("assessment")
-    print("  record valid        :", assessment.record_valid)
-    print("  policy retrievable  :", assessment.policy_retrieval_ok)
-    print("  MX certificates OK  :", assessment.mx_certs_ok)
-    print("  patterns consistent :", assessment.consistent)
-    print("  misconfigured       :", assessment.misconfigured)
+    print("  record valid        :", snapshot.record_valid)
+    print("  policy retrievable  :", snapshot.policy_retrieval_ok)
+    print("  MX certificates OK  :", not snapshot.any_invalid_mx_cert)
+    print("  patterns consistent :", snapshot.consistent)
+    print("  misconfigured       :", bool(categorize(snapshot)))
 
     # 4. Send a message with a compliant sender (fetch, cache, enforce).
+    fetcher = PolicyFetcher(world.resolver, world.https_client)
     sender = MtaStsSender("relay.sender.net", world.network, world.resolver,
                           world.trust_store, world.clock, fetcher)
     attempt = sender.send(Message("alice@sender.net", "bob@example.com"))
@@ -58,11 +59,11 @@ def main() -> None:
         print("  sender event:", event.mechanism, event.action, event.detail)
 
     # 6. The scanner sees the same thing.
-    assessment = validator.assess("example.com")
+    snapshot = scanner.scan_domain("example.com", 0)
     print("re-assessment: categories =",
-          [c.value for c in assessment.misconfig_categories()],
+          [c.value for c in categorize(snapshot)],
           "| delivery failure expected =",
-          assessment.delivery_failure_expected)
+          delivery_failure_expected(snapshot))
 
 
 if __name__ == "__main__":

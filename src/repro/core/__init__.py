@@ -14,9 +14,6 @@ from repro.core.policy import (
 )
 from repro.core.matching import mx_pattern_matches, policy_covers_mx
 from repro.core.fetch import PolicyFetcher, PolicyFetchResult
-from repro.core.validator import (
-    DomainAssessment, MtaStsValidator, MxProbeSummary,
-)
 from repro.core.cache import PolicyCache, CachedPolicy
 from repro.core.sender import MtaStsSender, SenderPolicyConfig
 from repro.core.dane import TlsaVerdict, verify_dane, DaneValidator
@@ -25,9 +22,7 @@ from repro.core.lifecycle import (
     DeploymentPlan, RemovalPlan, plan_deployment, plan_removal,
     check_removal_sequence,
 )
-from repro.core.reporting import (
-    ReportCollector, ReportInbox, ReportSubmitter, ResultType, TlsReport,
-)
+from repro.core.reporting import ReportCollector, ReportInbox, ResultType
 from repro.core.refresh import RefreshDaemon
 
 __all__ = [
@@ -36,13 +31,11 @@ __all__ = [
     "check_policy_text",
     "mx_pattern_matches", "policy_covers_mx",
     "PolicyFetcher", "PolicyFetchResult",
-    "DomainAssessment", "MtaStsValidator", "MxProbeSummary",
     "PolicyCache", "CachedPolicy",
     "MtaStsSender", "SenderPolicyConfig",
     "TlsaVerdict", "verify_dane", "DaneValidator",
     "TlsRptRecord", "parse_tlsrpt_record",
     "DeploymentPlan", "RemovalPlan", "plan_deployment", "plan_removal",
     "check_removal_sequence",
-    "ReportCollector", "ReportInbox", "ReportSubmitter", "ResultType",
-    "TlsReport", "RefreshDaemon",
+    "ReportCollector", "ReportInbox", "ResultType", "RefreshDaemon",
 ]

@@ -9,18 +9,17 @@ reproduction's compliant senders can be among them:
 * :class:`~repro.core.tlsrpt.FailureDetail` /
   :class:`~repro.core.tlsrpt.PolicySummary` /
   :class:`~repro.core.tlsrpt.TlsRptReport` — the RFC 8460 report data
-  model (JSON-renderable), re-exported here (``TlsReport`` is the
-  historical alias);
+  model (JSON-renderable), re-exported here;
 * :class:`ReportCollector` — accumulates per-recipient-domain session
   results inside a sending MTA over a reporting window;
-* :class:`ReportSubmitter` — delivers finished reports to the
-  ``rua`` endpoints of the recipient's TLSRPT record, via mail
-  (``mailto:``) or HTTPS POST (``https:``);
 * :class:`ReportInbox` — the receiving side, for tests and the
   ecosystem's report-consuming domains;
 * :class:`ReportAggregator` — the operator-side ingestion point that
   collects received reports per policy domain (fed by the delivery
   campaign's mailbox sweep and the ``repro tlsrpt`` CLI).
+
+Finished reports travel to the recipient's ``rua`` endpoints through
+the sender lanes of :mod:`repro.measurement.delivery_campaign`.
 """
 
 from __future__ import annotations
@@ -30,22 +29,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.clock import DAY, Clock, Instant
+from repro.clock import DAY, Clock
 from repro.core.tlsrpt import (
-    FailureDetail, PolicySummary, ResultType, TlsRptRecord, TlsRptReport,
-    lookup_tlsrpt,
+    FailureDetail, PolicySummary, ResultType, TlsRptReport,
 )
 from repro.dns.name import canonical_host
-from repro.dns.resolver import Resolver
-
-#: Historical name — the report model now lives in
-#: :mod:`repro.core.tlsrpt` next to the record parser.
-TlsReport = TlsRptReport
 
 __all__ = [
     "ResultType", "FailureDetail", "PolicySummary", "TlsRptReport",
-    "TlsReport", "ReportCollector", "ReportInbox", "SubmissionResult",
-    "ReportSubmitter", "ReportAggregator",
+    "ReportCollector", "ReportInbox", "ReportAggregator",
     "result_type_for_fetch_stage", "result_type_for_tls_failure",
 ]
 
@@ -132,7 +124,7 @@ class ReportCollector:
 
 
 # ---------------------------------------------------------------------------
-# Submission and receipt
+# Receipt
 # ---------------------------------------------------------------------------
 
 class ReportInbox:
@@ -153,63 +145,6 @@ class ReportInbox:
         except (KeyError, ValueError, json.JSONDecodeError):
             return False
         return True
-
-
-@dataclass
-class SubmissionResult:
-    domain: str
-    endpoint: str
-    delivered: bool
-    detail: str = ""
-
-
-class ReportSubmitter:
-    """Delivers reports to the recipients' TLSRPT ``rua`` endpoints."""
-
-    def __init__(self, resolver: Resolver, *, mail_transport=None,
-                 https_inboxes: Optional[Dict[str, ReportInbox]] = None):
-        """``mail_transport`` is a :class:`repro.smtp.delivery.SendingMta`
-        (or compatible) used for ``mailto:`` endpoints;
-        ``https_inboxes`` maps https URLs to inboxes (the simulation's
-        stand-in for POSTing to a collector service)."""
-        self._resolver = resolver
-        self._mail = mail_transport
-        self._https_inboxes = https_inboxes or {}
-
-    def submit_report(self, report: TlsRptReport) -> List[SubmissionResult]:
-        domain = report.policies[0].policy_domain if report.policies else ""
-        record = lookup_tlsrpt(self._resolver, domain) if domain else None
-        if record is None:
-            return [SubmissionResult(domain, "", False,
-                                     "no TLSRPT record published")]
-        results = []
-        for endpoint in record.rua:
-            results.append(self._submit_one(report, domain, endpoint))
-        return results
-
-    def _submit_one(self, report: TlsRptReport, domain: str,
-                    endpoint: str) -> SubmissionResult:
-        if endpoint.startswith("mailto:"):
-            if self._mail is None:
-                return SubmissionResult(domain, endpoint, False,
-                                        "no mail transport configured")
-            from repro.smtp.delivery import Message
-            address = endpoint[len("mailto:"):]
-            attempt = self._mail.send(Message(
-                sender=f"tlsrpt@{report.organization_name}",
-                recipient=address, body=report.to_json()))
-            return SubmissionResult(domain, endpoint, attempt.delivered,
-                                    attempt.status.value)
-        if endpoint.startswith("https://"):
-            inbox = self._https_inboxes.get(endpoint)
-            if inbox is None:
-                return SubmissionResult(domain, endpoint, False,
-                                        "https endpoint unreachable")
-            ok = inbox.submit(report.to_json())
-            return SubmissionResult(domain, endpoint, ok,
-                                    "accepted" if ok else "rejected")
-        return SubmissionResult(domain, endpoint, False,
-                                f"unsupported scheme in {endpoint!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
-from repro.core.validator import MtaStsValidator
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.world import World
 
@@ -19,11 +18,6 @@ def world() -> World:
 @pytest.fixture
 def fetcher(world) -> PolicyFetcher:
     return PolicyFetcher(world.resolver, world.https_client)
-
-
-@pytest.fixture
-def validator(world, fetcher) -> MtaStsValidator:
-    return MtaStsValidator(world.resolver, fetcher, world.smtp_probe)
 
 
 @pytest.fixture

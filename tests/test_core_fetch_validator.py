@@ -1,15 +1,15 @@
-"""Integration tests for policy discovery/fetch and the full validator."""
+"""Integration tests for policy discovery and fetch.
+
+The per-domain verdict built on top of a fetch is tested through the
+scanner in ``test_measurement_taxonomy.py``.
+"""
 
 import pytest
 
-from repro.core.fetch import PolicyFetcher
-from repro.core.policy import Policy, PolicyMode
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.ecosystem.providers import table2_providers
-from repro.errors import (
-    MisconfigCategory, PolicyFetchStage, StsRecordError, TlsFailure,
-)
+from repro.errors import PolicyFetchStage, StsRecordError, TlsFailure
 
 
 class TestFetcher:
@@ -77,101 +77,3 @@ class TestFetcher:
         if tls_failure is not None:
             assert result.tls_failure is tls_failure
 
-
-class TestValidator:
-    def test_healthy_assessment(self, world, validator, simple_domain):
-        assessment = validator.assess("example.com")
-        assert assessment.sts_enabled
-        assert not assessment.misconfigured
-        assert assessment.misconfig_categories() == []
-        assert not assessment.delivery_failure_expected
-
-    def test_record_category(self, world, validator, simple_domain):
-        apply_fault(world, simple_domain, Fault.RECORD_MISSING_ID)
-        world.resolver.flush_cache()
-        assessment = validator.assess("example.com")
-        assert MisconfigCategory.DNS_RECORD in assessment.misconfig_categories()
-
-    def test_policy_category(self, world, validator, simple_domain):
-        apply_fault(world, simple_domain, Fault.POLICY_HTTP_404)
-        assessment = validator.assess("example.com")
-        assert MisconfigCategory.POLICY_RETRIEVAL in \
-            assessment.misconfig_categories()
-
-    def test_mx_cert_category(self, world, validator, simple_domain):
-        apply_fault(world, simple_domain, Fault.MX_CERT_EXPIRED)
-        assessment = validator.assess("example.com")
-        assert MisconfigCategory.MX_CERTIFICATE in \
-            assessment.misconfig_categories()
-        assert assessment.mx_probe.any_invalid_cert
-        assert assessment.mx_probe.failure_classes() == ["expired"]
-
-    def test_inconsistency_category(self, world, validator, simple_domain):
-        apply_fault(world, simple_domain, Fault.MISMATCH_DOMAIN)
-        assessment = validator.assess("example.com")
-        assert MisconfigCategory.INCONSISTENCY in \
-            assessment.misconfig_categories()
-        assert assessment.uncovered_mx == ["mail.example.com"]
-
-    def test_multiple_categories_coexist(self, world, validator,
-                                         simple_domain):
-        apply_fault(world, simple_domain, Fault.RECORD_INVALID_ID)
-        apply_fault(world, simple_domain, Fault.MX_CERT_SELF_SIGNED)
-        world.resolver.flush_cache()
-        categories = validator.assess("example.com").misconfig_categories()
-        assert MisconfigCategory.DNS_RECORD in categories
-        assert MisconfigCategory.MX_CERTIFICATE in categories
-
-    def test_enforce_mismatch_predicts_delivery_failure(self, world,
-                                                        validator):
-        deployed = deploy_domain(world, DomainSpec(
-            domain="strict.com",
-            policy=Policy(version="STSv1", mode=PolicyMode.ENFORCE,
-                          max_age=86400, mx_patterns=("mail.strict.com",))))
-        apply_fault(world, deployed, Fault.MISMATCH_DOMAIN)
-        assessment = validator.assess("strict.com")
-        assert assessment.delivery_failure_expected
-
-    def test_testing_mismatch_does_not_fail_delivery(self, world, validator,
-                                                     simple_domain):
-        apply_fault(world, simple_domain, Fault.MISMATCH_DOMAIN)
-        assessment = validator.assess("example.com")
-        assert not assessment.delivery_failure_expected    # testing mode
-
-    def test_enforce_all_invalid_mx_fails_delivery(self, world, validator):
-        deployed = deploy_domain(world, DomainSpec(
-            domain="strict2.com",
-            policy=Policy(version="STSv1", mode=PolicyMode.ENFORCE,
-                          max_age=86400, mx_patterns=("mail.strict2.com",))))
-        apply_fault(world, deployed, Fault.MX_CERT_SELF_SIGNED, mx_index=None)
-        assessment = validator.assess("strict2.com")
-        assert assessment.delivery_failure_expected
-
-    def test_enforce_partial_invalid_mx_survives(self, world, validator):
-        deployed = deploy_domain(world, DomainSpec(
-            domain="strict3.com", self_mx_count=2,
-            policy=Policy(version="STSv1", mode=PolicyMode.ENFORCE,
-                          max_age=86400,
-                          mx_patterns=("mx1.strict3.com",
-                                       "mx2.strict3.com"))))
-        apply_fault(world, deployed, Fault.MX_CERT_SELF_SIGNED, mx_index=0)
-        assessment = validator.assess("strict3.com")
-        assert assessment.mx_probe.partially_invalid_cert
-        assert not assessment.delivery_failure_expected
-
-    def test_unretrievable_policy_cannot_fail_delivery(self, world,
-                                                       validator):
-        deployed = deploy_domain(world, DomainSpec(
-            domain="strict4.com",
-            policy=Policy(version="STSv1", mode=PolicyMode.ENFORCE,
-                          max_age=86400, mx_patterns=("mail.strict4.com",))))
-        apply_fault(world, deployed, Fault.POLICY_HTTP_404)
-        assessment = validator.assess("strict4.com")
-        assert assessment.misconfigured
-        assert not assessment.delivery_failure_expected
-
-    def test_3ld_mismatch(self, world, validator, simple_domain):
-        apply_fault(world, simple_domain, Fault.MISMATCH_3LD)
-        assessment = validator.assess("example.com")
-        assert not assessment.consistent
-        assert assessment.policy.mx_patterns == ("mta-sts.mail.example.com",)

@@ -1,22 +1,20 @@
-"""Tests for SMTP TLS Reporting (RFC 8460) — generation and delivery."""
+"""Tests for SMTP TLS Reporting (RFC 8460): the report model, the
+sender-side collector and the receiving inbox.  Report delivery to
+``rua`` endpoints is tested through the delivery campaign in
+``test_tlsrpt_pipeline.py``."""
 
 import json
 
-import pytest
-
 from repro.clock import DAY, Duration
-from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
 from repro.core.reporting import (
-    FailureDetail, PolicySummary, ReportCollector, ReportInbox,
-    ReportSubmitter, ResultType, TlsReport, result_type_for_fetch_stage,
-    result_type_for_tls_failure,
+    FailureDetail, PolicySummary, ReportCollector, ReportInbox, ResultType,
+    TlsRptReport, result_type_for_fetch_stage, result_type_for_tls_failure,
 )
 from repro.core.sender import MtaStsSender
-from repro.core.tlsrpt import TlsRptRecord
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
-from repro.smtp.delivery import Message, SendingMta
+from repro.smtp.delivery import Message
 
 
 class TestReportModel:
@@ -28,14 +26,14 @@ class TestReportModel:
             policy_strings=("version: STSv1", "mode: enforce"),
             total_successful_sessions=10, total_failed_sessions=3,
             failure_details=[detail])
-        return TlsReport(
+        return TlsRptReport(
             organization_name="relay.net", contact_info="tls@relay.net",
             report_id="r1", window_start=world.now(),
             window_end=world.now() + DAY, policies=[summary])
 
     def test_json_round_trip(self, world):
         report = self.make_report(world)
-        parsed = TlsReport.from_json(report.to_json())
+        parsed = TlsRptReport.from_json(report.to_json())
         assert parsed.report_id == "r1"
         assert parsed.policies[0].total_failed_sessions == 3
         assert parsed.policies[0].failure_details[0].result_type is \
@@ -102,50 +100,7 @@ class TestCollector:
 
 
 class TestSubmitter:
-    def test_mailto_submission(self, world):
-        inboxed = deploy_domain(world, DomainSpec(
-            domain="reports.com",
-            tlsrpt=TlsRptRecord("TLSRPTv1",
-                                ("mailto:tls-reports@reports.com",))))
-        collector = ReportCollector("relay.net", "tls@relay.net",
-                                    world.clock)
-        collector.record_policy("reports.com", "sts", ())
-        collector.record_success("reports.com")
-        report = collector.close_window()[0]
-
-        mail = SendingMta("relay.net", world.network, world.resolver,
-                          world.trust_store, world.clock)
-        submitter = ReportSubmitter(world.resolver, mail_transport=mail)
-        results = submitter.submit_report(report)
-        assert results[0].delivered
-        stored = inboxed.mx_hosts[0].mailbox
-        assert stored and "report-id" in stored[0].body
-
-    def test_https_submission(self, world):
-        deploy_domain(world, DomainSpec(
-            domain="httpsrpt.com",
-            tlsrpt=TlsRptRecord(
-                "TLSRPTv1", ("https://collector.example/v1",))))
-        inbox = ReportInbox("httpsrpt.com")
-        collector = ReportCollector("relay.net", "x@relay.net", world.clock)
-        collector.record_policy("httpsrpt.com", "sts", ())
-        collector.record_success("httpsrpt.com")
-        report = collector.close_window()[0]
-        submitter = ReportSubmitter(
-            world.resolver,
-            https_inboxes={"https://collector.example/v1": inbox})
-        results = submitter.submit_report(report)
-        assert results[0].delivered
-        assert inbox.received[0].policies[0].policy_domain == "httpsrpt.com"
-
-    def test_no_tlsrpt_record(self, world, simple_domain):
-        collector = ReportCollector("relay.net", "x@relay.net", world.clock)
-        collector.record_success("example.com")
-        report = collector.close_window()[0]
-        submitter = ReportSubmitter(world.resolver)
-        results = submitter.submit_report(report)
-        assert not results[0].delivered
-        assert "no TLSRPT record" in results[0].detail
+    """Submitting a report body to a receiving :class:`ReportInbox`."""
 
     def test_malformed_submission_rejected(self):
         inbox = ReportInbox("x.com")
@@ -198,27 +153,20 @@ class TestSenderIntegration:
                    for d in details)
 
     def test_end_to_end_report_loop(self, world, fetcher):
-        """Sender observes failures at a recipient that publishes
-        TLSRPT, and the recipient receives the JSON report by mail."""
+        """Sender observes failures at a testing-mode recipient, and
+        its closed window holds that recipient's report (the delivery
+        campaign's lanes then send it to the published rua)."""
         recipient = deploy_domain(world, DomainSpec(
             domain="loop.com",
             policy=Policy(version="STSv1", mode=PolicyMode.TESTING,
-                          max_age=86400, mx_patterns=("mail.loop.com",)),
-            tlsrpt=TlsRptRecord("TLSRPTv1", ("mailto:tlsrpt@loop.com",))))
+                          max_age=86400, mx_patterns=("mail.loop.com",))))
         apply_fault(world, recipient, Fault.MX_CERT_SELF_SIGNED)
         sender, collector = self._reporting_sender(world, fetcher)
         # Testing mode: delivery proceeds despite the bad certificate.
         assert sender.send(Message("a@relay.net", "b@loop.com")).delivered
 
-        mail = SendingMta("relay.net", world.network, world.resolver,
-                          world.trust_store, world.clock)
-        submitter = ReportSubmitter(world.resolver, mail_transport=mail)
-        for report in collector.close_window():
-            results = submitter.submit_report(report)
-            assert all(r.delivered for r in results)
-        bodies = [m.body for m in recipient.mx_hosts[0].mailbox
-                  if "report-id" in m.body]
-        assert bodies
-        parsed = TlsReport.from_json(bodies[0])
+        reports = collector.close_window()
+        assert [r.policy_domain for r in reports] == ["loop.com"]
+        parsed = TlsRptReport.from_json(reports[0].to_json())
         assert parsed.policies[0].total_failed_sessions >= 1
         assert parsed.policies[0].total_successful_sessions >= 1

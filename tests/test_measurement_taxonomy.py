@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.matching import uncovered_mx_hosts
 from repro.core.policy import Policy, PolicyMode
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
@@ -104,11 +105,26 @@ class TestClassifyMismatchCanonicalisation:
 
 
 class TestCategorizeSnapshots:
+    """``Scanner.scan_domain`` plus the taxonomy is the one per-domain
+    verdict: the Figure-4 categories and the delivery-failure class."""
+
     def scan(self, world, domain="example.com"):
         return Scanner(world).scan_domain(domain, 0)
 
+    @staticmethod
+    def deploy(world, mode, mx_count=1, domain="strict.com"):
+        """*domain* with *mx_count* self-managed MX hosts and a *mode*
+        policy listing exactly those hosts."""
+        spec = DomainSpec(domain=domain, self_mx_count=mx_count)
+        spec.policy = Policy(version="STSv1", mode=mode, max_age=86400,
+                             mx_patterns=tuple(spec.intended_mx()))
+        return deploy_domain(world, spec)
+
     def test_healthy(self, world, simple_domain):
-        assert categorize(self.scan(world)) == []
+        snap = self.scan(world)
+        assert snap.sts_like
+        assert categorize(snap) == []
+        assert not delivery_failure_expected(snap)
 
     @pytest.mark.parametrize("fault, category", [
         (Fault.RECORD_INVALID_ID, MisconfigCategory.DNS_RECORD),
@@ -116,12 +132,73 @@ class TestCategorizeSnapshots:
         (Fault.POLICY_SYNTAX_EMPTY, MisconfigCategory.POLICY_RETRIEVAL),
         (Fault.MX_CERT_EXPIRED, MisconfigCategory.MX_CERTIFICATE),
         (Fault.MISMATCH_DOMAIN, MisconfigCategory.INCONSISTENCY),
+        (Fault.RECORD_MISSING_ID, MisconfigCategory.DNS_RECORD),
+        (Fault.POLICY_HTTP_404, MisconfigCategory.POLICY_RETRIEVAL),
+        (Fault.MISMATCH_3LD, MisconfigCategory.INCONSISTENCY),
     ])
     def test_single_fault_maps_to_category(self, world, simple_domain,
                                            fault, category):
         apply_fault(world, simple_domain, fault)
         world.resolver.flush_cache()
         assert category in categorize(self.scan(world))
+
+    def test_mx_certificate_failure_class(self, world, simple_domain):
+        apply_fault(world, simple_domain, Fault.MX_CERT_EXPIRED)
+        snap = self.scan(world)
+        assert [o.failure_class for o in snap.mx_tls_capable
+                if not o.cert_valid] == ["expired"]
+
+    @pytest.mark.parametrize("fault, pattern", [
+        (Fault.MISMATCH_DOMAIN, "mx.old-provider-11.net"),
+        (Fault.MISMATCH_3LD, "mta-sts.mail.example.com"),
+    ])
+    def test_inconsistency_names_the_uncovered_mx(self, world, simple_domain,
+                                                  fault, pattern):
+        apply_fault(world, simple_domain, fault)
+        snap = self.scan(world)
+        assert not snap.consistent
+        assert snap.mx_patterns == [pattern]
+        assert uncovered_mx_hosts(snap.mx_patterns,
+                                  snap.mx_hostnames) == ["mail.example.com"]
+
+    def test_multiple_categories_coexist(self, world, simple_domain):
+        apply_fault(world, simple_domain, Fault.RECORD_INVALID_ID)
+        apply_fault(world, simple_domain, Fault.MX_CERT_SELF_SIGNED)
+        world.resolver.flush_cache()
+        assert categorize(self.scan(world)) == [
+            MisconfigCategory.DNS_RECORD, MisconfigCategory.MX_CERTIFICATE]
+
+    @pytest.mark.parametrize("mode", [PolicyMode.TESTING,
+                                      PolicyMode.ENFORCE])
+    def test_bad_mx_line_is_a_retrieval_error_only(self, world, mode):
+        # The policy fails syntax checks, so its mx patterns are not
+        # judged against the MX records (§4.4): no inconsistency.
+        deployed = self.deploy(world, mode)
+        apply_fault(world, deployed, Fault.POLICY_SYNTAX_BAD_MX)
+        snap = self.scan(world, "strict.com")
+        assert categorize(snap) == [MisconfigCategory.POLICY_RETRIEVAL]
+        assert not delivery_failure_expected(snap)
+
+    @pytest.mark.parametrize("mode, fault, mx_count, mx_index, expected", [
+        (PolicyMode.ENFORCE, None, 1, 0, False),
+        (PolicyMode.TESTING, Fault.MISMATCH_DOMAIN, 1, 0, False),
+        (PolicyMode.ENFORCE, Fault.MX_CERT_SELF_SIGNED, 1, None, True),
+        (PolicyMode.TESTING, Fault.MX_CERT_SELF_SIGNED, 1, None, False),
+        (PolicyMode.ENFORCE, Fault.MX_CERT_SELF_SIGNED, 2, 0, False),
+        (PolicyMode.ENFORCE, Fault.MX_CERT_SELF_SIGNED, 2, None, True),
+        (PolicyMode.ENFORCE, Fault.POLICY_HTTP_404, 1, 0, False),
+    ])
+    def test_delivery_failure(self, world, mode, fault, mx_count, mx_index,
+                              expected):
+        # A compliant sender fails only in enforce mode, with a
+        # retrievable policy, when no MX matches or every matching MX
+        # presents an invalid certificate.
+        deployed = self.deploy(world, mode, mx_count)
+        if fault is not None:
+            apply_fault(world, deployed, fault, mx_index=mx_index)
+        snap = self.scan(world, "strict.com")
+        assert delivery_failure_expected(snap) is expected
+        assert bool(categorize(snap)) is (fault is not None)
 
     def test_non_sts_domain_has_no_categories(self, world):
         deploy_domain(world, DomainSpec(domain="plain.com",
