@@ -670,13 +670,28 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     checkpoint (the config must match the manifest's).  *max_waves*
     stops after that many additional waves — with a state dir this
     emulates a crash at a wave boundary, the case the resume tests
-    replay.
+    replay.  Committed state in *state_dir* is never overwritten: without
+    ``resume=True`` it raises ``ValueError``, and a scan campaign's
+    manifest raises :class:`StoreCorruption`.
     """
     if config.tlsrpt and state_dir is not None:
         raise ValueError(
             "tlsrpt reporting does not support durable state dirs yet: "
             "received-report state (recipient mailboxes) is not part of "
             "the wave checkpoint")
+    manifest = (read_delivery_manifest(state_dir)
+                if state_dir is not None else None)
+    if manifest is not None:
+        if not resume:
+            raise ValueError(
+                f"state dir {state_dir!r} already holds "
+                f"{len(manifest.get('waves', ()))} committed wave(s); "
+                f"pass resume=True to continue that campaign or point "
+                f"at a fresh directory")
+        if manifest.get("config") != config.to_dict():
+            raise StoreCorruption(
+                f"{MANIFEST_NAME}: state dir belongs to a different "
+                f"campaign config")
 
     build_started = time.perf_counter()
     timeline = EcosystemTimeline(TimelineConfig(
@@ -705,33 +720,27 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     start_wave = 0
     finalized_before = 0
 
-    if state_dir is not None and resume:
-        manifest = read_delivery_manifest(state_dir)
-        if manifest is not None:
-            if manifest.get("config") != config.to_dict():
-                raise StoreCorruption(
-                    f"{MANIFEST_NAME}: state dir belongs to a different "
-                    f"campaign config")
-            waves = sorted(manifest.get("waves", ()),
-                           key=lambda entry: int(entry.get("wave", 0)))
-            for entry in waves:
-                text = _load_wave_shard(state_dir, entry)
-                ledger_parts.append(text)
-                finalized_before += int(entry["rows"])
-                committed.append(dict(entry))
-                monitor.add_record(FeedRecord(
-                    int(entry["wave"]), str(entry.get("date", "")),
-                    MetricsRegistry.from_dict(entry.get("metrics") or {})))
-            checkpoint = manifest.get("checkpoint") or {}
-            target = Instant(int(checkpoint.get(
-                "clock", world.clock.now().epoch_seconds)))
-            if target > world.clock.now():
-                world.clock.advance_to(target)
-            lane_states = checkpoint.get("lanes") or {}
-            for lane in lanes:
-                if lane.identity in lane_states:
-                    lane.restore(lane_states[lane.identity])
-            start_wave = len(waves)
+    if manifest is not None:
+        waves = sorted(manifest.get("waves", ()),
+                       key=lambda entry: int(entry.get("wave", 0)))
+        for entry in waves:
+            text = _load_wave_shard(state_dir, entry)
+            ledger_parts.append(text)
+            finalized_before += int(entry["rows"])
+            committed.append(dict(entry))
+            monitor.add_record(FeedRecord(
+                int(entry["wave"]), str(entry.get("date", "")),
+                MetricsRegistry.from_dict(entry.get("metrics") or {})))
+        checkpoint = manifest.get("checkpoint") or {}
+        target = Instant(int(checkpoint.get(
+            "clock", world.clock.now().epoch_seconds)))
+        if target > world.clock.now():
+            world.clock.advance_to(target)
+        lane_states = checkpoint.get("lanes") or {}
+        for lane in lanes:
+            if lane.identity in lane_states:
+                lane.restore(lane_states[lane.identity])
+        start_wave = len(waves)
 
     total = config.total_messages
     tracker = None

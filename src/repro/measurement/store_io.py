@@ -26,8 +26,9 @@ half-written shard.
 
 Loading verifies everything it reads: a missing shard, a digest
 mismatch, a truncated or unparsable row, a row count that disagrees
-with the manifest, or an unsupported schema version raises
-:class:`~repro.errors.StoreCorruption` naming the offending artifact.
+with the manifest, an unsupported schema version, or a delivery
+campaign's manifest raises :class:`~repro.errors.StoreCorruption`
+naming the offending artifact.
 There is no partial-load mode by design.
 """
 
@@ -145,7 +146,9 @@ def _manifest_path(state_dir: str) -> str:
 def read_manifest(state_dir: str) -> Optional[dict]:
     """The raw manifest dict, or ``None`` when the directory holds no
     campaign state yet.  A present-but-damaged manifest raises
-    :class:`StoreCorruption` — it is never treated as absent."""
+    :class:`StoreCorruption` — it is never treated as absent — and so
+    does a foreign one: a scan manifest carries no ``kind``, while a
+    delivery campaign's does."""
     path = _manifest_path(state_dir)
     if not os.path.exists(path):
         return None
@@ -155,6 +158,10 @@ def read_manifest(state_dir: str) -> Optional[dict]:
         raise StoreCorruption(f"{MANIFEST_NAME}: unreadable ({exc})") from exc
     if not isinstance(manifest, dict):
         raise StoreCorruption(f"{MANIFEST_NAME}: not a JSON object")
+    if "kind" in manifest:
+        raise StoreCorruption(
+            f"{MANIFEST_NAME}: kind {manifest['kind']!r} is not a scan "
+            f"campaign")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise StoreCorruption(

@@ -15,6 +15,7 @@ the canonicalisation of ``Message.recipient_domain``.
 import functools
 import json
 import os
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -676,3 +677,50 @@ class TestCliDeliver:
         assert args.handler.__name__ == "_cmd_campaign"
         args = build_parser().parse_args(["campaign", "deliver"])
         assert args.handler.__name__ == "_cmd_campaign_deliver"
+
+
+def _tree(root):
+    """Every file under *root* with its bytes, keyed by relative path."""
+    return {os.path.relpath(os.path.join(folder, name), root):
+            open(os.path.join(folder, name), "rb").read()
+            for folder, _, names in os.walk(root) for name in names}
+
+
+class TestStateDirOwnership:
+    """Committed state is never silently replaced: a fresh run on a
+    committed delivery dir, and either workload on the other's dir,
+    exits 1 and leaves the directory byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def delivery_dir(self, tmp_path_factory):
+        from repro.cli import main
+        state = tmp_path_factory.mktemp("delivery") / "state"
+        assert main(TestCliDeliver._ARGS + ["--state-dir", str(state)]) == 0
+        return state
+
+    def _refused(self, capsys, state, args):
+        from repro.cli import main
+        before = _tree(state)
+        assert main(args + ["--state-dir", str(state)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert _tree(state) == before
+
+    def test_fresh_delivery_run_keeps_committed_waves(
+            self, capsys, tmp_path, delivery_dir):
+        state = tmp_path / "state"
+        shutil.copytree(delivery_dir, state)
+        args = list(TestCliDeliver._ARGS)
+        args[args.index("--senders") + 1] = "5"
+        self._refused(capsys, state, args)
+
+    def test_delivery_run_keeps_a_scan_campaign(self, capsys, tmp_path,
+                                                clean_state):
+        state = tmp_path / "state"
+        shutil.copytree(clean_state, state)
+        self._refused(capsys, state, TestCliDeliver._ARGS)
+
+    def test_scan_campaign_keeps_a_delivery_dir(self, capsys, tmp_path,
+                                                delivery_dir):
+        state = tmp_path / "state"
+        shutil.copytree(delivery_dir, state)
+        self._refused(capsys, state, ["campaign", "--scale", "0.002"])
