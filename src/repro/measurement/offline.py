@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.matching import policy_covers_mx, unused_patterns
+from repro.core.matching import (
+    policy_covers_mx, uncovered_mx_hosts, unused_patterns,
+)
 from repro.core.policy import Policy, PolicyMode, check_policy_text
 from repro.core.record import evaluate_txt_rrset
 from repro.dns.name import DnsName, canonical_host
@@ -176,8 +178,7 @@ def _check_policy(policy_text: str, assessment: OfflineAssessment) -> None:
             assessment.add("warning", "policy",
                            f"patterns matching no current MX record "
                            f"(stale after a migration?): {stale}")
-        uncovered = [mx for mx in assessment.mx_hostnames
-                     if not policy_covers_mx(policy, mx)]
+        uncovered = uncovered_mx_hosts(policy, assessment.mx_hostnames)
         if uncovered:
             assessment.add("warning", "policy",
                            f"MX hosts not covered by any pattern: "

@@ -81,6 +81,18 @@ class TestOfflineAssessment:
         assert assessment.ok
         assert any("stale" in f.message for f in assessment.findings)
 
+    def test_uncovered_mx_warning(self):
+        zone = GOOD_ZONE.replace("@        IN MX 10 mail\n",
+                                 "@        IN MX 10 mail\n"
+                                 "@        IN MX 20 Backup.Example.com.\n")
+        assessment = assess_zone(zone, "example.com", GOOD_POLICY)
+        assert assessment.ok
+        assert assessment.consistent
+        assert [f.message for f in assessment.findings
+                if f.severity == "warning"] == [
+            "MX hosts not covered by any pattern: ['backup.example.com'] "
+            "— senders will skip them"]
+
     def test_implicit_mx_fallback(self):
         zone = GOOD_ZONE.replace("@        IN MX 10 mail\n",
                                  "@        IN A 10.1.2.9\n")
