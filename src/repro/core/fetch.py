@@ -22,7 +22,6 @@ from repro.dns.resolver import Resolver
 from repro.errors import (
     DnsError, NoData, NxDomain, PolicyFetchStage, StsRecordError, TlsFailure,
 )
-from repro.pki.certificate import Certificate
 from repro.web.client import FetchOutcome, HttpsClient
 from repro.web.server import WELL_KNOWN_STS_PATH
 
@@ -89,10 +88,6 @@ class PolicyFetchResult:
     @property
     def tls_failure(self) -> Optional[TlsFailure]:
         return self.fetch.tls_failure if self.fetch is not None else None
-
-    @property
-    def policy_host_certificate(self) -> Optional[Certificate]:
-        return self.fetch.certificate if self.fetch is not None else None
 
     @property
     def fully_valid(self) -> bool:

@@ -53,9 +53,6 @@ class AuthoritativeServer:
     def add_zone(self, zone: Zone) -> None:
         self._zones[zone.apex.text] = zone
 
-    def remove_zone(self, apex: DnsName) -> None:
-        self._zones.pop(apex.text, None)
-
     def zone_for(self, name: DnsName) -> Zone | None:
         """Longest-suffix zone match."""
         return longest_suffix_match(self._zones, name)

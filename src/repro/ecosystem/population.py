@@ -244,12 +244,6 @@ def _first_scan_month(adoption_week: int) -> int:
                (adoption_week - FIRST_SCAN_WEEK + 3) // 4)
 
 
-def _interp(initial: float, final: float, month: int, months: int) -> float:
-    if months <= 1:
-        return final
-    return initial + (final - initial) * month / (months - 1)
-
-
 class _Sampler:
     """Deterministic sampling helpers around one RNG."""
 

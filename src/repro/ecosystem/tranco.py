@@ -47,9 +47,6 @@ class TrancoRanking:
                 + (TOP_BIN_ADOPTION - BOTTOM_BIN_ADOPTION)
                 * (1.0 - fraction) ** 2.5)
 
-    def has_sts(self, rank: int) -> bool:
-        return self._adopters[rank - 1]
-
     def binned_adoption(self) -> List[Tuple[int, float]]:
         """Per-bin (start_rank, percent with MTA-STS) — Figure 3's series."""
         out = []

@@ -152,39 +152,11 @@ class TlsFailure(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# HTTP layer
-# ---------------------------------------------------------------------------
-
-class HttpError(ReproError):
-    """A non-2xx HTTP response where a policy body was required."""
-
-    def __init__(self, status: int, message: str = ""):
-        self.status = status
-        super().__init__(message or f"HTTP {status}")
-
-
-# ---------------------------------------------------------------------------
 # SMTP layer
 # ---------------------------------------------------------------------------
 
 class SmtpError(ReproError):
     """Base class for SMTP conversation failures."""
-
-
-class StarttlsNotOffered(SmtpError):
-    """The server's EHLO response did not advertise STARTTLS."""
-
-
-class SmtpRejected(SmtpError):
-    """The server rejected the command (e.g. greylisting 4xx)."""
-
-    def __init__(self, code: int, message: str = ""):
-        self.code = code
-        super().__init__(message or f"SMTP {code}")
-
-
-class DeliveryRefused(SmtpError):
-    """A policy-compliant sender refused to deliver (enforce-mode failure)."""
 
 
 # ---------------------------------------------------------------------------

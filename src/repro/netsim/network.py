@@ -363,9 +363,6 @@ class Network:
             raise ConnectionTimeout(f"{ip}:{port} timed out")
         return listener.app
 
-    def listener_at(self, ip: IpAddress, port: int) -> Listener | None:
-        return self._listeners.get((ip.text, port))
-
     def endpoints(self) -> list[Tuple[str, int]]:
         return sorted(self._listeners)
 

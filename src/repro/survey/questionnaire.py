@@ -58,9 +58,6 @@ class Questionnaire:
                 return q
         raise KeyError(qid)
 
-    def page_questions(self, page: int) -> List[Question]:
-        return [q for q in self.questions if q.page == page]
-
     def next_page(self, page: int,
                   answers: Dict[str, object]) -> Optional[int]:
         """The page after *page*, honouring branch rules (None = done)."""
