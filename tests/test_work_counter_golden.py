@@ -15,9 +15,24 @@ fails here even when it hides inside timing noise.
 These are the passes ``perfbench/workloads.py`` times.  A moved
 counter is either a regression or a deliberate change of work, to be
 re-baselined with the diff explained.
+
+The delivery goldens pin configurations that pass never reaches, all
+at scale 0.004, seed 11, month 3 and fault seed 4242: a trickle of 12
+senders x 10 messages under backpressure 3 at fault rate 0.5 (185
+waves without TLSRPT, in which idle lanes still refresh due policies;
+215 with it), and the 40-sender campaign of
+``test_delivery_campaign.py`` at fault rate 0.35, whole and stopped
+after three waves into a state directory and resumed.  Each pins every
+integer field of ``DeliveryStats`` plus the sha256 of the ledger, the
+monitor feed and the received TLSRPT reports.  The resumed run writes
+the whole run's bytes; its world counters (DNS queries, connects,
+faults) count only the resumed process's traffic.
 """
 
+import hashlib
 import os
+
+import pytest
 
 from repro.analysis.series import run_campaign
 from repro.ecosystem.population import PopulationConfig
@@ -93,3 +108,90 @@ def test_deliver_work_counters():
         messages_per_sender=1, fault_seed=4242, fault_rate=0.2,
         tlsrpt=True))
     assert _int_fields(result.stats.to_dict()) == DELIVER_GOLDEN
+
+
+_SMALL_WORLD = dict(scale=0.004, seed=11, month_index=3, fault_seed=4242)
+_TRICKLE = dict(senders=12, messages_per_sender=10, backpressure=3,
+                fault_rate=0.5)
+_RESUMABLE = dict(senders=40, messages_per_sender=5, backpressure=60,
+                  fault_rate=0.35)
+_NO_REPORTS = {
+    "report_attempts": 0, "reports_bounced": 0, "reports_delivered": 0,
+    "reports_generated": 0, "reports_missing_endpoint": 0,
+    "reports_received": 0,
+    "reports_sha256": ("e3b0c44298fc1c149afbf4c8996fb924"
+                       "27ae41e4649b934ca495991b7852b855"),
+}
+_TRICKLE_MESSAGES = {
+    "attempts": 278, "bounced": 46, "delivered": 74,
+    "delivered_plaintext": 8, "messages": 120, "month_index": 3,
+    "queue_depth_peak": 3, "seed": 11, "senders": 12,
+}
+_RESUMABLE_GOLDEN = {
+    "attempts": 455, "bounced": 58, "delivered": 142,
+    "delivered_plaintext": 9, "messages": 200, "month_index": 3,
+    "queue_depth_peak": 37, "seed": 11, "senders": 40, "waves": 13,
+    "ledger_sha256": ("13be1eabe88927551341bff7ae63b4bd"
+                      "a4689cdabf21209af8c6e16c5156349d"),
+    "monitor_sha256": ("43c8775d869c89b68a3a51ca4389a67b"
+                       "a2eb77c32e464e9f294525122a858924"),
+    **_NO_REPORTS,
+}
+
+#: name -> (config overrides, waves before the stop-and-resume or
+#: ``None`` for one uninterrupted run, golden)
+DELIVERY_GOLDENS = {
+    "trickle": (_TRICKLE, None, {
+        **_TRICKLE_MESSAGES, "waves": 185,
+        "connects": 2351, "dns_queries": 1257, "faults_injected": 1410,
+        "ledger_sha256": ("29d278ac23bd47ba328c5dada6c3ee1b"
+                          "5c5fa6271b7ff1cbc0c41bf09a179657"),
+        "monitor_sha256": ("a64811ed2a7874a5cb3f79662140cbb9"
+                           "a72fb5d08bf5c3a50921df776aeb4585"),
+        **_NO_REPORTS,
+    }),
+    "trickle-tlsrpt": (dict(_TRICKLE, tlsrpt=True), None, {
+        **_TRICKLE_MESSAGES, "waves": 215,
+        "connects": 2772, "dns_queries": 1478, "faults_injected": 1608,
+        "ledger_sha256": ("b029979d1804ced7fa58276ef56ce8a0"
+                          "5028a3e43a7ac4304c48322697895c03"),
+        "monitor_sha256": ("011fb45b45e0016ce272fa78302e8079"
+                           "4dad38a62d6f4f120420557a7ec4e662"),
+        "report_attempts": 67, "reports_bounced": 3,
+        "reports_delivered": 38, "reports_generated": 80,
+        "reports_missing_endpoint": 39, "reports_received": 38,
+        "reports_sha256": ("a41983797f6be6e4eb4e37a081bf50f2"
+                           "7e99ea1bbcd63a7d4647b5ccea9b49d2"),
+    }),
+    "resumable": (_RESUMABLE, None, {
+        **_RESUMABLE_GOLDEN,
+        "connects": 2803, "dns_queries": 1405, "faults_injected": 1736,
+    }),
+    "resumable-resumed": (_RESUMABLE, 3, {
+        **_RESUMABLE_GOLDEN,
+        "connects": 2207, "dns_queries": 1167, "faults_injected": 1417,
+    }),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DELIVERY_GOLDENS))
+def test_delivery_goldens(name, tmp_path):
+    overrides, resume_after, golden = DELIVERY_GOLDENS[name]
+    config = DeliveryCampaignConfig(**_SMALL_WORLD, **overrides)
+    if resume_after is None:
+        result = run_delivery_campaign(config)
+    else:
+        state_dir = str(tmp_path / "state")
+        run_delivery_campaign(config, state_dir=state_dir,
+                              max_waves=resume_after)
+        result = run_delivery_campaign(config, state_dir=state_dir,
+                                       resume=True)
+    assert {**_int_fields(result.stats.to_dict()),
+            "ledger_sha256": _sha256(result.ledger_text),
+            "monitor_sha256": _sha256(result.monitor.to_jsonl()),
+            "reports_sha256": _sha256(result.tlsrpt_reports_jsonl),
+            } == golden
