@@ -42,7 +42,6 @@ class RefreshDaemon:
         self._fetcher = fetcher
         self._clock = clock
         self.refresh_window = refresh_window
-        self.runs = 0
 
     def due_entries(self) -> List[CachedPolicy]:
         """Cached entries expiring within the refresh window."""
@@ -51,9 +50,19 @@ class RefreshDaemon:
         return [entry for entry in list(self._cache._entries.values())
                 if entry.expires_at() <= horizon]
 
+    def next_due(self) -> Optional[Instant]:
+        """The earliest instant at which :meth:`run_once` has work:
+        the first cached expiry minus the refresh window (``None`` for
+        an empty cache).  Until the cache changes, every run before
+        that instant is a no-op."""
+        entries = self._cache._entries
+        if not entries:
+            return None
+        return (min(entry.expires_at() for entry in entries.values())
+                - self.refresh_window)
+
     def run_once(self) -> List[RefreshResult]:
         """Refresh every due entry; returns what happened per domain."""
-        self.runs += 1
         results: List[RefreshResult] = []
         for entry in self.due_entries():
             results.append(self._refresh(entry))

@@ -88,6 +88,11 @@ class ReportCollector:
     def window_expired(self) -> bool:
         return self._clock.now() - self._window_start >= DAY
 
+    def has_tallies(self) -> bool:
+        """Whether :meth:`close_window` has anything to reset beyond
+        the window start."""
+        return bool(self._tallies)
+
     def close_window(self) -> List[TlsRptReport]:
         """Emit one report per recipient domain and reset the window."""
         reports: List[TlsRptReport] = []

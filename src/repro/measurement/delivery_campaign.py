@@ -19,16 +19,21 @@ Determinism is the design centre, mirroring the scan pipeline:
 * **wave barriers** — the campaign advances the clock only between
   *waves*.  Within a wave every queue attempt happens at one frozen
   instant, so each delivery outcome is a pure function of (sender
-  profile, message, instant), and the lanes run one after another in
-  canonical sender order;
+  profile, message, instant), and the lanes that have work run one
+  after another in canonical sender order.  A lane runs only when it
+  was admitted messages, is *busy* (holds an active message or report
+  entry), holds report tallies at a flush wave, or has a due policy
+  behind an open refresh gate; any other lane would find nothing to
+  do, so a wave costs in proportion to the lanes it runs;
 * **coordinated admission** — the coordinator decides which (sender,
   seq) messages enter the queues each wave, round-robin over
   canonically sorted senders up to the global ``backpressure`` bound,
   so wave membership depends on nothing but the config;
 * **batched wake-ups** — between waves the clock jumps to the minimum
-  of every queue's :meth:`~repro.smtp.queue.MailQueue.next_wakeup`,
-  rounded up to ``wakeup_seconds`` so thousands of queues coalesce
-  onto shared wake-up instants instead of each demanding a clock stop;
+  of the busy lanes' :meth:`~repro.smtp.queue.MailQueue.next_wakeup`
+  (an idle lane has none), rounded up to ``wakeup_seconds`` so
+  thousands of queues coalesce onto shared wake-up instants instead of
+  each demanding a clock stop;
 * **per-sender counters only** — the byte-identity surface (ledger
   rows, per-wave metrics, health findings) is built exclusively from
   integers derived inside one sender's lane; shared world counters
@@ -70,11 +75,12 @@ between runs, clean and fault-seeded.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clock import DAY, Clock, Duration, Instant
 from repro.core.cache import PolicyCache
@@ -370,12 +376,13 @@ class _SenderLane:
         everything due (messages and reports), optionally close the
         reporting window, and return (finalised rows, counter
         deltas)."""
-        # In tlsrpt mode the refresher only runs while the lane still
-        # has message work: bounced reports retry for up to five
-        # virtual days past the last message, and keeping every lane's
-        # policy cache warm through that tail is thousands of pointless
-        # re-fetches per campaign.  (Without tlsrpt the campaign ends
-        # at the last message wave, so the gate changes nothing.)
+        # The refresh gate.  Without tlsrpt it is always open: every
+        # lane refreshes due policies at every wave, busy or not.  In
+        # tlsrpt mode the refresher only runs while the lane still has
+        # message work (admitted this wave or queued): bounced reports
+        # retry for up to five virtual days past the last message, and
+        # keeping every lane's policy cache warm through that tail is
+        # thousands of pointless re-fetches per campaign.
         if (self.report_queue is None or selected
                 or any(entry.active for entry in self.queue.entries)):
             for result in self.refresh.run_once():
@@ -480,7 +487,14 @@ class _SenderLane:
                 else:
                     self._bump("tlsrpt.endpoint_unsupported")
 
-    # -- checkpoint / resume -------------------------------------------
+    # -- scheduling, checkpoint / resume --------------------------------
+
+    @property
+    def busy(self) -> bool:
+        """Whether an active message or report entry is queued
+        (:meth:`run_wave` drops finalised entries before it returns)."""
+        return bool(self.queue.entries or (
+            self.report_queue is not None and self.report_queue.entries))
 
     def has_state(self) -> bool:
         return (self.next_seq > 0 or bool(self.queue.entries)
@@ -519,6 +533,91 @@ class _SenderLane:
                 last_status=history[-1] if history else None,
                 history=history,
                 tag=int(pending["seq"])))
+
+
+class _LaneSchedule:
+    """Which lanes have work, kept current as lanes run, so that a wave
+    costs in proportion to the lanes it runs.
+
+    A lane that is not admitted, not busy, holds no report tallies at a
+    flush wave and has no due policy behind an open refresh gate would
+    find nothing to do in :meth:`_SenderLane.run_wave`: it would touch
+    no resolver, network, fault-plan or clock state.  The schedule
+    tracks the lanes for which that is not so:
+
+    * ``backlog`` — lanes with messages still to admit, in canonical
+      order; a lane leaves it with its last message;
+    * ``busy`` — lanes holding an active message or report entry;
+    * the refresh heap — without tlsrpt the refresh gate is always
+      open, so a lane whose earliest
+      :meth:`~repro.core.refresh.RefreshDaemon.next_due` has passed
+      must run even when idle.  In tlsrpt mode the gate is open only
+      for lanes that run anyway, and no heap is kept.
+
+    Lanes are named by their index in canonical identity order.
+    """
+
+    def __init__(self, lanes: Sequence[_SenderLane], *,
+                 refresh_idle: bool):
+        self._lanes = lanes
+        self._refresh_idle = refresh_idle
+        #: (due epoch, lane index); an entry is live while it matches
+        #: ``_refresh_at[index]`` and stale otherwise
+        self._refresh_heap: List[Tuple[int, int]] = []
+        self._refresh_at: Dict[int, int] = {}
+        # Built from the lanes as they stand, so a resumed campaign
+        # rebuilds all three from its restored lanes.
+        self.backlog = [index for index, lane in enumerate(lanes)
+                        if lane.next_seq < lane.total]
+        self.busy: Set[int] = set()
+        for index in range(len(lanes)):
+            self.ran(index)
+
+    def admit(self, budget: int) -> Dict[int, List[int]]:
+        """Coordinated admission: round-robin one message per backlog
+        lane, in canonical order, until *budget* is spent.  Returns
+        lane index -> admitted message seqs."""
+        selected: Dict[int, List[int]] = {}
+        while budget > 0 and self.backlog:
+            taken = self.backlog[:budget]
+            for index in taken:
+                lane = self._lanes[index]
+                selected.setdefault(index, []).append(lane.next_seq)
+                lane.next_seq += 1
+            budget -= len(taken)
+            self.backlog = [
+                index for index in taken
+                if self._lanes[index].next_seq < self._lanes[index].total
+            ] + self.backlog[len(taken):]
+        return selected
+
+    def refresh_due(self, now: Instant) -> List[int]:
+        """Pop every lane whose earliest policy refresh is due."""
+        due: List[int] = []
+        heap = self._refresh_heap
+        while heap and heap[0][0] <= now.epoch_seconds:
+            at, index = heapq.heappop(heap)
+            if self._refresh_at.get(index) == at:
+                del self._refresh_at[index]
+                due.append(index)
+        return due
+
+    def ran(self, index: int) -> None:
+        """Re-read one lane's busy flag and refresh instant after it
+        ran (or was restored)."""
+        lane = self._lanes[index]
+        if lane.busy:
+            self.busy.add(index)
+        else:
+            self.busy.discard(index)
+        if not self._refresh_idle:
+            return
+        due = lane.refresh.next_due()
+        if due is None:
+            self._refresh_at.pop(index, None)
+        elif self._refresh_at.get(index) != due.epoch_seconds:
+            self._refresh_at[index] = due.epoch_seconds
+            heapq.heappush(self._refresh_heap, (due.epoch_seconds, index))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +763,8 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                           ) -> DeliveryResult:
     """Run (or resume) one delivery campaign to completion.
 
-    Every wave runs the sender lanes one after another in canonical
-    order.  With *state_dir*, every wave is durably committed;
+    Every wave runs the sender lanes that have work one after another
+    in canonical order.  With *state_dir*, every wave is durably committed;
     ``resume=True`` continues a previously committed campaign from its
     checkpoint (the config must match the manifest's).  *max_waves*
     stops after that many additional waves — with a state dir this
@@ -753,6 +852,8 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
             tracker.advance(finalized_before)
 
     granularity = Duration(config.wakeup_seconds)
+    schedule = _LaneSchedule(lanes, refresh_idle=not config.tlsrpt)
+    busy = schedule.busy
     deliver_started = time.perf_counter()
     wave = start_wave
     # TLSRPT window scheduling: the coordinator decides which waves
@@ -761,27 +862,13 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     final_flush_done = not config.tlsrpt
     while True:
         now = world.clock.now()
-        in_flight = sum(lane.queue.pending_count() for lane in lanes)
+        in_flight = sum(lanes[index].queue.pending_count()
+                        for index in busy)
         reports_in_flight = (
-            sum(lane.report_queue.pending_count() for lane in lanes)
+            sum(lanes[index].report_queue.pending_count()
+                for index in busy)
             if config.tlsrpt else 0)
-        backlog = [lane for lane in lanes if lane.next_seq < lane.total]
-        # Coordinated admission: round-robin one message per sender
-        # over canonical order until the global bound is reached.
-        selected: Dict[str, List[int]] = {}
-        budget = config.backpressure - in_flight
-        while budget > 0 and backlog:
-            still_hungry: List[_SenderLane] = []
-            for lane in backlog:
-                if budget <= 0:
-                    still_hungry.append(lane)
-                    continue
-                selected.setdefault(lane.identity, []).append(lane.next_seq)
-                lane.next_seq += 1
-                budget -= 1
-                if lane.next_seq < lane.total:
-                    still_hungry.append(lane)
-            backlog = still_hungry
+        selected = schedule.admit(config.backpressure - in_flight)
         messages_done = not selected and in_flight == 0
         if messages_done and final_flush_done and not reports_in_flight:
             break
@@ -789,12 +876,24 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
             now >= next_flush
             or (messages_done and not final_flush_done))
 
+        running = busy.union(selected, schedule.refresh_due(now))
+        if flush:
+            # Every collector's window restarts now; one whose window
+            # is empty only moves its start, so its lane need not run.
+            for index, lane in enumerate(lanes):
+                if index not in running:
+                    if lane.collector.has_tallies():
+                        running.add(index)
+                    else:
+                        lane.collector.close_window()
+
         rows: List[dict] = []
         counters: Dict[str, int] = {}
-        for lane in lanes:
-            lane_rows, lane_counters = lane.run_wave(
-                selected.get(lane.identity, ()), now,
+        for index in sorted(running):
+            lane_rows, lane_counters = lanes[index].run_wave(
+                selected.get(index, ()), now,
                 flush_reports=flush, https_inboxes=tlsrpt_https_inboxes)
+            schedule.ran(index)
             rows.extend(lane_rows)
             for key, value in lane_counters.items():
                 counters[key] = counters.get(key, 0) + value
@@ -810,7 +909,8 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                 final_flush_done = True
             while next_flush <= now:
                 next_flush = next_flush + DAY
-        queue_depth = sum(lane.queue.pending_count() for lane in lanes)
+        queue_depth = sum(lanes[index].queue.pending_count()
+                          for index in busy)
         registry.count("deliver.queue_depth", queue_depth)
         registry.count("deliver.finalized", len(rows))
         for row in rows:
@@ -829,17 +929,17 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
         if max_waves is not None and wave - start_wave >= max_waves:
             break
 
-        if backlog and queue_depth < config.backpressure:
+        if schedule.backlog and queue_depth < config.backpressure:
             # Capacity freed up at this very instant — admit more
             # before touching the clock.
             continue
-        wakeups = [wakeup for lane in lanes
-                   if (wakeup := lane.queue.next_wakeup(
+        wakeups = [wakeup for index in busy
+                   if (wakeup := lanes[index].queue.next_wakeup(
                        granularity=granularity)) is not None]
         if config.tlsrpt:
             wakeups.extend(
-                wakeup for lane in lanes
-                if (wakeup := lane.report_queue.next_wakeup(
+                wakeup for index in busy
+                if (wakeup := lanes[index].report_queue.next_wakeup(
                     granularity=granularity)) is not None)
             if wakeups and not final_flush_done:
                 # Day boundaries are wake-ups too: the clock never jumps
@@ -848,7 +948,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                 # clock backwards).
                 wakeups.append(next_flush)
         if not wakeups:
-            if backlog:
+            if schedule.backlog:
                 continue
             if not final_flush_done:
                 # Message work drained this very wave; loop once more

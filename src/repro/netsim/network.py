@@ -260,6 +260,10 @@ class Network:
         #: the merged totals.  It also matches the unit the trace
         #: registry counts (``net.backoff_micros``) exactly.
         self.backoff_micros = 0
+        #: Retry delays by (policy, key, attempt) — see
+        #: :meth:`backoff_delay`.  The memo belongs to this world and
+        #: dies with it.
+        self._backoff_delays: Dict[Tuple[Any, str, int], float] = {}
 
     # -- server side --------------------------------------------------
 
@@ -305,6 +309,21 @@ class Network:
     def backoff_seconds(self) -> float:
         """Accumulated virtual backoff, in seconds (float view)."""
         return self.backoff_micros / 1_000_000
+
+    def backoff_delay(self, policy, key: str, attempt: int) -> float:
+        """``policy.backoff(key, attempt)``, computed once per world.
+
+        The delay is a pure function of (policy, key, attempt), but
+        each computation seeds a fresh RNG from a string; a retry-heavy
+        delivery campaign asks for the same few hundred delays tens of
+        thousands of times.
+        """
+        memo_key = (policy, key, attempt)
+        delay = self._backoff_delays.get(memo_key)
+        if delay is None:
+            delay = policy.backoff(key, attempt)
+            self._backoff_delays[memo_key] = delay
+        return delay
 
     def record_backoff(self, seconds: float) -> None:
         """Charge virtual retry-backoff time (ScanStats accounting)."""

@@ -15,6 +15,9 @@ Backoff never sleeps: delays are charged against the operation's
 virtual budget and accumulated as integer microseconds on
 :class:`~repro.netsim.network.Network` (``backoff_micros``;
 ``backoff_seconds`` is the derived float view) for ``ScanStats``.
+:func:`connect_with_retries` takes each delay from
+:meth:`~repro.netsim.network.Network.backoff_delay`, which computes it
+once per world: the same float :meth:`RetryPolicy.backoff` returns.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
                                transient=getattr(exc, "transient", False))
             if attempt + 1 >= policy.max_attempts:
                 break
-            delay = policy.backoff(key, attempt)
+            delay = network.backoff_delay(policy, key, attempt)
             network.record_backoff(delay)
             if span is not None:
                 span.event("backoff", micros=trace.micros(delay))

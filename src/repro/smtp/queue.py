@@ -98,8 +98,6 @@ class MailQueue:
         self._capacity = capacity
         self._on_attempt = on_attempt
         self.entries: List[QueueEntry] = []
-        self.delivered_count = 0
-        self.bounced_count = 0
 
     # -- intake ----------------------------------------------------------
 
@@ -150,11 +148,9 @@ class MailQueue:
 
         if attempt.delivered:
             entry.outcome = QueueOutcome.DELIVERED
-            self.delivered_count += 1
             return
         if attempt.status in PERMANENT:
             entry.outcome = QueueOutcome.BOUNCED
-            self.bounced_count += 1
             return
         # Temporary failure: schedule the next retry, or bounce when
         # the schedule or the queue lifetime is exhausted.
@@ -162,12 +158,10 @@ class MailQueue:
         retry_index = entry.attempts - 1
         if retry_index >= len(self._schedule):
             entry.outcome = QueueOutcome.BOUNCED
-            self.bounced_count += 1
             return
         next_at = now + self._schedule[retry_index]
         if next_at - entry.enqueued_at > self._lifetime:
             entry.outcome = QueueOutcome.BOUNCED
-            self.bounced_count += 1
             return
         entry.next_attempt_at = next_at
 

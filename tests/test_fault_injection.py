@@ -3,6 +3,8 @@ policy's exact backoff arithmetic, ``connect_with_retries`` semantics,
 and the cache-hygiene rules (transient verdicts must never be served
 stale after an endpoint recovers)."""
 
+import dataclasses
+
 import pytest
 
 from repro.clock import SECOND, Clock, Instant
@@ -13,7 +15,9 @@ from repro.errors import (
 )
 from repro.netsim.ip import IpAddress
 from repro.netsim.network import FaultKind, FaultPlan, FaultSpec, Network
-from repro.netsim.retry import RetryPolicy, connect_with_retries
+from repro.netsim.retry import (
+    DEFAULT_RETRY_POLICY, RetryPolicy, connect_with_retries,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -197,6 +201,70 @@ class TestBackoff:
             for key in ("x", "y", "z"):
                 delay = policy.backoff(key, attempt)
                 assert raw * 0.5 <= delay <= raw * 1.5
+
+
+class _CountingPolicy(RetryPolicy):
+    """A :class:`RetryPolicy` that logs every delay it computes."""
+
+    def backoff(self, key, attempt):
+        _COMPUTED.append((key, attempt))
+        return super().backoff(key, attempt)
+
+
+_COMPUTED = []
+
+
+class TestBackoffMemo:
+    """``Network.backoff_delay`` computes each delay once per world and
+    returns exactly the float ``RetryPolicy.backoff`` gives."""
+
+    def test_memoised_delays_equal_fresh_backoff(self):
+        net = Network()
+        keys = [f"10.0.{n // 256}.{n % 256}:{port}"
+                for n in range(250) for port in (25, 443)]
+        for policy in (RetryPolicy(), RetryPolicy(seed=42, max_attempts=4)):
+            for _ in range(2):      # the second pass reads the memo
+                for key in keys:
+                    for attempt in range(policy.max_attempts - 1):
+                        fresh = RetryPolicy(**vars(policy))
+                        assert (net.backoff_delay(policy, key, attempt)
+                                == fresh.backoff(key, attempt))
+
+    def test_each_delay_is_computed_once_per_network(self):
+        policy = _CountingPolicy()
+        _COMPUTED.clear()
+        first, second = Network(), Network()
+        for _ in range(3):
+            first.backoff_delay(policy, "op", 0)
+            first.backoff_delay(policy, "op", 1)
+        assert _COMPUTED == [("op", 0), ("op", 1)]
+        # A second world starts with an empty memo.
+        second.backoff_delay(policy, "op", 0)
+        assert _COMPUTED == [("op", 0), ("op", 1), ("op", 0)]
+
+    def test_connect_with_retries_charges_the_policy_delays(self, net):
+        net.install_fault_plan(_plan(FaultSpec(FaultKind.REFUSE, count=9)))
+        policy = RetryPolicy(seed=7)
+        for _ in range(2):
+            with pytest.raises(ConnectionRefused):
+                connect_with_retries(net, IP, PORT, policy=policy, key="op")
+        assert net.backoff_micros == 2 * sum(
+            round(delay * 1_000_000)
+            for delay in policy.backoff_sequence("op"))
+
+    def test_retry_policy_value_semantics_are_unchanged(self, net):
+        net.install_fault_plan(_plan(FaultSpec(FaultKind.REFUSE, count=9)))
+        with pytest.raises(ConnectionRefused):
+            connect_with_retries(net, IP, PORT)     # the default policy
+        assert RetryPolicy() == DEFAULT_RETRY_POLICY
+        assert hash(RetryPolicy()) == hash(DEFAULT_RETRY_POLICY)
+        assert RetryPolicy(seed=1) != DEFAULT_RETRY_POLICY
+        assert repr(DEFAULT_RETRY_POLICY) == (
+            "RetryPolicy(max_attempts=3, base_delay=0.25, multiplier=2.0, "
+            "max_delay=8.0, jitter=0.5, seed=0, timeout_budget=30.0)")
+        # The memo lives on the network, never on the shared default.
+        assert sorted(vars(DEFAULT_RETRY_POLICY)) == sorted(
+            field.name for field in dataclasses.fields(RetryPolicy))
 
 
 # -- connect_with_retries -------------------------------------------------

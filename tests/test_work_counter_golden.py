@@ -10,7 +10,10 @@ fails here even when it hides inside timing noise.
   field of ``total_stats()`` plus the bytes of the committed shards.
 * **deliver** — the 2,394-sender census, one message each, into the
   month-3 world at scale 0.02 (seed 11) with TLSRPT on and a 0.2-rate
-  fault plan (seed 4242): every integer field of ``DeliveryStats``.
+  fault plan (seed 4242): every integer field of ``DeliveryStats``,
+  plus the number of sender-lane runs.  Only lanes with work run in a
+  wave; running all 2,394 lanes in each of the 31 waves would make
+  74,214.
 
 These are the passes ``perfbench/workloads.py`` times.  A moved
 counter is either a regression or a deliberate change of work, to be
@@ -38,7 +41,7 @@ from repro.analysis.series import run_campaign
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.delivery_campaign import (
-    DeliveryCampaignConfig, run_delivery_campaign,
+    DeliveryCampaignConfig, _SenderLane, run_delivery_campaign,
 )
 from repro.measurement.store_io import MANIFEST_NAME
 
@@ -82,6 +85,7 @@ DELIVER_GOLDEN = {
     "senders": 2394,
     "waves": 31,
 }
+DELIVER_LANE_RUNS = 10986
 
 
 def _int_fields(data):
@@ -102,12 +106,21 @@ def test_campaign_work_counters(tmp_path):
     assert counters == CAMPAIGN_GOLDEN
 
 
-def test_deliver_work_counters():
+def test_deliver_work_counters(monkeypatch):
+    lane_runs = []
+    run_wave = _SenderLane.run_wave
+
+    def counted_run_wave(lane, *args, **kwargs):
+        lane_runs.append(lane.identity)
+        return run_wave(lane, *args, **kwargs)
+
+    monkeypatch.setattr(_SenderLane, "run_wave", counted_run_wave)
     result = run_delivery_campaign(DeliveryCampaignConfig(
         seed=11, scale=0.02, month_index=3, senders=2394,
         messages_per_sender=1, fault_seed=4242, fault_rate=0.2,
         tlsrpt=True))
     assert _int_fields(result.stats.to_dict()) == DELIVER_GOLDEN
+    assert len(lane_runs) == DELIVER_LANE_RUNS
 
 
 _SMALL_WORLD = dict(scale=0.004, seed=11, month_index=3, fault_seed=4242)
