@@ -571,7 +571,7 @@ class _LaneSchedule:
                         if lane.next_seq < lane.total]
         self.busy: Set[int] = set()
         for index in range(len(lanes)):
-            self.ran(index)
+            self.update(index)
 
     def admit(self, budget: int) -> Dict[int, List[int]]:
         """Coordinated admission: round-robin one message per backlog
@@ -602,7 +602,7 @@ class _LaneSchedule:
                 due.append(index)
         return due
 
-    def ran(self, index: int) -> None:
+    def update(self, index: int) -> None:
         """Re-read one lane's busy flag and refresh instant after it
         ran (or was restored)."""
         lane = self._lanes[index]
@@ -893,7 +893,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
             lane_rows, lane_counters = lanes[index].run_wave(
                 selected.get(index, ()), now,
                 flush_reports=flush, https_inboxes=tlsrpt_https_inboxes)
-            schedule.ran(index)
+            schedule.update(index)
             rows.extend(lane_rows)
             for key, value in lane_counters.items():
                 counters[key] = counters.get(key, 0) + value
