@@ -91,11 +91,6 @@ class Resolver:
         self.query_count = 0
         self.cache_hits = 0
         self.negative_cache_hits = 0
-        #: Optional shard-scan journal (process backend): every live
-        #: query that ends up *cached* — i.e. work a sibling worker may
-        #: duplicate — is recorded with its network cost so the parent
-        #: can merge per-worker counters back to serial-exact totals.
-        self.journal = None
 
     # -- delegation registry -------------------------------------------
 
@@ -218,23 +213,7 @@ class Resolver:
         self.query_count += 1
         if metrics is not None:
             metrics.count("dns.queries")
-        journal = self.journal
-        if journal is None:
-            return self._resolve_live(name, rrtype, key)
-        token = journal.dns_started()
-        try:
-            return self._resolve_live(name, rrtype, key)
-        finally:
-            # Only *cached* outcomes are journaled: a cacheable answer
-            # (positive, CNAME, NXDOMAIN, NODATA) is the work another
-            # shard worker may redo where a serial scan would have hit
-            # its cache.  Transient failures are never cached, execute
-            # per-request under every backend, and need no correction.
-            entry = self._cache.get(key)
-            if entry is not None:
-                journal.dns_finished(
-                    f"{name.text}/{rrtype.value}",
-                    entry.negative is not None, token)
+        return self._resolve_live(name, rrtype, key)
 
     def _resolve_live(self, name: DnsName, rrtype: RRType,
                       key: Tuple[str, str]

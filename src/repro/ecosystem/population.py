@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.policy import PolicyMode
 from repro.dns.name import canonical_host
@@ -307,75 +307,53 @@ def generate_population(config: PopulationConfig) -> Dict[str, TldPopulation]:
 
 
 # --------------------------------------------------------------------------
-# Deterministic sharding (the process scan backend's population API)
+# Deterministic slicing (the population scan's plan)
 # --------------------------------------------------------------------------
+
+#: How many canonical-order slices a population scan cuts the adopted
+#: domains into.  Every slice is scanned with empty resolver, SMTP-probe
+#: and PKIX caches, whichever process scans it, so a scan's counters are
+#: plain sums over this fixed plan and never depend on the worker count.
+SCAN_SHARDS = 8
+
 
 def canonical_names(names: Iterable[str]) -> List[str]:
     """*names* canonicalised, deduplicated and sorted: the order every
-    scan walks and every shard plan cuts."""
+    scan walks and every slice plan cuts."""
     return sorted({canonical_host(n) for n in names} - {""})
 
 
-def partition_names(names: Iterable[str], shards: int) -> List[List[str]]:
-    """Cut a name set into *shards* contiguous canonical-order slices.
+def contiguous_block(total: int, index: int, count: int) -> slice:
+    """Part *index* of *total* items cut into *count* contiguous parts.
 
-    The single source of truth for how any domain set is split across
-    workers: names are canonicalised, deduplicated, sorted, and cut
-    into contiguous slices whose sizes differ by at most one (earlier
-    slices take the remainder).  Deterministic under input order,
-    case, and trailing dots, so a parent process and its shard workers
-    always agree on who owns which domain.  ``shards`` is clamped to
-    the name count (an empty input yields one empty slice) — callers
-    needing exactly N slices pad with empties.
-    """
-    ordered = canonical_names(names)
-    shards = max(1, min(shards, len(ordered)) if ordered else 1)
-    base, remainder = divmod(len(ordered), shards)
-    slices: List[List[str]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < remainder else 0)
-        slices.append(ordered[start:start + size])
-        start += size
-    return slices
-
-
-def iter_population(config: PopulationConfig) -> Iterator[DomainPlan]:
-    """Every :class:`DomainPlan`, in deterministic generation order.
-
-    Generation itself cannot stream: one sequential RNG feeds every
-    plan, the event cohorts *mutate earlier plans* (the DMARCReport
-    spike adds faults to already-generated delegated domains), and
-    TLSRPT assignment draws per plan across the whole set.  Laziness
-    therefore means deterministic *slicing* of the finished
-    population, not incremental generation — this iterator is the
-    streaming view, :func:`shard_plans` the shard-range view.
-    """
-    populations = generate_population(config)
-    for population in populations.values():
-        yield from population.plans
-
-
-def shard_plans(config: PopulationConfig, index: int,
-                count: int) -> List[DomainPlan]:
-    """The plans in shard ``index`` of ``count`` canonical-order slices.
-
-    The union of ``shard_plans(config, i, n)`` over ``i in range(n)``
-    is exactly ``generate_population(config)``'s plan set, for any
-    shard count — the property the process scan backend's workers rely
-    on to jointly cover the population without coordination.  Slices
-    past the population size are empty.
+    Part sizes differ by at most one and earlier parts take the
+    remainder; parts past *total* are empty.  The one cutting rule:
+    :func:`partition_names` cuts names into slices with it, and worker
+    *index* of *count* scans the block ``slices[contiguous_block(
+    len(slices), index, count)]``.
     """
     if count < 1:
         raise ValueError("shard count must be >= 1")
     if not 0 <= index < count:
         raise ValueError(f"shard index {index} outside [0, {count})")
-    plans = {canonical_host(plan.name): plan
-             for plan in iter_population(config)}
-    slices = partition_names(plans.keys(), count)
-    if index >= len(slices):
-        return []
-    return [plans[name] for name in slices[index]]
+    base, remainder = divmod(total, count)
+    start = index * base + min(index, remainder)
+    return slice(start, start + base + (1 if index < remainder else 0))
+
+
+def partition_names(names: Iterable[str], shards: int) -> List[List[str]]:
+    """Cut a name set into *shards* contiguous canonical-order slices.
+
+    Names are canonicalised, deduplicated, sorted, and cut by
+    :func:`contiguous_block`.  Deterministic under input order, case,
+    and trailing dots, so a parent process and its workers always
+    agree on who owns which domain.  ``shards`` is clamped to the name
+    count (an empty input yields one empty slice).
+    """
+    ordered = canonical_names(names)
+    shards = max(1, min(shards, len(ordered)) if ordered else 1)
+    return [ordered[contiguous_block(len(ordered), index, shards)]
+            for index in range(shards)]
 
 
 def _scaled_provider_quota(config: PopulationConfig) -> Dict[str, int]:

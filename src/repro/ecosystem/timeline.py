@@ -24,8 +24,8 @@ from repro.ecosystem.deployment import (
 )
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.ecosystem.population import (
-    DomainPlan, PopulationConfig, TldPopulation, generate_population,
-    partition_names,
+    SCAN_SHARDS, DomainPlan, PopulationConfig, TldPopulation,
+    contiguous_block, generate_population, partition_names,
 )
 from repro.ecosystem.providers import (
     EmailProvider, OptOutBehavior, PolicyHostProvider,
@@ -199,19 +199,19 @@ class EcosystemTimeline:
         scratch (the reference, slow path; see
         :class:`IncrementalMaterializer` for the delta-applying one).
 
-        With ``shard=(index, count)`` the snapshot keeps only shard
-        ``index`` of ``count`` canonical-order slices of the adopted
-        domains (see :func:`~repro.ecosystem.population.partition_names`)
-        — the process scan backend's per-worker view.  Determinism
-        demands that *every* adopted plan still be deployed and faulted
-        in the full canonical sequence (IP-pool allocation order, cert
-        issuance order, and the resolver-cache warmth left by ACME
-        validation are all byte-identical to a serial build by
-        construction); out-of-shard domains are then immediately
+        With ``shard=(index, count)`` the snapshot keeps only worker
+        ``index`` of ``count``'s block of the population scan's slices
+        (:data:`~repro.ecosystem.population.SCAN_SHARDS` canonical-order
+        slices of the adopted domains, blocks cut by
+        :func:`~repro.ecosystem.population.contiguous_block`) — the
+        process scan backend's per-worker view.  Every adopted plan is
+        still deployed and faulted in the full canonical sequence, so
+        IP-pool allocation and certificate issuance follow a serial
+        build's order; out-of-block domains are then immediately
         undeployed, releasing their zones, listeners, and policies so
-        the worker's retained world scales with the shard, not the
-        population.  The replicated build CPU is the price of exactness
-        — the Amdahl ceiling the bench records.
+        the worker's retained world scales with its block, not the
+        population.  The replicated build CPU is the price of that
+        order.
         """
         return self._snapshot(self._build_full(month_index, shard=shard))
 
@@ -234,14 +234,10 @@ class EcosystemTimeline:
                    if plan.adopted_by_week(week)]
         keep = None
         if shard is not None:
-            index, count = shard
-            if count < 1:
-                raise ValueError("shard count must be >= 1")
-            if not 0 <= index < count:
-                raise ValueError(f"shard index {index} outside [0, {count})")
-            slices = partition_names([plan.name for plan in adopted], count)
-            keep = set(slices[index]) if index < len(slices) else set()
-
+            slices = partition_names([plan.name for plan in adopted],
+                                     SCAN_SHARDS)
+            block = slices[contiguous_block(len(slices), *shard)]
+            keep = {name for names in block for name in names}
         for plan in adopted:
             self._deploy_plan(state, plan, week, month_index)
             if keep is not None and plan.name not in keep:

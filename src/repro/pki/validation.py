@@ -154,21 +154,6 @@ class _ChainValidationCache:
             "hit_rate": self.cache_hits / lookups if lookups else 0.0,
         }
 
-    def keys(self) -> list:
-        """Every cache key currently held, sorted, across all stores.
-
-        Keys are plain tuples of (fingerprint, revoked, host,
-        generation, epoch) — content-derived, so two identically built
-        worlds produce identical keys, provided both number their key
-        pairs alike (:func:`~repro.pki.keys.fresh_key_ids`).  The
-        process scan backend captures each worker's post-scan key set
-        (the cache is flushed at scan start, so these are exactly the
-        validations the scan performed) and counts the cross-worker
-        union to recover the serial validation total.
-        """
-        return sorted(key for entries in self._stores.values()
-                      for key in entries)
-
     def flush(self) -> None:
         self._stores = weakref.WeakKeyDictionary()
 
@@ -190,12 +175,6 @@ def validate_chain_cached(cert: Optional[Certificate],
 
 def chain_cache_stats() -> Dict[str, int | float]:
     return _chain_cache.stats()
-
-
-def chain_cache_keys() -> list:
-    """The sorted cache keys across every trust store (see
-    :meth:`_ChainValidationCache.keys`)."""
-    return _chain_cache.keys()
 
 
 def flush_chain_cache() -> None:

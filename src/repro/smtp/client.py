@@ -115,12 +115,6 @@ class SmtpProbe:
         self._cache: Dict[str, ProbeResult] = {}
         self.probes_performed = 0
         self.cache_hits = 0
-        #: Optional shard-scan journal (process backend): each *settled*
-        #: probe execution — the memoizable work a sibling worker may
-        #: duplicate — is recorded with its network/DNS/PKIX cost so the
-        #: parent can merge per-worker counters back to serial-exact
-        #: totals.  Only consulted on the memoized path.
-        self.journal = None
 
     def probe_host(self, mx_hostname: str | DnsName) -> ProbeResult:
         """Probe one MX hostname: resolve, connect, EHLO, STARTTLS.
@@ -147,8 +141,6 @@ class SmtpProbe:
                 tracer.metrics.count("smtp.cache_hits")
             return cached
         self.probes_performed += 1
-        journal = self.journal
-        token = journal.probe_started() if journal is not None else None
         if tracer is None:
             result = self._probe_uncached(name_text)
         else:
@@ -156,8 +148,6 @@ class SmtpProbe:
             with tracer.resource(f"probe:{name_text}", "smtp-probe",
                                  name_text):
                 result = self._probe_uncached(name_text)
-        if journal is not None:
-            journal.probe_finished(name_text, result.transient, token)
         # A retry-exhausted transient verdict says nothing durable
         # about the host — memoizing it would serve a stale failure
         # after the endpoint recovers, so only settled outcomes

@@ -1,23 +1,21 @@
-"""Process scan backend: determinism, exact stats merging, sharding.
+"""Process scan backend: determinism by the fixed slice plan.
 
 The hard invariant under test: ``audit --backend process --jobs N``
 must produce ``canonical_bytes()``, scan stats, and metrics output
 byte-identical to ``--backend serial`` on the same seed — clean and
-under seeded fault plans.  The supporting invariants: lazy shard-range
-population slices union back to the full population exactly, and
-shard-scoped world materialisation keeps exactly the shard's domains.
+under seeded fault plans.  Both backends scan the same
+``SCAN_SHARDS`` canonical-order slices, each with empty caches, so
+every counter is a plain sum over slices.  The supporting invariant:
+a worker's world keeps exactly its contiguous block of slices.
 """
 
 import json
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ecosystem.population import (
-    PopulationConfig, generate_population, iter_population,
-    partition_names, shard_plans,
+    SCAN_SHARDS, PopulationConfig, contiguous_block, partition_names,
 )
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.columnar import taxonomy_census_view, view_of
@@ -53,16 +51,17 @@ def _scan(backend: str, jobs: int = 1, fault_seed=None, **kwargs):
 
 
 class TestSerialProcessParity:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("fault_seed", [None, FAULT_SEED])
-    def test_byte_identical_and_stats_exact(self, fault_seed):
+    def test_byte_identical_and_stats_exact(self, fault_seed, jobs):
         _, serial = _scan("serial", fault_seed=fault_seed)
-        _, process = _scan("process", jobs=3, fault_seed=fault_seed)
+        _, process = _scan("process", jobs=jobs, fault_seed=fault_seed)
         assert (serial.store.canonical_bytes()
                 == process.store.canonical_bytes())
         assert _comparable(serial.stats) == _comparable(process.stats)
         assert serial.build_stats == process.build_stats
-        assert process.stats.jobs == 3
-        assert len(process.worker_peak_rss_kib) == 3
+        assert process.stats.jobs == jobs
+        assert len(process.worker_peak_rss_kib) == jobs
         assert all(rss > 0 for rss in process.worker_peak_rss_kib)
 
     def test_metrics_exposition_byte_identical(self):
@@ -129,7 +128,8 @@ class TestProcessProgress:
         final = events[-1]
         assert final.final
         assert final.domains_done == result.stats.domains_scanned
-        assert final.shards_done == 2
+        # one shard heartbeat per slice, whichever worker scanned it
+        assert final.shards_done == final.shards_total == SCAN_SHARDS
         assert final.backend == "process"
         done = [e.domains_done for e in events]
         assert done == sorted(done)
@@ -194,10 +194,6 @@ class TestValidation:
             timeline.materialize(MONTH, shard=(0, 0))
         with pytest.raises(ValueError):
             timeline.materialize(MONTH, shard=(2, 2))
-        with pytest.raises(ValueError):
-            shard_plans(PopulationConfig(scale=SCALE, seed=SEED), 3, 3)
-        with pytest.raises(ValueError):
-            shard_plans(PopulationConfig(scale=SCALE, seed=SEED), 0, 0)
 
 
 class TestShardMaterialisation:
@@ -205,6 +201,8 @@ class TestShardMaterialisation:
         config = PopulationConfig(scale=SCALE, seed=SEED)
         timeline = EcosystemTimeline(TimelineConfig(config))
         full = timeline.materialize(MONTH)
+        slices = partition_names(full.deployed, SCAN_SHARDS)
+        assert len(slices) == SCAN_SHARDS
         count = 3
         shard_domains = []
         for index in range(count):
@@ -213,10 +211,14 @@ class TestShardMaterialisation:
             # every worker reports the same (serial-shaped) build churn
             assert shard.build_stats == full.build_stats
             shard_domains.append(sorted(shard.deployed))
-        union = [d for domains in shard_domains for d in domains]
-        assert sorted(union) == sorted(full.deployed)
-        assert len(union) == len(set(union))
-        assert shard_domains == partition_names(full.deployed, count)
+        blocks = [[name for names in
+                   slices[contiguous_block(len(slices), index, count)]
+                   for name in names] for index in range(count)]
+        assert shard_domains == blocks
+        # 8 slices over 3 workers: blocks of 3, 3 and 2 slices
+        assert [contiguous_block(len(slices), index, count)
+                for index in range(count)] == [
+                    slice(0, 3), slice(3, 6), slice(6, 8)]
 
     def test_out_of_shard_infrastructure_is_released(self):
         config = PopulationConfig(scale=SCALE, seed=SEED)
@@ -233,57 +235,34 @@ class TestShardMaterialisation:
             DnsName.parse(f"_mta-sts.{gone}"), RRType.TXT) is None
 
     def test_reused_worker_process_repeats_the_shard_exactly(self):
-        """A pool process may scan a second shard after a first one;
-        what it built before must not leak into the shard's result.
-        Certificate fingerprints are the sensitive part: they key the
-        PKIX cache entries the parent unions across workers, so a
-        shifted fingerprint over-counts ``pkix.validations`` and drives
-        the merged ``pkix.cache_hits`` negative."""
+        """A pool process may run a second payload after a first one;
+        what it built before must not leak into the result.  The second
+        build mints its keys (and hence certificate fingerprints) at
+        other ids than the first, and nothing may depend on them: every
+        slice starts with empty caches, so the slice digests and
+        counters are a function of the slice alone."""
         from repro.ecosystem.timeline import population_to_dict
         from repro.measurement.executor import _process_scan_worker
 
+        config = PopulationConfig(scale=SCALE, seed=SEED)
+        slices = partition_names(
+            EcosystemTimeline(TimelineConfig(config)).materialize(
+                MONTH).deployed, SCAN_SHARDS)
         payload = {
-            "population": population_to_dict(
-                PopulationConfig(scale=SCALE, seed=SEED)),
-            "month_index": MONTH, "shard_index": 1, "shard_count": 3,
+            "population": population_to_dict(config),
+            "month_index": MONTH, "shard": (1, 3),
+            "slices": slices[contiguous_block(len(slices), 1, 3)],
             "fault_seed": FAULT_SEED, "fault_rate": 0.2,
             "trace": False, "profile": False,
         }
         first, second = (_process_scan_worker(payload) for _ in range(2))
-        for name in ("shard_digest", "counters", "dns_journal",
-                     "probe_journal", "pkix_keys", "build_stats"):
-            assert first[name] == second[name], name
-        assert first["pkix_keys"]
-
-
-class TestLazyPopulationSharding:
-    @settings(max_examples=12, deadline=None)
-    @given(scale=st.sampled_from([0.001, 0.002, 0.004]),
-           seed=st.integers(min_value=0, max_value=2**32 - 1),
-           shards=st.integers(min_value=1, max_value=7))
-    def test_shard_union_is_byte_identical_to_full_generation(
-            self, scale, seed, shards):
-        """The union of the lazy shard-range slices equals the full
-        ``generate_population`` output — for arbitrary (scale, seed,
-        shard count)."""
-        config = PopulationConfig(scale=scale, seed=seed)
-        full = sorted(iter_population(config), key=lambda p: p.name)
-        pieces = [shard_plans(config, index, shards)
-                  for index in range(shards)]
-        union = sorted((plan for piece in pieces for plan in piece),
-                       key=lambda p: p.name)
-        assert [p.name for p in union] == [p.name for p in full]
-        assert union == full  # plan-level equality, not just names
-        # each piece is canonical-contiguous and they are disjoint
-        names = [[p.name for p in piece] for piece in pieces]
-        assert names == partition_names((p.name for p in full), shards)
-
-    def test_iter_population_matches_generate_population(self):
-        config = PopulationConfig(scale=SCALE, seed=SEED)
-        populations = generate_population(config)
-        flat = [plan for population in populations.values()
-                for plan in population.plans]
-        assert list(iter_population(config)) == flat
+        assert first["build_stats"] == second["build_stats"]
+        assert len(first["slices"]) == 3
+        for (text, digest, scan), (text2, digest2, scan2) in zip(
+                first["slices"], second["slices"]):
+            assert text and text == text2
+            assert digest == digest2
+            assert scan.counters == scan2.counters
 
 
 class TestCliProcessBackend:
