@@ -69,23 +69,27 @@ GOLDEN = {
         "health": "fc18e0def844a643ecb7b8463e32f50772aa68a6a664b4"
                   "74f2a094c481f44d64",
     },
+    # Written by ``scan_population``: each canonical slice is scanned
+    # with empty resolver, probe and PKIX caches, so no lookup is served
+    # from the cache the world build's ACME validation warmed, and every
+    # lookup meets the fault plan.
     "process": {
-        "figures": "09a36d0fc08a96d0fb4ed0b4af7cf7cbe466f9b8a59d4c"
-                   "fe2ad28b7e671e21c7",
-        "summary": "d42c461b497440173567c22db72cc8dbfc9eb468c939a5"
-                   "32697daf420c1f1602",
-        "buckets": "99338658c1ce90c452a29ea5744f080270355709f3e93a"
-                   "0a36030a85e0c7768c",
+        "figures": "4d370d10d168ca88d2a8538939db56ca4ed95cfca923d4"
+                   "7bd7574eeef3ef6eac",
+        "summary": "59173385d6dd8e86a2823672a8a7ac4105976ab567d4be"
+                   "270cef52277a40196b",
+        "buckets": "fde3825f39332bd093cd4a33ec26cbb1098c44591e6469"
+                   "4b1355285a3f08e007",
         "mismatch": "eecba997ad5cc0fadbc99e2e7e4c0912c020f7a523753b"
                     "859c1db66011409433",
         "delegation": "07e42ce430241f82297e374fd1eb57d7e76a3f6278923b"
                       "3034fdab2ca7bc142b",
-        "feed": "45f6bf5a4c2677f5cb0bcd771fc9fe7cff12b4d3341d52"
-                "412cd4855856f160ea",
-        "drift": "b8d8f64cc658598703cf57ce4a498582ce999a8b38a563"
-                 "fcdc78e9e7168d0687",
-        "health": "135bb390d0795d76c7d94b93ed0d1d8217be3cbe259a19"
-                  "fa30e16f77f5002ad1",
+        "feed": "5f5d106fae697ba7d212e8089530ec6fa0f784e0c2f656"
+                "7a6ef4ba2f4797870d",
+        "drift": "43c2573c4205f2e878720d958b21f34ad440eced886dde"
+                 "89ccd93b139c737ab8",
+        "health": "611f4deb3064a81fa7b7685f8a9c91b4b454e0bdbec7a0"
+                  "ac011a9cee7a0fdd6f",
     },
 }
 
