@@ -861,9 +861,38 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     next_flush = world.clock.now() + DAY
     final_flush_done = not config.tlsrpt
     while True:
-        now = world.clock.now()
         in_flight = sum(lanes[index].queue.pending_count()
                         for index in busy)
+        # The clock decision after each wave is taken at the top of the
+        # next iteration, so a run resumed after wave N takes the same
+        # decision the whole run took there.  Unless capacity freed up
+        # at this very instant, the clock jumps to the earliest wake-up.
+        if wave > 0 and not (schedule.backlog
+                             and in_flight < config.backpressure):
+            wakeups = [wakeup for index in busy
+                       if (wakeup := lanes[index].queue.next_wakeup(
+                           granularity=granularity)) is not None]
+            if config.tlsrpt:
+                wakeups.extend(
+                    wakeup for index in busy
+                    if (wakeup := lanes[index].report_queue.next_wakeup(
+                        granularity=granularity)) is not None)
+                if wakeups and not final_flush_done:
+                    # Day boundaries are wake-ups too: the clock never
+                    # jumps over a window close without flushing it
+                    # (after any flush wave next_flush > now, so this
+                    # never drags the clock backwards).
+                    wakeups.append(next_flush)
+            if wakeups:
+                target = min(wakeups)
+                if target > world.clock.now():
+                    world.clock.advance_to(target)
+            elif not schedule.backlog and final_flush_done:
+                # Nothing to wait for.  With work left to admit, or with
+                # the final reporting window still open, the next wave
+                # runs at the current instant instead.
+                break
+        now = world.clock.now()
         reports_in_flight = (
             sum(lanes[index].report_queue.pending_count()
                 for index in busy)
@@ -928,37 +957,6 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
         wave += 1
         if max_waves is not None and wave - start_wave >= max_waves:
             break
-
-        if schedule.backlog and queue_depth < config.backpressure:
-            # Capacity freed up at this very instant — admit more
-            # before touching the clock.
-            continue
-        wakeups = [wakeup for index in busy
-                   if (wakeup := lanes[index].queue.next_wakeup(
-                       granularity=granularity)) is not None]
-        if config.tlsrpt:
-            wakeups.extend(
-                wakeup for index in busy
-                if (wakeup := lanes[index].report_queue.next_wakeup(
-                    granularity=granularity)) is not None)
-            if wakeups and not final_flush_done:
-                # Day boundaries are wake-ups too: the clock never jumps
-                # over a window close without flushing it (after any
-                # flush wave next_flush > now, so this never drags the
-                # clock backwards).
-                wakeups.append(next_flush)
-        if not wakeups:
-            if schedule.backlog:
-                continue
-            if not final_flush_done:
-                # Message work drained this very wave; loop once more
-                # so the coordinator closes the final reporting window
-                # at the current instant.
-                continue
-            break
-        target = min(wakeups)
-        if target > world.clock.now():
-            world.clock.advance_to(target)
     deliver_seconds = time.perf_counter() - deliver_started
     if tracker is not None:
         tracker.finish()

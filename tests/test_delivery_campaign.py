@@ -55,6 +55,23 @@ def _campaign(fault_seed=None):
     return run_delivery_campaign(config)
 
 
+@pytest.fixture(scope="module")
+def advancing_run(tmp_path_factory):
+    """A whole committed campaign whose wave boundaries mostly advance
+    the clock (backpressure 2 admits few messages per wave): its
+    config, result and per-wave clock."""
+    config = DeliveryCampaignConfig(
+        scale=SCALE, seed=5, month_index=11, senders=5,
+        messages_per_sender=4, backpressure=2, fault_seed=3,
+        fault_rate=0.4)
+    state = str(tmp_path_factory.mktemp("advancing") / "state")
+    result = run_delivery_campaign(config, state_dir=state)
+    assert result.stats.waves == 35
+    clocks = [entry["clock"]
+              for entry in read_delivery_manifest(state)["waves"]]
+    return config, result, clocks
+
+
 # ---------------------------------------------------------------------------
 # Campaign invariants (clean and fault-seeded)
 # ---------------------------------------------------------------------------
@@ -138,6 +155,24 @@ class TestDurableResume:
         assert resumed.monitor.to_jsonl() == reference.monitor.to_jsonl()
         assert (resumed.health().render() == reference.health().render())
         assert load_delivery_ledger(state) == reference.ledger_text
+
+    @pytest.mark.parametrize("stop", [2, 9, 15, 19, 25])
+    def test_resume_where_the_clock_advances(self, advancing_run, stop,
+                                             tmp_path):
+        """A run stopped where the whole run next advances the clock
+        resumes with that advance, not with an extra wave at the
+        checkpoint instant."""
+        config, whole, clocks = advancing_run
+        assert clocks[stop] > clocks[stop - 1]
+        state = str(tmp_path / "state")
+        partial = run_delivery_campaign(config, state_dir=state,
+                                        max_waves=stop)
+        assert partial.stats.waves == stop
+        resumed = run_delivery_campaign(config, state_dir=state,
+                                        resume=True)
+        assert resumed.ledger_text == whole.ledger_text
+        assert resumed.monitor.to_jsonl() == whole.monitor.to_jsonl()
+        assert resumed.stats.comparable() == whole.stats.comparable()
 
     def test_committed_state_verifies_and_loads(self, tmp_path):
         config = self._config()
