@@ -612,8 +612,7 @@ def _process_scan_worker(payload: dict) -> dict:
     month_index = payload["month_index"]
     build_started = time.perf_counter()
     timeline = timeline_from_population(payload["population"])
-    materialized = timeline.materialize(month_index,
-                                        shard=tuple(payload["shard"]))
+    materialized = timeline.materialize(month_index, shard=payload["shard"])
     build_seconds = time.perf_counter() - build_started
     slices = payload["slices"]
     if sorted(materialized.deployed) != [name for names in slices

@@ -3,8 +3,8 @@
 Both formats serialise a :class:`~repro.trace.MetricsRegistry` with a
 fixed ordering (sorted metric names, sorted label keys, canonical JSON)
 so that the serial and process scan backends — whose month registries
-carry the same serial-exact counters — emit **byte-identical**
-artifacts.  The determinism tests assert that identity with and
+carry the same counters, summed over the same scan slices — emit
+**byte-identical** artifacts.  The determinism tests assert that identity with and
 without fault injection.
 
 The Prometheus exposition is self-describing enough to round-trip: the
