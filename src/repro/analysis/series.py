@@ -29,6 +29,7 @@ from repro.measurement.columnar import (
 )
 from repro.measurement.executor import ScanExecutor, ScanStats
 from repro.measurement.snapshots import SnapshotStore
+from repro.measurement.store_io import month_rows
 # Re-exported: the object-list adapter over ``snapshot_summary_view``.
 from repro.measurement.taxonomy import SnapshotSummary, snapshot_summary
 
@@ -296,16 +297,19 @@ def run_campaign(timeline: EcosystemTimeline,
                 # incremental path replays deployment traffic next month.
                 materialized.world.network.install_fault_plan(None)
         stats.world_build_seconds = build_seconds
+        # One serialisation of the month feeds its shard and its columns.
+        rows = month_rows(store, month)
         if state_dir is not None:
             from repro.measurement.store_io import commit_month
             stats.checkpoints_written = 1
             commit_started = time.perf_counter()
-            commit_month(state_dir, store, month,
+            commit_month(state_dir, rows, month,
                          date=materialized.instant.date_string(),
                          stats=stats.as_dict(),
                          build_stats=materialized.build_stats,
                          population=population)
             stats.checkpoint_seconds = time.perf_counter() - commit_started
+        analysis.columns.add_month(month, rows)
         analysis._record_month(month, materialized.instant.date_string(),
                                stats, materialized.build_stats, monitor)
     return analysis

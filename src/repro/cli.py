@@ -160,6 +160,7 @@ def _cmd_audit(args) -> int:
         ColumnarStore, snapshot_summary_view, taxonomy_census_view,
     )
     from repro.measurement.executor import ScanExecutor, ScanStats
+    from repro.measurement.store_io import commit_month, month_rows
 
     if args.json and not args.stats:
         print("error: --json requires --stats", file=sys.stderr)
@@ -257,12 +258,13 @@ def _cmd_audit(args) -> int:
         if args.explain:
             info(executor.last_trace.explain(canonical_host(args.explain)))
             info()
-        view = ColumnarStore.from_store(store).month_view(month)
+        # One serialisation of the month feeds its columns and its shard.
+        rows = month_rows(store, month)
+        view = ColumnarStore.from_store(store).add_month(month, rows)
         summary = snapshot_summary_view(view)
         if args.save:
             from repro.ecosystem.timeline import population_to_dict
-            from repro.measurement.store_io import commit_month
-            commit_month(args.save, store, month,
+            commit_month(args.save, rows, month,
                          date=result.instant.date_string(),
                          stats=stats.as_dict(),
                          build_stats=result.build_stats,

@@ -77,7 +77,7 @@ class DaneValidator:
         name_text = canonical_host(
             mx_hostname.text if isinstance(mx_hostname, DnsName)
             else mx_hostname)
-        tlsa_name = DnsName.parse(f"_25._tcp.{name_text}")
+        tlsa_name = self._resolver.name(f"_25._tcp.{name_text}")
         try:
             answer = self._resolver.resolve(tlsa_name, RRType.TLSA)
         except DnsError:
@@ -85,14 +85,14 @@ class DaneValidator:
         return [r for r in answer.records if isinstance(r, TlsaRecord)]
 
     def chain_secure(self, mx_hostname: str | DnsName) -> bool:
-        name = (DnsName.parse(mx_hostname) if isinstance(mx_hostname, str)
-                else mx_hostname)
+        name = (self._resolver.name(mx_hostname)
+                if isinstance(mx_hostname, str) else mx_hostname)
         return self._dnssec.validate(name) is ChainStatus.SECURE
 
     def domain_has_dane(self, domain: str | DnsName) -> bool:
         """Whether any MX of *domain* publishes usable, secure TLSA."""
         if isinstance(domain, str):
-            domain = DnsName.parse(domain)
+            domain = self._resolver.name(domain)
         answer = self._resolver.try_resolve(domain, RRType.MX)
         if answer is None:
             return False

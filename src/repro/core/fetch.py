@@ -110,7 +110,7 @@ class PolicyFetcher:
         """Stage 1 only: the ``_mta-sts`` TXT lookup and evaluation."""
         domain_text = canonical_host(domain)
         result = PolicyFetchResult(domain=domain_text)
-        label = DnsName.parse(f"_mta-sts.{domain_text}")
+        label = self._resolver.name(f"_mta-sts.{domain_text}")
         try:
             answer = self._resolver.resolve(label, RRType.TXT)
         except (NxDomain, NoData) as exc:

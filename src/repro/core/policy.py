@@ -13,8 +13,9 @@ malformed fields.
 from __future__ import annotations
 
 import enum
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import PolicyError, PolicySyntaxError, PolicyWarning
@@ -72,41 +73,44 @@ def _valid_mx_pattern(pattern: str) -> bool:
     return bool(_MX_PATTERN_RE.match(pattern.lower()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyCheck:
     """Lenient parse result: a policy if salvageable, plus all faults."""
 
     policy: Optional[Policy] = None
-    errors: List[PolicySyntaxError] = field(default_factory=list)
-    details: List[str] = field(default_factory=list)
+    errors: Tuple[PolicySyntaxError, ...] = ()
+    details: Tuple[str, ...] = ()
     #: Non-fatal deviations: the policy parses and is used, but the
     #: fault is surfaced rather than silently corrected.
-    warnings: List[PolicyWarning] = field(default_factory=list)
-    warning_details: List[str] = field(default_factory=list)
+    warnings: Tuple[PolicyWarning, ...] = ()
+    warning_details: Tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
         return self.policy is not None and not self.errors
 
-    def add(self, kind: PolicySyntaxError, detail: str) -> None:
-        self.errors.append(kind)
-        self.details.append(detail)
 
-    def add_warning(self, kind: PolicyWarning, detail: str) -> None:
-        self.warnings.append(kind)
-        self.warning_details.append(detail)
-
-
+@functools.lru_cache(maxsize=1024)
 def check_policy_text(text: str) -> PolicyCheck:
     """Inspect raw policy text, collecting every syntax fault.
 
     Accepts both CRLF and bare LF line endings (the standard says CRLF;
-    real senders, and the paper's scanner, accept LF).
+    real senders, and the paper's scanner, accept LF).  The result is
+    a pure function of *text*, so it is memoised: a repeated text gets
+    the same frozen :class:`PolicyCheck` back.
     """
-    check = PolicyCheck()
     if not text.strip():
-        check.add(PolicySyntaxError.EMPTY_FILE, "policy body is empty")
-        return check
+        return PolicyCheck(errors=(PolicySyntaxError.EMPTY_FILE,),
+                           details=("policy body is empty",))
+
+    errors: List[PolicySyntaxError] = []
+    details: List[str] = []
+    warnings: List[PolicyWarning] = []
+    warning_details: List[str] = []
+
+    def add(kind: PolicySyntaxError, detail: str) -> None:
+        errors.append(kind)
+        details.append(detail)
 
     version: Optional[str] = None
     mode_text: Optional[str] = None
@@ -119,8 +123,8 @@ def check_policy_text(text: str) -> PolicyCheck:
         if not line:
             continue
         if ":" not in line:
-            check.add(PolicySyntaxError.MALFORMED_LINE,
-                      f"line without ':' separator: {line!r}")
+            add(PolicySyntaxError.MALFORMED_LINE,
+                f"line without ':' separator: {line!r}")
             continue
         key, _, value = line.partition(":")
         key = key.strip().lower()
@@ -129,8 +133,7 @@ def check_policy_text(text: str) -> PolicyCheck:
             mx_values.append(value)
             continue
         if key in seen_keys:
-            check.add(PolicySyntaxError.DUPLICATE_KEY,
-                      f"duplicate key {key!r}")
+            add(PolicySyntaxError.DUPLICATE_KEY, f"duplicate key {key!r}")
             continue
         seen_keys.add(key)
         if key == "version":
@@ -142,20 +145,20 @@ def check_policy_text(text: str) -> PolicyCheck:
         # Unknown keys are permitted for extensibility; ignored.
 
     if version is None:
-        check.add(PolicySyntaxError.MISSING_VERSION, "no version field")
+        add(PolicySyntaxError.MISSING_VERSION, "no version field")
     elif version != "STSv1":
-        check.add(PolicySyntaxError.BAD_VERSION,
-                  f"unsupported version {version!r}")
+        add(PolicySyntaxError.BAD_VERSION,
+            f"unsupported version {version!r}")
 
     mode: Optional[PolicyMode] = None
     if mode_text is None:
-        check.add(PolicySyntaxError.MISSING_MODE, "no mode field")
+        add(PolicySyntaxError.MISSING_MODE, "no mode field")
     else:
         try:
             mode = PolicyMode(mode_text.lower())
         except ValueError:
-            check.add(PolicySyntaxError.INVALID_MODE,
-                      f"unknown mode {mode_text!r}")
+            add(PolicySyntaxError.INVALID_MODE,
+                f"unknown mode {mode_text!r}")
 
     # ``str.isdigit`` accepts non-ASCII digits — some of which
     # ``int()`` parses (Arabic-Indic "١٢٣") and some of which it
@@ -165,33 +168,35 @@ def check_policy_text(text: str) -> PolicyCheck:
     # warning instead of being silently clamped.
     max_age: Optional[int] = None
     if max_age_text is None:
-        check.add(PolicySyntaxError.MISSING_MAX_AGE, "no max_age field")
+        add(PolicySyntaxError.MISSING_MAX_AGE, "no max_age field")
     elif not (max_age_text.isascii() and max_age_text.isdigit()):
-        check.add(PolicySyntaxError.INVALID_MAX_AGE,
-                  f"max_age is not a non-negative integer: {max_age_text!r}")
+        add(PolicySyntaxError.INVALID_MAX_AGE,
+            f"max_age is not a non-negative integer: {max_age_text!r}")
     else:
         max_age = int(max_age_text)
         if max_age > MAX_POLICY_AGE:
-            check.add_warning(
-                PolicyWarning.MAX_AGE_OVER_BOUND,
+            warnings.append(PolicyWarning.MAX_AGE_OVER_BOUND)
+            warning_details.append(
                 f"max_age {max_age} exceeds RFC 8461 bound "
                 f"{MAX_POLICY_AGE}; clamped")
             max_age = MAX_POLICY_AGE
 
     # mx patterns are required unless mode is none (RFC 8461 §3.2).
     if not mx_values and mode is not PolicyMode.NONE:
-        check.add(PolicySyntaxError.NO_MX_PATTERNS, "no mx fields")
+        add(PolicySyntaxError.NO_MX_PATTERNS, "no mx fields")
     for pattern in mx_values:
         if not _valid_mx_pattern(pattern):
-            check.add(PolicySyntaxError.INVALID_MX_PATTERN,
-                      f"invalid mx pattern {pattern!r}")
+            add(PolicySyntaxError.INVALID_MX_PATTERN,
+                f"invalid mx pattern {pattern!r}")
 
+    policy = None
     if (version == "STSv1" and mode is not None and max_age is not None
             and (mx_values or mode is PolicyMode.NONE)):
-        check.policy = Policy(
+        policy = Policy(
             version="STSv1", mode=mode, max_age=max_age,
             mx_patterns=tuple(p.lower() for p in mx_values))
-    return check
+    return PolicyCheck(policy, tuple(errors), tuple(details),
+                       tuple(warnings), tuple(warning_details))
 
 
 def parse_policy(text: str) -> Policy:

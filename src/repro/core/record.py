@@ -23,9 +23,10 @@ Validity rules implemented here, per the RFC:
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import RecordError, StsRecordError
 
@@ -100,7 +101,7 @@ def parse_sts_record(text: str) -> StsRecord:
     return StsRecord("STSv1", record_id, tuple(extensions))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TxtRrsetEvaluation:
     """Outcome of evaluating a domain's whole ``_mta-sts`` TXT RRset."""
 
@@ -135,25 +136,30 @@ def evaluate_txt_rrset(texts: Sequence[str]) -> TxtRrsetEvaluation:
     RFC 8461: senders MUST treat the domain as not having MTA-STS when
     more than one record begins with ``v=STSv1``.  Records that do not
     look STS-like (SPF leftovers, site-verification tokens) are ignored.
+    The verdict is memoised by the tuple of *texts*: a repeated RRset
+    gets the same frozen :class:`TxtRrsetEvaluation` back.
     """
-    evaluation = TxtRrsetEvaluation()
+    return _evaluate_texts(tuple(texts))
+
+
+@functools.lru_cache(maxsize=1024)
+def _evaluate_texts(texts: Tuple[str, ...]) -> TxtRrsetEvaluation:
     sts_like = [t for t in texts if _looks_like_sts(t)]
-    evaluation.sts_like_count = len(sts_like)
     if not sts_like:
-        evaluation.error = StsRecordError.MISSING
-        evaluation.detail = "no STS-like TXT record"
-        return evaluation
+        return TxtRrsetEvaluation(error=StsRecordError.MISSING,
+                                  detail="no STS-like TXT record")
 
     strict = [t for t in sts_like if t.strip().startswith("v=STSv1")]
     if len(strict) > 1:
-        evaluation.error = StsRecordError.MULTIPLE_RECORDS
-        evaluation.detail = f"{len(strict)} records begin with v=STSv1"
-        return evaluation
+        return TxtRrsetEvaluation(
+            error=StsRecordError.MULTIPLE_RECORDS,
+            detail=f"{len(strict)} records begin with v=STSv1",
+            sts_like_count=len(sts_like))
 
     candidate = strict[0] if strict else sts_like[0]
     try:
-        evaluation.record = parse_sts_record(candidate)
+        record = parse_sts_record(candidate)
     except RecordError as exc:
-        evaluation.error = exc.kind
-        evaluation.detail = str(exc)
-    return evaluation
+        return TxtRrsetEvaluation(error=exc.kind, detail=str(exc),
+                                  sts_like_count=len(sts_like))
+    return TxtRrsetEvaluation(record=record, sts_like_count=len(sts_like))

@@ -22,6 +22,7 @@ must agree on.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -48,12 +49,13 @@ class TlsRptRecord:
         return f"v={self.version}; rua={','.join(self.rua)}"
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_tlsrpt_record(text: str) -> Optional[TlsRptRecord]:
     """Parse one TXT string; returns None when invalid.
 
     Validity rules: must begin with ``v=TLSRPTv1``, must contain a
     ``rua`` field whose every URI is a well-formed ``mailto:`` or
-    ``https:`` endpoint.
+    ``https:`` endpoint.  Memoised by *text*; the record is frozen.
     """
     stripped = text.strip()
     if not stripped.startswith("v=TLSRPTv1"):
@@ -86,7 +88,7 @@ def lookup_tlsrpt(resolver: Resolver,
         # İ-style inputs casefold to non-LDH labels no zone can hold —
         # such a domain cannot publish a record, so the answer is
         # "absent", not a crash.
-        name = DnsName.parse(f"_smtp._tls.{domain_text}")
+        name = resolver.name(f"_smtp._tls.{domain_text}")
     except ValueError:
         return None
     try:

@@ -83,8 +83,9 @@ class Resolver:
         self._delegations: Dict[str, List[IpAddress]] = {}
         #: (name text, RRType value) -> cached outcome
         self._cache: Dict[Tuple[str, str], _CacheEntry] = {}
-        #: name text as callers spell it -> its parsed name; cleared with
-        #: the cache, so it holds the names of one cache lifetime
+        #: name text as callers spell it -> its parsed name: the world's
+        #: name intern (see :meth:`name`).  Answers expire, names do
+        #: not, so :meth:`flush_cache` leaves it alone.
         self._names: Dict[str, DnsName] = {}
         self._cache_enabled = cache_enabled
         self._negative_ttl = negative_ttl
@@ -112,6 +113,19 @@ class Resolver:
         # the longest apex wins.
         return longest_suffix_match(self._delegations, name) or []
 
+    # -- names ------------------------------------------------------------
+
+    def name(self, text: str) -> DnsName:
+        """*text* parsed as a DNS name, once per spelling for the
+        resolver's lifetime: every lookup site of the world asks here
+        instead of calling :meth:`DnsName.parse`, and a repeated
+        spelling gets the identical object back.  A spelling that is
+        not a DNS name raises ``ValueError`` and is not interned."""
+        name = self._names.get(text)
+        if name is None:
+            name = self._names[text] = DnsName.parse(text)
+        return name
+
     # -- resolution -----------------------------------------------------
 
     def resolve(self, name: DnsName | str, rrtype: RRType) -> Answer:
@@ -124,10 +138,7 @@ class Resolver:
         cache.
         """
         if isinstance(name, str):
-            parsed = self._names.get(name)
-            if parsed is None:
-                parsed = self._names[name] = DnsName.parse(name)
-            name = parsed
+            name = self._names.get(name) or self.name(name)
         chain: Tuple[CnameRecord, ...] = ()
         current = name
         while True:
@@ -273,8 +284,8 @@ class Resolver:
             last_error = None
 
     def flush_cache(self) -> None:
+        """Forget every cached answer; the name intern stays."""
         self._cache.clear()
-        self._names.clear()
 
     # -- instrumentation --------------------------------------------------
 

@@ -13,7 +13,9 @@ module does the same for the campaign store:
   committed shard's rows straight into columns (no snapshot object is
   ever constructed), and :meth:`ColumnarStore.from_store` converts the
   snapshots of an in-memory :class:`SnapshotStore` through the same
-  builder.  :func:`view_of` does the same for a bare snapshot list.
+  builder; :meth:`ColumnarStore.add_month` takes a month's rows from a
+  live scan that has already serialised them for its shard.
+  :func:`view_of` does the same for a bare snapshot list.
 * Strings are dictionary-encoded: domains, policy modes, fetch
   stages, providers, and whole mx-pattern/MX-host tuples intern into
   store-level dictionaries, so every derived classification
@@ -233,15 +235,22 @@ class ColumnarStore:
             self._views[month] = view
         return view
 
+    def add_month(self, month: int, rows: List[dict]) -> MonthView:
+        """Build and cache *month*'s columns from rows the caller has
+        already serialised (:func:`~repro.measurement.store_io.month_rows`)
+        — a live scan hands over the rows its shard commit wrote, so
+        each scanned month is converted once."""
+        view = self._views[month] = self._build_view(month, rows)
+        return view
+
     def loaded_months(self) -> List[int]:
         """The months materialised so far (lazy-loading introspection)."""
         return sorted(self._views)
 
     def _month_rows(self, month: int) -> List[dict]:
+        from repro.measurement.store_io import load_shard_rows, month_rows
         if self._object_store is not None:
-            return [snapshot.to_dict()
-                    for snapshot in self._object_store.month(month)]
-        from repro.measurement.store_io import load_shard_rows
+            return month_rows(self._object_store, month)
         return load_shard_rows(self.state_dir, self.entries[month])
 
     # -- dictionaries --------------------------------------------------

@@ -398,7 +398,6 @@ class ScanExecutor:
             # initargs; a Manager proxy queue can.
             manager = context.Manager()
             queue = manager.Queue()
-        started = time.perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=context,
@@ -420,7 +419,6 @@ class ScanExecutor:
                 manager.shutdown()
             if tracker is not None:
                 tracker.finish()
-        elapsed = time.perf_counter() - started
 
         store = SnapshotStore()
         scans: List[_SliceScan] = []
@@ -440,8 +438,11 @@ class ScanExecutor:
                     "process scan: workers disagree on build churn "
                     f"({build_stats} vs {result['build_stats']}); "
                     "shard materialisation is nondeterministic")
+        # Both timings are the slowest worker's, measured inside the
+        # worker: the build, then the scan of its slices after the build.
         stats = self._merge(
-            scans, instant, jobs=workers, scan_seconds=elapsed,
+            scans, instant, jobs=workers,
+            scan_seconds=max(r["scan_seconds"] for r in results),
             world_build_seconds=max(r["build_seconds"] for r in results))
         return PopulationScanResult(
             store=store, stats=stats, instant=instant,
@@ -637,6 +638,7 @@ def _process_scan_worker(payload: dict) -> dict:
             pending = 0
 
     scanned = []
+    scan_started = time.perf_counter()
     for names in slices:
         store = SnapshotStore()
         scan = _scan_slice(
@@ -656,5 +658,6 @@ def _process_scan_worker(payload: dict) -> dict:
         "slices": scanned,
         "build_stats": materialized.build_stats,
         "build_seconds": build_seconds,
+        "scan_seconds": time.perf_counter() - scan_started,
         "peak_rss_kib": _peak_rss_kib(),
     }

@@ -40,6 +40,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.clock import Instant
 from repro.errors import StoreCorruption
 from repro.fsutil import atomic_write_text, ensure_dir, read_text
 from repro.measurement.snapshots import DomainSnapshot, SnapshotStore
@@ -47,7 +48,7 @@ from repro.measurement.snapshots import DomainSnapshot, SnapshotStore
 __all__ = [
     "SCHEMA_VERSION", "MANIFEST_NAME", "StoreCorruption",
     "MonthEntry", "CampaignState",
-    "shard_name", "month_shard_text", "shard_digest",
+    "shard_name", "month_rows", "month_shard_text", "shard_digest",
     "read_manifest", "commit_month", "save_store",
     "load_shard_rows", "load_state", "load_store",
 ]
@@ -117,18 +118,32 @@ def shard_name(month: int) -> str:
     return f"month-{month:04d}.jsonl"
 
 
+def month_rows(store: SnapshotStore, month: int) -> List[dict]:
+    """One month's snapshots as plain-data rows
+    (:meth:`DomainSnapshot.to_dict`), in sorted domain order: the one
+    serialisation of a scanned month, which both its shard
+    (:func:`commit_month`) and its columns
+    (:meth:`~repro.measurement.columnar.ColumnarStore.add_month`)
+    read."""
+    return [snapshot.to_dict() for snapshot in store.month(month)]
+
+
+def _shard_text(rows: Iterable[dict]) -> str:
+    """The canonical shard body of *rows*: one compact JSON row per
+    snapshot, sorted keys, newline-terminated."""
+    return "".join(json.dumps(row, sort_keys=True, separators=(",", ":"))
+                   + "\n" for row in rows)
+
+
 def month_shard_text(store: SnapshotStore, month: int) -> str:
-    """The canonical shard body for one month: one compact JSON row per
-    snapshot, sorted keys, sorted domain order, newline-terminated.
+    """The canonical shard body for one month of *store*, rows in
+    sorted domain order.
 
     Concatenating every month's parsed rows in month order reproduces
     ``json.loads(store.canonical_bytes())`` exactly — the round-trip
     the property tests assert.
     """
-    lines = [json.dumps(snapshot.to_dict(), sort_keys=True,
-                        separators=(",", ":"))
-             for snapshot in store.month(month)]
-    return "".join(line + "\n" for line in lines)
+    return _shard_text(month_rows(store, month))
 
 
 def shard_digest(text: str) -> str:
@@ -183,21 +198,21 @@ def _write_manifest(state_dir: str, population: Optional[dict],
     return manifest
 
 
-def _month_date(store: SnapshotStore, month: int) -> str:
-    snapshots = store.month(month)
-    return snapshots[0].instant.date_string() if snapshots else ""
+def _rows_date(rows: List[dict]) -> str:
+    return Instant(rows[0]["instant"]).date_string() if rows else ""
 
 
 # ---------------------------------------------------------------------------
 # Commit / save
 # ---------------------------------------------------------------------------
 
-def commit_month(state_dir: str, store: SnapshotStore, month: int, *,
+def commit_month(state_dir: str, rows: List[dict], month: int, *,
                  date: Optional[str] = None,
                  stats: Optional[Dict[str, object]] = None,
                  build_stats: Optional[Dict[str, int]] = None,
                  population: Optional[dict] = None) -> MonthEntry:
-    """Durably commit one finished month: shard first, manifest second.
+    """Durably commit one finished month, given as its
+    :func:`month_rows`: shard first, manifest second.
 
     Re-committing an already recorded month replaces its entry (the
     shard write is idempotent for identical snapshots); every other
@@ -211,12 +226,12 @@ def commit_month(state_dir: str, store: SnapshotStore, month: int, *,
     if population is None and manifest:
         population = manifest.get("population")
 
-    text = month_shard_text(store, month)
+    text = _shard_text(rows)
     name = shard_name(month)
     atomic_write_text(os.path.join(state_dir, name), text)
     entry = MonthEntry(
         month=month,
-        date=date if date is not None else _month_date(store, month),
+        date=date if date is not None else _rows_date(rows),
         shard=name, sha256=shard_digest(text), rows=text.count("\n"),
         stats=dict(stats or {}), build_stats=dict(build_stats or {}))
     entries = [e for e in entries if e.month != month] + [entry]
@@ -239,11 +254,12 @@ def save_store(store: SnapshotStore, state_dir: str, *,
     build_stats_by_month = build_stats_by_month or {}
     entries = []
     for month in store.months():
-        text = month_shard_text(store, month)
+        rows = month_rows(store, month)
+        text = _shard_text(rows)
         name = shard_name(month)
         atomic_write_text(os.path.join(state_dir, name), text)
         entries.append(MonthEntry(
-            month=month, date=_month_date(store, month), shard=name,
+            month=month, date=_rows_date(rows), shard=name,
             sha256=shard_digest(text), rows=text.count("\n"),
             stats=dict(stats_by_month.get(month, {})),
             build_stats=dict(build_stats_by_month.get(month, {}))))

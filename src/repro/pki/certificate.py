@@ -9,6 +9,7 @@ issuer keypair is their own.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -43,7 +44,13 @@ def hostname_matches(pattern: str, hostname: str) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """An X.509-like certificate in the simulated PKI."""
+    """An X.509-like certificate in the simulated PKI.
+
+    Its identity — the certificate fingerprint and the signature
+    verdict — is a pure function of the frozen fields, so each is
+    computed on first use and kept on the object; a
+    ``dataclasses.replace`` copy starts without them.
+    """
 
     subject_cn: str
     san: Tuple[str, ...]
@@ -55,6 +62,10 @@ class Certificate:
     signature: str = ""
     is_ca: bool = False
     revoked: bool = False
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False)
+    _signature_ok: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def self_signed(self) -> bool:
@@ -67,7 +78,12 @@ class Certificate:
                 f"ca={self.is_ca}")
 
     def signature_valid(self) -> bool:
-        return self.issuer_key.verify(self.tbs_payload(), self.signature)
+        verdict = self._signature_ok
+        if verdict is None:
+            verdict = self.issuer_key.verify(self.tbs_payload(),
+                                             self.signature)
+            object.__setattr__(self, "_signature_ok", verdict)
+        return verdict
 
     def valid_at(self, when: Instant) -> bool:
         return self.not_before <= when <= self.not_after
@@ -88,9 +104,13 @@ class Certificate:
         return self.key.fingerprint()
 
     def cert_fingerprint(self) -> str:
-        import hashlib
-        return hashlib.sha256(
-            (self.tbs_payload() + self.signature).encode()).hexdigest()[:56]
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = hashlib.sha256(
+                (self.tbs_payload() + self.signature).encode()
+            ).hexdigest()[:56]
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
 
 @dataclass

@@ -4,7 +4,8 @@ Real asymmetric cryptography is irrelevant to reproducing the paper's
 measurements; what matters is *identity*: whether the certificate a
 server presents chains to a trusted root, and whether a DANE TLSA
 record's fingerprint matches the presented key.  A :class:`KeyPair` is
-therefore an opaque unique token with a stable fingerprint.
+therefore an opaque unique token with a stable fingerprint, hashed once
+when the key is made.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ class KeyPair:
 
     key_id: int = field(default_factory=lambda: next(_counter))
     label: str = ""
+    _fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        digest = hashlib.sha256(f"spki:{self.key_id}".encode()).hexdigest()
+        object.__setattr__(self, "_fingerprint", digest[:56])
 
     def fingerprint(self) -> str:
         """A stable hex fingerprint of the public key (SPKI digest)."""
-        digest = hashlib.sha256(f"spki:{self.key_id}".encode()).hexdigest()
-        return digest[:56]
+        return self._fingerprint
 
     def sign(self, payload: str) -> str:
         """Produce a deterministic "signature" binding payload to key."""

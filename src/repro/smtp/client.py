@@ -176,7 +176,7 @@ class SmtpProbe:
         result = ProbeResult(mx_hostname=name_text)
 
         try:
-            name = DnsName.parse(name_text)
+            name = self._resolver.name(name_text)
             addresses = self._resolver.resolve_address(name)
         except (ValueError, DnsError) as exc:
             result.detail = f"dns: {exc}"
@@ -253,7 +253,7 @@ class SmtpProbe:
     def probe_domain(self, domain: str | DnsName) -> list[ProbeResult]:
         """Probe every MX of *domain* (or its apex A record fallback)."""
         if isinstance(domain, str):
-            domain = DnsName.parse(domain)
+            domain = self._resolver.name(domain)
         mx_answer = self._resolver.try_resolve(domain, RRType.MX)
         hostnames: list[str] = []
         if mx_answer is not None:

@@ -132,7 +132,7 @@ class SendingMta:
 
     def lookup_mx(self, domain: str | DnsName) -> List[str]:
         if isinstance(domain, str):
-            domain = DnsName.parse(domain)
+            domain = self._resolver.name(domain)
         answer = self._resolver.try_resolve(domain, RRType.MX)
         if answer is not None:
             records = sorted(
@@ -222,7 +222,7 @@ class SendingMta:
 
     def _connect(self, mx_hostname: str, attempt: MxAttempt) -> Optional[MxHost]:
         try:
-            name = DnsName.parse(mx_hostname)
+            name = self._resolver.name(mx_hostname)
             addresses = self._resolver.resolve_address(name)
         except (ValueError, DnsError) as exc:
             attempt.detail = f"dns: {exc}"

@@ -77,7 +77,7 @@ def process_state(tmp_path_factory):
     from repro.ecosystem.population import PopulationConfig
     from repro.ecosystem.timeline import population_to_dict
     from repro.measurement.executor import ScanExecutor
-    from repro.measurement.store_io import commit_month
+    from repro.measurement.store_io import commit_month, month_rows
 
     state_dir = str(tmp_path_factory.mktemp("process") / "state")
     population = PopulationConfig(scale=0.004, seed=7)
@@ -85,7 +85,7 @@ def process_state(tmp_path_factory):
     for month in CAMPAIGN_MONTHS:
         result = executor.scan_population(
             population, month, fault_seed=1000 + month, fault_rate=0.2)
-        commit_month(state_dir, result.store, month,
+        commit_month(state_dir, month_rows(result.store, month), month,
                      date=result.instant.date_string(),
                      stats=result.stats.as_dict(),
                      build_stats=result.build_stats,

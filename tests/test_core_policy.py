@@ -1,11 +1,16 @@
 """Unit tests for MTA-STS policy parsing (RFC 8461 §3.2)."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import record
 from repro.core.policy import (
     MAX_POLICY_AGE, Policy, PolicyMode, check_policy_text, parse_policy,
     render_policy,
 )
+from repro.core.record import evaluate_txt_rrset
+from repro.core.tlsrpt import parse_tlsrpt_record
 from repro.errors import PolicyError, PolicySyntaxError
 
 VALID = ("version: STSv1\r\n"
@@ -122,13 +127,13 @@ class TestLenientCheck:
     def test_valid_policy_has_no_errors(self):
         check = check_policy_text(VALID)
         assert check.valid
-        assert check.errors == []
+        assert check.errors == ()
 
     def test_empty_file_is_the_dmarcreport_case(self):
         # §5: an empty policy file parses as an error that senders
         # treat like mode=none.
         check = check_policy_text("")
-        assert check.errors == [PolicySyntaxError.EMPTY_FILE]
+        assert check.errors == (PolicySyntaxError.EMPTY_FILE,)
 
 
 class TestMaxAgeValidation:
@@ -157,17 +162,17 @@ class TestMaxAgeValidation:
             VALID.replace("604800", str(MAX_POLICY_AGE + 1)))
         assert check.valid
         assert check.policy.max_age == MAX_POLICY_AGE
-        assert check.warnings == [PolicyWarning.MAX_AGE_OVER_BOUND]
+        assert check.warnings == (PolicyWarning.MAX_AGE_OVER_BOUND,)
         assert str(MAX_POLICY_AGE + 1) in check.warning_details[0]
 
     def test_in_bound_max_age_has_no_warning(self):
         check = check_policy_text(VALID)
         assert check.valid
-        assert check.warnings == []
+        assert check.warnings == ()
         boundary = check_policy_text(
             VALID.replace("604800", str(MAX_POLICY_AGE)))
         assert boundary.valid
-        assert boundary.warnings == []
+        assert boundary.warnings == ()
         assert boundary.policy.max_age == MAX_POLICY_AGE
 
 
@@ -189,3 +194,31 @@ class TestDuplicateKeys:
     def test_repeated_mx_keys_are_legal(self):
         # mx is the one key RFC 8461 allows (requires) to repeat.
         assert check_policy_text(VALID).valid
+
+
+class TestTextParseMemo:
+    """The three text parses on the scan path are pure functions of
+    their text, memoised by an LRU of 1,024 entries: a repeated text
+    gets the same frozen result back."""
+
+    @pytest.mark.parametrize("parse, memo, text, spelling", [
+        (check_policy_text, check_policy_text, VALID, VALID),
+        (check_policy_text, check_policy_text, "mode: nonsense\n",
+         "mode: nonsense\n"),
+        # The RRset is keyed by the tuple of its texts, whatever
+        # sequence the caller holds them in.
+        (evaluate_txt_rrset, record._evaluate_texts,
+         ["v=STSv1; id=1;", "v=spf1 -all"],
+         ("v=STSv1; id=1;", "v=spf1 -all")),
+        (parse_tlsrpt_record, parse_tlsrpt_record,
+         "v=TLSRPTv1; rua=mailto:tls@example.com",
+         "v=TLSRPTv1; rua=mailto:tls@example.com"),
+    ], ids=["policy", "bad-policy", "rrset", "tlsrpt"])
+    def test_repeat_returns_the_same_frozen_result(self, parse, memo, text,
+                                                   spelling):
+        first = parse(text)
+        assert parse(spelling) is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, dataclasses.fields(first)[0].name, None)
+        assert memo.cache_info().maxsize == 1024
+

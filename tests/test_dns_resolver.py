@@ -222,3 +222,34 @@ class TestResolverKeys:
         second = resolver.resolve("example.com", RRType.A)
         assert resolver.query_count == 1
         assert [r.address.text for r in second.records] == ["10.9.9.9"]
+
+
+class TestNameIntern:
+    """The resolver is its world's one name intern: a spelling parses
+    once for the resolver's lifetime, cache flushes included."""
+
+    def test_repeated_spelling_is_the_identical_object(self, setup):
+        *_, resolver = setup
+        first = resolver.name("Mail.Example.COM.")
+        assert first == n("mail.example.com")
+        assert resolver.name("Mail.Example.COM.") is first
+
+    def test_names_outlive_flush_cache_while_answers_do_not(self, setup):
+        *_, resolver = setup
+        name = resolver.name("example.com")
+        resolver.resolve("example.com", RRType.A)
+        assert resolver.cache_stats()["entries"] == 1
+        resolver.flush_cache()
+        assert resolver.cache_stats()["entries"] == 0
+        assert resolver.name("example.com") is name
+        assert resolver.resolve("example.com", RRType.A).name is name
+        assert resolver.query_count == 2
+
+    def test_invalid_spelling_raises_and_is_not_interned(self, setup):
+        *_, resolver = setup
+        # İ casefolds to "i" plus a combining dot: not an LDH label.
+        spelling = "_smtp._tls.İstanbul.example"
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                resolver.name(spelling)
+        assert spelling not in resolver._names

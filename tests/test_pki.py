@@ -1,5 +1,8 @@
 """Unit tests for the simulated PKI: certificates, CAs, validation, ACME."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.clock import DAY, Clock, Instant
@@ -9,7 +12,11 @@ from repro.pki.ca import CertificateAuthority, TrustStore
 from repro.pki.certificate import (
     CertTemplate, hostname_matches, make_self_signed,
 )
-from repro.pki.validation import classify_failure, validate_chain, verify_hostname
+from repro.pki.validation import (
+    chain_cache_stats, classify_failure, flush_chain_cache,
+    reset_chain_cache_stats, validate_chain, validate_chain_cached,
+    verify_hostname,
+)
 
 
 @pytest.fixture
@@ -127,6 +134,59 @@ class TestCertificates:
         b = ca.issue(CertTemplate(["b.com"]))
         assert a.spki_fingerprint() != b.spki_fingerprint()
         assert a.cert_fingerprint() == a.cert_fingerprint()
+
+
+class TestIdentityMemo:
+    """A key's fingerprint, a certificate's fingerprint and its signature
+    verdict are computed once per frozen object and kept on it; a
+    ``dataclasses.replace`` copy starts without them."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_chain_cache(self):
+        flush_chain_cache()
+        reset_chain_cache_stats()
+        yield
+        flush_chain_cache()
+        reset_chain_cache_stats()
+
+    def test_memoized_identity_equals_a_fresh_computation(self, ca):
+        cert = ca.issue(CertTemplate(["x.com"]))
+        fingerprint = cert.cert_fingerprint()
+        assert cert.signature_valid()
+        assert cert.cert_fingerprint() is fingerprint
+        copy = replace(cert)
+        assert copy == cert and copy is not cert
+        assert copy.cert_fingerprint() == fingerprint == hashlib.sha256(
+            (copy.tbs_payload() + copy.signature).encode()
+        ).hexdigest()[:56]
+        assert copy.signature_valid()
+        key_copy = replace(cert.key)
+        assert key_copy.fingerprint() == cert.key.fingerprint()
+        assert key_copy.fingerprint() == hashlib.sha256(
+            f"spki:{cert.key.key_id}".encode()).hexdigest()[:56]
+
+    def test_tampered_signature_copy_still_fails(self, ca, store, clock):
+        cert = ca.issue(CertTemplate(["x.com"]))
+        assert validate_chain(cert, "x.com", store, clock.now()).valid
+        tampered = replace(cert, signature="0" * 40)
+        assert not tampered.signature_valid()
+        assert tampered.cert_fingerprint() != cert.cert_fingerprint()
+        result = validate_chain(tampered, "x.com", store, clock.now())
+        assert result.failure is TlsFailure.HANDSHAKE_ALERT
+
+    def test_revoked_copy_gets_its_own_chain_cache_key(self, ca, store,
+                                                       clock):
+        cert = ca.issue(CertTemplate(["x.com"]))
+        now = clock.now()
+        assert validate_chain_cached(cert, "x.com", store, now).valid
+        revoked = ca.revoke(cert)
+        # ``revoked`` is outside the signed payload: same fingerprint.
+        assert revoked.cert_fingerprint() == cert.cert_fingerprint()
+        result = validate_chain_cached(revoked, "x.com", store, now)
+        assert result.failure is TlsFailure.REVOKED
+        assert chain_cache_stats()["cache_hits"] == 0
+        assert validate_chain_cached(cert, "x.com", store, now).valid
+        assert chain_cache_stats()["cache_hits"] == 1
 
 
 class TestTrustStore:

@@ -241,20 +241,9 @@ class TestShardMaterialisation:
         other ids than the first, and nothing may depend on them: every
         slice starts with empty caches, so the slice digests and
         counters are a function of the slice alone."""
-        from repro.ecosystem.timeline import population_to_dict
         from repro.measurement.executor import _process_scan_worker
 
-        config = PopulationConfig(scale=SCALE, seed=SEED)
-        slices = partition_names(
-            EcosystemTimeline(TimelineConfig(config)).materialize(
-                MONTH).deployed, SCAN_SHARDS)
-        payload = {
-            "population": population_to_dict(config),
-            "month_index": MONTH, "shard": (1, 3),
-            "slices": slices[contiguous_block(len(slices), 1, 3)],
-            "fault_seed": FAULT_SEED, "fault_rate": 0.2,
-            "trace": False, "profile": False,
-        }
+        payload = _middle_block_payload()
         first, second = (_process_scan_worker(payload) for _ in range(2))
         assert first["build_stats"] == second["build_stats"]
         assert len(first["slices"]) == 3
@@ -263,6 +252,37 @@ class TestShardMaterialisation:
             assert text and text == text2
             assert digest == digest2
             assert scan.counters == scan2.counters
+
+    def test_worker_times_its_scan_after_its_build(self):
+        """A worker reports its scan time without its build, as serial
+        does, so ``audit --stats`` never counts a build twice."""
+        import time
+
+        from repro.measurement.executor import _process_scan_worker
+
+        payload = _middle_block_payload()
+        started = time.perf_counter()
+        result = _process_scan_worker(payload)
+        wall = time.perf_counter() - started
+        assert result["build_seconds"] > 0 and result["scan_seconds"] > 0
+        assert result["build_seconds"] + result["scan_seconds"] <= wall
+
+
+def _middle_block_payload() -> dict:
+    """Worker 1 of 3's payload, as the process backend builds it."""
+    from repro.ecosystem.timeline import population_to_dict
+
+    config = PopulationConfig(scale=SCALE, seed=SEED)
+    slices = partition_names(
+        EcosystemTimeline(TimelineConfig(config)).materialize(
+            MONTH).deployed, SCAN_SHARDS)
+    return {
+        "population": population_to_dict(config),
+        "month_index": MONTH, "shard": (1, 3),
+        "slices": slices[contiguous_block(len(slices), 1, 3)],
+        "fault_seed": FAULT_SEED, "fault_rate": 0.2,
+        "trace": False, "profile": False,
+    }
 
 
 class TestCliProcessBackend:

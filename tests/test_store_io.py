@@ -28,8 +28,8 @@ from repro.measurement.snapshots import (
     DomainSnapshot, MxObservation, SnapshotStore,
 )
 from repro.measurement.store_io import (
-    MANIFEST_NAME, commit_month, load_state, load_store, read_manifest,
-    save_store, shard_digest, shard_name,
+    MANIFEST_NAME, commit_month, load_state, load_store, month_rows,
+    read_manifest, save_store, shard_digest, shard_name,
 )
 
 # -- snapshot generation ----------------------------------------------------
@@ -152,9 +152,10 @@ def _store_with(*months):
 class TestCommit:
     def test_commit_month_is_incremental(self, tmp_path):
         store = _store_with(0, 1)
-        commit_month(str(tmp_path), store, 0, stats={"domains_scanned": 1},
+        commit_month(str(tmp_path), month_rows(store, 0), 0,
+                     stats={"domains_scanned": 1},
                      population={"scale": 0.01})
-        commit_month(str(tmp_path), store, 1)
+        commit_month(str(tmp_path), month_rows(store, 1), 1)
         state = load_state(str(tmp_path))
         assert state.month_indexes() == [0, 1]
         assert state.population == {"scale": 0.01}   # inherited by month 1
@@ -162,9 +163,9 @@ class TestCommit:
         assert state.store == store
 
     def test_recommit_replaces_entry(self, tmp_path):
-        store = _store_with(0)
-        commit_month(str(tmp_path), store, 0)
-        commit_month(str(tmp_path), store, 0, stats={"x": 2})
+        rows = month_rows(_store_with(0), 0)
+        commit_month(str(tmp_path), rows, 0)
+        commit_month(str(tmp_path), rows, 0, stats={"x": 2})
         state = load_state(str(tmp_path))
         assert [e.month for e in state.months] == [0]
         assert state.entry(0).stats == {"x": 2}
@@ -177,6 +178,35 @@ class TestCommit:
 
     def test_read_manifest_absent_is_none(self, tmp_path):
         assert read_manifest(str(tmp_path)) is None
+
+
+class TestOneSerialisation:
+    def test_campaign_serialises_each_snapshot_once(self, tmp_path,
+                                                     monkeypatch):
+        """A scanned month becomes rows once: the same rows feed its
+        shard commit and its month columns."""
+        from repro.analysis.series import run_campaign
+        from repro.ecosystem.population import PopulationConfig
+        from repro.ecosystem.timeline import (
+            EcosystemTimeline, TimelineConfig,
+        )
+
+        calls = []
+        to_dict = DomainSnapshot.to_dict
+
+        def counted(snapshot):
+            calls.append((snapshot.month_index, snapshot.domain))
+            return to_dict(snapshot)
+
+        monkeypatch.setattr(DomainSnapshot, "to_dict", counted)
+        timeline = EcosystemTimeline(
+            TimelineConfig(PopulationConfig(scale=0.004, seed=7)))
+        analysis = run_campaign(timeline, [0, 1, 2],
+                                state_dir=str(tmp_path / "state"))
+        snapshots = [(s.month_index, s.domain)
+                     for s in analysis.store.iter_snapshots()]
+        assert snapshots and sorted(calls) == snapshots
+        assert load_state(str(tmp_path / "state")).store == analysis.store
 
 
 # -- corruption -------------------------------------------------------------
