@@ -1,20 +1,28 @@
 """Kill-and-resume differential harness (real SIGKILL, real resume).
 
-The in-process resume tests (``tests/test_campaign_resume.py``) unwind
-the campaign loop with an exception; this harness goes further and
-kills an actual child process with ``SIGKILL`` mid-campaign — no
-``finally`` blocks, no atexit, nothing flushes — then resumes from the
-surviving state directory and byte-compares three artifacts against an
-uninterrupted reference run:
+The in-process resume tests (``tests/test_campaign_resume.py``,
+``tests/test_delivery_campaign.py``) stop the campaign loop from
+inside; this harness goes further and kills an actual child process
+with ``SIGKILL`` mid-campaign — no ``finally`` blocks, no atexit,
+nothing flushes — then resumes from the surviving state directory and
+byte-compares three artifacts against an uninterrupted reference run.
 
-* the store's ``canonical_bytes()``;
-* the monthly metrics JSONL feed the monitor renders;
-* the health report text.
+* **scan campaign** — the child SIGKILLs itself the moment month
+  ``--kill-after`` commits; compared are the store's
+  ``canonical_bytes()``, the monthly metrics JSONL feed and the health
+  report text.
+* **delivery campaign** — the 40-sender campaign of
+  ``tests/test_delivery_campaign.py`` (scale 0.004, seed 11, month 3,
+  5 messages each, backpressure 60).  The child SIGKILLs itself from
+  its progress callback at the heartbeat where half the messages are
+  finalised, before that wave commits; the parent checks that some but
+  not all waves were committed, then compares the ledger, the per-wave
+  metrics feed and the health report text.
 
-Exit status 0 means every comparison matched for both configurations
-(a clean and a fault-seeded campaign).  The state directory of the
-last configuration is left in place so CI can upload its
-``manifest.json`` as an artifact.
+Each runs clean and fault-seeded (4242).  Exit status 0 means every
+comparison matched.  The state directory of the last scan
+configuration is left in place so CI can upload its ``manifest.json``
+as an artifact.
 
 Usage::
 
@@ -22,40 +30,69 @@ Usage::
         [--scale 0.004] [--seed 7] [--months 6] [--kill-after 2] \
         [--keep-dir DIR]
 
-The child mode (``--child``) is internal: it runs the campaign with
-checkpointing enabled and SIGKILLs itself the moment month
-``--kill-after`` commits.
+``--scale``, ``--seed``, ``--months`` and ``--kill-after`` shape the
+scan campaign; the delivery campaign is fixed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import multiprocessing
 import os
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 
 from repro.analysis.series import run_campaign
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
+from repro.measurement.delivery_campaign import (
+    DeliveryCampaignConfig, run_delivery_campaign,
+)
 from repro.measurement.executor import ScanExecutor
+from repro.measurement.store_io import DELIVERY_KIND, read_manifest
 from repro.netsim.network import FaultPlan
 from repro.obs.monitor import CampaignMonitor
 
+FAULT_SEEDS = [None, 4242]
+DELIVERY = dict(scale=0.004, seed=11, month_index=3, senders=40,
+                messages_per_sender=5, backpressure=60, fault_rate=0.35)
+
+
+def _label(fault_seed) -> str:
+    return "clean" if fault_seed is None else f"faults@{fault_seed}"
+
+
+def _spawn(target, *args) -> int:
+    """Run ``target(*args)`` in a fresh interpreter; its exit code
+    (``-SIGKILL`` when it killed itself)."""
+    child = multiprocessing.get_context("spawn").Process(target=target,
+                                                         args=args)
+    child.start()
+    child.join()
+    return child.exitcode
+
+
+def _compare(label: str, checks) -> bool:
+    for name, ok in checks:
+        print(f"[{label}]   {name}: {'identical' if ok else 'DIVERGED'}")
+    return all(ok for _, ok in checks)
+
+
+# ---------------------------------------------------------------------------
+# Scan campaign
+# ---------------------------------------------------------------------------
 
 def _timeline(args) -> EcosystemTimeline:
     return EcosystemTimeline(TimelineConfig(
         PopulationConfig(scale=args.scale, seed=args.seed)))
 
 
-def _fault_factory(args):
-    if args.fault_seed is None:
+def _fault_factory(fault_seed):
+    if fault_seed is None:
         return None
-    return lambda month: FaultPlan.seeded(seed=args.fault_seed + month,
-                                          rate=0.2)
+    return lambda month: FaultPlan.seeded(seed=fault_seed + month, rate=0.2)
 
 
 class _SelfKillMonitor(CampaignMonitor):
@@ -73,51 +110,36 @@ class _SelfKillMonitor(CampaignMonitor):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _child(args) -> int:
+def _scan_child(args, fault_seed, state_dir: str) -> None:
     run_campaign(_timeline(args), list(range(args.months)),
                  executor=ScanExecutor(),
                  monitor=_SelfKillMonitor(args.kill_after),
-                 state_dir=args.state_dir,
-                 fault_plan_factory=_fault_factory(args))
+                 state_dir=state_dir,
+                 fault_plan_factory=_fault_factory(fault_seed))
     # Reaching this line means the kill never fired.
     print("child: campaign finished without being killed", file=sys.stderr)
-    return 1
+    sys.exit(1)
 
 
-def _spawn_child(args, state_dir: str) -> int:
-    command = [sys.executable, os.path.abspath(__file__), "--child",
-               "--state-dir", state_dir, "--scale", str(args.scale),
-               "--seed", str(args.seed), "--months", str(args.months),
-               "--kill-after", str(args.kill_after)]
-    if args.fault_seed is not None:
-        command += ["--fault-seed", str(args.fault_seed)]
-    env = dict(os.environ)
-    repo_src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(command, env=env).returncode
-
-
-def _run_config(args, keep_dir: str = None) -> bool:
-    label = ("clean" if args.fault_seed is None
-             else f"faults@{args.fault_seed}")
+def _run_scan_config(args, fault_seed, keep_dir: str = None) -> bool:
+    label = f"scan {_label(fault_seed)}"
     months = list(range(args.months))
 
     reference_monitor = CampaignMonitor()
     reference = run_campaign(
         _timeline(args), months, executor=ScanExecutor(),
-        monitor=reference_monitor, fault_plan_factory=_fault_factory(args))
+        monitor=reference_monitor,
+        fault_plan_factory=_fault_factory(fault_seed))
 
     state_dir = keep_dir or tempfile.mkdtemp(prefix="crash-resume-")
     try:
-        code = _spawn_child(args, state_dir)
+        code = _spawn(_scan_child, args, fault_seed, state_dir)
         if code != -signal.SIGKILL:
             print(f"[{label}] FAIL: child exited {code}, expected "
                   f"SIGKILL ({-signal.SIGKILL})")
             return False
-        manifest = json.loads(open(
-            os.path.join(state_dir, "manifest.json")).read())
-        committed = [entry["month"] for entry in manifest["months"]]
+        committed = [entry["month"]
+                     for entry in read_manifest(state_dir)["months"]]
         print(f"[{label}] child SIGKILLed with months {committed} "
               f"committed; resuming")
 
@@ -125,22 +147,69 @@ def _run_config(args, keep_dir: str = None) -> bool:
         resumed = run_campaign(
             _timeline(args), months, executor=ScanExecutor(),
             monitor=resumed_monitor, state_dir=state_dir, resume=True,
-            fault_plan_factory=_fault_factory(args))
-
-        checks = [
+            fault_plan_factory=_fault_factory(fault_seed))
+        return _compare(label, [
             ("canonical_bytes", reference.store.canonical_bytes()
              == resumed.store.canonical_bytes()),
             ("metrics jsonl", reference_monitor.to_jsonl()
              == resumed_monitor.to_jsonl()),
             ("health report", reference_monitor.health().render()
              == resumed_monitor.health().render()),
-        ]
-        for name, ok in checks:
-            print(f"[{label}]   {name}: {'identical' if ok else 'DIVERGED'}")
-        return all(ok for _, ok in checks)
+        ])
     finally:
         if keep_dir is None:
             shutil.rmtree(state_dir, ignore_errors=True)
+
+
+# ---------------------------------------------------------------------------
+# Delivery campaign
+# ---------------------------------------------------------------------------
+
+def _delivery_child(config: DeliveryCampaignConfig, state_dir: str) -> None:
+    half = config.total_messages // 2
+
+    def progress(event) -> None:
+        # The heartbeat fires after the wave's rows are finalised and
+        # before the wave commits.
+        if not event.final and event.domains_done >= half:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    run_delivery_campaign(config, progress=progress, state_dir=state_dir)
+    print("child: delivery finished without being killed", file=sys.stderr)
+    sys.exit(1)
+
+
+def _run_delivery_config(fault_seed) -> bool:
+    label = f"deliver {_label(fault_seed)}"
+    config = DeliveryCampaignConfig(fault_seed=fault_seed, **DELIVERY)
+    reference = run_delivery_campaign(config)
+
+    state_dir = tempfile.mkdtemp(prefix="crash-resume-deliver-")
+    try:
+        code = _spawn(_delivery_child, config, state_dir)
+        if code != -signal.SIGKILL:
+            print(f"[{label}] FAIL: child exited {code}, expected "
+                  f"SIGKILL ({-signal.SIGKILL})")
+            return False
+        committed = len(read_manifest(state_dir, kind=DELIVERY_KIND)["waves"])
+        total = reference.stats.waves
+        print(f"[{label}] child SIGKILLed with {committed} of {total} "
+              f"waves committed; resuming")
+        if not 0 < committed < total:
+            print(f"[{label}] FAIL: the kill did not land mid-campaign")
+            return False
+
+        resumed = run_delivery_campaign(config, state_dir=state_dir,
+                                        resume=True)
+        return _compare(label, [
+            ("ledger", resumed.ledger_text == reference.ledger_text),
+            ("wave feed", resumed.monitor.to_jsonl()
+             == reference.monitor.to_jsonl()),
+            ("health report", resumed.health().render()
+             == reference.health().render()),
+        ])
+    finally:
+        shutil.rmtree(state_dir, ignore_errors=True)
 
 
 def main() -> int:
@@ -151,26 +220,19 @@ def main() -> int:
     parser.add_argument("--kill-after", type=int, default=2,
                         help="months committed before the SIGKILL")
     parser.add_argument("--keep-dir", default=None, metavar="DIR",
-                        help="keep the last configuration's state "
+                        help="keep the last scan configuration's state "
                              "directory at DIR (for artifact upload)")
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--state-dir", default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--fault-seed", type=int, default=None)
     args = parser.parse_args()
 
-    if args.child:
-        return _child(args)
-
     failures = 0
-    matrix = [None, 4242]
-    for index, fault_seed in enumerate(matrix):
-        args.fault_seed = fault_seed
-        keep = args.keep_dir if index == len(matrix) - 1 else None
+    for index, fault_seed in enumerate(FAULT_SEEDS):
+        keep = args.keep_dir if index == len(FAULT_SEEDS) - 1 else None
         if keep:
             os.makedirs(keep, exist_ok=True)
-        if not _run_config(args, keep_dir=keep):
+        if not _run_scan_config(args, fault_seed, keep_dir=keep):
+            failures += 1
+    for fault_seed in FAULT_SEEDS:
+        if not _run_delivery_config(fault_seed):
             failures += 1
     if failures:
         print(f"FATAL: {failures} configuration(s) diverged after resume")

@@ -29,7 +29,9 @@ from repro.measurement.columnar import (
 )
 from repro.measurement.executor import ScanExecutor, ScanStats
 from repro.measurement.snapshots import SnapshotStore
-from repro.measurement.store_io import month_rows
+# Called through the module so that per-call wrappers (perfbench's
+# tracer) installed on ``store_io`` see the calls.
+from repro.measurement import store_io
 # Re-exported: the object-list adapter over ``snapshot_summary_view``.
 from repro.measurement.taxonomy import SnapshotSummary, snapshot_summary
 
@@ -183,16 +185,14 @@ class CampaignAnalysis:
         return self.summaries[max(self.months())]
 
 
-def _load_committed(state_dir: str, timeline: EcosystemTimeline,
-                    months: List[int], resume: bool):
+def _committed_entries(state_dir: str, timeline: EcosystemTimeline,
+                       months: List[int], resume: bool):
     """The checkpointed months a (possibly resuming) campaign starts
-    from: ``(store, {month: MonthEntry})``."""
-    from repro.measurement.store_io import load_state, read_manifest
-
-    manifest = read_manifest(state_dir)
+    from, as ``{month: MonthEntry}``; no shard is read yet."""
+    manifest = store_io.read_manifest(state_dir)
     if manifest is None:
-        return SnapshotStore(), {}
-    committed = [int(entry["month"]) for entry in manifest.get("months", ())]
+        return {}
+    committed = manifest["months"]
     if committed and not resume:
         raise ValueError(
             f"state dir {state_dir!r} already holds "
@@ -206,8 +206,8 @@ def _load_committed(state_dir: str, timeline: EcosystemTimeline,
             f"different population config ({persisted!r} != {current!r}); "
             f"resuming it with this timeline would mix incompatible "
             f"snapshots")
-    state = load_state(state_dir, months=months)
-    return state.store, {entry.month: entry for entry in state.months}
+    return {entry.month: entry
+            for entry in store_io.month_entries(manifest, months)}
 
 
 def run_campaign(timeline: EcosystemTimeline,
@@ -242,7 +242,10 @@ def run_campaign(timeline: EcosystemTimeline,
     first unscanned month in exactly the state an uninterrupted run
     would have.  The resumed campaign's store is therefore
     byte-identical (``canonical_bytes``) to an uninterrupted run's on
-    both backends, with or without fault plans.
+    both backends, with or without fault plans.  Each committed shard
+    is read and verified once, when the loop reaches its month; a
+    damaged one raises :class:`~repro.errors.StoreCorruption` before
+    any later month is scanned.
 
     ``fault_plan_factory`` (month -> FaultPlan or None) installs a
     fault plan on the materialised world for each month's *scan* only;
@@ -257,20 +260,23 @@ def run_campaign(timeline: EcosystemTimeline,
     materializer = IncrementalMaterializer(timeline) if incremental else None
     committed = {}
     if state_dir is not None:
-        store, committed = _load_committed(state_dir, timeline, months,
-                                           resume)
+        committed = _committed_entries(state_dir, timeline, months, resume)
         population = population_to_dict(timeline.config.population)
-    else:
-        store = SnapshotStore()
-    analysis = CampaignAnalysis(timeline=timeline,
-                                columns=ColumnarStore.from_store(store),
+    store = SnapshotStore()
+    analysis = CampaignAnalysis(timeline=timeline, columns=ColumnarStore(),
                                 store=store)
     for month in months:
         entry = committed.get(month)
         if entry is not None:
-            # Committed month: skip the scan, replay the (cheap,
-            # deterministic) world build so incremental state carries
-            # forward exactly as in the uninterrupted run.
+            # Committed month: its verified shard rows become both its
+            # snapshots and its columns.  The scan is skipped; the
+            # (cheap, deterministic) world build is replayed so
+            # incremental state carries forward exactly as in the
+            # uninterrupted run.
+            rows = store_io.load_shard_rows(state_dir, entry)
+            for snapshot in store_io.month_snapshots(entry, rows):
+                store.add(snapshot)
+            analysis.columns.add_month(month, rows)
             if materializer is not None:
                 materializer.materialize(month)
             analysis._record_month(month, entry.date,
@@ -298,16 +304,15 @@ def run_campaign(timeline: EcosystemTimeline,
                 materialized.world.network.install_fault_plan(None)
         stats.world_build_seconds = build_seconds
         # One serialisation of the month feeds its shard and its columns.
-        rows = month_rows(store, month)
+        rows = store_io.month_rows(store, month)
         if state_dir is not None:
-            from repro.measurement.store_io import commit_month
             stats.checkpoints_written = 1
             commit_started = time.perf_counter()
-            commit_month(state_dir, rows, month,
-                         date=materialized.instant.date_string(),
-                         stats=stats.as_dict(),
-                         build_stats=materialized.build_stats,
-                         population=population)
+            store_io.commit_month(state_dir, rows, month,
+                                  date=materialized.instant.date_string(),
+                                  stats=stats.as_dict(),
+                                  build_stats=materialized.build_stats,
+                                  population=population)
             stats.checkpoint_seconds = time.perf_counter() - commit_started
         analysis.columns.add_month(month, rows)
         analysis._record_month(month, materialized.instant.date_string(),

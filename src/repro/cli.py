@@ -260,7 +260,7 @@ def _cmd_audit(args) -> int:
             info()
         # One serialisation of the month feeds its columns and its shard.
         rows = month_rows(store, month)
-        view = ColumnarStore.from_store(store).add_month(month, rows)
+        view = ColumnarStore().add_month(month, rows)
         summary = snapshot_summary_view(view)
         if args.save:
             from repro.ecosystem.timeline import population_to_dict

@@ -8,13 +8,12 @@ columnar/census representations instead of per-host records; this
 module does the same for the campaign store:
 
 * :class:`ColumnarStore` builds one :class:`MonthView` of per-field
-  stdlib ``array``/``bytearray``/list columns per month, lazily.  It
-  has two sources: :meth:`ColumnarStore.from_state_dir` parses a
-  committed shard's rows straight into columns (no snapshot object is
-  ever constructed), and :meth:`ColumnarStore.from_store` converts the
-  snapshots of an in-memory :class:`SnapshotStore` through the same
-  builder; :meth:`ColumnarStore.add_month` takes a month's rows from a
-  live scan that has already serialised them for its shard.
+  stdlib ``array``/``bytearray``/list columns per month.  It has two
+  sources: :meth:`ColumnarStore.from_state_dir` parses a committed
+  shard's rows straight into columns, lazily (no snapshot object is
+  ever constructed), and :meth:`ColumnarStore.add_month` takes a
+  month's rows from their one serialisation — a live scan's rows as
+  committed to its shard, or a resumed month's verified shard rows.
   :func:`view_of` does the same for a bare snapshot list.
 * Strings are dictionary-encoded: domains, policy modes, fetch
   stages, providers, and whole mx-pattern/MX-host tuples intern into
@@ -52,7 +51,6 @@ from repro.core.matching import policy_covers_mx
 from repro.dns.name import registrable_part
 from repro.errors import (
     ManagingEntity, MisconfigCategory, MismatchClass, PolicyFetchStage,
-    StoreCorruption,
 )
 from repro.measurement.classify import (
     EntityTallies, EntityVerdict, _esld, eslds,
@@ -62,7 +60,7 @@ from repro.measurement.inconsistency import classify_mismatch
 from repro.measurement.taxonomy import PRIMARY_BUCKETS, SnapshotSummary
 
 if TYPE_CHECKING:
-    from repro.measurement.snapshots import DomainSnapshot, SnapshotStore
+    from repro.measurement.snapshots import DomainSnapshot
     from repro.measurement.store_io import MonthEntry
 
 __all__ = [
@@ -143,24 +141,22 @@ class MonthView:
 
 
 class ColumnarStore:
-    """Lazy per-month column views over a campaign.
+    """Per-month column views over a campaign.
 
-    Construct with :meth:`from_state_dir` (shards parse straight to
-    columns, verified against the manifest exactly like
-    ``store_io.load_state``) or :meth:`from_store` (an in-memory
-    store's snapshots, through the same builder).  ``month_view``
-    loads and caches one month at a time — analyses over a single
-    month never pay for the rest of the campaign.
+    Columns come from a committed state directory
+    (:meth:`from_state_dir`: shards parse straight to columns, verified
+    against the manifest exactly like ``store_io.load_state``, one
+    month at a time on first ``month_view`` — analyses over a single
+    month never pay for the rest of the campaign) or from rows handed
+    to :meth:`add_month`.  :meth:`months` covers both.
     """
 
     def __init__(self, *, state_dir: Optional[str] = None,
                  entries: Optional[Dict[int, "MonthEntry"]] = None,
-                 population: Optional[dict] = None,
-                 object_store: Optional["SnapshotStore"] = None):
+                 population: Optional[dict] = None):
         self.state_dir = state_dir
         self.entries: Dict[int, "MonthEntry"] = entries or {}
         self.population = population
-        self._object_store = object_store
         self._views: Dict[int, MonthView] = {}
         # -- dictionaries (shared across months) -----------------------
         self._domain_ids: Dict[str, int] = {}
@@ -189,35 +185,18 @@ class ColumnarStore:
                        months: Optional[List[int]] = None) -> "ColumnarStore":
         """Attach to a committed state directory without loading any
         shard yet; months materialise on first ``month_view``."""
-        from repro.measurement.store_io import (
-            MANIFEST_NAME, MonthEntry, read_manifest,
-        )
+        from repro.measurement.store_io import month_entries, read_manifest
         state_dir = os.path.abspath(state_dir)
-        manifest = read_manifest(state_dir)
-        if manifest is None:
-            raise StoreCorruption(
-                f"{state_dir}: no {MANIFEST_NAME} — not a campaign state "
-                f"directory")
-        wanted = None if months is None else set(months)
-        entries = {}
-        for raw in manifest.get("months", ()):
-            entry = MonthEntry.from_dict(raw)
-            if wanted is None or entry.month in wanted:
-                entries[entry.month] = entry
-        return cls(state_dir=state_dir, entries=entries,
+        manifest = read_manifest(state_dir, required=True)
+        return cls(state_dir=state_dir,
+                   entries={entry.month: entry for entry in
+                            month_entries(manifest, months)},
                    population=manifest.get("population"))
-
-    @classmethod
-    def from_store(cls, store: "SnapshotStore") -> "ColumnarStore":
-        """Columnarise an in-memory store (lazily, month by month)."""
-        return cls(object_store=store)
 
     # -- month access --------------------------------------------------
 
     def months(self) -> List[int]:
-        if self._object_store is not None:
-            return self._object_store.months()
-        return sorted(self.entries)
+        return sorted(self.entries.keys() | self._views.keys())
 
     def month_view(self, month: int) -> MonthView:
         """One month's columns, built on first use and cached.
@@ -227,31 +206,27 @@ class ColumnarStore:
         """
         view = self._views.get(month)
         if view is None:
-            months = self.months()
-            if month not in months:
+            if month not in self.entries:
                 raise KeyError(f"month {month} was never scanned "
-                               f"(scanned months: {months})")
-            view = self._build_view(month, self._month_rows(month))
+                               f"(scanned months: {self.months()})")
+            from repro.measurement.store_io import load_shard_rows
+            view = self._build_view(
+                month, load_shard_rows(self.state_dir, self.entries[month]))
             self._views[month] = view
         return view
 
     def add_month(self, month: int, rows: List[dict]) -> MonthView:
         """Build and cache *month*'s columns from rows the caller has
-        already serialised (:func:`~repro.measurement.store_io.month_rows`)
-        — a live scan hands over the rows its shard commit wrote, so
-        each scanned month is converted once."""
+        already serialised or read: a live scan hands over the rows its
+        shard commit wrote (:func:`~repro.measurement.store_io.month_rows`),
+        a resumed campaign the verified rows of the month's shard, so
+        each month is converted once."""
         view = self._views[month] = self._build_view(month, rows)
         return view
 
     def loaded_months(self) -> List[int]:
         """The months materialised so far (lazy-loading introspection)."""
         return sorted(self._views)
-
-    def _month_rows(self, month: int) -> List[dict]:
-        from repro.measurement.store_io import load_shard_rows, month_rows
-        if self._object_store is not None:
-            return month_rows(self._object_store, month)
-        return load_shard_rows(self.state_dir, self.entries[month])
 
     # -- dictionaries --------------------------------------------------
 

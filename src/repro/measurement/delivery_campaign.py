@@ -46,8 +46,9 @@ feeds, and health reports — with and without a seeded
 :class:`~repro.netsim.network.FaultPlan`, whose transient connect
 faults flow into queue retries via the attempt-ordinal passthrough.
 
-State is durable and resumable following the ``store_io`` manifest
-protocol: each wave commits a ``wave-XXXX.jsonl`` shard (sha256 in the
+State is durable and resumable in a :mod:`~repro.measurement.store_io`
+state dir of kind :data:`~repro.measurement.store_io.DELIVERY_KIND`:
+each wave commits a ``wave-XXXX.jsonl`` shard (sha256 in the
 manifest) plus a checkpoint of every lane's workload cursor, pending
 queue entries, and serialised policy cache; the manifest write is the
 commit point, and a resumed campaign replays to the byte-identical
@@ -77,7 +78,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -94,12 +94,14 @@ from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import (
     EcosystemTimeline, TimelineConfig, scan_instant,
 )
-from repro.errors import StoreCorruption
-from repro.fsutil import atomic_write_text, ensure_dir, read_text
+from repro.errors import PolicyError, StoreCorruption
 from repro.measurement.senderside import (
     SenderProfile, synthesize_sender_population,
 )
-from repro.measurement.store_io import MANIFEST_NAME, shard_digest
+from repro.measurement.store_io import (
+    DELIVERY_KIND, MANIFEST_NAME, commit_shard, read_manifest, shard_digest,
+    shard_text,
+)
 from repro.netsim.network import FaultPlan
 from repro.obs.monitor import DeliveryMonitor, DeliveryThresholds, FeedRecord
 from repro.obs.progress import ProgressTracker
@@ -110,18 +112,9 @@ from repro.smtp.server import SMTP_PORT
 from repro.trace import MetricsRegistry
 
 __all__ = [
-    "DELIVERY_SCHEMA_VERSION", "DELIVERY_KIND",
     "DeliveryCampaignConfig", "DeliveryStats", "DeliveryResult",
-    "run_delivery_campaign", "read_delivery_manifest",
-    "load_delivery_ledger",
+    "run_delivery_campaign", "load_delivery_ledger",
 ]
-
-#: Manifest schema for delivery state dirs (independent of the scan
-#: store's version; both currently 1).
-DELIVERY_SCHEMA_VERSION = 1
-#: The manifest ``kind`` tag that tells a delivery state dir apart
-#: from a scan-snapshot one.
-DELIVERY_KIND = "delivery-campaign"
 
 import random as _random
 
@@ -621,97 +614,30 @@ class _LaneSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Durable state (store_io manifest protocol)
+# Durable state (a store_io state dir of kind DELIVERY_KIND)
 # ---------------------------------------------------------------------------
-
-def _wave_shard_name(wave: int) -> str:
-    return f"wave-{wave:04d}.jsonl"
-
-
-def read_delivery_manifest(state_dir: str) -> Optional[dict]:
-    """The raw delivery manifest, or ``None`` when the directory holds
-    no delivery state yet.  Damaged or foreign manifests raise
-    :class:`StoreCorruption` — never treated as absent."""
-    path = os.path.join(state_dir, MANIFEST_NAME)
-    if not os.path.exists(path):
-        return None
-    try:
-        manifest = json.loads(read_text(path))
-    except (OSError, ValueError) as exc:
-        raise StoreCorruption(
-            f"{MANIFEST_NAME}: unreadable ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise StoreCorruption(f"{MANIFEST_NAME}: not a JSON object")
-    if manifest.get("kind") != DELIVERY_KIND:
-        raise StoreCorruption(
-            f"{MANIFEST_NAME}: kind {manifest.get('kind')!r} is not a "
-            f"delivery campaign")
-    if manifest.get("schema_version") != DELIVERY_SCHEMA_VERSION:
-        raise StoreCorruption(
-            f"{MANIFEST_NAME}: unsupported schema_version "
-            f"{manifest.get('schema_version')!r} "
-            f"(expected {DELIVERY_SCHEMA_VERSION})")
-    return manifest
-
-
-def _load_wave_shard(state_dir: str, entry: dict) -> str:
-    """One committed wave's verified shard text."""
-    shard = str(entry.get("shard", ""))
-    path = os.path.join(state_dir, shard)
-    if not os.path.exists(path):
-        raise StoreCorruption(f"{shard}: shard missing")
-    text = read_text(path)
-    if shard_digest(text) != entry.get("sha256"):
-        raise StoreCorruption(f"{shard}: digest mismatch")
-    if text.count("\n") != int(entry.get("rows", -1)):
-        raise StoreCorruption(f"{shard}: row count mismatch")
-    return text
-
 
 def load_delivery_ledger(state_dir: str) -> str:
     """The full verified ledger text of a committed delivery state dir
     (the concatenation of every wave shard, in wave order)."""
-    manifest = read_delivery_manifest(state_dir)
-    if manifest is None:
-        raise StoreCorruption(
-            f"{state_dir}: no delivery campaign state ({MANIFEST_NAME} "
-            f"missing)")
-    waves = sorted(manifest.get("waves", ()),
-                   key=lambda entry: int(entry.get("wave", 0)))
-    return "".join(_load_wave_shard(state_dir, entry) for entry in waves)
+    manifest = read_manifest(state_dir, kind=DELIVERY_KIND, required=True)
+    return "".join(shard_text(state_dir, entry["shard"], entry["sha256"],
+                              entry["rows"])
+                   for entry in manifest["waves"])
 
 
-def _commit_wave(state_dir: str, config: DeliveryCampaignConfig,
-                 committed: List[dict], wave: int, now: Instant,
+def _commit_wave(state_dir: str, manifest: dict, wave: int, now: Instant,
                  wave_text: str, record: FeedRecord,
                  lanes: Sequence[_SenderLane]) -> None:
-    """Durably commit one finished wave: shard first, manifest second
-    (the manifest is the commit point, exactly as ``store_io`` commits
-    scan months)."""
-    state_dir = ensure_dir(state_dir)
-    shard = _wave_shard_name(wave)
-    atomic_write_text(os.path.join(state_dir, shard), wave_text)
-    committed.append({
-        "wave": wave, "date": record.date, "shard": shard,
-        "sha256": shard_digest(wave_text),
-        "rows": wave_text.count("\n"),
+    """Durably commit one finished wave with the lanes' checkpoint."""
+    manifest["checkpoint"] = {
         "clock": now.epoch_seconds,
-        "metrics": record.metrics.to_dict(),
-    })
-    manifest = {
-        "schema_version": DELIVERY_SCHEMA_VERSION,
-        "kind": DELIVERY_KIND,
-        "config": config.to_dict(),
-        "waves": committed,
-        "checkpoint": {
-            "clock": now.epoch_seconds,
-            "lanes": {lane.identity: lane.checkpoint()
-                      for lane in lanes if lane.has_state()},
-        },
+        "lanes": {lane.identity: lane.checkpoint()
+                  for lane in lanes if lane.has_state()},
     }
-    atomic_write_text(os.path.join(state_dir, MANIFEST_NAME),
-                      json.dumps(manifest, sort_keys=True,
-                                 separators=(",", ":")))
+    commit_shard(state_dir, manifest, wave, wave_text, kind=DELIVERY_KIND,
+                 date=record.date, clock=now.epoch_seconds,
+                 metrics=record.metrics.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +704,13 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
             "tlsrpt reporting does not support durable state dirs yet: "
             "received-report state (recipient mailboxes) is not part of "
             "the wave checkpoint")
-    manifest = (read_delivery_manifest(state_dir)
+    manifest = (read_manifest(state_dir, kind=DELIVERY_KIND)
                 if state_dir is not None else None)
     if manifest is not None:
         if not resume:
             raise ValueError(
                 f"state dir {state_dir!r} already holds "
-                f"{len(manifest.get('waves', ()))} committed wave(s); "
+                f"{len(manifest['waves'])} committed wave(s); "
                 f"pass resume=True to continue that campaign or point "
                 f"at a fresh directory")
         if manifest.get("config") != config.to_dict():
@@ -815,30 +741,36 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     monitor = DeliveryMonitor(thresholds, backpressure=config.backpressure,
                               jsonl_path=metrics_jsonl_path)
     ledger_parts: List[str] = []
-    committed: List[dict] = []
     start_wave = 0
     finalized_before = 0
 
-    if manifest is not None:
-        waves = sorted(manifest.get("waves", ()),
-                       key=lambda entry: int(entry.get("wave", 0)))
+    if manifest is None:
+        manifest = {"config": config.to_dict()}
+    else:
+        waves = manifest["waves"]
         for entry in waves:
-            text = _load_wave_shard(state_dir, entry)
-            ledger_parts.append(text)
-            finalized_before += int(entry["rows"])
-            committed.append(dict(entry))
-            monitor.add_record(FeedRecord(
-                int(entry["wave"]), str(entry.get("date", "")),
-                MetricsRegistry.from_dict(entry.get("metrics") or {})))
-        checkpoint = manifest.get("checkpoint") or {}
-        target = Instant(int(checkpoint.get(
-            "clock", world.clock.now().epoch_seconds)))
+            ledger_parts.append(shard_text(state_dir, entry["shard"],
+                                           entry["sha256"], entry["rows"]))
+            finalized_before += entry["rows"]
+        try:
+            for entry in waves:
+                monitor.add_record(FeedRecord(
+                    entry["wave"], str(entry.get("date", "")),
+                    MetricsRegistry.from_dict(entry.get("metrics") or {})))
+            checkpoint = manifest.get("checkpoint") or {}
+            target = Instant(int(checkpoint.get(
+                "clock", world.clock.now().epoch_seconds)))
+            lane_states = checkpoint.get("lanes") or {}
+            for lane in lanes:
+                if lane.identity in lane_states:
+                    lane.restore(lane_states[lane.identity])
+        except (AttributeError, KeyError, TypeError, ValueError,
+                PolicyError) as exc:
+            raise StoreCorruption(
+                f"{MANIFEST_NAME}: malformed wave metrics or lane "
+                f"checkpoint ({exc!r})") from exc
         if target > world.clock.now():
             world.clock.advance_to(target)
-        lane_states = checkpoint.get("lanes") or {}
-        for lane in lanes:
-            if lane.identity in lane_states:
-                lane.restore(lane_states[lane.identity])
         start_wave = len(waves)
 
     total = config.total_messages
@@ -952,8 +884,8 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
         if tracker is not None and rows:
             tracker.advance(len(rows))
         if state_dir is not None:
-            _commit_wave(state_dir, config, committed, wave, now,
-                         wave_text, record, lanes)
+            _commit_wave(state_dir, manifest, wave, now, wave_text,
+                         record, lanes)
         wave += 1
         if max_waves is not None and wave - start_wave >= max_waves:
             break

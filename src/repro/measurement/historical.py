@@ -47,4 +47,8 @@ def historical_series(store: SnapshotStore) -> List[dict]:
     from repro.measurement.columnar import (
         ColumnarStore, historical_series_view,
     )
-    return historical_series_view(ColumnarStore.from_store(store))
+    from repro.measurement.store_io import month_rows
+    columns = ColumnarStore()
+    for month in store.months():
+        columns.add_month(month, month_rows(store, month))
+    return historical_series_view(columns)

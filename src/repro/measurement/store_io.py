@@ -1,35 +1,41 @@
-"""Durable campaign state: per-month JSONL shards plus a manifest.
+"""Durable state directories: JSONL shards plus a manifest.
 
-The paper's platform scanned 87M domains monthly for years — a campaign
-that long only survives process death if every finished month is
-durable the moment it completes.  This module gives the
-:class:`~repro.measurement.snapshots.SnapshotStore` an on-disk form:
+The paper's platform scanned 87M domains monthly for years, and the
+delivery engine drives thousands of retrying queues for days of
+virtual time; either run only survives process death if every
+finished unit of work is durable the moment it completes.  Both
+long-running modes keep that state in one kind of directory:
 
-``month-XXXX.jsonl``
-    one shard per scan month, one canonical JSON row per domain
-    snapshot in sorted domain order (exactly the rows
-    ``canonical_bytes()`` would emit for that month);
+``month-XXXX.jsonl`` / ``wave-XXXX.jsonl``
+    one shard per committed unit.  A scan month holds one canonical
+    JSON row per domain snapshot in sorted domain order (exactly the
+    rows ``canonical_bytes()`` would emit for that month); a delivery
+    wave holds the ledger rows of the messages it finalised;
 
 ``manifest.json``
-    the commit record: schema version, the population config the
-    campaign ran with, and per month the shard name, row count, the
-    sha256 of the shard bytes, the scan date, and the month's
-    serialised :class:`~repro.measurement.executor.ScanStats` and
-    world-build churn.
+    the commit record: the schema version, the ``kind`` tag (a scan
+    manifest carries none, a delivery manifest carries
+    :data:`DELIVERY_KIND`), the caller's header (a scan campaign's
+    population config; a delivery campaign's config and lane
+    checkpoint) and the entry list, ``months`` or ``waves``: per
+    shard its index, file name, sha256 of its bytes and row count,
+    plus the caller's fields (scan date, serialised
+    :class:`~repro.measurement.executor.ScanStats` and world-build
+    churn; a wave's date, clock and metrics).
 
-Both artifacts are written through
+:func:`commit_shard` writes both through
 :func:`repro.fsutil.atomic_write_text` (temp file + ``os.replace``),
-and a month's shard is always written *before* the manifest that
-records it — the manifest is the commit point, so a crash mid-commit
-leaves the previous consistent state, never a manifest pointing at a
-half-written shard.
+the shard *before* the manifest that records it: the manifest is the
+commit point, so a crash mid-commit leaves the previous consistent
+state, never a manifest pointing at a half-written shard.
 
-Loading verifies everything it reads: a missing shard, a digest
-mismatch, a truncated or unparsable row, a row count that disagrees
-with the manifest, an unsupported schema version, or a delivery
-campaign's manifest raises :class:`~repro.errors.StoreCorruption`
-naming the offending artifact.
-There is no partial-load mode by design.
+Reading verifies everything it reads.  :func:`read_manifest` checks
+the manifest's kind, schema version and entry list;
+:func:`shard_text` checks that a shard exists, is UTF-8, matches its
+digest and holds its row count; :func:`load_shard_rows` checks that a
+scan shard's rows parse and belong to their month.  Every failure
+raises :class:`~repro.errors.StoreCorruption` naming ``manifest.json``
+or the shard.  There is no partial-load mode by design.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.clock import Instant
 from repro.errors import StoreCorruption
@@ -46,24 +52,38 @@ from repro.fsutil import atomic_write_text, ensure_dir, read_text
 from repro.measurement.snapshots import DomainSnapshot, SnapshotStore
 
 __all__ = [
-    "SCHEMA_VERSION", "MANIFEST_NAME", "StoreCorruption",
+    "SCHEMA_VERSION", "MANIFEST_NAME", "DELIVERY_KIND", "StoreCorruption",
     "MonthEntry", "CampaignState",
     "shard_name", "month_rows", "month_shard_text", "shard_digest",
-    "read_manifest", "commit_month", "save_store",
-    "load_shard_rows", "load_state", "load_store",
+    "read_manifest", "shard_text", "commit_shard", "commit_month",
+    "month_entries", "load_shard_rows", "month_snapshots", "load_state",
 ]
 
-#: Bump when the shard row layout or manifest structure changes in a
+#: Bump when a shard row layout or the manifest structure changes in a
 #: way old readers cannot interpret.  Loading refuses any other version
 #: outright (see DESIGN.md §11 for the compatibility policy).
 SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 
+#: The manifest ``kind`` tag of a delivery campaign's state dir; a scan
+#: campaign's manifest carries no ``kind``.
+DELIVERY_KIND = "delivery-campaign"
+
+
+class _Kind(NamedTuple):
+    entries: str    # the manifest key of the entry list
+    index: str      # each entry's index key, also its shard's name prefix
+    label: str
+
+
+_KINDS = {None: _Kind("months", "month", "scan campaign"),
+          DELIVERY_KIND: _Kind("waves", "wave", "delivery campaign")}
+
 
 @dataclass
 class MonthEntry:
-    """One committed month inside the manifest."""
+    """One committed month inside a scan manifest."""
 
     month: int
     date: str
@@ -73,25 +93,20 @@ class MonthEntry:
     stats: Dict[str, object] = field(default_factory=dict)
     build_stats: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"month": self.month, "date": self.date,
-                "shard": self.shard, "sha256": self.sha256,
-                "rows": self.rows, "stats": self.stats,
-                "build_stats": self.build_stats}
-
     @classmethod
     def from_dict(cls, data: dict) -> "MonthEntry":
+        """One entry of a manifest :func:`read_manifest` returned."""
         try:
-            return cls(month=int(data["month"]), date=str(data["date"]),
-                       shard=str(data["shard"]), sha256=str(data["sha256"]),
-                       rows=int(data["rows"]),
+            return cls(month=data["month"], date=str(data["date"]),
+                       shard=data["shard"], sha256=data["sha256"],
+                       rows=data["rows"],
                        stats=dict(data.get("stats") or {}),
                        build_stats={k: int(v) for k, v in
                                     (data.get("build_stats") or {}).items()})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise StoreCorruption(
                 f"{MANIFEST_NAME}: malformed month entry "
-                f"({data.get('month', '?')}): {exc}") from exc
+                f"({data['month']}): {exc}") from exc
 
 
 @dataclass
@@ -114,8 +129,9 @@ class CampaignState:
         return sorted(entry.month for entry in self.months)
 
 
-def shard_name(month: int) -> str:
-    return f"month-{month:04d}.jsonl"
+def shard_name(index: int, kind: Optional[str] = None) -> str:
+    """The file name of shard *index* in a state dir of *kind*."""
+    return f"{_KINDS[kind].index}-{index:04d}.jsonl"
 
 
 def month_rows(store: SnapshotStore, month: int) -> List[dict]:
@@ -154,18 +170,59 @@ def shard_digest(text: str) -> str:
 # Manifest
 # ---------------------------------------------------------------------------
 
-def _manifest_path(state_dir: str) -> str:
-    return os.path.join(state_dir, MANIFEST_NAME)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
-def read_manifest(state_dir: str) -> Optional[dict]:
-    """The raw manifest dict, or ``None`` when the directory holds no
-    campaign state yet.  A present-but-damaged manifest raises
-    :class:`StoreCorruption` — it is never treated as absent — and so
-    does a foreign one: a scan manifest carries no ``kind``, while a
-    delivery campaign's does."""
-    path = _manifest_path(state_dir)
+def _checked_entries(manifest: dict, kind: Optional[str]) -> List[dict]:
+    """The manifest's entry list, sorted by index, after checking that
+    every entry can name and verify its shard."""
+    spec = _KINDS[kind]
+    entries = manifest.get(spec.entries, [])
+    if not isinstance(entries, list):
+        raise StoreCorruption(
+            f"{MANIFEST_NAME}: {spec.entries!r} is not a list")
+    seen = set()
+    for number, entry in enumerate(entries):
+        index = entry.get(spec.index) if isinstance(entry, dict) else None
+        if not _is_count(index) or index in seen:
+            problem = f"{spec.index} {index!r} is missing or repeated"
+        elif entry.get("shard") != shard_name(index, kind):
+            problem = (f"shard {entry.get('shard')!r} is not "
+                       f"{shard_name(index, kind)!r}")
+        elif not isinstance(entry.get("sha256"), str):
+            problem = "sha256 is missing"
+        elif not _is_count(entry.get("rows")):
+            problem = f"rows {entry.get('rows')!r} is not a row count"
+        else:
+            seen.add(index)
+            continue
+        raise StoreCorruption(
+            f"{MANIFEST_NAME}: malformed {spec.entries} entry {number}: "
+            f"{problem}")
+    return sorted(entries, key=lambda entry: entry[spec.index])
+
+
+def read_manifest(state_dir: str, *, kind: Optional[str] = None,
+                  required: bool = False) -> Optional[dict]:
+    """The verified manifest of a state dir of *kind*, its entry list
+    sorted by index; ``None`` when the directory holds no state yet,
+    unless *required*.
+
+    A present-but-damaged manifest raises :class:`StoreCorruption` —
+    it is never treated as absent — and so does one of another kind
+    or schema version, and one whose entry list is not a list of
+    entries that each carry a distinct index, the shard name that
+    index implies, a sha256 and a row count.
+    """
+    spec = _KINDS[kind]
+    path = os.path.join(state_dir, MANIFEST_NAME)
     if not os.path.exists(path):
+        if required:
+            raise StoreCorruption(
+                f"{state_dir}: no {MANIFEST_NAME} — not a campaign state "
+                f"directory")
         return None
     try:
         manifest = json.loads(read_text(path))
@@ -173,133 +230,125 @@ def read_manifest(state_dir: str) -> Optional[dict]:
         raise StoreCorruption(f"{MANIFEST_NAME}: unreadable ({exc})") from exc
     if not isinstance(manifest, dict):
         raise StoreCorruption(f"{MANIFEST_NAME}: not a JSON object")
-    if "kind" in manifest:
+    if manifest.get("kind") != kind:
         raise StoreCorruption(
-            f"{MANIFEST_NAME}: kind {manifest['kind']!r} is not a scan "
-            f"campaign")
+            f"{MANIFEST_NAME}: kind {manifest.get('kind')!r} is not a "
+            f"{spec.label}")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise StoreCorruption(
             f"{MANIFEST_NAME}: schema version {version!r} is not the "
             f"supported version {SCHEMA_VERSION} — refusing to load")
+    manifest[spec.entries] = _checked_entries(manifest, kind)
     return manifest
 
 
-def _write_manifest(state_dir: str, population: Optional[dict],
-                    entries: Iterable[MonthEntry]) -> dict:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "population": population,
-        "months": [entry.to_dict()
-                   for entry in sorted(entries, key=lambda e: e.month)],
-    }
-    atomic_write_text(_manifest_path(state_dir),
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest
-
-
-def _rows_date(rows: List[dict]) -> str:
-    return Instant(rows[0]["instant"]).date_string() if rows else ""
+def shard_text(state_dir: str, shard: str, sha256: str, rows: int) -> str:
+    """The verified text of one committed shard: it exists, is UTF-8,
+    hashes to *sha256* and holds *rows* newline-terminated rows."""
+    try:
+        text = read_text(os.path.join(state_dir, shard))
+    except FileNotFoundError as exc:
+        raise StoreCorruption(
+            f"shard {shard}: recorded in the manifest but missing "
+            f"from {state_dir}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StoreCorruption(f"shard {shard}: unreadable ({exc})") from exc
+    digest = shard_digest(text)
+    if digest != sha256:
+        raise StoreCorruption(
+            f"shard {shard}: content digest {digest[:12]}… does not "
+            f"match the manifest's {sha256[:12]}… — the shard was "
+            f"corrupted or partially written")
+    found = text.count("\n")
+    if found != rows:
+        raise StoreCorruption(
+            f"shard {shard}: {found} rows on disk, manifest records "
+            f"{rows}")
+    return text
 
 
 # ---------------------------------------------------------------------------
-# Commit / save
+# Commit
 # ---------------------------------------------------------------------------
+
+def commit_shard(state_dir: str, manifest: dict, index: int, text: str, *,
+                 kind: Optional[str] = None, **fields) -> dict:
+    """Durably commit *text* as shard *index* of a state dir of *kind*:
+    shard first, manifest second.
+
+    *manifest* is the caller's header (as :func:`read_manifest`
+    returned it, or new); it is updated in place — the shard's entry,
+    carrying *fields* besides index, shard name, sha256 and row count,
+    replaces any entry with the same index — and written in the one
+    manifest layout.  The manifest write is the commit point: until it
+    lands, a reader sees the previous state.  Returns the entry.
+    """
+    spec = _KINDS[kind]
+    state_dir = ensure_dir(state_dir)
+    name = shard_name(index, kind)
+    atomic_write_text(os.path.join(state_dir, name), text)
+    entry = {spec.index: index, "shard": name, "sha256": shard_digest(text),
+             "rows": text.count("\n"), **fields}
+    entries = [other for other in manifest.get(spec.entries, ())
+               if other[spec.index] != index] + [entry]
+    manifest[spec.entries] = sorted(entries, key=lambda e: e[spec.index])
+    manifest["schema_version"] = SCHEMA_VERSION
+    if kind is not None:
+        manifest["kind"] = kind
+    atomic_write_text(os.path.join(state_dir, MANIFEST_NAME),
+                      json.dumps(manifest, sort_keys=True,
+                                 separators=(",", ":")) + "\n")
+    return entry
+
 
 def commit_month(state_dir: str, rows: List[dict], month: int, *,
                  date: Optional[str] = None,
                  stats: Optional[Dict[str, object]] = None,
                  build_stats: Optional[Dict[str, int]] = None,
                  population: Optional[dict] = None) -> MonthEntry:
-    """Durably commit one finished month, given as its
-    :func:`month_rows`: shard first, manifest second.
+    """Durably commit one finished scan month, given as its
+    :func:`month_rows` (:func:`commit_shard`).
 
     Re-committing an already recorded month replaces its entry (the
     shard write is idempotent for identical snapshots); every other
-    committed month's entry is preserved.  The manifest write is the
-    commit point — until it lands, a resume sees the previous state.
+    committed month's entry, and the recorded population unless
+    *population* is given, is preserved.
     """
-    state_dir = ensure_dir(state_dir)
-    manifest = read_manifest(state_dir)
-    entries = ([MonthEntry.from_dict(e) for e in manifest.get("months", ())]
-               if manifest else [])
-    if population is None and manifest:
-        population = manifest.get("population")
-
-    text = _shard_text(rows)
-    name = shard_name(month)
-    atomic_write_text(os.path.join(state_dir, name), text)
-    entry = MonthEntry(
-        month=month,
-        date=date if date is not None else _rows_date(rows),
-        shard=name, sha256=shard_digest(text), rows=text.count("\n"),
-        stats=dict(stats or {}), build_stats=dict(build_stats or {}))
-    entries = [e for e in entries if e.month != month] + [entry]
-    _write_manifest(state_dir, population, entries)
-    return entry
-
-
-def save_store(store: SnapshotStore, state_dir: str, *,
-               population: Optional[dict] = None,
-               stats_by_month: Optional[Dict[int, Dict[str, object]]] = None,
-               build_stats_by_month: Optional[Dict[int, Dict[str, int]]] = None,
-               ) -> List[MonthEntry]:
-    """Persist every month of *store* into *state_dir* in one pass.
-
-    Shards land first, then a single manifest naming all of them — the
-    bulk analogue of :func:`commit_month` for exporting a finished
-    in-memory campaign (``audit --save`` style use)."""
-    state_dir = ensure_dir(state_dir)
-    stats_by_month = stats_by_month or {}
-    build_stats_by_month = build_stats_by_month or {}
-    entries = []
-    for month in store.months():
-        rows = month_rows(store, month)
-        text = _shard_text(rows)
-        name = shard_name(month)
-        atomic_write_text(os.path.join(state_dir, name), text)
-        entries.append(MonthEntry(
-            month=month, date=_rows_date(rows), shard=name,
-            sha256=shard_digest(text), rows=text.count("\n"),
-            stats=dict(stats_by_month.get(month, {})),
-            build_stats=dict(build_stats_by_month.get(month, {}))))
-    _write_manifest(state_dir, population, entries)
-    return entries
+    manifest = read_manifest(state_dir) or {"population": None}
+    if population is not None:
+        manifest["population"] = population
+    if date is None:
+        date = Instant(rows[0]["instant"]).date_string() if rows else ""
+    return MonthEntry.from_dict(commit_shard(
+        state_dir, manifest, month, _shard_text(rows), date=date,
+        stats=dict(stats or {}), build_stats=dict(build_stats or {})))
 
 
 # ---------------------------------------------------------------------------
 # Load
 # ---------------------------------------------------------------------------
 
-def load_shard_rows(state_dir: str, entry: MonthEntry) -> List[dict]:
-    """The verified plain-data rows of one committed shard.
+def month_entries(manifest: dict,
+                  months: Optional[Iterable[int]] = None) -> List[MonthEntry]:
+    """The committed months of a scan manifest :func:`read_manifest`
+    returned, in month order; only those in *months* when given."""
+    wanted = None if months is None else set(months)
+    return [MonthEntry.from_dict(raw) for raw in manifest["months"]
+            if wanted is None or raw["month"] in wanted]
 
-    Performs every integrity check :func:`load_state` applies —
-    existence, content digest, per-row parseability, month ownership,
-    row count — but stops at the JSON layer: callers that aggregate
-    over raw fields (the columnar analysis path) get the dicts without
-    paying for :class:`DomainSnapshot` construction.
+
+def load_shard_rows(state_dir: str, entry: MonthEntry) -> List[dict]:
+    """The verified plain-data rows of one committed scan shard.
+
+    On top of :func:`shard_text`'s checks every row must parse to a
+    JSON object of the entry's month; callers that aggregate over raw
+    fields (the columnar analysis path) get the dicts without paying
+    for :class:`DomainSnapshot` construction.
     """
-    path = os.path.join(state_dir, entry.shard)
-    if not os.path.exists(path):
-        raise StoreCorruption(
-            f"shard {entry.shard}: recorded in the manifest but missing "
-            f"from {state_dir}")
-    try:
-        text = read_text(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StoreCorruption(
-            f"shard {entry.shard}: unreadable ({exc})") from exc
-    digest = shard_digest(text)
-    if digest != entry.sha256:
-        raise StoreCorruption(
-            f"shard {entry.shard}: content digest {digest[:12]}… does not "
-            f"match the manifest's {entry.sha256[:12]}… — the shard was "
-            f"corrupted or partially written")
+    text = shard_text(state_dir, entry.shard, entry.sha256, entry.rows)
     rows = []
     for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
             row = json.loads(line)
         except ValueError as exc:
@@ -315,16 +364,15 @@ def load_shard_rows(state_dir: str, entry: MonthEntry) -> List[dict]:
                 f"shard {entry.shard}: row {number} belongs to month "
                 f"{row['month_index']}, not {entry.month}")
         rows.append(row)
-    if len(rows) != entry.rows:
-        raise StoreCorruption(
-            f"shard {entry.shard}: {len(rows)} rows on disk, "
-            f"manifest records {entry.rows} — truncated shard")
     return rows
 
 
-def _load_shard(state_dir: str, entry: MonthEntry) -> List[DomainSnapshot]:
+def month_snapshots(entry: MonthEntry,
+                    rows: List[dict]) -> List[DomainSnapshot]:
+    """The snapshots of one committed month's verified rows
+    (:func:`load_shard_rows`)."""
     snapshots = []
-    for number, row in enumerate(load_shard_rows(state_dir, entry), start=1):
+    for number, row in enumerate(rows, start=1):
         try:
             snapshots.append(DomainSnapshot.from_dict(row))
         except (TypeError, ValueError, KeyError) as exc:
@@ -336,35 +384,21 @@ def _load_shard(state_dir: str, entry: MonthEntry) -> List[DomainSnapshot]:
 
 def load_state(state_dir: str,
                months: Optional[Iterable[int]] = None) -> CampaignState:
-    """Load and fully verify a campaign state directory.
+    """Load and fully verify a scan campaign's state directory.
 
-    *months* restricts loading to a subset of committed months (resume
-    passes the campaign's requested month list); entries outside the
-    subset stay on disk untouched.  Any integrity failure raises
-    :class:`StoreCorruption`; there is no partial result.
+    *months* restricts loading to a subset of committed months; entries
+    outside the subset stay on disk untouched.  Any integrity failure
+    raises :class:`StoreCorruption`; there is no partial result.
     """
     state_dir = os.path.abspath(state_dir)
-    manifest = read_manifest(state_dir)
-    if manifest is None:
-        raise StoreCorruption(
-            f"{state_dir}: no {MANIFEST_NAME} — not a campaign state "
-            f"directory")
-    wanted = None if months is None else set(months)
-    entries = [MonthEntry.from_dict(e) for e in manifest.get("months", ())]
-    if wanted is not None:
-        entries = [e for e in entries if e.month in wanted]
-    entries.sort(key=lambda e: e.month)
+    manifest = read_manifest(state_dir, required=True)
+    entries = month_entries(manifest, months)
     store = SnapshotStore()
     for entry in entries:
-        for snapshot in _load_shard(state_dir, entry):
+        for snapshot in month_snapshots(
+                entry, load_shard_rows(state_dir, entry)):
             store.add(snapshot)
     return CampaignState(
-        state_dir=state_dir,
-        schema_version=int(manifest["schema_version"]),
-        population=manifest.get("population"),
-        months=entries, store=store)
-
-
-def load_store(state_dir: str) -> SnapshotStore:
-    """Just the verified :class:`SnapshotStore` of a state directory."""
-    return load_state(state_dir).store
+        state_dir=state_dir, schema_version=manifest["schema_version"],
+        population=manifest.get("population"), months=entries,
+        store=store)

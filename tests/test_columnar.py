@@ -5,8 +5,8 @@ per-field columns of :mod:`repro.measurement.columnar`, and
 ``test_analysis_golden.py`` pins their bytes through the offline entry
 points (``load_campaign``, ``CampaignMonitor.from_state``, ``audit
 --load``, the object-list adapters).  This suite holds the live
-source to the same pins — ``run_campaign`` reads
-``ColumnarStore.from_store`` — and checks the decoder itself: the
+source to the same pins — ``run_campaign`` hands each month's rows to
+``ColumnarStore.add_month`` — and checks the decoder itself: the
 columns agree with the per-snapshot predicates, months load lazily,
 corruption is caught, and a month the store never scanned raises one
 error from either source.
@@ -27,7 +27,9 @@ from repro.measurement.columnar import (
 )
 from repro.measurement.delegation import delegation_census
 from repro.measurement.inconsistency import classify_snapshot, mismatch_census
-from repro.measurement.store_io import load_state, read_manifest, shard_name
+from repro.measurement.store_io import (
+    load_state, month_rows, read_manifest, shard_name,
+)
 from repro.measurement.taxonomy import (
     PRIMARY_BUCKETS, delivery_failure_expected, primary_bucket,
     snapshot_summary,
@@ -44,11 +46,19 @@ def _state_name(request) -> str:
     return request.node.callspec.params["any_state"]
 
 
+def _from_store(store) -> ColumnarStore:
+    """The columns of an in-memory store, one ``add_month`` per month."""
+    columns = ColumnarStore()
+    for month in store.months():
+        columns.add_month(month, month_rows(store, month))
+    return columns
+
+
 @pytest.fixture(scope="module")
 def resumed(any_state):
     """The store's campaign re-run in memory: every month is committed,
     so ``run_campaign`` scans nothing, and its analysis and monitor
-    read ``ColumnarStore.from_store`` — the live campaign's source."""
+    read the columns ``add_month`` built from each verified shard."""
     population = read_manifest(any_state)["population"]
     monitor = CampaignMonitor()
     analysis = run_campaign(timeline_from_population(population), MONTHS,
@@ -104,7 +114,7 @@ class TestCensusIdentity:
     def test_from_store_matches_from_state_dir(self, faulted_state):
         state = load_state(faulted_state)
         from_disk = ColumnarStore.from_state_dir(faulted_state)
-        from_memory = ColumnarStore.from_store(state.store)
+        from_memory = _from_store(state.store)
         assert from_disk.months() == from_memory.months()
         for month in from_disk.months():
             a, b = from_disk.month_view(month), from_memory.month_view(month)
@@ -139,7 +149,7 @@ class TestUnscannedMonth:
     def test_from_store_raises(self, clean_state):
         store = load_state(clean_state).store
         with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
-            ColumnarStore.from_store(store).month_view(5)
+            _from_store(store).month_view(5)
         live = run_campaign(
             timeline_from_population(read_manifest(clean_state)[
                 "population"]),

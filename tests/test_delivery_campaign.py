@@ -29,9 +29,9 @@ from repro.core.refresh import RefreshDaemon
 from repro.dns.name import canonical_host
 from repro.errors import StoreCorruption
 from repro.measurement.delivery_campaign import (
-    DeliveryCampaignConfig, load_delivery_ledger, read_delivery_manifest,
-    run_delivery_campaign,
+    DeliveryCampaignConfig, load_delivery_ledger, run_delivery_campaign,
 )
+from repro.measurement.store_io import DELIVERY_KIND, read_manifest
 from repro.obs.monitor import DeliveryMonitor, DeliveryThresholds
 from repro.smtp.delivery import DeliveryAttempt, DeliveryStatus, Message
 from repro.smtp.queue import (
@@ -67,8 +67,8 @@ def advancing_run(tmp_path_factory):
     state = str(tmp_path_factory.mktemp("advancing") / "state")
     result = run_delivery_campaign(config, state_dir=state)
     assert result.stats.waves == 35
-    clocks = [entry["clock"]
-              for entry in read_delivery_manifest(state)["waves"]]
+    waves = read_manifest(state, kind=DELIVERY_KIND)["waves"]
+    clocks = [entry["clock"] for entry in waves]
     return config, result, clocks
 
 
@@ -178,7 +178,7 @@ class TestDurableResume:
         config = self._config()
         state = str(tmp_path / "state")
         result = run_delivery_campaign(config, state_dir=state)
-        manifest = read_delivery_manifest(state)
+        manifest = read_manifest(state, kind=DELIVERY_KIND)
         assert manifest is not None
         assert manifest["config"] == config.to_dict()
         assert len(manifest["waves"]) == result.stats.waves
@@ -197,7 +197,7 @@ class TestDurableResume:
     def test_corrupted_shard_is_detected(self, tmp_path):
         state = str(tmp_path / "state")
         run_delivery_campaign(self._config(), state_dir=state, max_waves=2)
-        manifest = read_delivery_manifest(state)
+        manifest = read_manifest(state, kind=DELIVERY_KIND)
         shard = os.path.join(state, manifest["waves"][0]["shard"])
         with open(shard, "a", encoding="utf-8") as handle:
             handle.write("{}\n")
@@ -214,7 +214,7 @@ class TestDurableResume:
             json.dumps({"schema_version": 1, "kind": "snapshot-store"}),
             encoding="utf-8")
         with pytest.raises(StoreCorruption, match="kind"):
-            read_delivery_manifest(str(state))
+            read_manifest(str(state), kind=DELIVERY_KIND)
 
 
 # ---------------------------------------------------------------------------

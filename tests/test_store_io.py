@@ -16,21 +16,32 @@ Covers the persistence layer three ways:
 
 import json
 import os
+import shutil
 import string
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.series import run_campaign
 from repro.clock import Instant
+from repro.ecosystem.population import PopulationConfig
+from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.errors import StoreCorruption
+from repro.measurement.delivery_campaign import (
+    DeliveryCampaignConfig, run_delivery_campaign,
+)
 from repro.measurement.snapshots import (
     DomainSnapshot, MxObservation, SnapshotStore,
 )
 from repro.measurement.store_io import (
-    MANIFEST_NAME, commit_month, load_state, load_store, month_rows,
-    read_manifest, save_store, shard_digest, shard_name,
+    MANIFEST_NAME, commit_month, load_state, month_rows, read_manifest,
+    shard_digest, shard_name,
 )
+from repro.obs.monitor import CampaignMonitor
+from tests.test_analysis_golden import figure_dump
+from tests.test_delivery_campaign import _tree
 
 # -- snapshot generation ----------------------------------------------------
 
@@ -80,6 +91,12 @@ stores = st.builds(
     st.lists(snapshots(), max_size=12))
 
 
+def _save(store, state_dir):
+    """Commit every month of *store* into *state_dir*."""
+    for month in store.months():
+        commit_month(state_dir, month_rows(store, month), month)
+
+
 # -- round-trips ------------------------------------------------------------
 
 class TestRoundTrip:
@@ -117,9 +134,10 @@ class TestRoundTrip:
     @given(stores)
     @settings(max_examples=25, deadline=None)
     def test_disk_round_trip_is_exact(self, tmp_path_factory, store):
+        assume(len(store))      # an empty store commits no month
         state_dir = str(tmp_path_factory.mktemp("store"))
-        save_store(store, state_dir)
-        loaded = load_store(state_dir)
+        _save(store, state_dir)
+        loaded = load_state(state_dir).store
         assert loaded == store
         assert loaded.canonical_bytes() == store.canonical_bytes()
 
@@ -130,7 +148,7 @@ class TestRoundTrip:
                 store.add(DomainSnapshot(domain=name, tld="example",
                                          month_index=month,
                                          instant=Instant(month * 100)))
-        save_store(store, str(tmp_path))
+        _save(store, str(tmp_path))
         rows = []
         for month in store.months():
             with open(tmp_path / shard_name(month), encoding="utf-8") as fh:
@@ -171,7 +189,7 @@ class TestCommit:
         assert state.entry(0).stats == {"x": 2}
 
     def test_months_subset_load(self, tmp_path):
-        save_store(_store_with(0, 1, 2), str(tmp_path))
+        _save(_store_with(0, 1, 2), str(tmp_path))
         state = load_state(str(tmp_path), months=[0, 2])
         assert state.month_indexes() == [0, 2]
         assert state.store.months() == [0, 2]
@@ -180,17 +198,17 @@ class TestCommit:
         assert read_manifest(str(tmp_path)) is None
 
 
+def _timeline():
+    """The population of conftest's committed stores."""
+    return EcosystemTimeline(
+        TimelineConfig(PopulationConfig(scale=0.004, seed=7)))
+
+
 class TestOneSerialisation:
     def test_campaign_serialises_each_snapshot_once(self, tmp_path,
                                                      monkeypatch):
         """A scanned month becomes rows once: the same rows feed its
         shard commit and its month columns."""
-        from repro.analysis.series import run_campaign
-        from repro.ecosystem.population import PopulationConfig
-        from repro.ecosystem.timeline import (
-            EcosystemTimeline, TimelineConfig,
-        )
-
         calls = []
         to_dict = DomainSnapshot.to_dict
 
@@ -199,21 +217,58 @@ class TestOneSerialisation:
             return to_dict(snapshot)
 
         monkeypatch.setattr(DomainSnapshot, "to_dict", counted)
-        timeline = EcosystemTimeline(
-            TimelineConfig(PopulationConfig(scale=0.004, seed=7)))
-        analysis = run_campaign(timeline, [0, 1, 2],
+        analysis = run_campaign(_timeline(), [0, 1, 2],
                                 state_dir=str(tmp_path / "state"))
         snapshots = [(s.month_index, s.domain)
                      for s in analysis.store.iter_snapshots()]
         assert snapshots and sorted(calls) == snapshots
         assert load_state(str(tmp_path / "state")).store == analysis.store
 
+    def test_resumed_campaign_converts_each_committed_month_once(
+            self, clean_state, tmp_path, monkeypatch):
+        """Resuming three committed months into a fourth reads each
+        committed shard once: its rows become the month's snapshots
+        (548 ``from_dict``) and its columns, so ``to_dict`` runs only
+        for the 195 newly scanned snapshots."""
+        months = [0, 1, 2, 3]
+        reference_monitor = CampaignMonitor()
+        reference = run_campaign(_timeline(), months,
+                                 monitor=reference_monitor)
+
+        state_dir = str(tmp_path / "state")
+        shutil.copytree(clean_state, state_dir)
+        calls = Counter()
+        to_dict = DomainSnapshot.to_dict
+        from_dict = DomainSnapshot.from_dict.__func__
+
+        def counted_to_dict(snapshot):
+            calls["to_dict"] += 1
+            return to_dict(snapshot)
+
+        def counted_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(DomainSnapshot, "to_dict", counted_to_dict)
+        monkeypatch.setattr(DomainSnapshot, "from_dict",
+                            classmethod(counted_from_dict))
+        monitor = CampaignMonitor()
+        resumed = run_campaign(_timeline(), months, monitor=monitor,
+                               state_dir=state_dir, resume=True)
+        monkeypatch.undo()
+
+        assert calls == {"to_dict": 195, "from_dict": 548}
+        assert figure_dump(resumed) == figure_dump(reference)
+        assert monitor.to_jsonl() == reference_monitor.to_jsonl()
+        assert (resumed.store.canonical_bytes()
+                == reference.store.canonical_bytes())
+
 
 # -- corruption -------------------------------------------------------------
 
 class TestCorruption:
     def _committed(self, tmp_path):
-        save_store(_store_with(0, 1), str(tmp_path))
+        _save(_store_with(0, 1), str(tmp_path))
         return str(tmp_path)
 
     def test_flipped_byte_is_detected(self, tmp_path):
@@ -223,7 +278,7 @@ class TestCorruption:
         blob[10] ^= 0xFF
         open(shard, "wb").write(bytes(blob))
         with pytest.raises(StoreCorruption, match=r"month-0000\.jsonl"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_truncated_shard_is_detected(self, tmp_path):
         state_dir = self._committed(tmp_path)
@@ -231,14 +286,14 @@ class TestCorruption:
         text = open(shard, encoding="utf-8").read()
         open(shard, "w", encoding="utf-8").write(text[:len(text) // 2])
         with pytest.raises(StoreCorruption, match=r"month-0001\.jsonl"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_missing_shard_is_detected(self, tmp_path):
         state_dir = self._committed(tmp_path)
         os.remove(os.path.join(state_dir, shard_name(0)))
         with pytest.raises(StoreCorruption,
                            match=r"month-0000\.jsonl.*missing"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_unparsable_row_with_matching_digest(self, tmp_path):
         # Digest verification passes; the row itself is the problem.
@@ -253,7 +308,7 @@ class TestCorruption:
         open(os.path.join(state_dir, MANIFEST_NAME), "w").write(
             json.dumps(manifest))
         with pytest.raises(StoreCorruption, match=r"row 1"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_row_count_mismatch_is_detected(self, tmp_path):
         state_dir = self._committed(tmp_path)
@@ -265,13 +320,13 @@ class TestCorruption:
         manifest["months"][0]["sha256"] = shard_digest(text)
         open(manifest_path, "w").write(json.dumps(manifest))
         with pytest.raises(StoreCorruption, match="manifest records 1"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_damaged_manifest_is_corruption_not_absence(self, tmp_path):
         state_dir = self._committed(tmp_path)
         open(os.path.join(state_dir, MANIFEST_NAME), "w").write("{nope")
         with pytest.raises(StoreCorruption, match="manifest.json"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_foreign_schema_version_is_refused(self, tmp_path):
         state_dir = self._committed(tmp_path)
@@ -280,11 +335,102 @@ class TestCorruption:
         manifest["schema_version"] = 99
         open(manifest_path, "w").write(json.dumps(manifest))
         with pytest.raises(StoreCorruption, match="schema version 99"):
-            load_store(state_dir)
+            load_state(state_dir).store
 
     def test_no_manifest_at_all(self, tmp_path):
         with pytest.raises(StoreCorruption, match="not a campaign state"):
-            load_store(str(tmp_path))
+            load_state(str(tmp_path)).store
+
+
+# -- damaged state dirs, both kinds -----------------------------------------
+
+#: A delivery campaign that commits in a blink, and the CLI arguments
+#: that resume it.
+_DELIVERY = dict(scale=0.004, seed=11, month_index=3, senders=12,
+                 messages_per_sender=3, backpressure=20, fault_seed=4242,
+                 fault_rate=0.35)
+_DELIVER_ARGS = ["campaign", "deliver", "--scale", "0.004", "--seed", "11",
+                 "--month", "3", "--senders", "12",
+                 "--messages-per-sender", "3", "--backpressure", "20",
+                 "--fault-seed", "4242", "--fault-rate", "0.35"]
+
+
+def _first_pending(manifest):
+    return next(entry for lane in manifest["checkpoint"]["lanes"].values()
+                for entry in lane["pending"])
+
+
+#: damage -> edit of (manifest, its entry-list key, state dir)
+_DAMAGE = {
+    "entries-not-a-list": lambda m, key, state: m.update({key: 5}),
+    "entry-without-shard": lambda m, key, state: m[key][0].pop("shard"),
+    "rows-not-an-integer": lambda m, key, state: m[key][0].update(rows="x"),
+    "shard-not-utf8": lambda m, key, state: (
+        state / m[key][0]["shard"]).write_bytes(b"\xff\n"),
+    # the delivery checkpoint
+    "clock-not-a-number": lambda m, key, state: m["checkpoint"].update(
+        clock="x"),
+    "pending-without-recipient": lambda m, key, state: _first_pending(
+        m).pop("recipient"),
+}
+_ENTRY_DAMAGE = ["entries-not-a-list", "entry-without-shard",
+                 "rows-not-an-integer", "shard-not-utf8"]
+
+
+class TestDamagedStateDirs:
+    """One corruption contract for both kinds of state dir: damage
+    raises StoreCorruption naming ``manifest.json`` or the shard, and
+    every CLI reader prints ``error: …``, exits 1 and leaves the
+    directory byte-identical."""
+
+    NAMED = r"manifest\.json|month-0000\.jsonl|wave-0000\.jsonl"
+
+    @pytest.fixture(scope="class")
+    def delivery_state(self, tmp_path_factory):
+        """A delivery campaign stopped after two waves, with queued
+        messages in its lane checkpoint."""
+        state = str(tmp_path_factory.mktemp("delivery") / "state")
+        run_delivery_campaign(DeliveryCampaignConfig(**_DELIVERY),
+                              state_dir=state, max_waves=2)
+        return state
+
+    def _damaged(self, source, tmp_path, damage, key):
+        state = tmp_path / "state"
+        shutil.copytree(source, state)
+        manifest = json.loads((state / MANIFEST_NAME).read_text("utf-8"))
+        _DAMAGE[damage](manifest, key, state)
+        (state / MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+        return str(state)
+
+    def _refused(self, capsys, state, args):
+        from repro.cli import main
+        before = _tree(state)
+        assert main(args) == 1
+        assert "error: " in capsys.readouterr().err
+        assert _tree(state) == before
+
+    @pytest.mark.parametrize("damage", _ENTRY_DAMAGE)
+    def test_scan_dir(self, damage, clean_state, tmp_path, capsys):
+        state = self._damaged(clean_state, tmp_path, damage, "months")
+        with pytest.raises(StoreCorruption, match=self.NAMED):
+            load_state(state)
+        with pytest.raises(StoreCorruption, match=self.NAMED):
+            run_campaign(_timeline(), [0, 1, 2], state_dir=state,
+                         resume=True)
+        for args in (["campaign", "--scale", "0.004", "--seed", "7",
+                      "--state-dir", state, "--resume"],
+                     ["audit", "--load", state, "--month", "0"],
+                     ["monitor", state]):
+            self._refused(capsys, state, args)
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_delivery_dir(self, damage, delivery_state, tmp_path, capsys):
+        state = self._damaged(delivery_state, tmp_path, damage, "waves")
+        with pytest.raises(StoreCorruption, match=self.NAMED):
+            run_delivery_campaign(DeliveryCampaignConfig(**_DELIVERY),
+                                  state_dir=state, resume=True)
+        self._refused(capsys, state,
+                      _DELIVER_ARGS + ["--state-dir", state, "--resume"])
 
 
 # -- indexes & merge --------------------------------------------------------

@@ -30,6 +30,13 @@ integer field of ``DeliveryStats`` plus the sha256 of the ledger, the
 monitor feed and the received TLSRPT reports.  The resumed run writes
 the whole run's bytes; its world counters (DNS queries, connects,
 faults) count only the resumed process's traffic.
+
+The serve golden pins the replay CI's ``serve-determinism`` job runs:
+scale 0.01, seed 11, query seed 97, 20,000 requests in ticks of 250
+over 2 months.  A tick then advances about 0.75 virtual days, less than
+the 1-day verdict TTL, so verdicts cached in one tick are served in
+later ones (``hits``); at ticks of 1,000 a tick spans about 3 days and
+every cached verdict expires unused.
 """
 
 import hashlib
@@ -43,6 +50,7 @@ from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.delivery_campaign import (
     DeliveryCampaignConfig, _SenderLane, run_delivery_campaign,
 )
+from repro.measurement.serve import ServeConfig, run_serve
 from repro.measurement.store_io import MANIFEST_NAME
 
 CAMPAIGN_GOLDEN = {
@@ -208,3 +216,24 @@ def test_delivery_goldens(name, tmp_path):
             "monitor_sha256": _sha256(result.monitor.to_jsonl()),
             "reports_sha256": _sha256(result.tlsrpt_reports_jsonl),
             } == golden
+
+
+SERVE_GOLDEN = {
+    "seed": 11, "query_seed": 97, "months": 2,
+    "requests": 40000, "flash_requests": 20000,
+    "computations": 6376, "hits": 11532, "collapsed": 22092,
+    "evictions": 5628, "stampede_fanin_peak": 4000, "windows": 10,
+    "cache_entries": 748,
+    "feed_sha256": ("c8186d8e637f92388018f92c1c0deec9"
+                    "8da9a307ec04eef8a155efbb2263cde0"),
+}
+
+
+def test_serve_goldens():
+    result = run_serve(ServeConfig(scale=0.01, seed=11, query_seed=97,
+                                   requests=20_000, batch_size=250,
+                                   months=2))
+    assert {**_int_fields(result.stats.comparable()),
+            "feed_sha256": _sha256(result.monitor.to_jsonl()),
+            } == SERVE_GOLDEN
+    assert result.p99_latency_seconds == 1.0
