@@ -13,6 +13,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,22 @@ class TestByteIdentity:
             assert (getattr(first_stats, name)
                     == getattr(second_stats, name)), name
 
+    def test_fault_seeded_trace_golden(self):
+        """One fault-seeded scan, pinned: the canonical JSONL bytes and
+        every exact counter.  Repeating a run in one process cannot
+        catch a change that moves both runs alike; this can."""
+        report, stats, _ = run_scan(fault_seed=3)
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == (
+            "63924ed157c4747a8f6957501e977f13c2b2765074f57e655c981de46f10ab97")
+        assert {name: getattr(stats, name) for name in INT_STATS} == {
+            "domains_scanned": 229, "dns_queries": 1731,
+            "dns_cache_hits": 814, "dns_negative_cache_hits": 123,
+            "policy_fetches": 229, "smtp_probes": 116,
+            "smtp_probe_cache_hits": 176, "pkix_validations": 295,
+            "pkix_cache_hits": 0, "connect_retries": 699,
+            "faults_injected": 864, "transient_domains": 48,
+        }
+
 
 class TestMetricsEqualStats:
     """The trace registry is a *view* over the same scan the legacy
@@ -103,7 +120,6 @@ class TestJsonlFormat:
         report, _, _ = run_scan()
         (month, domain) = sorted(report.domain_spans)[0]
         span = report.domain_spans[(month, domain)]
-        import hashlib
         seed = f"{report.instant_epoch}:{month}:{domain}"
         expected = hashlib.sha256(seed.encode()).hexdigest()[:16]
         assert span.span_id == expected
