@@ -160,7 +160,9 @@ def _cmd_audit(args) -> int:
         ColumnarStore, snapshot_summary_view, taxonomy_census_view,
     )
     from repro.measurement.executor import ScanExecutor, ScanStats
-    from repro.measurement.store_io import commit_month, month_rows
+    from repro.measurement.store_io import (
+        commit_month, month_rows, read_manifest,
+    )
 
     if args.json and not args.stats:
         print("error: --json requires --stats", file=sys.stderr)
@@ -248,6 +250,13 @@ def _cmd_audit(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.save:
+            # A damaged or foreign state dir is refused before the scan.
+            try:
+                read_manifest(args.save)
+            except StoreCorruption as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         result = executor.scan_population(
             population, args.month,
             fault_seed=args.fault_seed, fault_rate=args.fault_rate)

@@ -432,6 +432,23 @@ class TestDamagedStateDirs:
         self._refused(capsys, state,
                       _DELIVER_ARGS + ["--state-dir", state, "--resume"])
 
+    @pytest.mark.parametrize("target", ["damaged", "delivery"])
+    def test_audit_save_refuses_before_scanning(
+            self, target, delivery_state, tmp_path, capsys):
+        """``audit --save`` onto a damaged manifest or another
+        workload's state dir is refused before the scan, like every
+        reader."""
+        if target == "delivery":
+            state = tmp_path / "state"
+            shutil.copytree(delivery_state, state)
+        else:
+            state = tmp_path / "damaged"
+            state.mkdir()
+            (state / MANIFEST_NAME).write_text(
+                json.dumps({"schema_version": 1, "months": 5}), "utf-8")
+        self._refused(capsys, str(state),
+                      ["audit", "--scale", "0.002", "--save", str(state)])
+
 
 # -- indexes & merge --------------------------------------------------------
 
