@@ -99,12 +99,12 @@ class Resolver:
                  servers: List[IpAddress]) -> None:
         """Register the authoritative servers for a zone apex."""
         if isinstance(apex, str):
-            apex = DnsName.parse(apex)
+            apex = self.name(apex)
         self._delegations[apex.text] = list(servers)
 
     def undelegate(self, apex: DnsName | str) -> None:
         if isinstance(apex, str):
-            apex = DnsName.parse(apex)
+            apex = self.name(apex)
         self._delegations.pop(apex.text, None)
 
     def servers_for(self, name: DnsName) -> List[IpAddress]:

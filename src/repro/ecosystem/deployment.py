@@ -12,7 +12,7 @@ the owner's own web server or via CNAME delegation to a provider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.policy import Policy, PolicyMode, render_policy
 from repro.core.record import StsRecord
@@ -73,6 +73,9 @@ class DeployedDomain:
 
     spec: DomainSpec
     zone: Zone
+    #: The world's name intern (:meth:`Resolver.name`), which the
+    #: mutation helpers look names up in.
+    names: Callable[[str], DnsName] = field(repr=False, compare=False)
     mx_hosts: List[MxHost] = field(default_factory=list)
     policy_server: Optional[WebServer] = None   # self-managed only
     policy_text: str = ""
@@ -84,12 +87,12 @@ class DeployedDomain:
     # -- mutation helpers used by the misconfig injector and timeline ---
 
     def set_record(self, text: str) -> None:
-        name = DnsName.parse(f"_mta-sts.{self.domain}")
+        name = self.names(f"_mta-sts.{self.domain}")
         self.zone.remove(name, RRType.TXT)
         self.zone.add(TxtRecord(name, 300, text))
 
     def remove_record(self) -> None:
-        self.zone.remove(DnsName.parse(f"_mta-sts.{self.domain}"), RRType.TXT)
+        self.zone.remove(self.names(f"_mta-sts.{self.domain}"), RRType.TXT)
 
     def set_policy_text(self, text: str) -> None:
         self.policy_text = text
@@ -102,15 +105,14 @@ class DeployedDomain:
             provider.web_server.host_policy(self.domain, text)
 
     def set_mx_records(self, hostnames: List[str]) -> None:
-        apex = DnsName.parse(self.domain)
+        apex = self.zone.apex
         self.zone.remove(apex, RRType.MX)
         for i, hostname in enumerate(hostnames):
             self.zone.add(MxRecord(apex, 3600, 10 + i,
-                                   DnsName.parse(hostname)))
+                                   self.names(hostname)))
 
     def mx_record_hostnames(self) -> List[str]:
-        apex = DnsName.parse(self.domain)
-        records = sorted(self.zone.lookup(apex, RRType.MX),
+        records = sorted(self.zone.lookup(self.zone.apex, RRType.MX),
                          key=lambda r: (r.preference, r.exchange.text))
         return [r.exchange.text for r in records]
 
@@ -121,7 +123,8 @@ def _sts_record_text(record_id: str) -> str:
 
 def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
     """Build the full stack for *spec* and return the handles."""
-    apex = DnsName.parse(spec.domain)
+    names = world.resolver.name
+    apex = names(spec.domain)
     zone = Zone(apex=apex)
     zone.add(SoaRecord(apex))
 
@@ -129,9 +132,9 @@ def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
     # points at the provider (classification Heuristic 2 keys on this).
     ns_base = spec.dns_provider_sld or spec.domain
     for i in (1, 2):
-        zone.add(NsRecord(apex, 86400, DnsName.parse(f"ns{i}.{ns_base}")))
+        zone.add(NsRecord(apex, 86400, names(f"ns{i}.{ns_base}")))
 
-    deployed = DeployedDomain(spec=spec, zone=zone)
+    deployed = DeployedDomain(spec=spec, zone=zone, names=names)
 
     # --- MX hosts -----------------------------------------------------
     mx_hostnames = spec.intended_mx()
@@ -147,9 +150,9 @@ def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
             tls.install(hostname, cert, default=True)
             deployed.mx_hosts.append(
                 MxHost(hostname, ip, world.network, tls=tls))
-            zone.add(ARecord(DnsName.parse(hostname), 3600, ip))
+            zone.add(ARecord(names(hostname), 3600, ip))
     for i, hostname in enumerate(mx_hostnames):
-        zone.add(MxRecord(apex, 3600, 10 + i, DnsName.parse(hostname)))
+        zone.add(MxRecord(apex, 3600, 10 + i, names(hostname)))
 
     # --- apex A record (websites exist; also the implicit-MX fallback) --
     zone.add(ARecord(apex, 3600, world.fresh_ip("web")))
@@ -164,9 +167,9 @@ def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
         policy = spec.effective_policy()
         policy_text = render_policy(policy)
         deployed.policy_text = policy_text
-        zone.add(TxtRecord(DnsName.parse(f"_mta-sts.{spec.domain}"), 300,
+        zone.add(TxtRecord(names(f"_mta-sts.{spec.domain}"), 300,
                            _sts_record_text(spec.record_id)))
-        policy_host = DnsName.parse(f"mta-sts.{spec.domain}")
+        policy_host = names(f"mta-sts.{spec.domain}")
         if spec.policy_provider is not None:
             provider = spec.policy_provider
             provider.deploy(world)
@@ -174,7 +177,7 @@ def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
                 provider.publish_canonical_dns(world, spec.domain)
                 zone.add(CnameRecord(
                     policy_host, 3600,
-                    DnsName.parse(provider.canonical_host_for(spec.domain))))
+                    names(provider.canonical_host_for(spec.domain))))
             else:
                 assert provider.web_server is not None
                 zone.add(ARecord(policy_host, 3600,
@@ -191,7 +194,7 @@ def deploy_domain(world: World, spec: DomainSpec) -> DeployedDomain:
 
     # --- TLSRPT --------------------------------------------------------------
     if spec.tlsrpt is not None:
-        zone.add(TxtRecord(DnsName.parse(f"_smtp._tls.{spec.domain}"), 300,
+        zone.add(TxtRecord(names(f"_smtp._tls.{spec.domain}"), 300,
                            spec.tlsrpt.render()))
 
     return deployed
@@ -228,9 +231,10 @@ def undeploy_domain(world: World, deployed: DeployedDomain) -> None:
     if provider is not None and provider.assigns_unique_mx_per_customer:
         hostname = spec.intended_mx()[0]
         server = world.server_for(provider.sld)
-        zone = server.zone_for(DnsName.parse(provider.sld)) if server else None
+        zone = (server.zone_for(world.resolver.name(provider.sld))
+                if server else None)
         if zone is not None:
-            name = DnsName.parse(hostname)
+            name = world.resolver.name(hostname)
             for record in zone.lookup(name, RRType.A):
                 world.network.unregister(record.address, SMTP_PORT)
             zone.remove(name, RRType.A)
@@ -259,7 +263,7 @@ def undeploy_domain(world: World, deployed: DeployedDomain) -> None:
 def _remove_foreign_a_record(world: World, hostname: str,
                              ip: IpAddress) -> None:
     """Drop *hostname*'s A record from whichever hosted zone serves it."""
-    name = DnsName.parse(hostname)
+    name = world.resolver.name(hostname)
     for i in range(1, len(name.labels)):
         apex = DnsName(name.labels[i:])
         server = world.server_for(apex.text)
@@ -288,11 +292,11 @@ def _deploy_unique_provider_mx(world: World, spec: DomainSpec,
     tls.install(hostname, cert, default=True)
     MxHost(hostname, ip, world.network, tls=tls)
 
-    apex = DnsName.parse(provider.sld)
+    apex = world.resolver.name(provider.sld)
     server = world.server_for(provider.sld)
     if server is None:
         zone = Zone(apex=apex)
         server = world.host_zone(zone)
     zone = server.zone_for(apex)
     assert zone is not None
-    zone.add(ARecord(DnsName.parse(hostname), 3600, ip))
+    zone.add(ARecord(world.resolver.name(hostname), 3600, ip))

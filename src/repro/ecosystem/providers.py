@@ -71,14 +71,14 @@ class EmailProvider:
 
     def _publish_mx_dns(self, world: World, hostname: str,
                         ip: IpAddress) -> None:
-        apex = DnsName.parse(self.sld)
+        apex = world.resolver.name(self.sld)
         server = world.server_for(self.sld)
         if server is None:
             zone = Zone(apex=apex)
             server = world.host_zone(zone)
         zone = server.zone_for(apex)
         assert zone is not None
-        zone.add(ARecord(DnsName.parse(hostname), 3600, ip))
+        zone.add(ARecord(world.resolver.name(hostname), 3600, ip))
 
 
 @dataclass
@@ -216,8 +216,9 @@ class PolicyHostProvider:
         """
         from repro.dns.name import effective_sld
 
-        name = DnsName.try_parse(canonical)
-        if name is None:
+        try:
+            name = world.resolver.name(canonical)
+        except ValueError:
             return None
         apex = effective_sld(name)
         if apex is None:

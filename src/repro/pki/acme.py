@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.clock import Clock
-from repro.dns.name import DnsName
 from repro.dns.records import RRType
 from repro.dns.resolver import Resolver
 from repro.errors import DnsError, ReproError
@@ -60,7 +59,7 @@ class AcmeService:
             # Wildcards require DNS-01; approximate by validating the base.
             name = name[2:]
         try:
-            parsed = DnsName.parse(name)
+            parsed = self.resolver.name(name)
         except ValueError as exc:
             raise AcmeChallengeError(f"unparseable name {name!r}") from exc
         try:

@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
+from repro.core.tlsrpt import TlsRptRecord
 from repro.dns.name import DnsName
 from repro.dns.records import RRType
-from repro.ecosystem.deployment import DomainSpec, deploy_domain
+from repro.ecosystem.deployment import (
+    DomainSpec, deploy_domain, undeploy_domain,
+)
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.ecosystem.providers import (
     OptOutBehavior, default_email_providers, table2_providers,
@@ -67,6 +70,49 @@ class TestDeployment:
             domain="outsourced.com", dns_provider_sld="dns-provider.net"))
         ns = deployed.zone.lookup(DnsName.parse("outsourced.com"), RRType.NS)
         assert all(r.nsdname.text.endswith("dns-provider.net") for r in ns)
+
+
+class TestNameIntern:
+    """Deployment looks every name up in the world's intern
+    (``Resolver.name``), so redeploying a domain — what the incremental
+    materializer does for every changed domain each month — parses no
+    spelling a second time."""
+
+    @staticmethod
+    def _specs():
+        email = default_email_providers()
+        lucid = next(p for p in email if p.assigns_unique_mx_per_customer)
+        return [
+            DomainSpec(domain="self.com", self_mx_count=2,
+                       tlsrpt=TlsRptRecord("TLSRPTv1",
+                                           ("mailto:tls@self.com",))),
+            DomainSpec(domain="hosted.com", email_provider=email[0],
+                       dns_provider_sld="dns-provider.net",
+                       policy_provider=table2_providers()[2]),
+            DomainSpec(domain="unique.com", email_provider=lucid,
+                       policy_provider=table2_providers()[0]),
+        ]
+
+    def test_redeploy_parses_no_name(self, world, monkeypatch):
+        first = [deploy_domain(world, spec) for spec in self._specs()]
+        for deployed in first:
+            undeploy_domain(world, deployed)
+        parsed = []
+        real_parse = DnsName.parse.__func__
+
+        def counting_parse(cls, text):
+            parsed.append(text)
+            return real_parse(cls, text)
+
+        monkeypatch.setattr(DnsName, "parse", classmethod(counting_parse))
+        again = [deploy_domain(world, deployed.spec) for deployed in first]
+        for deployed in again:
+            deployed.set_record("v=STSv1; id=2;")
+            deployed.set_mx_records(deployed.mx_record_hostnames())
+            deployed.remove_record()
+        assert parsed == []
+        for old, new in zip(first, again):
+            assert new.zone.apex is old.zone.apex
 
 
 class TestPolicyProviders:
