@@ -7,6 +7,13 @@ negative answers by TTL against the simulated clock.  All scanner
 lookups in :mod:`repro.measurement.scanner` go through this class, so
 its error surface (NXDOMAIN, NODATA, SERVFAIL, timeout) is exactly the
 set of DNS outcomes the paper's Figure 5 "DNS" bar aggregates.
+
+A resolution that reached no nameserver (every connect to every
+delegated server failed) is not cached: a transient failure must not
+outlive its fault.  It is remembered for the current instant only,
+though, and a repeat at the same instant under the same network
+configuration is replayed — the same error, the same counter movements
+— instead of run again (see :meth:`Resolver._query_one`).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from repro.errors import (
     ServFail,
 )
 from repro.netsim.ip import IpAddress
-from repro.netsim.network import Network
+from repro.netsim.network import ConnectCharge, Network
 from repro.netsim.retry import (
     DEFAULT_RETRY_POLICY, RetryPolicy, connect_with_retries,
 )
@@ -64,6 +71,23 @@ class _CacheEntry:
     negative: type | None
 
 
+@dataclass(slots=True)
+class _Failure:
+    """A resolution that reached no nameserver: what it raised (kept as
+    type, arguments and flag — an exception object would hold its
+    traceback) and what its failed connects counted."""
+
+    error_type: type
+    args: tuple
+    transient: bool
+    charges: Tuple[ConnectCharge, ...]
+
+    def error(self) -> DnsError:
+        error = self.error_type(*self.args)
+        error.transient = self.transient
+        return error
+
+
 class Resolver:
     """Recursive resolver with TTL-based positive and negative caching.
 
@@ -87,6 +111,10 @@ class Resolver:
         #: name intern (see :meth:`name`).  Answers expire, names do
         #: not, so :meth:`flush_cache` leaves it alone.
         self._names: Dict[str, DnsName] = {}
+        #: (name text, RRType value) -> a resolution that reached no
+        #: nameserver at ``_failed_at``: (epoch second, network version).
+        self._failed: Dict[Tuple[str, str], _Failure] = {}
+        self._failed_at: Tuple[int, int] | None = None
         self._cache_enabled = cache_enabled
         self._negative_ttl = negative_ttl
         self.query_count = 0
@@ -101,11 +129,13 @@ class Resolver:
         if isinstance(apex, str):
             apex = self.name(apex)
         self._delegations[apex.text] = list(servers)
+        self._failed.clear()
 
     def undelegate(self, apex: DnsName | str) -> None:
         if isinstance(apex, str):
             apex = self.name(apex)
         self._delegations.pop(apex.text, None)
+        self._failed.clear()
 
     def servers_for(self, name: DnsName) -> List[IpAddress]:
         # The registry holds one entry per deployed domain, so a scan
@@ -203,6 +233,18 @@ class Resolver:
 
     def _query_one(self, name: DnsName, rrtype: RRType
                    ) -> Tuple[Records, CnameRecord | None]:
+        """One cache lookup, else one live resolution.
+
+        A live resolution that reached no nameserver depends only on
+        the delegation registry, the network's configuration
+        (:attr:`Network.version`), the retry policy and the instant, so
+        its repeat at the same instant under the same version is
+        replayed from ``_failed``: the network counts the failed
+        connects again and a fresh error of the same type, message and
+        ``transient`` flag is raised.  While a tracer is bound the memo
+        is neither filled nor consulted, so a trace records every
+        attempt.
+        """
         # ``_value_`` is ``rrtype.value`` without the Enum property's
         # Python-level descriptor call.
         key = (name.text, rrtype._value_)
@@ -224,15 +266,27 @@ class Resolver:
         self.query_count += 1
         if metrics is not None:
             metrics.count("dns.queries")
-        return self._resolve_live(name, rrtype, key)
+            return self._resolve_live(name, rrtype, key, False)
+        failed = self._failed
+        if failed:
+            if self._failed_at != (self._clock.now().epoch_seconds,
+                                   self._network.version):
+                failed.clear()
+            else:
+                failure = failed.get(key)
+                if failure is not None:
+                    self._network.replay(*failure.charges)
+                    raise failure.error()
+        return self._resolve_live(name, rrtype, key, True)
 
     def _resolve_live(self, name: DnsName, rrtype: RRType,
-                      key: Tuple[str, str]
+                      key: Tuple[str, str], remember: bool
                       ) -> Tuple[Records, CnameRecord | None]:
         servers = self.servers_for(name)
         if not servers:
             raise DnsTimeout(f"no delegation covers {name}")
         last_error: DnsError | None = None
+        charges: Tuple[ConnectCharge, ...] = ()
         try:
             for server_ip in servers:
                 try:
@@ -245,8 +299,10 @@ class Resolver:
                     # be confused with — or negatively cached as — a dead
                     # server, so the flag rides along on the DNS error.
                     last_error = DnsTimeout(f"{server_ip} unreachable: {exc}")
-                    last_error.transient = getattr(exc, "transient", False)
+                    last_error.transient = exc.transient
+                    charges += (exc.charge,)
                     continue
+                remember = False        # a server was reached
                 if not isinstance(server, AuthoritativeServer):
                     last_error = ServFail(f"{server_ip} is not a DNS server")
                     continue
@@ -278,14 +334,27 @@ class Resolver:
                 if negative is NxDomain:
                     raise NxDomain(f"{name} does not exist")
                 return records, cname
+            if remember:
+                self._remember(key, last_error, charges)
             raise last_error or DnsTimeout(f"all servers failed for {name}")
         finally:
             # The raised error's traceback holds this frame (a cycle).
             last_error = None
 
+    def _remember(self, key: Tuple[str, str], error: DnsError,
+                  charges: Tuple[ConnectCharge, ...]) -> None:
+        at = (self._clock.now().epoch_seconds, self._network.version)
+        if at != self._failed_at:
+            self._failed.clear()
+            self._failed_at = at
+        self._failed[key] = _Failure(type(error), error.args,
+                                     error.transient, charges)
+
     def flush_cache(self) -> None:
-        """Forget every cached answer; the name intern stays."""
+        """Forget every cached answer and remembered failure; the name
+        intern stays."""
         self._cache.clear()
+        self._failed.clear()
 
     # -- instrumentation --------------------------------------------------
 

@@ -34,7 +34,17 @@ class ReproError(Exception):
 # ---------------------------------------------------------------------------
 
 class NetworkError(ReproError):
-    """A simulated transport-level failure (connect refused, timeout)."""
+    """A simulated transport-level failure (connect refused, timeout).
+
+    ``fault`` is the :class:`~repro.netsim.network.FaultKind` that
+    injected the failure (``None`` for a deterministic one).  An error
+    :func:`~repro.netsim.retry.connect_with_retries` gives up on carries
+    ``charge``: the :class:`~repro.netsim.network.ConnectCharge` its
+    whole retry loop added to the counters.
+    """
+
+    fault = None
+    charge = None
 
 
 class ConnectionRefused(NetworkError):

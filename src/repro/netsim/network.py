@@ -20,11 +20,20 @@ seeded per-endpoint schedule.  Injected failures carry
 ``transient=True`` so the retry layer (:mod:`repro.netsim.retry`) can
 separate network noise from deterministic misconfiguration — the
 distinction the paper's error taxonomy is built on.
+
+A connect's outcome reads only the listeners, known hosts and
+behaviours, the installed plan and the clock: :attr:`Network.version`
+changes whenever any of the first four does, and a
+:class:`ConnectCharge` records what one failed retry loop added to the
+counters, so a caller that knows such a loop would fail again the same
+way can count it again (:meth:`Network.replay`) instead of re-running
+it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -99,9 +108,15 @@ class FaultSpec:
         return attempt < self.count
 
 
-def _transient(exc):
+def _transient(exc, kind: FaultKind):
     exc.transient = True
+    exc.fault = kind
     return exc
+
+
+#: Every change to what a connect can see takes the next number, so a
+#: network's :attr:`~Network.version` never comes back to an old value.
+_versions = itertools.count(1)
 
 
 class FaultPlan:
@@ -143,6 +158,8 @@ class FaultPlan:
         self._by_endpoint: Dict[Tuple[str, int], Tuple[FaultSpec, ...]] = {}
         self._by_description: Dict[str, Tuple[FaultSpec, ...]] = {}
         self._seeded_cache: Dict[str, Tuple[FaultSpec, ...]] = {}
+        #: Bumped by :meth:`add` and :meth:`add_description`.
+        self.version = next(_versions)
         self.injections = 0
         self.injected_by_kind: Dict[str, int] = {}
 
@@ -153,12 +170,14 @@ class FaultPlan:
         ip_text = ip.text if isinstance(ip, IpAddress) else ip
         key = (ip_text, port)
         self._by_endpoint[key] = self._by_endpoint.get(key, ()) + specs
+        self.version = next(_versions)
         return self
 
     def add_description(self, description: str,
                         *specs: FaultSpec) -> "FaultPlan":
         self._by_description[description] = (
             self._by_description.get(description, ()) + specs)
+        self.version = next(_versions)
         return self
 
     @classmethod
@@ -216,20 +235,21 @@ class FaultPlan:
                 self._count(spec.kind, attempt)
                 raise _transient(ConnectionTimeout(
                     f"{endpoint} slow-start {spec.latency:.1f}s exceeded "
-                    f"{timeout:.1f}s budget"))
+                    f"{timeout:.1f}s budget"), spec.kind)
             self._count(spec.kind, attempt)
             if spec.kind is FaultKind.REFUSE:
                 raise _transient(ConnectionRefused(
-                    f"{endpoint} refused (injected, attempt {attempt})"))
+                    f"{endpoint} refused (injected, attempt {attempt})"),
+                    spec.kind)
             if spec.kind is FaultKind.RESET:
                 raise _transient(ConnectionReset(
                     f"{endpoint} reset after {spec.after_bytes} bytes "
                     f"(injected, attempt {attempt})",
-                    bytes_delivered=spec.after_bytes))
+                    bytes_delivered=spec.after_bytes), spec.kind)
             # TIMEOUT and the FLAP down-phase both look like blackholes.
             raise _transient(ConnectionTimeout(
                 f"{endpoint} timed out (injected "
-                f"{spec.kind.value}, attempt {attempt})"))
+                f"{spec.kind.value}, attempt {attempt})"), spec.kind)
 
     def _count(self, kind: FaultKind, attempt: int = 0) -> None:
         self.injections += 1
@@ -241,6 +261,19 @@ class FaultPlan:
             span = tracer.current_span()
             if span is not None:
                 span.event("fault", kind=kind.value, attempt=attempt)
+
+
+@dataclass(frozen=True, slots=True)
+class ConnectCharge:
+    """What one failed connect operation (one retry loop) added to the
+    counters: *connects* attempts to ``Network.connect_count``, all but
+    the first of them to ``retried_connects``, *backoff_micros* to
+    ``backoff_micros``, and one injection of each kind in *faults* to
+    the fault plan's ``injections`` and ``injected_by_kind``."""
+
+    connects: int
+    backoff_micros: int
+    faults: Tuple[FaultKind, ...]
 
 
 class Network:
@@ -264,6 +297,7 @@ class Network:
         #: :meth:`backoff_delay`.  The memo belongs to this world and
         #: dies with it.
         self._backoff_delays: Dict[Tuple[Any, str, int], float] = {}
+        self._version = next(_versions)
 
     # -- server side --------------------------------------------------
 
@@ -274,10 +308,12 @@ class Network:
         listener = Listener(ip, port, app, behavior, description)
         self._listeners[(ip.text, port)] = listener
         self._known_hosts.add(ip.text)
+        self._version = next(_versions)
         return listener
 
     def unregister(self, ip: IpAddress, port: int) -> None:
         self._listeners.pop((ip.text, port), None)
+        self._version = next(_versions)
 
     def register_host(self, ip: IpAddress) -> None:
         """Mark an IP as allocated even if nothing listens on it yet.
@@ -287,6 +323,7 @@ class Network:
         *timeout* (nothing answers at all).
         """
         self._known_hosts.add(ip.text)
+        self._version = next(_versions)
 
     def set_behavior(self, ip: IpAddress, port: int,
                      behavior: TcpBehavior) -> None:
@@ -294,12 +331,27 @@ class Network:
         if key not in self._listeners:
             raise KeyError(f"no listener on {ip}:{port}")
         self._listeners[key].behavior = behavior
+        self._version = next(_versions)
 
     # -- fault injection ----------------------------------------------
 
     def install_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Install (or with ``None`` remove) the active fault plan."""
         self.fault_plan = plan
+        self._version = next(_versions)
+
+    @property
+    def version(self) -> int:
+        """A number that changes whenever what :meth:`connect` can see
+        changes: a listener, a known host or a behaviour, the installed
+        fault plan, or a spec added to that plan.  Two reads are equal
+        only if none of these changed in between (every change takes a
+        fresh, larger number from one counter, so the larger of the
+        network's and the plan's last number moves on every change)."""
+        plan = self.fault_plan
+        if plan is not None and plan.version > self._version:
+            return plan.version
+        return self._version
 
     @property
     def faults_injected(self) -> int:
@@ -325,14 +377,31 @@ class Network:
             self._backoff_delays[memo_key] = delay
         return delay
 
-    def record_backoff(self, seconds: float) -> None:
-        """Charge virtual retry-backoff time (ScanStats accounting)."""
+    def record_backoff(self, seconds: float) -> int:
+        """Charge virtual retry-backoff time (ScanStats accounting);
+        return the integer microseconds charged."""
         delay_micros = trace.micros(seconds)
         self.backoff_micros += delay_micros
         tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is not None:
             tracer.metrics.count("net.backoff_micros", delay_micros)
             tracer.metrics.observe("retry.backoff", delay_micros)
+        return delay_micros
+
+    def replay(self, *charges: ConnectCharge) -> None:
+        """Count failed connect operations again, exactly as their
+        first run counted them, without attempting a connect.  Only the
+        network's and the fault plan's counters move, not a tracer's:
+        replay only where no tracer is bound."""
+        plan = self.fault_plan
+        for charge in charges:
+            self.connect_count += charge.connects
+            self.retried_connects += charge.connects - 1
+            self.backoff_micros += charge.backoff_micros
+            for kind in charge.faults:
+                plan.injections += 1
+                plan.injected_by_kind[kind.value] = (
+                    plan.injected_by_kind.get(kind.value, 0) + 1)
 
     # -- client side --------------------------------------------------
 

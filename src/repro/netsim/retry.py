@@ -29,6 +29,7 @@ from typing import Any, List
 from repro import trace
 from repro.errors import NetworkError
 from repro.netsim.ip import IpAddress
+from repro.netsim.network import ConnectCharge
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,11 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
     uniformly (a real scanner cannot see whether a failure is
     transient), with the attempt index threaded through to the fault
     layer and the remaining virtual budget passed as the connect
-    timeout.  The final exception is re-raised unchanged, so its
-    ``transient`` flag tells the caller whether the operation died on
-    an injected fault (retry-exhausted transient) or a deterministic
-    hard failure.
+    timeout.  The final exception is re-raised with its ``transient``
+    flag, which tells the caller whether the operation died on an
+    injected fault (retry-exhausted transient) or a deterministic hard
+    failure, and with ``charge``: the :class:`ConnectCharge` of the
+    whole loop, which ``Network.replay`` counts again.
     """
     key = key or f"{ip.text}:{port}"
     # The whole retry loop is one flat resource span: which scan shard
@@ -102,6 +104,8 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
     try:
         budget = policy.timeout_budget
         last_error: NetworkError | None = None
+        faults: tuple = ()
+        backoff_micros = 0
         for attempt in range(max(1, policy.max_attempts)):
             try:
                 result = network.connect(ip, port, attempt=attempt,
@@ -111,6 +115,8 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
                 return result
             except NetworkError as exc:
                 last_error = exc
+                if exc.fault is not None:
+                    faults += (exc.fault,)
                 if span is not None:
                     span.event("attempt", n=attempt,
                                outcome=type(exc).__name__,
@@ -118,7 +124,7 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
             if attempt + 1 >= policy.max_attempts:
                 break
             delay = network.backoff_delay(policy, key, attempt)
-            network.record_backoff(delay)
+            backoff_micros += network.record_backoff(delay)
             if span is not None:
                 span.event("backoff", micros=trace.micros(delay))
             budget -= delay
@@ -127,6 +133,7 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
                     span.event("budget-exhausted", n=attempt)
                 break
         assert last_error is not None
+        last_error.charge = ConnectCharge(attempt + 1, backoff_micros, faults)
         raise last_error
     finally:
         # The raised error's traceback holds this frame: a live
