@@ -114,7 +114,7 @@ class Resolver:
         #: (name text, RRType value) -> a resolution that reached no
         #: nameserver at ``_failed_at``: (epoch second, network version).
         self._failed: Dict[Tuple[str, str], _Failure] = {}
-        self._failed_at: Tuple[int, int] | None = None
+        self._failed_at: Tuple[int, Tuple[int, int]] | None = None
         self._cache_enabled = cache_enabled
         self._negative_ttl = negative_ttl
         self.query_count = 0

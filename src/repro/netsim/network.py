@@ -33,7 +33,6 @@ it.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -114,11 +113,6 @@ def _transient(exc, kind: FaultKind):
     return exc
 
 
-#: Every change to what a connect can see takes the next number, so a
-#: network's :attr:`~Network.version` never comes back to an old value.
-_versions = itertools.count(1)
-
-
 class FaultPlan:
     """A seeded, deterministic schedule of endpoint faults.
 
@@ -159,7 +153,7 @@ class FaultPlan:
         self._by_description: Dict[str, Tuple[FaultSpec, ...]] = {}
         self._seeded_cache: Dict[str, Tuple[FaultSpec, ...]] = {}
         #: Bumped by :meth:`add` and :meth:`add_description`.
-        self.version = next(_versions)
+        self.version = 0
         self.injections = 0
         self.injected_by_kind: Dict[str, int] = {}
 
@@ -170,14 +164,14 @@ class FaultPlan:
         ip_text = ip.text if isinstance(ip, IpAddress) else ip
         key = (ip_text, port)
         self._by_endpoint[key] = self._by_endpoint.get(key, ()) + specs
-        self.version = next(_versions)
+        self.version += 1
         return self
 
     def add_description(self, description: str,
                         *specs: FaultSpec) -> "FaultPlan":
         self._by_description[description] = (
             self._by_description.get(description, ()) + specs)
-        self.version = next(_versions)
+        self.version += 1
         return self
 
     @classmethod
@@ -297,7 +291,9 @@ class Network:
         #: :meth:`backoff_delay`.  The memo belongs to this world and
         #: dies with it.
         self._backoff_delays: Dict[Tuple[Any, str, int], float] = {}
-        self._version = next(_versions)
+        #: Changes to the listeners, known hosts, behaviours and the
+        #: installed plan (see :attr:`version`).
+        self._changes = 0
 
     # -- server side --------------------------------------------------
 
@@ -308,12 +304,12 @@ class Network:
         listener = Listener(ip, port, app, behavior, description)
         self._listeners[(ip.text, port)] = listener
         self._known_hosts.add(ip.text)
-        self._version = next(_versions)
+        self._changes += 1
         return listener
 
     def unregister(self, ip: IpAddress, port: int) -> None:
         self._listeners.pop((ip.text, port), None)
-        self._version = next(_versions)
+        self._changes += 1
 
     def register_host(self, ip: IpAddress) -> None:
         """Mark an IP as allocated even if nothing listens on it yet.
@@ -323,7 +319,7 @@ class Network:
         *timeout* (nothing answers at all).
         """
         self._known_hosts.add(ip.text)
-        self._version = next(_versions)
+        self._changes += 1
 
     def set_behavior(self, ip: IpAddress, port: int,
                      behavior: TcpBehavior) -> None:
@@ -331,27 +327,24 @@ class Network:
         if key not in self._listeners:
             raise KeyError(f"no listener on {ip}:{port}")
         self._listeners[key].behavior = behavior
-        self._version = next(_versions)
+        self._changes += 1
 
     # -- fault injection ----------------------------------------------
 
     def install_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Install (or with ``None`` remove) the active fault plan."""
         self.fault_plan = plan
-        self._version = next(_versions)
+        self._changes += 1
 
     @property
-    def version(self) -> int:
-        """A number that changes whenever what :meth:`connect` can see
-        changes: a listener, a known host or a behaviour, the installed
-        fault plan, or a spec added to that plan.  Two reads are equal
-        only if none of these changed in between (every change takes a
-        fresh, larger number from one counter, so the larger of the
-        network's and the plan's last number moves on every change)."""
+    def version(self) -> Tuple[int, int]:
+        """What :meth:`connect` can see, as a value that changes
+        whenever it does: the network's own changes counted — a
+        listener, a known host, a behaviour, the installed fault plan
+        — and the installed plan's :attr:`FaultPlan.version`.  Two
+        reads are equal only if nothing changed in between."""
         plan = self.fault_plan
-        if plan is not None and plan.version > self._version:
-            return plan.version
-        return self._version
+        return self._changes, (plan.version if plan is not None else 0)
 
     @property
     def faults_injected(self) -> int:

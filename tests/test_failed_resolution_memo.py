@@ -190,6 +190,13 @@ class TestRecoveryAtTheSameInstant:
         world.network.install_fault_plan(None)
         assert _resolves(world)
 
+    def test_another_plan_installed(self, world, dead_ns):
+        _fails_then_replays(world, dead_ns[1])
+        # A plan with as many specs as the first, none on this server.
+        world.network.install_fault_plan(FaultPlan().add_description(
+            "dns:ns.elsewhere.com", FaultSpec(FaultKind.REFUSE, count=99)))
+        assert _resolves(world)
+
     def test_behaviour_restored(self, world, dead_ns):
         server, attempted = dead_ns
         world.network.install_fault_plan(None)
@@ -207,6 +214,29 @@ class TestRecoveryAtTheSameInstant:
         world.network.register(server.ip, DNS_PORT, server,
                                description="dns:ns.example.com")
         assert _resolves(world)
+
+    def test_listener_unregistered(self, world, dead_ns):
+        server, attempted = dead_ns
+        world.network.install_fault_plan(None)
+        world.network.set_behavior(server.ip, DNS_PORT, TcpBehavior.TIMEOUT)
+        first = _fails_then_replays(world, attempted)
+        world.network.unregister(server.ip, DNS_PORT)
+        _, error = world.resolver.resolve_detailed("mail.example.com",
+                                                   RRType.A)
+        assert attempted
+        assert "timed out" in str(first) and "refused" in str(error)
+
+    def test_host_registered(self, world, dead_ns):
+        attempted = dead_ns[1]
+        world.network.install_fault_plan(None)
+        unallocated = IpAddress.parse("10.99.0.1")
+        world.resolver.delegate("example.com", [unallocated])
+        first = _fails_then_replays(world, attempted)
+        world.network.register_host(unallocated)
+        _, error = world.resolver.resolve_detailed("mail.example.com",
+                                                   RRType.A)
+        assert attempted
+        assert "timed out" in str(first) and "refused" in str(error)
 
     def test_delegated_to_a_live_server(self, world, dead_ns):
         server, attempted = dead_ns
