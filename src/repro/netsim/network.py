@@ -262,12 +262,13 @@ class ConnectCharge:
     """What one failed connect operation (one retry loop) added to the
     counters: *connects* attempts to ``Network.connect_count``, all but
     the first of them to ``retried_connects``, *backoff_micros* to
-    ``backoff_micros``, and one injection of each kind in *faults* to
-    the fault plan's ``injections`` and ``injected_by_kind``."""
+    ``backoff_micros``, and one injection of each kind in *faults* (a
+    :class:`FaultKind` value, as ``injected_by_kind`` keys it) to the
+    fault plan's ``injections`` and ``injected_by_kind``."""
 
     connects: int
     backoff_micros: int
-    faults: Tuple[FaultKind, ...]
+    faults: Tuple[str, ...]
 
 
 class Network:
@@ -393,8 +394,8 @@ class Network:
             self.backoff_micros += charge.backoff_micros
             for kind in charge.faults:
                 plan.injections += 1
-                plan.injected_by_kind[kind.value] = (
-                    plan.injected_by_kind.get(kind.value, 0) + 1)
+                plan.injected_by_kind[kind] = (
+                    plan.injected_by_kind.get(kind, 0) + 1)
 
     # -- client side --------------------------------------------------
 

@@ -116,7 +116,7 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
             except NetworkError as exc:
                 last_error = exc
                 if exc.fault is not None:
-                    faults += (exc.fault,)
+                    faults += (exc.fault.value,)
                 if span is not None:
                     span.event("attempt", n=attempt,
                                outcome=type(exc).__name__,
