@@ -124,9 +124,10 @@ def connect_with_retries(network, ip: IpAddress, port: int, *,
             if attempt + 1 >= policy.max_attempts:
                 break
             delay = network.backoff_delay(policy, key, attempt)
-            backoff_micros += network.record_backoff(delay)
+            micros = network.record_backoff(delay)
+            backoff_micros += micros
             if span is not None:
-                span.event("backoff", micros=trace.micros(delay))
+                span.event("backoff", micros=micros)
             budget -= delay
             if budget <= 0.0:
                 if span is not None:
