@@ -151,8 +151,6 @@ class PolicyFetcher:
         every component's health is measured independently.
         """
         self.fetch_count += 1
-        if trace.TRACING:
-            trace.count("policy.fetches")
         result = self.lookup_record(domain)
         if not result.sts_enabled:
             return result

@@ -185,9 +185,12 @@ def effective_sld(name: DnsName | str,
 
 
 def registrable_part(name: DnsName | str) -> str:
-    """The eSLD as text, or the input itself if it is a bare suffix."""
+    """The eSLD as text, the name itself if it is a bare public
+    suffix, or ``""`` for a string that is not a DNS name."""
     if isinstance(name, str):
-        name = DnsName.parse(name)
+        name = DnsName.try_parse(name)
+        if name is None:
+            return ""
     sld = effective_sld(name)
     return (sld or name).text
 

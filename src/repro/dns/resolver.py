@@ -242,30 +242,24 @@ class Resolver:
         replayed from ``_failed``: the network counts the failed
         connects again and a fresh error of the same type, message and
         ``transient`` flag is raised.  While a tracer is bound the memo
-        is neither filled nor consulted, so a trace records every
-        attempt.
+        is neither filled nor consulted: a trace records every connect
+        attempt (resource-span events and the ``retry.backoff``
+        histogram), and a replay attempts none.
         """
         # ``_value_`` is ``rrtype.value`` without the Enum property's
         # Python-level descriptor call.
         key = (name.text, rrtype._value_)
-        tracer = trace.current_tracer() if trace.TRACING else None
-        metrics = tracer.metrics if tracer is not None else None
         if self._cache_enabled:
             entry = self._cache.get(key)
             if (entry is not None
                     and entry.expires > self._clock.now().epoch_seconds):
                 self.cache_hits += 1
-                if metrics is not None:
-                    metrics.count("dns.cache_hits")
                 if entry.negative is not None:
                     self.negative_cache_hits += 1
-                    if metrics is not None:
-                        metrics.count("dns.negative_cache_hits")
                     raise entry.negative(f"{name}/{rrtype.value} (cached)")
                 return entry.records, entry.cname
         self.query_count += 1
-        if metrics is not None:
-            metrics.count("dns.queries")
+        if trace.TRACING:
             return self._resolve_live(name, rrtype, key, False)
         failed = self._failed
         if failed:

@@ -15,7 +15,6 @@ import enum
 from typing import Optional
 
 from repro.core.policy import Policy, PolicyMode, render_policy
-from repro.dns.name import DnsName
 from repro.dns.records import ARecord, RRType, TxtRecord
 from repro.ecosystem.deployment import DeployedDomain
 from repro.ecosystem.world import World
@@ -106,7 +105,7 @@ def _record_invalid_extension(world, deployed, _):
 
 
 def _record_duplicate(world, deployed, _):
-    name = DnsName.parse(f"_mta-sts.{deployed.domain}")
+    name = deployed.names(f"_mta-sts.{deployed.domain}")
     deployed.zone.add(TxtRecord(name, 300, "v=STSv1; id=duplicate2;"))
 
 
@@ -115,7 +114,7 @@ def _record_duplicate(world, deployed, _):
 # ---------------------------------------------------------------------------
 
 def _policy_dns_unresolvable(world, deployed, _):
-    name = DnsName.parse(f"mta-sts.{deployed.domain}")
+    name = deployed.names(f"mta-sts.{deployed.domain}")
     deployed.zone.remove(name, RRType.A)
     deployed.zone.remove(name, RRType.CNAME)
 
@@ -333,7 +332,7 @@ def _standalone_mx(world, new_sld: str, deployed) -> str:
     tls.install(new_host, cert, default=True)
     deployed.mx_hosts.append(MxHost(new_host, ip, world.network, tls=tls))
 
-    apex = DnsName.parse(new_sld)
+    apex = deployed.names(new_sld)
     server = world.server_for(new_sld)
     if server is None:
         zone = Zone(apex=apex)
@@ -341,8 +340,9 @@ def _standalone_mx(world, new_sld: str, deployed) -> str:
         server = world.host_zone(zone)
     zone = server.zone_for(apex)
     assert zone is not None
-    if not zone.lookup(DnsName.parse(new_host), RRType.A):
-        zone.add(ARecord(DnsName.parse(new_host), 3600, ip))
+    host = deployed.names(new_host)
+    if not zone.lookup(host, RRType.A):
+        zone.add(ARecord(host, 3600, ip))
     return new_host
 
 

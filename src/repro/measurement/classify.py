@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.dns.name import DnsName, registrable_part
+from repro.dns.name import registrable_part
 from repro.errors import ManagingEntity
 from repro.measurement.snapshots import DomainSnapshot
 
@@ -202,7 +202,7 @@ class EntityClassifier:
                                        _mx_addresses(snap))
         cname = snap.policy_host_cname
         policy, policy_sld = tallies.policy_entity(
-            own, snap.sts_like, _esld(cname) if cname else None,
+            own, snap.sts_like, registrable_part(cname) if cname else None,
             snap.policy_host_addresses)
         return EntityVerdict(
             domain=snap.domain,
@@ -217,19 +217,11 @@ class EntityClassifier:
 
 def eslds(hostnames: Iterable[str], esld=None) -> List[str]:
     """The sorted distinct eSLDs of *hostnames* (unparsable ones
-    dropped); *esld* substitutes a memoised :func:`_esld`."""
-    esld = esld or _esld
+    dropped); *esld* substitutes a memoised
+    :func:`~repro.dns.name.registrable_part`."""
+    esld = esld or registrable_part
     return sorted({esld(host) for host in hostnames} - {""})
 
 
 def _mx_addresses(snap: DomainSnapshot) -> List[str]:
     return [ip for obs in snap.mx_observations for ip in obs.addresses]
-
-
-def _esld(hostname: str) -> str:
-    name = DnsName.try_parse(hostname)
-    if name is None:
-        return ""
-    from repro.dns.name import effective_sld
-    sld = effective_sld(name)
-    return sld.text if sld is not None else name.text

@@ -33,7 +33,7 @@ module does the same for the campaign store:
 
 The per-row derivations call the same pure functions the per-snapshot
 predicates use (``policy_covers_mx``, ``classify_mismatch``,
-``_esld``, ``delegation.provider_of``) and the §4.3.1 rules on
+``registrable_part``, ``delegation.provider_of``) and the §4.3.1 rules on
 :class:`~repro.measurement.classify.EntityTallies`; every Counter is
 filled in row order so ``most_common`` tie-breaks are stable.
 ``tests/test_analysis_golden.py`` pins every output.
@@ -52,9 +52,7 @@ from repro.dns.name import registrable_part
 from repro.errors import (
     ManagingEntity, MisconfigCategory, MismatchClass, PolicyFetchStage,
 )
-from repro.measurement.classify import (
-    EntityTallies, EntityVerdict, _esld, eslds,
-)
+from repro.measurement.classify import EntityTallies, EntityVerdict, eslds
 from repro.measurement.delegation import provider_of
 from repro.measurement.inconsistency import classify_mismatch
 from repro.measurement.taxonomy import PRIMARY_BUCKETS, SnapshotSummary
@@ -304,7 +302,7 @@ class ColumnarStore:
     def _esld_of(self, hostname: str) -> str:
         value = self._esld_memo.get(hostname)
         if value is None:
-            value = _esld(hostname)
+            value = registrable_part(hostname)
             self._esld_memo[hostname] = value
         return value
 

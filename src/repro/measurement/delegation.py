@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.fetch import PolicyFetcher
-from repro.dns.name import DnsName, effective_sld
+from repro.dns.name import DnsName, effective_sld, registrable_part
 from repro.ecosystem.providers import OptOutBehavior, PolicyHostProvider
 from repro.ecosystem.world import World
 from repro.errors import PolicyFetchStage
@@ -31,11 +31,8 @@ def provider_of(domain: str, cname: Optional[str]) -> Optional[str]:
     if not cname:
         return None
     name = DnsName.try_parse(cname)
-    if name is None:
-        return None
-    own = effective_sld(DnsName.parse(domain))
-    target = effective_sld(name)
-    if target is None or (own is not None and target == own):
+    target = effective_sld(name) if name is not None else None
+    if target is None or target.text == registrable_part(domain):
         return None
     return target.text
 

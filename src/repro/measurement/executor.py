@@ -69,10 +69,11 @@ from repro.measurement.scanner import Scanner
 from repro.measurement.snapshots import SnapshotStore
 from repro.measurement.store_io import month_shard_text, shard_digest
 from repro.netsim.network import FaultPlan
+from repro.obs.monitor import STAT_COUNTERS
 from repro.obs.profile import ProfileReport, StageProfiler
 from repro.obs.progress import ProgressEvent, ProgressTracker
 from repro.pki.validation import chain_cache_stats, flush_chain_cache
-from repro.trace import MetricsRegistry, TraceReport, Tracer
+from repro.trace import TraceReport, Tracer
 
 BACKENDS = ("serial", "process")
 
@@ -115,50 +116,11 @@ class ScanStats:
     checkpoints_written: int = 0
     checkpoint_seconds: float = 0.0
 
-    _COUNTERS = ("months", "domains_scanned", "world_build_seconds",
-                 "scan_seconds", "dns_queries", "dns_cache_hits",
-                 "dns_negative_cache_hits", "policy_fetches",
-                 "smtp_probes", "smtp_probe_cache_hits",
-                 "pkix_validations", "pkix_cache_hits",
-                 "connect_retries", "faults_injected",
-                 "retry_backoff_seconds", "transient_domains",
-                 "checkpoints_written", "checkpoint_seconds")
-
     def merge(self, other: "ScanStats") -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    @classmethod
-    def from_metrics(cls, metrics: MetricsRegistry, *,
-                     backend: str = "serial", jobs: int = 1,
-                     months: int = 1, scan_seconds: float = 0.0,
-                     world_build_seconds: float = 0.0) -> "ScanStats":
-        """A stats block as a *view* over a merged trace registry.
-
-        When tracing is enabled the registry is incremented at exactly
-        the sites where the legacy world counters are, so this view
-        must equal the counter-delta stats the executor computes — the
-        trace determinism tests assert that equality.
-        """
-        get = metrics.get
-        return cls(
-            backend=backend, jobs=jobs, months=months,
-            domains_scanned=get("scan.domains"),
-            world_build_seconds=world_build_seconds,
-            scan_seconds=scan_seconds,
-            dns_queries=get("dns.queries"),
-            dns_cache_hits=get("dns.cache_hits"),
-            dns_negative_cache_hits=get("dns.negative_cache_hits"),
-            policy_fetches=get("policy.fetches"),
-            smtp_probes=get("smtp.probes"),
-            smtp_probe_cache_hits=get("smtp.cache_hits"),
-            pkix_validations=get("pkix.validations"),
-            pkix_cache_hits=get("pkix.cache_hits"),
-            connect_retries=get("net.connect_retries"),
-            faults_injected=get("net.faults_injected"),
-            retry_backoff_seconds=get("net.backoff_micros") / 1_000_000,
-            transient_domains=get("scan.transient_domains"),
-        )
+        for f in fields(self):
+            if f.name not in ("backend", "jobs"):
+                setattr(self, f.name,
+                        getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> Dict[str, int | float | str]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -498,9 +460,16 @@ class _SliceScan:
     profiler: Optional[StageProfiler]
 
 
+#: The slice counters a trace records besides :data:`STAT_COUNTERS`,
+#: by (slice counter, registry key).
+_TRACE_COUNTERS = (("connects", "net.connects"),
+                   ("retry_backoff_micros", "net.backoff_micros"))
+
+
 def _world_counters(world: World) -> Dict[str, int]:
     pkix = chain_cache_stats()
     return {
+        "connects": world.network.connect_count,
         "dns_queries": world.resolver.query_count,
         "dns_cache_hits": world.resolver.cache_hits,
         "dns_negative_cache_hits": world.resolver.negative_cache_hits,
@@ -547,6 +516,15 @@ def _scan_slice(world: World, domains: List[str], month_index: int,
     counters.update(domains_scanned=len(domains),
                     policy_fetches=scanner.policy_fetches,
                     transient_domains=scanner.transient_domains)
+    if scanner.tracer is not None:
+        # The trace counts the slice's work from these deltas alone.
+        # A key with no work stays absent, as in a registry that
+        # counts as the work happens.
+        metrics = scanner.tracer.metrics
+        for name, key in STAT_COUNTERS + _TRACE_COUNTERS:
+            if counters[name]:
+                metrics.count(key, counters[name])
+    del counters["connects"]        # no ScanStats field
     return _SliceScan(counters, scanner.tracer, scanner.profiler)
 
 

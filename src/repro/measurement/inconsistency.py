@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.matching import policy_covers_mx
-from repro.dns.name import DnsName, canonical_host, effective_sld, levenshtein
+from repro.dns.name import canonical_host, levenshtein, registrable_part
 from repro.errors import MismatchClass
 from repro.measurement.snapshots import DomainSnapshot
 
@@ -36,14 +36,6 @@ class MismatchVerdict:
 
 def _strip_wildcard(pattern: str) -> str:
     return pattern[2:] if pattern.startswith("*.") else pattern
-
-
-def _esld_text(hostname: str) -> str:
-    name = DnsName.try_parse(hostname)
-    if name is None:
-        return ""
-    sld = effective_sld(name)
-    return sld.text if sld is not None else name.text
 
 
 def _tld(hostname: str) -> str:
@@ -100,11 +92,11 @@ def classify_mismatch(mx_patterns: Sequence[str],
     # 3. 3LD+: same registrable domain, diverging deeper labels.
     for pattern in patterns:
         bare = _strip_wildcard(pattern)
-        pattern_sld = _esld_text(bare)
+        pattern_sld = registrable_part(bare)
         if not pattern_sld:
             continue
         for host in hosts:
-            if _esld_text(host) == pattern_sld:
+            if registrable_part(host) == pattern_sld:
                 return MismatchVerdict(
                     True, MismatchClass.THREE_LD,
                     f"{pattern!r} and {host!r} share eSLD {pattern_sld!r}")

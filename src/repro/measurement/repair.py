@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from repro.core.matching import policy_covers_mx
 from repro.core.policy import Policy, PolicyMode, render_policy
-from repro.dns.name import DnsName, levenshtein
+from repro.dns.name import levenshtein
 from repro.dns.records import ARecord, RRType
 from repro.ecosystem.deployment import DeployedDomain
 from repro.ecosystem.world import World
@@ -209,7 +209,7 @@ def _fix_record(world: World, deployed: DeployedDomain) -> None:
 
 def _publish_policy_host_dns(world: World,
                              deployed: DeployedDomain) -> None:
-    host = DnsName.parse(f"mta-sts.{deployed.domain}")
+    host = deployed.names(f"mta-sts.{deployed.domain}")
     deployed.zone.remove(host, RRType.A)
     deployed.zone.remove(host, RRType.CNAME)
     server = _policy_server(deployed)

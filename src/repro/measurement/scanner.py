@@ -85,9 +85,6 @@ class Scanner:
                 self._scan_stages(snapshot)
                 span.event("verdict", bucket=primary_bucket(snapshot),
                            transient=snapshot.any_transient)
-                self._tracer.metrics.count("scan.domains")
-                if snapshot.any_transient:
-                    self._tracer.metrics.count("scan.transient_domains")
         if snapshot.any_transient:
             self.transient_domains += 1
         return snapshot

@@ -249,12 +249,8 @@ class FaultPlan:
         self.injections += 1
         self.injected_by_kind[kind.value] = (
             self.injected_by_kind.get(kind.value, 0) + 1)
-        tracer = trace.current_tracer() if trace.TRACING else None
-        if tracer is not None:
-            tracer.metrics.count("net.faults_injected")
-            span = tracer.current_span()
-            if span is not None:
-                span.event("fault", kind=kind.value, attempt=attempt)
+        if trace.TRACING:
+            trace.event("fault", kind=kind.value, attempt=attempt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,15 +374,15 @@ class Network:
         self.backoff_micros += delay_micros
         tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is not None:
-            tracer.metrics.count("net.backoff_micros", delay_micros)
             tracer.metrics.observe("retry.backoff", delay_micros)
         return delay_micros
 
     def replay(self, *charges: ConnectCharge) -> None:
         """Count failed connect operations again, exactly as their
-        first run counted them, without attempting a connect.  Only the
-        network's and the fault plan's counters move, not a tracer's:
-        replay only where no tracer is bound."""
+        first run counted them, without attempting a connect.  A trace
+        records every connect attempt (resource-span events and the
+        ``retry.backoff`` histogram), and a replay attempts none: replay
+        only where no tracer is bound."""
         plan = self.fault_plan
         for charge in charges:
             self.connect_count += charge.connects
@@ -423,11 +419,6 @@ class Network:
         self.connect_count += 1
         if attempt:
             self.retried_connects += 1
-        tracer = trace.current_tracer() if trace.TRACING else None
-        if tracer is not None:
-            tracer.metrics.count("net.connects")
-            if attempt:
-                tracer.metrics.count("net.connect_retries")
         listener = self._listeners.get((ip.text, port))
         if self.fault_plan is not None:
             now_epoch = (self.clock.now().epoch_seconds

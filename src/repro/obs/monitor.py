@@ -61,7 +61,8 @@ __all__ = [
     "RATE", "NUMBER", "COUNT",
     "Signal", "Bound", "Rule", "make_threshold_class",
     "FeedRecord", "HealthFinding", "HealthReport", "FeedMonitor",
-    "Thresholds", "CampaignMonitor", "build_month_registry",
+    "Thresholds", "CampaignMonitor", "STAT_COUNTERS",
+    "build_month_registry",
     "DeliveryThresholds", "DeliveryMonitor",
     "ServeThresholds", "ServeMonitor",
 ]
@@ -388,10 +389,11 @@ def _counters(record: FeedRecord) -> Dict[str, int]:
 # Campaign health
 # ---------------------------------------------------------------------------
 
-#: ScanStats integer counters mirrored into the monthly registry, by
-#: (stats attribute, registry key).  Wall-clock fields are deliberately
-#: absent — they would break run-to-run byte-identity.
-_STAT_COUNTERS = (
+#: The integer ScanStats counters by (stats attribute, registry key):
+#: the one spelling of each key, which the monthly registry and a
+#: traced scan slice's registry share.  Wall-clock fields are
+#: deliberately absent — they would break run-to-run byte-identity.
+STAT_COUNTERS = (
     ("domains_scanned", "scan.domains"),
     ("transient_domains", "scan.transient_domains"),
     ("dns_queries", "dns.queries"),
@@ -422,7 +424,7 @@ def build_month_registry(stats: "ScanStats",
     shard merge orders, integer milliseconds are not.
     """
     registry = MetricsRegistry()
-    for attribute, key in _STAT_COUNTERS:
+    for attribute, key in STAT_COUNTERS:
         registry.count(key, getattr(stats, attribute))
     registry.count("net.backoff_millis",
                    round(stats.retry_backoff_seconds * 1_000))

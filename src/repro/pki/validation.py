@@ -14,7 +14,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro import trace
 from repro.clock import Instant
 from repro.dns.name import DnsName, canonical_host
 from repro.errors import TlsFailure
@@ -136,12 +135,8 @@ class _ChainValidationCache:
         cached = entries.get(key)
         if cached is not None:
             self.cache_hits += 1
-            if trace.TRACING:
-                trace.count("pkix.cache_hits")
             return cached
         self.validations += 1
-        if trace.TRACING:
-            trace.count("pkix.validations")
         result = validate_chain(cert, host, trust_store, now)
         entries[key] = result
         return result

@@ -125,26 +125,16 @@ class SmtpProbe:
         host observes the same per-host probe outcome.
         """
         name_text = canonical_host(mx_hostname)
-        tracer = trace.current_tracer() if trace.TRACING else None
-        if not self.cache_enabled:
-            self.probes_performed += 1
-            if tracer is None:
-                return self._probe_uncached(name_text)
-            tracer.metrics.count("smtp.probes")
-            with tracer.resource(f"probe:{name_text}", "smtp-probe",
-                                 name_text):
-                return self._probe_uncached(name_text)
-        cached = self._cache.get(name_text)
-        if cached is not None:
-            self.cache_hits += 1
-            if tracer is not None:
-                tracer.metrics.count("smtp.cache_hits")
-            return cached
+        if self.cache_enabled:
+            cached = self._cache.get(name_text)
+            if cached is not None:
+                self.cache_hits += 1
+                return cached
         self.probes_performed += 1
+        tracer = trace.current_tracer() if trace.TRACING else None
         if tracer is None:
             result = self._probe_uncached(name_text)
         else:
-            tracer.metrics.count("smtp.probes")
             with tracer.resource(f"probe:{name_text}", "smtp-probe",
                                  name_text):
                 result = self._probe_uncached(name_text)
@@ -152,7 +142,7 @@ class SmtpProbe:
         # about the host — memoizing it would serve a stale failure
         # after the endpoint recovers, so only settled outcomes
         # (success or deterministic hard failure) are cached.
-        if not result.transient:
+        if self.cache_enabled and not result.transient:
             self._cache[name_text] = result
         return result
 

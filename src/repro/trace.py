@@ -10,8 +10,9 @@ retry backoff was charged.  This module provides the substrate:
   deterministic ids derived from the *virtual* clock and the domain —
   never from wall time, thread ids, or allocation order;
 * :class:`MetricsRegistry` — integer counters and virtual-time
-  histograms; :class:`~repro.measurement.executor.ScanStats` is a view
-  over the merged registry when tracing is enabled;
+  histograms.  A traced scan slice writes the deltas of the world's
+  own work counters into its tracer's registry, so the trace and
+  :class:`~repro.measurement.executor.ScanStats` read one count;
 * :class:`Tracer` — the per-shard recorder.  Each scan shard owns one
   tracer and binds it as the process's active tracer while scanning,
   so the clients (resolver, HTTPS client, SMTP probe, retry layer)
@@ -55,8 +56,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "Span", "Tracer", "MetricsRegistry", "Histogram", "TraceReport",
-    "current_tracer", "count", "observe", "event", "child_span",
-    "resource_span",
+    "current_tracer", "event", "child_span", "resource_span",
 ]
 
 #: Upper bucket bounds (virtual seconds) for the backoff histogram.
@@ -380,18 +380,6 @@ def bind(tracer: Optional[Tracer]) -> Iterator[None]:
 # construction are skipped.
 
 _NULL_SPAN_CONTEXT = contextlib.nullcontext(None)
-
-
-def count(name: str, value: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.count(name, value)
-
-
-def observe(name: str, value_micros: int) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.observe(name, value_micros)
 
 
 def event(name: str, **attrs: Any) -> None:

@@ -15,6 +15,7 @@ from repro.ecosystem.providers import (
     OptOutBehavior, default_email_providers, table2_providers,
 )
 from repro.errors import PolicyFetchStage
+from repro.measurement.repair import RepairAction, apply_repairs
 
 
 class TestDeployment:
@@ -93,10 +94,10 @@ class TestNameIntern:
                        policy_provider=table2_providers()[0]),
         ]
 
-    def test_redeploy_parses_no_name(self, world, monkeypatch):
-        first = [deploy_domain(world, spec) for spec in self._specs()]
-        for deployed in first:
-            undeploy_domain(world, deployed)
+    @staticmethod
+    def _record_parses(monkeypatch):
+        """The list every spelling passed to :meth:`DnsName.parse`
+        from now on is appended to."""
         parsed = []
         real_parse = DnsName.parse.__func__
 
@@ -105,6 +106,13 @@ class TestNameIntern:
             return real_parse(cls, text)
 
         monkeypatch.setattr(DnsName, "parse", classmethod(counting_parse))
+        return parsed
+
+    def test_redeploy_parses_no_name(self, world, monkeypatch):
+        first = [deploy_domain(world, spec) for spec in self._specs()]
+        for deployed in first:
+            undeploy_domain(world, deployed)
+        parsed = self._record_parses(monkeypatch)
         again = [deploy_domain(world, deployed.spec) for deployed in first]
         for deployed in again:
             deployed.set_record("v=STSv1; id=2;")
@@ -113,6 +121,30 @@ class TestNameIntern:
         assert parsed == []
         for old, new in zip(first, again):
             assert new.zone.apex is old.zone.apex
+
+    def test_faults_and_repair_parse_no_name(self, world, monkeypatch):
+        """The misconfiguration injector and the repair applier look
+        their names up in the intern too: breaking and repairing a
+        redeployed domain a second time parses nothing."""
+        repair = RepairAction(1, "policy-host", "publish-policy-host-dns",
+                              "publish the policy host's A record")
+
+        def break_and_repair(deployed):
+            for fault in (Fault.RECORD_DUPLICATE,
+                          Fault.POLICY_DNS_UNRESOLVABLE,
+                          Fault.OUTDATED_POLICY):
+                apply_fault(world, deployed, fault)
+            assert apply_repairs(world, deployed, [repair]) == [
+                repair.action]
+
+        spec = self._specs()[0]            # self-hosted MX and policy
+        first = deploy_domain(world, spec)
+        break_and_repair(first)
+        undeploy_domain(world, first)
+        again = deploy_domain(world, spec)
+        parsed = self._record_parses(monkeypatch)
+        break_and_repair(again)
+        assert parsed == []
 
 
 class TestPolicyProviders:

@@ -4,9 +4,10 @@ The load-bearing invariants:
 
 * repeated scans of identical worlds serialise to **byte-identical**
   JSONL traces, even under fault injection;
-* the trace's merged metric counters are exactly the counter-delta
-  :class:`~repro.measurement.executor.ScanStats` the executor computes
-  around the same scan;
+* a traced slice writes the world counters' deltas — the ones
+  :class:`~repro.measurement.executor.ScanStats` sums — into its
+  registry under :data:`~repro.obs.monitor.STAT_COUNTERS`'s keys, so
+  the trace's metrics record reads the scan's own counts;
 * span ids are pure functions of (virtual instant, month, domain) —
   no wall time anywhere in a trace.
 """
@@ -21,8 +22,9 @@ import pytest
 from repro import trace
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
-from repro.measurement.executor import ScanExecutor, ScanStats
+from repro.measurement.executor import ScanExecutor
 from repro.netsim.network import FaultPlan
+from repro.obs.monitor import STAT_COUNTERS
 
 SCALE = 0.003
 SEED = 1789
@@ -81,19 +83,20 @@ class TestByteIdentity:
 
 
 class TestMetricsEqualStats:
-    """The trace registry is a *view* over the same scan the legacy
-    counter-delta stats measure; the two must agree exactly."""
+    """The trace's metrics record is the scan's ScanStats read through
+    :data:`~repro.obs.monitor.STAT_COUNTERS`, plus the network's
+    connect and backoff totals; a counter with no work has no key."""
 
     @pytest.mark.parametrize("fault_seed", [None, 11])
     def test_counters_match(self, fault_seed):
         report, stats, _ = run_scan(fault_seed=fault_seed)
-        view = ScanStats.from_metrics(report.metrics)
-        for name in INT_STATS:
-            assert getattr(view, name) == getattr(stats, name), name
-        # Backoff: the registry keeps integer microseconds, the legacy
-        # network counter a float sum — equal to rounding.
-        assert (abs(view.retry_backoff_seconds
-                    - stats.retry_backoff_seconds) < 1e-3)
+        counters = dict(report.metrics.counters)
+        assert counters.pop("net.connects") > 0
+        assert (counters.pop("net.backoff_micros", 0)
+                == round(stats.retry_backoff_seconds * 1_000_000))
+        assert counters == {key: getattr(stats, attribute)
+                            for attribute, key in STAT_COUNTERS
+                            if getattr(stats, attribute)}
 
 
 class TestJsonlFormat:
@@ -211,7 +214,6 @@ class TestTracePrimitives:
         assert trace.current_tracer() is None
 
     def test_helpers_noop_without_tracer(self):
-        trace.count("nothing")
         trace.event("nothing", detail=1)
         with trace.child_span("x") as span:
             assert span is None
