@@ -1,21 +1,19 @@
 """Scan-pipeline benchmark: times the monthly component-scan campaign
 under each execution strategy and writes ``BENCH_scan.json``.
 
-Three configurations of the same campaign run at the benchmark scale
-(0.02, the scale the figure benchmarks use):
+Two configurations of the same campaign run at the benchmark scale
+(0.02, the scale the figure benchmarks use), both on the campaign's
+one build, one long-lived world updated by diffing:
 
-* ``full-serial``        — from-scratch world per month, serial scan
-  (the pre-optimisation reference path);
-* ``incremental-serial`` — one long-lived world updated by diffing
-  (the default pipeline);
-* ``incremental-serial-checkpointed`` — the default pipeline with
+* ``incremental-serial`` — the campaign pipeline;
+* ``incremental-serial-checkpointed`` — the same pipeline with
   durable per-month checkpoints (the report records the overhead,
   capped at 10% by the acceptance criteria).
 
 Every configuration must produce identical figure series — the run
 aborts if the outputs diverge.  The JSON report records wall-clock per
-configuration, the speedup over both the in-run reference and the
-recorded pre-optimisation baseline, and the per-stage ``ScanStats``.
+configuration, the speedup over the recorded pre-optimisation
+baseline, and the per-stage ``ScanStats``.
 
 A fourth section exercises the **process backend** at a raised scale
 (default 0.1, five times the figure scale): one serial reference
@@ -190,14 +188,12 @@ def _figures_digest(analysis) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _run(config: PopulationConfig, *, incremental: bool,
-         monitor: CampaignMonitor = None, profile: bool = False,
-         state_dir: str = None) -> dict:
+def _run(config: PopulationConfig, *, monitor: CampaignMonitor = None,
+         profile: bool = False, state_dir: str = None) -> dict:
     timeline = EcosystemTimeline(TimelineConfig(config))
     executor = ScanExecutor(profile=profile)
     started = time.perf_counter()
-    analysis = run_campaign(timeline, incremental=incremental,
-                            executor=executor, monitor=monitor,
+    analysis = run_campaign(timeline, executor=executor, monitor=monitor,
                             state_dir=state_dir)
     elapsed = time.perf_counter() - started
     totals = analysis.total_stats()
@@ -665,13 +661,11 @@ def main() -> int:
     monitor = CampaignMonitor()
     state_dir = tempfile.mkdtemp(prefix="bench-campaign-store-")
     configurations = {
-        "full-serial": dict(incremental=False),
-        "incremental-serial": dict(incremental=True, monitor=monitor),
-        # The default pipeline plus durable per-month checkpoints
-        # (shard + manifest commit after every scanned month) — the
-        # acceptance bar caps the overhead at 10% of incremental-serial.
-        "incremental-serial-checkpointed": dict(
-            incremental=True, state_dir=state_dir),
+        "incremental-serial": dict(monitor=monitor),
+        # The pipeline plus durable per-month checkpoints (shard +
+        # manifest commit after every scanned month) — the acceptance
+        # bar caps the overhead at 10% of incremental-serial.
+        "incremental-serial-checkpointed": dict(state_dir=state_dir),
     }
 
     results = {}
@@ -707,7 +701,7 @@ def main() -> int:
         # overhead by design), but its stage split and slowest-domain
         # list are recorded for the next perf PR.
         print("running incremental-serial (profiled) ...", flush=True)
-        profiled = _run(config, incremental=True, profile=True)
+        profiled = _run(config, profile=True)
         print(f"  {profiled['seconds']:.2f}s", flush=True)
         reference = results["incremental-serial"]["seconds"]
         profile_report = {
@@ -757,10 +751,8 @@ def main() -> int:
     # The recorded seed baseline was measured at the default scale and
     # seed; at any other operating point the comparison is meaningless.
     comparable = args.scale == 0.02 and args.seed == 20240929
-    reference = results["full-serial"]["seconds"]
-    for name, r in results.items():
-        r["speedup_vs_full_serial"] = round(reference / r["seconds"], 2)
-        if comparable:
+    if comparable:
+        for r in results.values():
             r["speedup_vs_seed_baseline"] = round(
                 SEED_BASELINE_SECONDS["campaign"] / r["seconds"], 2)
 
@@ -901,9 +893,8 @@ def main() -> int:
         line += (f" ({results[best]['speedup_vs_seed_baseline']:.2f}x over "
                  f"the pre-optimisation baseline)")
     else:
-        line += (f" ({results[best]['speedup_vs_full_serial']:.2f}x over "
-                 f"full-serial; seed-baseline comparison only applies at "
-                 f"the default scale/seed)")
+        line += (" (the seed-baseline comparison only applies at the "
+                 "default scale/seed)")
     print(line)
     return 0
 

@@ -35,6 +35,11 @@ from repro.measurement import store_io
 # Re-exported: the object-list adapter over ``snapshot_summary_view``.
 from repro.measurement.taxonomy import SnapshotSummary, snapshot_summary
 
+__all__ = [
+    "CampaignAnalysis", "SnapshotSummary", "load_campaign", "run_campaign",
+    "snapshot_summary",
+]
+
 
 @dataclass
 class CampaignAnalysis:
@@ -212,8 +217,7 @@ def _committed_entries(state_dir: str, timeline: EcosystemTimeline,
 
 def run_campaign(timeline: EcosystemTimeline,
                  months: Optional[List[int]] = None,
-                 *, incremental: bool = True,
-                 executor: Optional[ScanExecutor] = None,
+                 *, executor: Optional[ScanExecutor] = None,
                  monitor: Optional["CampaignMonitor"] = None,
                  state_dir: Optional[str] = None,
                  resume: bool = False,
@@ -221,11 +225,10 @@ def run_campaign(timeline: EcosystemTimeline,
                  ) -> CampaignAnalysis:
     """Materialise and scan every requested month (default: all).
 
-    ``incremental`` materialises consecutive months by diffing one
-    long-lived world (:class:`IncrementalMaterializer`); pass ``False``
-    to rebuild each month from scratch — the slower reference path the
-    equivalence tests compare against.  *executor* selects the scan
-    backend (default: a serial :class:`ScanExecutor`); per-month
+    One :class:`IncrementalMaterializer` builds every month: it diffs
+    one long-lived world from month to month and builds the first (or
+    any repeated or earlier) month from scratch.  *executor* selects
+    the scan backend (default: a serial :class:`ScanExecutor`); per-month
     :class:`ScanStats` land in ``analysis.stats_by_month``.  *monitor*
     attaches a :class:`~repro.obs.monitor.CampaignMonitor`: every
     finished month is snapshotted into its metrics feed (and, if the
@@ -237,19 +240,19 @@ def run_campaign(timeline: EcosystemTimeline,
     :mod:`repro.measurement.store_io`) the moment its scan finishes.
     With ``resume=True`` a killed campaign continues from the last
     committed month: committed months load from disk instead of being
-    rescanned, while — under the incremental materialiser — their world
-    *builds* are still replayed, so the long-lived world reaches the
-    first unscanned month in exactly the state an uninterrupted run
-    would have.  The resumed campaign's store is therefore
-    byte-identical (``canonical_bytes``) to an uninterrupted run's on
-    both backends, with or without fault plans.  Each committed shard
-    is read and verified once, when the loop reaches its month; a
-    damaged one raises :class:`~repro.errors.StoreCorruption` before
-    any later month is scanned.
+    rescanned, while their world *builds* are still replayed, so the
+    long-lived world reaches the first unscanned month in exactly the
+    state an uninterrupted run would have.  The resumed campaign's
+    store is therefore byte-identical (``canonical_bytes``) to an
+    uninterrupted run's on both backends, with or without fault
+    plans.  Each committed shard is read and verified once, when the
+    loop reaches its month; a damaged one raises
+    :class:`~repro.errors.StoreCorruption` before any later month is
+    scanned.
 
     ``fault_plan_factory`` (month -> FaultPlan or None) installs a
     fault plan on the materialised world for each month's *scan* only;
-    materialisation — which the incremental path replays — is never
+    materialisation — which a resumed campaign replays — is never
     faulted.
     """
     if months is None:
@@ -257,7 +260,7 @@ def run_campaign(timeline: EcosystemTimeline,
     if resume and state_dir is None:
         raise ValueError("resume=True requires a state_dir")
     executor = executor if executor is not None else ScanExecutor()
-    materializer = IncrementalMaterializer(timeline) if incremental else None
+    materializer = IncrementalMaterializer(timeline)
     committed = {}
     if state_dir is not None:
         committed = _committed_entries(state_dir, timeline, months, resume)
@@ -270,25 +273,21 @@ def run_campaign(timeline: EcosystemTimeline,
         if entry is not None:
             # Committed month: its verified shard rows become both its
             # snapshots and its columns.  The scan is skipped; the
-            # (cheap, deterministic) world build is replayed so
-            # incremental state carries forward exactly as in the
+            # (cheap, deterministic) world build is replayed so the
+            # long-lived world carries forward exactly as in the
             # uninterrupted run.
             rows = store_io.load_shard_rows(state_dir, entry)
             for snapshot in store_io.month_snapshots(entry, rows):
                 store.add(snapshot)
             analysis.columns.add_month(month, rows)
-            if materializer is not None:
-                materializer.materialize(month)
+            materializer.materialize(month)
             analysis._record_month(month, entry.date,
                                    ScanStats.from_dict(entry.stats),
                                    entry.build_stats, monitor)
             continue
 
         built_at = time.perf_counter()
-        if materializer is not None:
-            materialized = materializer.materialize(month)
-        else:
-            materialized = timeline.materialize(month)
+        materialized = materializer.materialize(month)
         build_seconds = time.perf_counter() - built_at
         if fault_plan_factory is not None:
             materialized.world.network.install_fault_plan(
@@ -300,7 +299,7 @@ def run_campaign(timeline: EcosystemTimeline,
         finally:
             if fault_plan_factory is not None:
                 # Plans must never fault world materialisation: the
-                # incremental path replays deployment traffic next month.
+                # next month's build diffs this world.
                 materialized.world.network.install_fault_plan(None)
         stats.world_build_seconds = build_seconds
         # One serialisation of the month feeds its shard and its columns.

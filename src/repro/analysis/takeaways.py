@@ -18,7 +18,7 @@ against the paper's conclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.series import CampaignAnalysis

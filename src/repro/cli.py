@@ -362,8 +362,7 @@ def _cmd_campaign(args) -> int:
             return FaultPlan.seeded(seed=_seed + month, rate=_rate)
 
     try:
-        analysis = run_campaign(timeline, incremental=not args.full_rebuild,
-                                executor=executor, monitor=monitor,
+        analysis = run_campaign(timeline, executor=executor, monitor=monitor,
                                 state_dir=args.state_dir, resume=args.resume,
                                 fault_plan_factory=fault_plan_factory)
     except (StoreCorruption, ValueError) as exc:
@@ -821,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the monthly scan campaign with health monitoring")
     campaign.add_argument("--scale", type=_positive_number, default=0.01)
     campaign.add_argument("--seed", type=int, default=20240929)
-    campaign.add_argument("--full-rebuild", action="store_true",
-                          help="rebuild the world from scratch every "
-                               "month instead of diffing")
     campaign.add_argument("--metrics-out", default=None, metavar="FILE",
                           help="write the monthly metrics JSONL feed to "
                                "FILE (written atomically)")

@@ -15,7 +15,7 @@ The cache semantics drive two of the paper's findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Optional, Tuple, TypeVar
+from typing import Dict, Optional
 
 from repro.clock import Clock, Duration, Instant
 from repro.core.policy import Policy, parse_policy, render_policy
@@ -159,81 +159,3 @@ class PolicyCache:
         cache.hit_count = int(data.get("hit_count", 0))
         return cache
 
-
-# ---------------------------------------------------------------------------
-# Generic TTL cache (the policy cache's semantics, for any value type)
-# ---------------------------------------------------------------------------
-
-V = TypeVar("V")
-
-
-class TtlCache(Generic[V]):
-    """A per-entry-TTL cache against the virtual clock.
-
-    This is :class:`PolicyCache`'s expiry/eviction contract factored
-    out for other cached artifacts (the ``repro serve`` verdict cache):
-    strict :func:`ttl_fresh` freshness, stale entries evicted on read,
-    ``store_count``/``hit_count`` bookkeeping, and a non-counting
-    :meth:`fresh` probe so background freshness checks never inflate
-    the hit-rate metric.  Keys are used as given — callers canonicalise
-    (``canonical_host``) before reaching the cache.
-    """
-
-    def __init__(self, clock: Clock):
-        self._clock = clock
-        self._entries: Dict[str, Tuple[V, Instant, int]] = {}
-        self.store_count = 0
-        self.hit_count = 0
-        self.eviction_count = 0
-
-    def store(self, key: str, value: V, ttl_seconds: int) -> None:
-        if ttl_seconds < 1:
-            raise ValueError("ttl_seconds must be >= 1")
-        self._entries[key] = (value, self._clock.now(), ttl_seconds)
-        self.store_count += 1
-
-    def get(self, key: str) -> Optional[V]:
-        """The cached value if still fresh (counted); stale entries are
-        evicted, exactly as :meth:`PolicyCache.get` evicts policies."""
-        value = self._fresh_value(key)
-        if value is not None:
-            self.hit_count += 1
-        return value
-
-    def fresh(self, key: str) -> bool:
-        """Non-counting freshness probe (still evicts stale entries)."""
-        return self._fresh_value(key) is not None
-
-    def _fresh_value(self, key: str) -> Optional[V]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        value, stored_at, ttl_seconds = entry
-        if not ttl_fresh(stored_at, ttl_seconds, self._clock.now()):
-            del self._entries[key]
-            self.eviction_count += 1
-            return None
-        return value
-
-    def peek(self, key: str) -> Optional[V]:
-        """The raw entry value, fresh or not, without eviction."""
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
-    def expires_at(self, key: str) -> Optional[Instant]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        _, stored_at, ttl_seconds = entry
-        return stored_at + Duration(ttl_seconds)
-
-    def evict(self, key: str) -> None:
-        if self._entries.pop(key, None) is not None:
-            self.eviction_count += 1
-
-    def flush(self) -> None:
-        self.eviction_count += len(self._entries)
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

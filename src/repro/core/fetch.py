@@ -140,21 +140,17 @@ class PolicyFetcher:
                 signals_sts=evaluation.signals_sts)
         return result
 
-    def fetch_policy(self, domain: str | DnsName,
-                     *, even_if_record_invalid: bool = True
-                     ) -> PolicyFetchResult:
+    def fetch_policy(self, domain: str | DnsName) -> PolicyFetchResult:
         """The full discovery pipeline: TXT record, HTTPS fetch, parse.
 
-        A compliant sender stops when the TXT record is absent; the
-        paper's scanner (and this method with the default flag) still
-        fetches the policy when the record is present but malformed, so
-        every component's health is measured independently.
+        Discovery stops when no ``_mta-sts`` TXT record signals
+        MTA-STS.  A record that signals it but is malformed still leads
+        to the HTTPS fetch, as in the paper's scanner, so every
+        component's health is measured independently.
         """
         self.fetch_count += 1
         result = self.lookup_record(domain)
         if not result.sts_enabled:
-            return result
-        if result.record is None and not even_if_record_invalid:
             return result
 
         policy_host = f"mta-sts.{result.domain}"

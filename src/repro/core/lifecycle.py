@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.clock import DAY, Duration
+from repro.clock import Duration
 from repro.core.policy import Policy, PolicyMode
 
 

@@ -12,7 +12,7 @@ max_age clock, per the RFC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.clock import Clock, Duration, Instant

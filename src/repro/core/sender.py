@@ -14,7 +14,7 @@ DANE when both are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.clock import Clock
@@ -28,9 +28,7 @@ from repro.netsim.network import Network
 from repro.pki.ca import TrustStore
 from repro.pki.certificate import Certificate
 from repro.pki.validation import validate_chain
-from repro.smtp.delivery import (
-    DeliveryAttempt, DeliveryStatus, Message, SendingMta,
-)
+from repro.smtp.delivery import DeliveryAttempt, Message, SendingMta
 
 
 @dataclass

@@ -23,7 +23,7 @@ DNSSEC support".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.dns.name import DnsName

@@ -38,6 +38,9 @@ from repro.netsim.retry import (
 
 MAX_CNAME_DEPTH = 8
 
+#: Seconds a negative answer (NXDOMAIN or NODATA) stays cached.
+NEGATIVE_TTL = 300
+
 #: A resolved RRset.  Immutable, so the cache shares one with every
 #: answer built from it and no caller can change a cached answer.
 Records = Tuple[ResourceRecord, ...]
@@ -97,9 +100,7 @@ class Resolver:
     """
 
     def __init__(self, network: Network, clock: Clock,
-                 *, cache_enabled: bool = True,
-                 negative_ttl: int = 300,
-                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
+                 *, retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self._network = network
         self._clock = clock
         self._retry_policy = retry_policy
@@ -115,8 +116,6 @@ class Resolver:
         #: nameserver at ``_failed_at``: (epoch second, network version).
         self._failed: Dict[Tuple[str, str], _Failure] = {}
         self._failed_at: Tuple[int, Tuple[int, int]] | None = None
-        self._cache_enabled = cache_enabled
-        self._negative_ttl = negative_ttl
         self.query_count = 0
         self.cache_hits = 0
         self.negative_cache_hits = 0
@@ -249,15 +248,14 @@ class Resolver:
         # ``_value_`` is ``rrtype.value`` without the Enum property's
         # Python-level descriptor call.
         key = (name.text, rrtype._value_)
-        if self._cache_enabled:
-            entry = self._cache.get(key)
-            if (entry is not None
-                    and entry.expires > self._clock.now().epoch_seconds):
-                self.cache_hits += 1
-                if entry.negative is not None:
-                    self.negative_cache_hits += 1
-                    raise entry.negative(f"{name}/{rrtype.value} (cached)")
-                return entry.records, entry.cname
+        entry = self._cache.get(key)
+        if (entry is not None
+                and entry.expires > self._clock.now().epoch_seconds):
+            self.cache_hits += 1
+            if entry.negative is not None:
+                self.negative_cache_hits += 1
+                raise entry.negative(f"{name}/{rrtype.value} (cached)")
+            return entry.records, entry.cname
         self.query_count += 1
         if trace.TRACING:
             return self._resolve_live(name, rrtype, key, False)
@@ -309,11 +307,11 @@ class Resolver:
                 cname = result.cname
                 negative = None
                 if result.rcode == "NXDOMAIN":
-                    ttl, negative = self._negative_ttl, NxDomain
+                    ttl, negative = NEGATIVE_TTL, NxDomain
                 elif cname is not None:
                     ttl = cname.ttl
                 elif not result.records:
-                    ttl, negative = self._negative_ttl, NoData
+                    ttl, negative = NEGATIVE_TTL, NoData
                 else:
                     # The zone's own RRset tuple: ``tuple`` copies nothing.
                     records = tuple(result.records)
@@ -321,10 +319,9 @@ class Resolver:
                     for record in records:
                         if record.ttl < ttl:
                             ttl = record.ttl
-                if self._cache_enabled:
-                    self._cache[key] = _CacheEntry(
-                        self._clock.now().epoch_seconds + ttl, records,
-                        cname, negative)
+                self._cache[key] = _CacheEntry(
+                    self._clock.now().epoch_seconds + ttl, records, cname,
+                    negative)
                 if negative is NxDomain:
                     raise NxDomain(f"{name} does not exist")
                 return records, cname

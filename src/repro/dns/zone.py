@@ -10,7 +10,7 @@ addition to the synthetic registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dns.name import DnsName
 from repro.dns.records import (

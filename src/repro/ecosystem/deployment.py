@@ -11,11 +11,10 @@ the owner's own web server or via CNAME delegation to a provider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.policy import Policy, PolicyMode, render_policy
-from repro.core.record import StsRecord
 from repro.core.tlsrpt import TlsRptRecord
 from repro.dns.name import DnsName
 from repro.dns.records import (

@@ -14,13 +14,12 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.core.policy import Policy, PolicyMode, render_policy
+from repro.core.policy import Policy, render_policy
 from repro.dns.records import ARecord, RRType, TxtRecord
 from repro.ecosystem.deployment import DeployedDomain
 from repro.ecosystem.world import World
 from repro.netsim.network import TcpBehavior
 from repro.pki.certificate import CertTemplate, make_self_signed
-from repro.smtp.server import SMTP_PORT
 from repro.web.server import HTTPS_PORT
 
 
@@ -76,9 +75,7 @@ def apply_fault(world: World, deployed: DeployedDomain, fault: Fault,
     ``mx_index`` selects which MX host an MX-certificate fault targets
     (``None`` hits every MX, producing Figure 7's "all invalid" class).
     """
-    domain = deployed.domain
-    handler = _HANDLERS[fault]
-    handler(world, deployed, mx_index)
+    _HANDLERS[fault](world, deployed, mx_index)
 
 
 # ---------------------------------------------------------------------------

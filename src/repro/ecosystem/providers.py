@@ -21,13 +21,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.policy import Policy, PolicyMode, render_policy
+from repro.core.policy import Policy, render_policy
 from repro.dns.name import DnsName
 from repro.dns.records import ARecord, RRType
 from repro.dns.zone import Zone
 from repro.ecosystem.world import World
 from repro.netsim.ip import IpAddress
-from repro.pki.certificate import CertTemplate
 from repro.smtp.server import MxHost
 from repro.tls.handshake import TlsEndpoint
 from repro.web.server import WebServer

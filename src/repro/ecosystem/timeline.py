@@ -7,9 +7,15 @@ The paper's measurement has two cadences:
   domain plans, no infrastructure needed;
 * **monthly component scans** (Nov 2023 – Sep 2024) that fetch
   policies and probe MX hosts (Figures 4-10) — for these the timeline
-  *materialises* a fresh :class:`~repro.ecosystem.world.World` per
-  snapshot, deploys every domain adopted by that date with its
-  scheduled faults active, and hands the world to the scanner.
+  *materialises* a live :class:`~repro.ecosystem.world.World` with
+  every domain adopted by that date deployed and its scheduled faults
+  active, and hands the world to the scanner.
+
+A month has two builds, one per kind of scan.  The campaign's only
+build is :class:`IncrementalMaterializer`, which keeps one world and
+diffs it from month to month (a first, repeated or earlier month is
+built from scratch).  A population scan's block builds from scratch
+with :meth:`EcosystemTimeline.materialize` and its ``shard`` argument.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.clock import Instant, WEEK, monthly_instants
-from repro.core.policy import Policy, PolicyMode
+from repro.core.policy import Policy
 from repro.ecosystem.deployment import (
     DeployedDomain, DomainSpec, deploy_domain, undeploy_domain,
 )
@@ -196,8 +202,8 @@ class EcosystemTimeline:
                     shard: Optional[Tuple[int, int]] = None
                     ) -> MaterializedSnapshot:
         """Build the live world for scan month *month_index* from
-        scratch (the reference, slow path; see
-        :class:`IncrementalMaterializer` for the delta-applying one).
+        scratch (see :class:`IncrementalMaterializer` for the campaign's
+        delta-applying build, which starts from this one).
 
         With ``shard=(index, count)`` the snapshot keeps only worker
         ``index`` of ``count``'s block of the population scan's slices
@@ -376,20 +382,20 @@ class IncrementalMaterializer:
     snapshot field is identical, which the equivalence tests assert
     month by month.
 
-    ``full_rebuild=True`` is the escape hatch: it discards the state
-    and rebuilds from scratch, as does any non-monotonic month request.
+    A first month, and any month at or before the current one, is
+    built from scratch, exactly as :meth:`EcosystemTimeline.materialize`
+    builds it (``build_stats["full_rebuild"]`` reads 1; 0 for a diffed
+    month).
     """
 
     def __init__(self, timeline: EcosystemTimeline):
         self._timeline = timeline
         self._state: Optional[_WorldState] = None
 
-    def materialize(self, month_index: int,
-                    *, full_rebuild: bool = False) -> MaterializedSnapshot:
+    def materialize(self, month_index: int) -> MaterializedSnapshot:
         timeline = self._timeline
         state = self._state
-        if (full_rebuild or state is None
-                or month_index <= state.month_index):
+        if state is None or month_index <= state.month_index:
             self._state = timeline._build_full(month_index)
             return timeline._snapshot(self._state)
 

@@ -9,13 +9,12 @@ examples, and the ecosystem simulator all start from ``World()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.clock import Clock, Instant
 from repro.dns.dnssec import DnssecAuthority
 from repro.dns.name import DnsName
-from repro.dns.records import NsRecord, SoaRecord
+from repro.dns.records import SoaRecord
 from repro.dns.resolver import Resolver
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import Zone

@@ -9,7 +9,7 @@ and reports what a sender would experience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.fetch import PolicyFetcher

@@ -82,13 +82,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.clock import DAY, Clock, Duration, Instant
+from repro.clock import DAY, Duration, Instant
 from repro.core.cache import PolicyCache
-from repro.core.dane import DaneValidator
 from repro.core.fetch import PolicyFetcher
 from repro.core.refresh import RefreshDaemon
 from repro.core.reporting import ReportAggregator, ReportCollector
-from repro.core.sender import MtaStsSender, SenderPolicyConfig
 from repro.core.tlsrpt import ResultType, TlsRptReport, lookup_tlsrpt
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import (
@@ -96,7 +94,7 @@ from repro.ecosystem.timeline import (
 )
 from repro.errors import PolicyError, StoreCorruption
 from repro.measurement.senderside import (
-    SenderProfile, synthesize_sender_population,
+    SenderProfile, make_sender, synthesize_sender_population,
 )
 from repro.measurement.store_io import (
     DELIVERY_KIND, MANIFEST_NAME, commit_shard, read_manifest, shard_digest,
@@ -284,22 +282,13 @@ class _SenderLane:
         self.recipients = [recipients[rng.randrange(len(recipients))]
                            for _ in range(self.total)]
         fetcher = PolicyFetcher(world.resolver, world.https_client)
-        sender_config = SenderPolicyConfig(
-            validate_mta_sts=profile.validates_mta_sts,
-            validate_dane=profile.validates_dane,
-            prefer_mta_sts_over_dane=profile.prefers_sts_over_dane,
-            require_pkix_always=profile.require_pkix)
-        dane = DaneValidator(world.resolver, world.dnssec)
         self.collector: Optional[ReportCollector] = None
         if config.tlsrpt:
             self.collector = ReportCollector(
                 self.identity, f"tlsrpt@{self.identity}", world.clock)
-        self.sender = MtaStsSender(
-            self.identity, world.network, world.resolver,
-            world.trust_store, world.clock, fetcher,
-            config=sender_config, dane=dane, reporter=self.collector,
-            record_events=False)
-        self.sender._mta.opportunistic_tls = profile.uses_tls
+        self.sender = make_sender(profile, world, fetcher,
+                                  reporter=self.collector,
+                                  record_events=False)
         self.refresh = RefreshDaemon(self.sender.cache, fetcher,
                                      world.clock)
         self.queue = MailQueue(self.sender, world.clock,

@@ -10,20 +10,21 @@ two ways:
     (sorted) order — the campaign's path, serial backend only;
 
 :meth:`ScanExecutor.scan_population`
-    builds the month from a
-    :class:`~repro.ecosystem.population.PopulationConfig`, cuts the
-    adopted domains into
+    cuts the adopted domains of one month of a
+    :class:`~repro.ecosystem.population.PopulationConfig` into
     :data:`~repro.ecosystem.population.SCAN_SHARDS` canonical-order
-    *slices*, and scans every slice with empty resolver, SMTP-probe and
-    PKIX caches.  The ``serial`` backend builds one world and scans the
-    slices in order.  The ``process`` backend starts ``min(jobs,
-    slices)`` spawn workers; each materialises only its contiguous
-    block of slices (see
+    *slices* and hands contiguous blocks of them to one routine,
+    :func:`_scan_block`.  The routine materialises only its block (see
     :meth:`~repro.ecosystem.timeline.EcosystemTimeline.materialize`'s
-    ``shard`` argument), scans the same slices, and streams each one
-    back as the on-disk shard JSONL
-    (:func:`~repro.measurement.store_io.month_shard_text`) for the
-    parent to digest-verify, parse, and merge in slice order.
+    ``shard`` argument), installs the seeded fault plan, scans every
+    slice with empty resolver, SMTP-probe and PKIX caches, and returns
+    each slice as the on-disk shard JSONL
+    (:func:`~repro.measurement.store_io.month_shard_text`) with its
+    digest and counters.  The ``serial`` backend runs the routine in
+    this process as block 0 of 1; the ``process`` backend runs
+    ``min(jobs, slices)`` blocks in spawn workers.  One merge
+    digest-verifies, parses and merges the slices in slice order,
+    whichever backend scanned them.
 
 A slice's snapshots and work are functions of the slice and the world
 alone — no cache carries over from another slice — so every
@@ -32,7 +33,8 @@ whichever process scanned which slice.  Both backends therefore
 produce byte-identical
 :class:`~repro.measurement.snapshots.SnapshotStore` contents (the
 determinism tests assert this through ``canonical_bytes()``), the same
-counters and the same merged trace, by construction.  Within a slice
+counters and the same merged trace, by construction: they run one
+routine over one slice plan.  Within a slice
 the memo caches (SMTP probe results keyed by MX hostname, PKIX verdicts
 keyed by certificate fingerprint) compute each entry once.  Neither
 backend starts a thread: the process parent drains worker heartbeats
@@ -53,7 +55,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from queue import Empty
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.clock import Instant
 from repro.ecosystem.population import (
@@ -247,11 +249,19 @@ class ScanExecutor:
                 "ScanExecutor.scan_population()")
         store = store if store is not None else SnapshotStore()
         instant = instant if instant is not None else world.now()
-        scans, elapsed = self._scan_slices(
-            world, [canonical_names(domains)], month_index, instant, store,
-            flush_resolver=False)
-        return store, self._merge(scans, instant, jobs=1,
-                                  scan_seconds=elapsed)
+        names = canonical_names(domains)
+        tracker = self._new_tracker(len(names), 1, month_index, instant)
+        started = time.perf_counter()
+        try:
+            scanned = _scan_slice(
+                world, names, month_index, instant, store,
+                flush_resolver=False, trace=self.trace_enabled,
+                profile=self.profile_enabled, progress=tracker)
+        finally:
+            if tracker is not None:
+                tracker.finish()
+        return store, self._merge([scanned], instant, jobs=1,
+                                  scan_seconds=time.perf_counter() - started)
 
     def scan_population(self, population: PopulationConfig,
                         month_index: Optional[int] = None, *,
@@ -263,119 +273,73 @@ class ScanExecutor:
         The population-level entry point, supported by every backend
         and the only one the process backend offers (its workers build
         their own worlds, so there is no pre-built world to hand it).
+        Each block of slices goes to :func:`_scan_block`: the serial
+        backend runs one block of every slice in this process, the
+        process backend ``min(jobs, slices)`` blocks in spawn workers.
         ``month_index`` defaults to the final scan month; with
-        ``fault_seed`` a seeded
-        :class:`~repro.netsim.network.FaultPlan` is installed after the
-        world is built (faults perturb scans, never deployments) — in
-        the process backend each worker installs the identical plan, so
-        fault decisions agree across workers by construction.
+        ``fault_seed`` every block installs the same seeded
+        :class:`~repro.netsim.network.FaultPlan` after its world is
+        built (faults perturb scans, never deployments), so fault
+        decisions agree across blocks by construction.
+
+        The merge digest-verifies every slice, checks the blocks agree
+        on build churn, and merges stores, counters, tracers and
+        profilers in slice order.  Both timings are the slowest
+        block's, measured inside the block: the build, then the scan of
+        its slices after the build.
         """
         timeline = EcosystemTimeline(TimelineConfig(population))
         if month_index is None:
             month_index = len(timeline.scan_instants) - 1
-        if self.backend == "process":
-            return self._scan_process(timeline, month_index,
-                                      fault_seed=fault_seed,
-                                      fault_rate=fault_rate)
-        build_started = time.perf_counter()
-        materialized = timeline.materialize(month_index)
-        build_seconds = time.perf_counter() - build_started
-        world = materialized.world
-        if fault_seed is not None:
-            world.network.install_fault_plan(
-                FaultPlan.seeded(seed=fault_seed, rate=fault_rate))
-        store = SnapshotStore()
-        scans, elapsed = self._scan_slices(
-            world, partition_names(materialized.deployed, SCAN_SHARDS),
-            month_index, materialized.instant, store, flush_resolver=True)
-        stats = self._merge(scans, materialized.instant, jobs=1,
-                            scan_seconds=elapsed,
-                            world_build_seconds=build_seconds)
-        return PopulationScanResult(
-            store=store, stats=stats, instant=materialized.instant,
-            month_index=month_index, build_stats=materialized.build_stats)
-
-    def _scan_slices(self, world: World, slices: List[List[str]],
-                     month_index: int, instant: Instant,
-                     store: SnapshotStore, *, flush_resolver: bool
-                     ) -> Tuple[List[_SliceScan], float]:
-        """Scan *slices* in order into *store*, reporting progress."""
-        tracker = self._new_tracker(sum(map(len, slices)), len(slices),
-                                    month_index, instant)
-        scans: List[_SliceScan] = []
-        started = time.perf_counter()
-        try:
-            for names in slices:
-                scans.append(_scan_slice(
-                    world, names, month_index, instant, store,
-                    flush_resolver=flush_resolver,
-                    trace=self.trace_enabled,
-                    profile=self.profile_enabled,
-                    on_domain=tracker.domain_done if tracker else None))
-                if tracker is not None:
-                    tracker.shard_done()
-        finally:
-            if tracker is not None:
-                tracker.finish()
-        return scans, time.perf_counter() - started
-
-    def _scan_process(self, timeline: EcosystemTimeline, month_index: int,
-                      *, fault_seed: Optional[int],
-                      fault_rate: float) -> PopulationScanResult:
-        """Fan one month's slices out over spawn workers and merge the
-        streams.
-
-        Worker ``i`` of ``n`` materialises its contiguous block of
-        slices, scans each slice cold, and returns every slice's shard
-        JSONL (the on-disk interchange format) with its counters.  The
-        parent digest-verifies every slice, checks the workers agree on
-        build churn, and merges stores, counters, tracers and profilers
-        in slice order.
-        """
         instant = scan_instant(month_index)
         week = timeline.week_of(instant)
         slices = partition_names(
             [plan.name for plan in timeline.all_plans()
              if plan.adopted_by_week(week)], SCAN_SHARDS)
-        workers = min(self.jobs, len(slices))
-        tracker = self._new_tracker(sum(map(len, slices)), len(slices),
-                                    month_index, instant)
-
-        population_data = population_to_dict(timeline.config.population)
+        blocks = min(self.jobs, len(slices))
+        population_data = population_to_dict(population)
         payloads = [{
             "population": population_data,
             "month_index": month_index,
-            "shard": (index, workers),
-            "slices": slices[contiguous_block(len(slices), index, workers)],
+            "shard": (index, blocks),
+            "slices": slices[contiguous_block(len(slices), index, blocks)],
             "fault_seed": fault_seed,
             "fault_rate": fault_rate,
             "trace": self.trace_enabled,
             "profile": self.profile_enabled,
-        } for index in range(workers)]
+        } for index in range(blocks)]
 
-        context = multiprocessing.get_context("spawn")
-        manager = queue = None
-        if tracker is not None:
-            # A plain mp.Queue cannot ride through ProcessPoolExecutor
-            # initargs; a Manager proxy queue can.
-            manager = context.Manager()
-            queue = manager.Queue()
+        tracker = self._new_tracker(sum(map(len, slices)), len(slices),
+                                    month_index, instant)
+        manager = None
         try:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context,
-                                     initializer=_worker_init,
-                                     initargs=(queue,)) as pool:
-                futures = [pool.submit(_process_scan_worker, payload)
-                           for payload in payloads]
+            if self.backend == "serial":
+                results = [_scan_block(payloads[0], tracker)]
+            else:
+                context = multiprocessing.get_context("spawn")
+                queue = None
                 if tracker is not None:
-                    # A worker's ``put`` is a synchronous round trip to
-                    # the manager, so the drain after the last future
-                    # completes sees every batch.
-                    pending = futures
-                    while pending:
-                        pending = wait(pending, timeout=0.1).not_done
-                        _drain_progress(queue, tracker)
-                results = [future.result() for future in futures]
+                    # A Manager proxy queue, not a pipe-backed one: a
+                    # pipe's ``put`` blocks once it fills, and the parent
+                    # stops draining when a progress callback raises, so
+                    # workers could hang the pool's shutdown.
+                    manager = context.Manager()
+                    queue = manager.Queue()
+                with ProcessPoolExecutor(max_workers=blocks,
+                                         mp_context=context,
+                                         initializer=_worker_init,
+                                         initargs=(queue,)) as pool:
+                    futures = [pool.submit(_process_scan_worker, payload)
+                               for payload in payloads]
+                    if tracker is not None:
+                        # A worker's ``put`` is a synchronous round trip
+                        # to the manager, so the drain after the last
+                        # future completes sees every batch.
+                        pending = futures
+                        while pending:
+                            pending = wait(pending, timeout=0.1).not_done
+                            _drain_progress(queue, tracker)
+                    results = [future.result() for future in futures]
         finally:
             if manager is not None:
                 manager.shutdown()
@@ -388,8 +352,8 @@ class ScanExecutor:
             for text, digest, scanned in result["slices"]:
                 if shard_digest(text) != digest:
                     raise RuntimeError(
-                        f"process scan: slice {len(scans)} JSONL digest "
-                        f"mismatch (corrupted in transit)")
+                        f"population scan: slice {len(scans)} JSONL "
+                        f"digest mismatch (corrupted in transit)")
                 store.merge(SnapshotStore.from_rows(
                     json.loads(line) for line in text.splitlines()))
                 scans.append(scanned)
@@ -397,19 +361,19 @@ class ScanExecutor:
         for result in results[1:]:
             if result["build_stats"] != build_stats:
                 raise RuntimeError(
-                    "process scan: workers disagree on build churn "
+                    "population scan: blocks disagree on build churn "
                     f"({build_stats} vs {result['build_stats']}); "
                     "shard materialisation is nondeterministic")
-        # Both timings are the slowest worker's, measured inside the
-        # worker: the build, then the scan of its slices after the build.
         stats = self._merge(
-            scans, instant, jobs=workers,
+            scans, instant, jobs=blocks,
             scan_seconds=max(r["scan_seconds"] for r in results),
             world_build_seconds=max(r["build_seconds"] for r in results))
         return PopulationScanResult(
             store=store, stats=stats, instant=instant,
             month_index=month_index, build_stats=dict(build_stats),
-            worker_peak_rss_kib=[r["peak_rss_kib"] for r in results])
+            worker_peak_rss_kib=(
+                [r["peak_rss_kib"] for r in results]
+                if self.backend == "process" else []))
 
     def _merge(self, scans: List[_SliceScan], instant: Instant, *,
                jobs: int, scan_seconds: float,
@@ -486,7 +450,7 @@ def _world_counters(world: World) -> Dict[str, int]:
 def _scan_slice(world: World, domains: List[str], month_index: int,
                 instant: Instant, store: SnapshotStore, *,
                 flush_resolver: bool, trace: bool, profile: bool,
-                on_domain: Optional[Callable[[str], None]] = None
+                progress: "ProgressTracker | _QueueProgress | None"
                 ) -> _SliceScan:
     """Scan *domains* into *store* in one pass: the routine under every
     scan, in both backends.
@@ -494,6 +458,7 @@ def _scan_slice(world: World, domains: List[str], month_index: int,
     The pass starts with empty SMTP-probe and PKIX caches, and with
     *flush_resolver* (every population-scan slice) an empty resolver
     cache too, so its work depends on nothing scanned before it.
+    *progress* is told of every domain and of the finished slice.
     """
     if flush_resolver:
         world.resolver.flush_cache()
@@ -506,8 +471,9 @@ def _scan_slice(world: World, domains: List[str], month_index: int,
                       profiler=StageProfiler() if profile else None)
     before = _world_counters(world)
     try:
-        scanner.scan_all(domains, month_index, store, instant,
-                         on_domain=on_domain)
+        scanner.scan_all(
+            domains, month_index, store, instant,
+            on_domain=progress.domain_done if progress is not None else None)
     finally:
         probe.flush_cache()
         probe.cache_enabled = probe_was_cached
@@ -525,7 +491,71 @@ def _scan_slice(world: World, domains: List[str], month_index: int,
             if counters[name]:
                 metrics.count(key, counters[name])
     del counters["connects"]        # no ScanStats field
+    if progress is not None:
+        progress.shard_done()
     return _SliceScan(counters, scanner.tracer, scanner.profiler)
+
+
+def _scan_block(payload: dict,
+                progress: "ProgressTracker | _QueueProgress | None"
+                ) -> dict:
+    """Build one block's world, scan the block's slices, and return each
+    slice as shard text, digest and counters: the one routine behind
+    :meth:`ScanExecutor.scan_population`, on both backends.
+
+    The routine rebuilds the timeline from the population config
+    (cheap relative to deployment), materialises **only its block** of
+    slices — every adopted plan is still deployed and immediately
+    undeployed when out-of-block, so allocation and issuance order
+    match a whole-month build — installs the payload's seeded fault
+    plan, and scans each slice cold.  Nothing a pass leaves behind
+    reaches the next slice, so a pool process that runs a second
+    payload returns the same result as a fresh one.
+    """
+    month_index = payload["month_index"]
+    build_started = time.perf_counter()
+    timeline = timeline_from_population(payload["population"])
+    materialized = timeline.materialize(month_index, shard=payload["shard"])
+    build_seconds = time.perf_counter() - build_started
+    slices = payload["slices"]
+    if sorted(materialized.deployed) != [name for names in slices
+                                         for name in names]:
+        raise RuntimeError(
+            f"population scan: block {payload['shard']} built other "
+            f"domains than its slices")
+
+    world = materialized.world
+    if payload["fault_seed"] is not None:
+        world.network.install_fault_plan(FaultPlan.seeded(
+            seed=payload["fault_seed"], rate=payload["fault_rate"]))
+
+    scanned = []
+    scan_started = time.perf_counter()
+    for names in slices:
+        store = SnapshotStore()
+        scan = _scan_slice(
+            world, names, month_index, materialized.instant, store,
+            flush_resolver=True, trace=payload["trace"],
+            profile=payload["profile"], progress=progress)
+        text = month_shard_text(store, month_index)
+        scanned.append((text, shard_digest(text), scan))
+
+    return {
+        "slices": scanned,
+        "build_stats": materialized.build_stats,
+        "build_seconds": build_seconds,
+        "scan_seconds": time.perf_counter() - scan_started,
+        "peak_rss_kib": _peak_rss_kib(),
+    }
+
+
+def _peak_rss_kib() -> int:
+    """This process's peak RSS in KiB (0 where unsupported)."""
+    try:
+        import resource
+    except ImportError:  # non-POSIX platform
+        return 0
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +581,30 @@ def _worker_init(progress_queue: Any) -> None:
     _PROGRESS_QUEUE = progress_queue
 
 
+class _QueueProgress:
+    """A worker's progress sink: the tracker calls of a slice scan,
+    shipped to the parent over the progress queue, domains in batches
+    of :data:`_PROGRESS_BATCH`."""
+
+    def __init__(self, queue: Any):
+        self._queue = queue
+        self._pending = 0
+
+    def domain_done(self, domain: str) -> None:
+        self._pending += 1
+        if self._pending >= _PROGRESS_BATCH:
+            self._flush()
+
+    def shard_done(self) -> None:
+        self._flush()
+        self._queue.put(("shard", 1))
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._queue.put(("domains", self._pending))
+            self._pending = 0
+
+
 def _drain_progress(queue: Any, tracker: ProgressTracker) -> None:
     """Feed every queued worker heartbeat into the tracker, without
     blocking."""
@@ -565,77 +619,9 @@ def _drain_progress(queue: Any, tracker: ProgressTracker) -> None:
             tracker.shard_done()
 
 
-def _peak_rss_kib() -> int:
-    """This process's peak RSS in KiB (0 where unsupported)."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX platform
-        return 0
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
 def _process_scan_worker(payload: dict) -> dict:
-    """One worker: build its block's world, scan the block's slices,
-    stream each back.
-
-    The worker rebuilds the timeline from the population config (cheap
-    relative to deployment), materialises **only its block** of slices
-    — every adopted plan is still deployed and immediately undeployed
-    when out-of-block, so allocation and issuance order match a serial
-    build — installs the same seeded fault plan the serial scan would,
-    and scans each slice with empty caches, exactly as the serial
-    backend does.  Nothing a pass leaves behind reaches the next slice,
-    so a pool process that runs a second payload returns the same
-    result as a fresh one.
-    """
-    month_index = payload["month_index"]
-    build_started = time.perf_counter()
-    timeline = timeline_from_population(payload["population"])
-    materialized = timeline.materialize(month_index, shard=payload["shard"])
-    build_seconds = time.perf_counter() - build_started
-    slices = payload["slices"]
-    if sorted(materialized.deployed) != [name for names in slices
-                                         for name in names]:
-        raise RuntimeError(
-            f"process scan: worker {payload['shard']} built other "
-            f"domains than its slices")
-
-    world = materialized.world
-    if payload["fault_seed"] is not None:
-        world.network.install_fault_plan(FaultPlan.seeded(
-            seed=payload["fault_seed"], rate=payload["fault_rate"]))
-
+    """One pool worker: :func:`_scan_block` with its heartbeats sent
+    over the progress queue."""
     queue = _PROGRESS_QUEUE
-    pending = 0
-
-    def on_domain(domain: str) -> None:
-        nonlocal pending
-        pending += 1
-        if pending >= _PROGRESS_BATCH:
-            queue.put(("domains", pending))
-            pending = 0
-
-    scanned = []
-    scan_started = time.perf_counter()
-    for names in slices:
-        store = SnapshotStore()
-        scan = _scan_slice(
-            world, names, month_index, materialized.instant, store,
-            flush_resolver=True, trace=payload["trace"],
-            profile=payload["profile"],
-            on_domain=on_domain if queue is not None else None)
-        text = month_shard_text(store, month_index)
-        scanned.append((text, shard_digest(text), scan))
-        if queue is not None:
-            if pending:
-                queue.put(("domains", pending))
-                pending = 0
-            queue.put(("shard", 1))
-
-    return {
-        "slices": scanned,
-        "build_stats": materialized.build_stats,
-        "build_seconds": build_seconds,
-        "scan_seconds": time.perf_counter() - scan_started,
-        "peak_rss_kib": _peak_rss_kib(),
-    }
+    return _scan_block(
+        payload, _QueueProgress(queue) if queue is not None else None)

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.ecosystem.world import World
 from repro.measurement.snapshots import DomainSnapshot
-from repro.smtp.delivery import DeliveryStatus, Message, SendingMta
+from repro.smtp.delivery import Message, SendingMta
 
 #: §4.7 anchors.
 BOUNCE_RATE_FLOOR = 5_000 / 20_144      # "more than 5,000 bounced"

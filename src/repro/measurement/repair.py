@@ -13,11 +13,10 @@ maps to a concrete, sufficient fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.matching import policy_covers_mx
-from repro.core.policy import Policy, PolicyMode, render_policy
+from repro.core.policy import Policy, render_policy
 from repro.dns.name import levenshtein
 from repro.dns.records import ARecord, RRType
 from repro.ecosystem.deployment import DeployedDomain

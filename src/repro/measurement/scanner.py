@@ -22,7 +22,7 @@ from repro import trace
 from repro.clock import Instant
 from repro.core.fetch import PolicyFetcher
 from repro.core.tlsrpt import lookup_tlsrpt
-from repro.dns.name import DnsName, canonical_host
+from repro.dns.name import canonical_host
 from repro.dns.records import RRType
 from repro.dns.resolver import Resolver
 from repro.ecosystem.world import World

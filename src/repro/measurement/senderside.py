@@ -21,8 +21,8 @@ simulated world:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.clock import Instant
 from repro.core.dane import DaneValidator
@@ -68,6 +68,27 @@ class SenderProfile:
     validates_mta_sts: bool = False
     validates_dane: bool = False
     prefers_sts_over_dane: bool = False
+
+
+def make_sender(profile: SenderProfile, world: World,
+                fetcher: PolicyFetcher, *, reporter=None,
+                record_events: bool = True) -> MtaStsSender:
+    """An :class:`MtaStsSender` in *world* that behaves as *profile*
+    says: which of MTA-STS and DANE it validates and which it prefers,
+    whether it always requires PKIX, and whether it uses TLS at all.
+    *reporter* and *record_events* go to the sender unchanged."""
+    sender = MtaStsSender(
+        profile.identity, world.network, world.resolver,
+        world.trust_store, world.clock, fetcher,
+        config=SenderPolicyConfig(
+            validate_mta_sts=profile.validates_mta_sts,
+            validate_dane=profile.validates_dane,
+            prefer_mta_sts_over_dane=profile.prefers_sts_over_dane,
+            require_pkix_always=profile.require_pkix),
+        dane=DaneValidator(world.resolver, world.dnssec),
+        reporter=reporter, record_events=record_events)
+    sender._mta.opportunistic_tls = profile.uses_tls
+    return sender
 
 
 def synthesize_sender_population(count: int = SENDER_COUNT,
@@ -276,22 +297,8 @@ class SenderSideTestbed:
 
     # -- running the campaign ----------------------------------------------------
 
-    def make_sender(self, profile: SenderProfile) -> MtaStsSender:
-        config = SenderPolicyConfig(
-            validate_mta_sts=profile.validates_mta_sts,
-            validate_dane=profile.validates_dane,
-            prefer_mta_sts_over_dane=profile.prefers_sts_over_dane,
-            require_pkix_always=profile.require_pkix)
-        dane = DaneValidator(self._world.resolver, self._world.dnssec)
-        sender = MtaStsSender(
-            profile.identity, self._world.network, self._world.resolver,
-            self._world.trust_store, self._world.clock, self._fetcher,
-            config=config, dane=dane)
-        sender._mta.opportunistic_tls = profile.uses_tls
-        return sender
-
     def run_probe(self, profile: SenderProfile) -> ProbeOutcome:
-        sender = self.make_sender(profile)
+        sender = make_sender(profile, self._world, self._fetcher)
         outcome = ProbeOutcome(sender=profile.identity)
 
         sts = sender.send(Message(f"test@{profile.identity}",

@@ -19,10 +19,11 @@ Architecture
   JSON verdict payload — a pure function of (world, domain, instant),
   which is what makes everything below deterministic.
 
-* **TTL verdict cache** — a :class:`~repro.core.cache.TtlCache` keyed
-  by :func:`~repro.dns.name.canonical_host`, sharing the policy
-  cache's RFC 8461-style expiry against the virtual clock (strict
-  ``now < stored + ttl``, stale entries evicted on read).  A verdict
+* **TTL verdict cache** — a :class:`VerdictCache` keyed by
+  :func:`~repro.dns.name.canonical_host`, sharing the policy cache's
+  RFC 8461-style expiry (:func:`~repro.core.cache.ttl_fresh`) against
+  the virtual clock (strict ``now < stored + ttl``, stale entries
+  evicted on read).  A verdict
   for a domain publishing a policy honours that policy's ``max_age``
   (clamped into ``[min_ttl_seconds, ttl_seconds]``); domains without a
   usable ``max_age`` cache for the configured default.
@@ -68,8 +69,8 @@ from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.clock import DAY, Duration, Instant
-from repro.core.cache import TtlCache
+from repro.clock import DAY, Clock, Duration, Instant
+from repro.core.cache import ttl_fresh
 from repro.dns.name import canonical_host
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import (
@@ -169,56 +170,71 @@ def verdict_ttl(snapshot: DomainSnapshot, *, ttl_seconds: int,
 class VerdictCache:
     """A TTL verdict cache keyed by canonical host.
 
-    Wraps :class:`~repro.core.cache.TtlCache` (the policy cache's
-    expiry/eviction semantics) with a compute-on-miss path.  A
-    computation that raises stores nothing, so a failure is never
-    cached and the next request for the key computes afresh.
+    The policy cache's expiry contract against the virtual clock:
+    strict :func:`~repro.core.cache.ttl_fresh` freshness, a stale entry
+    evicted (and counted in :attr:`eviction_count`) by the read that
+    finds it, and a non-counting :meth:`fresh` probe so freshness
+    checks never inflate :attr:`hit_count`.  A miss computes the
+    verdict and stores it; a computation that raises stores nothing,
+    so a failure is never cached and the next request for the key
+    computes afresh.
     """
 
-    def __init__(self, clock):
-        self._cache: TtlCache[str] = TtlCache(clock)
+    def __init__(self, clock: Clock):
+        self._clock = clock
+        #: canonical host -> (verdict payload, stored at, TTL seconds)
+        self._entries: Dict[str, Tuple[str, Instant, int]] = {}
         #: Verdict computations performed.
         self.computed_count = 0
+        self.hit_count = 0
+        self.eviction_count = 0
 
     def get_or_compute(self, domain: str,
                        compute: Callable[[str], Tuple[str, int]]) -> str:
         """The fresh verdict for *domain*, computing and storing it on
         a miss.  *compute* receives the canonical key and returns
-        ``(payload, ttl)``."""
+        ``(payload, ttl)``; a TTL under one second raises
+        :class:`ValueError`."""
         key = canonical_host(domain)
-        value = self._cache.get(key)
+        value = self._fresh_value(key)
         if value is not None:
+            self.hit_count += 1
             return value
         payload, ttl = compute(key)
-        self._cache.store(key, payload, ttl)
+        if ttl < 1:
+            raise ValueError("a verdict TTL must be >= 1 second")
+        self._entries[key] = (payload, self._clock.now(), ttl)
         self.computed_count += 1
         return payload
 
     def fresh(self, domain: str) -> bool:
         """Non-counting freshness probe (evicts stale entries)."""
-        return self._cache.fresh(canonical_host(domain))
+        return self._fresh_value(canonical_host(domain)) is not None
 
     def lookup(self, domain: str) -> Optional[str]:
         """A counted cache read without the compute path."""
-        return self._cache.get(canonical_host(domain))
+        value = self._fresh_value(canonical_host(domain))
+        if value is not None:
+            self.hit_count += 1
+        return value
 
     def evict(self, domain: str) -> None:
-        self._cache.evict(canonical_host(domain))
+        if self._entries.pop(canonical_host(domain), None) is not None:
+            self.eviction_count += 1
 
-    @property
-    def hit_count(self) -> int:
-        return self._cache.hit_count
-
-    @property
-    def store_count(self) -> int:
-        return self._cache.store_count
-
-    @property
-    def eviction_count(self) -> int:
-        return self._cache.eviction_count
+    def _fresh_value(self, key: str) -> Optional[str]:
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        value, stored_at, ttl_seconds = entry
+        if not ttl_fresh(stored_at, ttl_seconds, self._clock.now()):
+            del self._entries[key]
+            self.eviction_count += 1
+            return None
+        return value
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.clock import Instant
-from repro.errors import MisconfigCategory, PolicyFetchStage
 
 
 @dataclass

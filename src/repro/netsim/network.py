@@ -34,13 +34,11 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro import trace
-from repro.errors import (
-    ConnectionRefused, ConnectionReset, ConnectionTimeout, HostUnreachable,
-)
+from repro.errors import ConnectionRefused, ConnectionReset, ConnectionTimeout
 from repro.netsim.ip import IpAddress
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.clock import Clock
-from repro.dns.records import RRType
 from repro.dns.resolver import Resolver
 from repro.errors import DnsError, ReproError
 from repro.pki.ca import CertificateAuthority

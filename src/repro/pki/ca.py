@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.clock import DAY, Clock, Instant
+from repro.clock import DAY, Clock
 from repro.pki.certificate import Certificate, CertTemplate
 from repro.pki.keys import KeyPair
 

@@ -16,7 +16,7 @@ offline PKIX verdict so the measurement layer can build Figures 6/7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import trace
@@ -35,9 +35,7 @@ from repro.pki.certificate import Certificate
 from repro.pki.validation import (
     ValidationResult, classify_failure, validate_chain_cached,
 )
-from repro.smtp.server import (
-    SMTP_PORT, MxHost, speaks_smtp as _speaks_smtp,
-)
+from repro.smtp.server import SMTP_PORT, speaks_smtp as _speaks_smtp
 from repro.tls.handshake import handshake
 
 

@@ -10,7 +10,7 @@ that hide STARTTLS from unknown peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.dns.name import DnsName, canonical_host

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.survey.questionnaire import ACCOUNT_BUCKETS
 from repro.survey.synthesize import Respondent

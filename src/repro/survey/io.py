@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.survey.synthesize import Respondent
 

@@ -11,11 +11,8 @@ sampling — so the analysis stage reproduces §7.2 verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.survey.questionnaire import (
-    ACCOUNT_BUCKETS, Questionnaire, build_questionnaire,
-)
 
 TOTAL_INITIAL = 120
 TOTAL_ENGAGED = 117

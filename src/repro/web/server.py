@@ -11,7 +11,7 @@ HTTP redirects"), so the client treats 3xx as an HTTP error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.dns.name import canonical_host

@@ -4,7 +4,7 @@ The contract under test: a campaign killed after any committed month
 and resumed with ``resume=True`` produces *byte-identical* results to
 an uninterrupted run — the store's ``canonical_bytes``, the monitor's
 monthly metrics feed, and the health report — with and without seeded
-fault plans, under the incremental and the full-rebuild materialisers.
+fault plans.
 """
 
 import pytest
@@ -48,10 +48,10 @@ class _CrashingMonitor(CampaignMonitor):
             raise _Killed()
 
 
-def _run(timeline, *, incremental=True, faults=False, state_dir=None,
-         resume=False, monitor=None):
+def _run(timeline, *, faults=False, state_dir=None, resume=False,
+         monitor=None):
     return run_campaign(
-        timeline, MONTHS, incremental=incremental, executor=ScanExecutor(),
+        timeline, MONTHS, executor=ScanExecutor(),
         monitor=monitor, state_dir=state_dir, resume=resume,
         fault_plan_factory=_fault_factory if faults else None)
 
@@ -77,17 +77,6 @@ def test_kill_and_resume_is_byte_identical(tmp_path, faults):
     assert (resumed_monitor.health().render()
             == reference_monitor.health().render())
     assert resumed.summaries == reference.summaries
-
-
-def test_kill_and_resume_full_rebuild(tmp_path):
-    reference = _run(_timeline(), incremental=False)
-    with pytest.raises(_Killed):
-        _run(_timeline(), incremental=False, state_dir=str(tmp_path),
-             monitor=_CrashingMonitor(1))
-    resumed = _run(_timeline(), incremental=False, state_dir=str(tmp_path),
-                   resume=True)
-    assert (resumed.store.canonical_bytes()
-            == reference.store.canonical_bytes())
 
 
 class _ForbiddenExecutor(ScanExecutor):

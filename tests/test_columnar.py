@@ -62,8 +62,8 @@ def resumed(any_state):
     population = read_manifest(any_state)["population"]
     monitor = CampaignMonitor()
     analysis = run_campaign(timeline_from_population(population), MONTHS,
-                            incremental=False, monitor=monitor,
-                            state_dir=any_state, resume=True)
+                            monitor=monitor, state_dir=any_state,
+                            resume=True)
     return analysis, monitor
 
 
@@ -153,7 +153,7 @@ class TestUnscannedMonth:
         live = run_campaign(
             timeline_from_population(read_manifest(clean_state)[
                 "population"]),
-            MONTHS, incremental=False, state_dir=clean_state, resume=True)
+            MONTHS, state_dir=clean_state, resume=True)
         with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
             live.table2_census(5)
 

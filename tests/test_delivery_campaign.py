@@ -512,7 +512,7 @@ class StubFetcher:
                   if self.record_available else None)
         return SimpleNamespace(record=record)
 
-    def fetch_policy(self, domain, even_if_record_invalid=True):
+    def fetch_policy(self, domain):
         self.fetches += 1
         if self.fetch_ok:
             return SimpleNamespace(policy=self.policy, failed_stage=None)

@@ -170,15 +170,6 @@ class TestResolverCache:
         clock.advance(Duration(301))
         assert resolver.resolve("ghost.example.com", RRType.A)
 
-    def test_cache_disabled(self, setup):
-        network, clock, server, zone, _ = setup
-        resolver = Resolver(network, clock, cache_enabled=False)
-        resolver.delegate("example.com", [server.ip])
-        resolver.resolve("example.com", RRType.A)
-        resolver.resolve("example.com", RRType.A)
-        assert resolver.cache_hits == 0
-        assert resolver.query_count == 2
-
     def test_unreachable_server_then_timeout(self, setup):
         network, clock, server, zone, resolver = setup
         resolver.delegate("dead.org", [IpAddress.v4(10, 99, 99, 99)])

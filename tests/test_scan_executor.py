@@ -150,9 +150,11 @@ class TestIncrementalEquivalence:
         incremental = IncrementalMaterializer(EcosystemTimeline(config))
         incremental.materialize(0)
         first = incremental.materialize(1)
-        rebuilt = incremental.materialize(1, full_rebuild=True)
+        rebuilt = incremental.materialize(1)    # a repeated month
         assert rebuilt.world is not first.world
         assert sorted(rebuilt.deployed) == sorted(first.deployed)
+        assert first.build_stats["full_rebuild"] == 0
+        assert rebuilt.build_stats["full_rebuild"] == 1
 
     def test_backwards_month_forces_full_build(self):
         config = TimelineConfig(PopulationConfig(scale=0.004, seed=7))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clock import Clock, Duration, Instant
-from repro.core.cache import TtlCache, ttl_fresh
+from repro.core.cache import ttl_fresh
 from repro.measurement.serve import (
     QueryMixGenerator, ServeConfig, ServeStats, VerdictCache, run_serve,
     verdict_ttl,
@@ -33,70 +33,55 @@ def small_result():
 
 
 # ---------------------------------------------------------------------------
-# TtlCache semantics
+# The verdict cache's TTL semantics
 # ---------------------------------------------------------------------------
+
+def _store(cache, key, value, ttl):
+    cache.get_or_compute(key, lambda _key: (value, ttl))
+
 
 class TestTtlCache:
     @given(st.integers(min_value=1, max_value=10_000),
            st.integers(min_value=0, max_value=20_000))
     def test_ttl_boundary(self, ttl, elapsed):
         clock = make_clock()
-        cache = TtlCache(clock)
-        cache.store("key", "value", ttl)
+        cache = VerdictCache(clock)
+        _store(cache, "key", "value", ttl)
         clock.advance(Duration(elapsed))
         # RFC 8461 semantics shared with PolicyCache: last fresh at
         # ttl-1, expired at exactly ttl.
-        assert (cache.get("key") is not None) == (elapsed < ttl)
+        assert (cache.lookup("key") is not None) == (elapsed < ttl)
         assert ttl_fresh(Instant.parse("2024-01-01"), ttl,
                          clock.now()) == (elapsed < ttl)
 
     def test_fresh_probe_counts_no_hit_but_evicts(self):
         clock = make_clock()
-        cache = TtlCache(clock)
-        cache.store("key", "value", 100)
+        cache = VerdictCache(clock)
+        _store(cache, "key", "value", 100)
         for _ in range(5):
             assert cache.fresh("key") is True
         assert cache.hit_count == 0
-        assert cache.get("key") == "value"
+        assert cache.lookup("key") == "value"
         assert cache.hit_count == 1
         clock.advance(Duration(100))
         assert cache.fresh("key") is False
         assert cache.eviction_count == 1
         assert len(cache) == 0
 
-    def test_peek_skips_eviction_and_counting(self):
-        clock = make_clock()
-        cache = TtlCache(clock)
-        cache.store("key", "value", 10)
-        clock.advance(Duration(10))
-        assert cache.peek("key") == "value"    # stale but untouched
-        assert len(cache) == 1
-        assert cache.get("key") is None
-        assert len(cache) == 0
-
-    def test_explicit_evict_and_flush_count(self):
-        clock = make_clock()
-        cache = TtlCache(clock)
-        cache.store("a", 1, 10)
-        cache.store("b", 2, 10)
+    def test_explicit_evict_count(self):
+        cache = VerdictCache(make_clock())
+        _store(cache, "a", "1", 10)
+        _store(cache, "b", "2", 10)
         cache.evict("a")
         cache.evict("missing")
         assert cache.eviction_count == 1
-        cache.flush()
-        assert cache.eviction_count == 2
-        assert len(cache) == 0
+        assert len(cache) == 1
 
     def test_rejects_non_positive_ttl(self):
-        cache = TtlCache(make_clock())
+        cache = VerdictCache(make_clock())
         with pytest.raises(ValueError):
-            cache.store("key", "value", 0)
-
-    def test_expires_at(self):
-        clock = make_clock()
-        cache = TtlCache(clock)
-        cache.store("key", "value", 3600)
-        assert cache.expires_at("key") == clock.now() + Duration(3600)
-        assert cache.expires_at("missing") is None
+            _store(cache, "key", "value", 0)
+        assert len(cache) == 0 and cache.computed_count == 0
 
 
 # ---------------------------------------------------------------------------
