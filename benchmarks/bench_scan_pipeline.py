@@ -159,10 +159,6 @@ SERVE_HITRATE_FLOOR = 0.90
 #: durable store) to the retry layer — the recorded "overhead" drifted
 #: to 15.5% while the bracketed layer cost stayed under the bar.
 RETRY_LAYER_BRACKET = {
-    "full-serial": {
-        "pre_retry_seconds": 11.135,
-        "post_retry_seconds": 11.128,
-    },
     "incremental-serial": {
         "pre_retry_seconds": 6.852,
         "post_retry_seconds": 7.391,

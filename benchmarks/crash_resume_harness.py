@@ -52,7 +52,6 @@ from repro.measurement.delivery_campaign import (
 )
 from repro.measurement.executor import ScanExecutor
 from repro.measurement.store_io import DELIVERY_KIND, read_manifest
-from repro.netsim.network import FaultPlan
 from repro.obs.monitor import CampaignMonitor
 
 FAULT_SEEDS = [None, 4242]
@@ -89,12 +88,6 @@ def _timeline(args) -> EcosystemTimeline:
         PopulationConfig(scale=args.scale, seed=args.seed)))
 
 
-def _fault_factory(fault_seed):
-    if fault_seed is None:
-        return None
-    return lambda month: FaultPlan.seeded(seed=fault_seed + month, rate=0.2)
-
-
 class _SelfKillMonitor(CampaignMonitor):
     """SIGKILLs the process after ``after`` months committed — the
     monitor observes *after* the checkpoint, so the kill lands exactly
@@ -115,7 +108,7 @@ def _scan_child(args, fault_seed, state_dir: str) -> None:
                  executor=ScanExecutor(),
                  monitor=_SelfKillMonitor(args.kill_after),
                  state_dir=state_dir,
-                 fault_plan_factory=_fault_factory(fault_seed))
+                 fault_seed=fault_seed)
     # Reaching this line means the kill never fired.
     print("child: campaign finished without being killed", file=sys.stderr)
     sys.exit(1)
@@ -129,7 +122,7 @@ def _run_scan_config(args, fault_seed, keep_dir: str = None) -> bool:
     reference = run_campaign(
         _timeline(args), months, executor=ScanExecutor(),
         monitor=reference_monitor,
-        fault_plan_factory=_fault_factory(fault_seed))
+        fault_seed=fault_seed)
 
     state_dir = keep_dir or tempfile.mkdtemp(prefix="crash-resume-")
     try:
@@ -147,7 +140,7 @@ def _run_scan_config(args, fault_seed, keep_dir: str = None) -> bool:
         resumed = run_campaign(
             _timeline(args), months, executor=ScanExecutor(),
             monitor=resumed_monitor, state_dir=state_dir, resume=True,
-            fault_plan_factory=_fault_factory(fault_seed))
+            fault_seed=fault_seed)
         return _compare(label, [
             ("canonical_bytes", reference.store.canonical_bytes()
              == resumed.store.canonical_bytes()),

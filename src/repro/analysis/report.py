@@ -9,10 +9,6 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Sequence
 
 
-def format_percent(value: float, digits: int = 1) -> str:
-    return f"{value:.{digits}f}%"
-
-
 def render_table(rows: Sequence[Mapping], columns: Sequence[str],
                  *, title: str = "") -> str:
     """Render dict-rows as an aligned text table."""
@@ -52,54 +48,6 @@ def render_series(points: Iterable[tuple], *, title: str = "",
         bar = "#" * max(0, round(value * bar_scale))
         lines.append(f"{str(label):<{label_width}} {value:8.3f}  {bar}")
     return "\n".join(lines) + "\n"
-
-
-def render_trace_summary(report) -> str:
-    """Aggregate one :class:`~repro.trace.TraceReport` into text.
-
-    Three blocks: the scan verdict census (from each domain tree's
-    root ``verdict`` event), the metric counters, and the retry
-    backoff histogram over virtual time.
-    """
-    from collections import Counter
-
-    if not report.domain_spans and not report.resource_spans:
-        return ("scan trace summary\n"
-                "  no spans recorded (zero domains scanned)\n")
-
-    verdicts: Counter = Counter()
-    for span in report.domain_spans.values():
-        for entry in span.events:
-            if entry.get("event") == "verdict":
-                verdicts[entry.get("bucket", "unknown")] += 1
-    sections = [render_table(
-        [{"verdict": bucket, "domains": count}
-         for bucket, count in sorted(verdicts.items(),
-                                     key=lambda kv: (-kv[1], kv[0]))],
-        ("verdict", "domains"),
-        title=f"scan verdicts ({sum(verdicts.values())} domains, "
-              f"{len(report.resource_spans)} shared resources)")]
-
-    counters = report.metrics.counters
-    if counters:
-        sections.append(render_table(
-            [{"counter": name, "value": counters[name]}
-             for name in sorted(counters)],
-            ("counter", "value"), title="trace counters"))
-
-    backoff = report.metrics.histograms.get("retry.backoff")
-    if backoff is not None and backoff.observations:
-        points = []
-        for bound, count in zip(backoff.bounds, backoff.counts):
-            points.append((f"<= {bound}s", float(count)))
-        points.append((f"> {backoff.bounds[-1]}s",
-                       float(backoff.counts[-1])))
-        total_s = backoff.total_micros / 1_000_000
-        sections.append(render_series(
-            points,
-            title=f"retry backoff (virtual; {backoff.observations} "
-                  f"delays, {total_s:.2f}s total)"))
-    return "\n".join(sections)
 
 
 def render_profile(profile, width: int = 32) -> str:

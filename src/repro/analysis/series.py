@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
     from repro.obs.monitor import CampaignMonitor
 
 from repro.ecosystem.timeline import (
-    EcosystemTimeline, IncrementalMaterializer, population_to_dict,
-    timeline_from_population,
+    EcosystemTimeline, IncrementalMaterializer, population_from_dict,
+    population_to_dict, timeline_from_population,
 )
 from repro.errors import MisconfigCategory
 from repro.measurement.columnar import (
@@ -29,6 +29,7 @@ from repro.measurement.columnar import (
 )
 from repro.measurement.executor import ScanExecutor, ScanStats
 from repro.measurement.snapshots import SnapshotStore
+from repro.netsim.network import FaultPlan
 # Called through the module so that per-call wrappers (perfbench's
 # tracer) installed on ``store_io`` see the calls.
 from repro.measurement import store_io
@@ -205,7 +206,11 @@ def _committed_entries(state_dir: str, timeline: EcosystemTimeline,
             f"continue that campaign or point at a fresh directory")
     persisted = manifest.get("population")
     current = population_to_dict(timeline.config.population)
-    if persisted is not None and persisted != current:
+    # Through the config: state dirs written when the config held more
+    # fields still resume.
+    if (persisted is not None
+            and population_to_dict(population_from_dict(persisted))
+            != current):
         raise ValueError(
             f"state dir {state_dir!r} was written by a campaign with a "
             f"different population config ({persisted!r} != {current!r}); "
@@ -221,7 +226,8 @@ def run_campaign(timeline: EcosystemTimeline,
                  monitor: Optional["CampaignMonitor"] = None,
                  state_dir: Optional[str] = None,
                  resume: bool = False,
-                 fault_plan_factory: Optional[Callable[[int], object]] = None,
+                 fault_seed: Optional[int] = None,
+                 fault_rate: float = 0.2,
                  ) -> CampaignAnalysis:
     """Materialise and scan every requested month (default: all).
 
@@ -231,9 +237,8 @@ def run_campaign(timeline: EcosystemTimeline,
     the scan backend (default: a serial :class:`ScanExecutor`); per-month
     :class:`ScanStats` land in ``analysis.stats_by_month``.  *monitor*
     attaches a :class:`~repro.obs.monitor.CampaignMonitor`: every
-    finished month is snapshotted into its metrics feed (and, if the
-    monitor carries a ``jsonl_path``, appended to the on-disk feed as
-    the campaign runs).
+    finished month is snapshotted into its metrics feed, which the
+    caller writes out after the run (``write_jsonl``).
 
     ``state_dir`` turns on durable checkpointing: each completed month
     is committed atomically (shard + manifest, see
@@ -250,10 +255,12 @@ def run_campaign(timeline: EcosystemTimeline,
     :class:`~repro.errors.StoreCorruption` before any later month is
     scanned.
 
-    ``fault_plan_factory`` (month -> FaultPlan or None) installs a
-    fault plan on the materialised world for each month's *scan* only;
-    materialisation — which a resumed campaign replays — is never
-    faulted.
+    With ``fault_seed``, month *m* is scanned under
+    ``FaultPlan.seeded(seed=fault_seed + m, rate=fault_rate)`` (the
+    rule :func:`~repro.measurement.executor.scan_population` and the
+    delivery campaign follow too).  The plan covers the month's *scan*
+    only; materialisation — which a resumed campaign replays — is
+    never faulted.
     """
     if months is None:
         months = list(range(len(timeline.scan_instants)))
@@ -289,15 +296,15 @@ def run_campaign(timeline: EcosystemTimeline,
         built_at = time.perf_counter()
         materialized = materializer.materialize(month)
         build_seconds = time.perf_counter() - built_at
-        if fault_plan_factory is not None:
+        if fault_seed is not None:
             materialized.world.network.install_fault_plan(
-                fault_plan_factory(month))
+                FaultPlan.seeded(seed=fault_seed + month, rate=fault_rate))
         try:
             _, stats = executor.scan(
                 materialized.world, materialized.deployed.keys(), month,
                 store, materialized.instant)
         finally:
-            if fault_plan_factory is not None:
+            if fault_seed is not None:
                 # Plans must never fault world materialisation: the
                 # next month's build diffs this world.
                 materialized.world.network.install_fault_plan(None)

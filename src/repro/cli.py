@@ -353,18 +353,11 @@ def _cmd_campaign(args) -> int:
         progress = ProgressPrinter()
     executor = ScanExecutor(progress=progress)
     monitor = CampaignMonitor(_thresholds(args, CampaignMonitor))
-    fault_plan_factory = None
-    if args.fault_seed is not None:
-        from repro.netsim.network import FaultPlan
-
-        def fault_plan_factory(month, _seed=args.fault_seed,
-                               _rate=args.fault_rate):
-            return FaultPlan.seeded(seed=_seed + month, rate=_rate)
-
     try:
         analysis = run_campaign(timeline, executor=executor, monitor=monitor,
                                 state_dir=args.state_dir, resume=args.resume,
-                                fault_plan_factory=fault_plan_factory)
+                                fault_seed=args.fault_seed,
+                                fault_rate=args.fault_rate)
     except (StoreCorruption, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,9 +49,6 @@ class Instant:
     def date_string(self) -> str:
         return self.to_datetime().strftime("%Y-%m-%d")
 
-    def month_string(self) -> str:
-        return self.to_datetime().strftime("%Y-%m")
-
     def __add__(self, other: "Duration") -> "Instant":
         if not isinstance(other, Duration):
             return NotImplemented

@@ -22,7 +22,7 @@ from repro.core.lifecycle import (
     DeploymentPlan, RemovalPlan, plan_deployment, plan_removal,
     check_removal_sequence,
 )
-from repro.core.reporting import ReportCollector, ReportInbox, ResultType
+from repro.core.reporting import ReportCollector, ResultType
 from repro.core.refresh import RefreshDaemon
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "TlsRptRecord", "parse_tlsrpt_record",
     "DeploymentPlan", "RemovalPlan", "plan_deployment", "plan_removal",
     "check_removal_sequence",
-    "ReportCollector", "ReportInbox", "ResultType", "RefreshDaemon",
+    "ReportCollector", "ResultType", "RefreshDaemon",
 ]

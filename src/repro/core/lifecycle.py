@@ -23,6 +23,9 @@ from typing import List, Optional, Sequence
 from repro.clock import Duration
 from repro.core.policy import Policy, PolicyMode
 
+#: ``max_age`` of the mode-``none`` policy a graceful removal publishes.
+NONE_MAX_AGE = 86_400
+
 
 class StepKind(enum.Enum):
     PUBLISH_RECORD = "publish-record"          # create/replace _mta-sts TXT
@@ -71,8 +74,7 @@ def plan_deployment(domain: str, policy: Policy) -> DeploymentPlan:
     return DeploymentPlan(domain, steps)
 
 
-def plan_removal(domain: str, previous_policy: Policy,
-                 *, none_max_age: int = 86_400) -> RemovalPlan:
+def plan_removal(domain: str, previous_policy: Policy) -> RemovalPlan:
     """RFC 8461's graceful removal (§2.6 of the paper).
 
     1. publish a new policy with mode ``none`` and a small max_age;
@@ -81,8 +83,8 @@ def plan_removal(domain: str, previous_policy: Policy,
     4. remove the record, the policy host, and the policy file.
     """
     none_policy = Policy(version="STSv1", mode=PolicyMode.NONE,
-                         max_age=none_max_age, mx_patterns=())
-    wait_seconds = max(previous_policy.max_age, none_max_age)
+                         max_age=NONE_MAX_AGE, mx_patterns=())
+    wait_seconds = max(previous_policy.max_age, NONE_MAX_AGE)
     steps = [
         LifecycleStep(StepKind.PUBLISH_POLICY, policy=none_policy,
                       note="step 1: mode=none policy with small max_age"),

@@ -41,10 +41,6 @@ class Policy:
     max_age: int
     mx_patterns: Tuple[str, ...]
 
-    def requires_delivery_refusal(self) -> bool:
-        """Whether validation failure must block delivery."""
-        return self.mode is PolicyMode.ENFORCE
-
 
 def render_policy(policy: Policy, *, line_ending: str = "\r\n") -> str:
     """Serialise a policy to RFC 8461 wire format (CRLF separated)."""

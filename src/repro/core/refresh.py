@@ -94,15 +94,3 @@ class RefreshDaemon:
         return RefreshResult(
             domain, "fetch-failed",
             str(fetch.failed_stage.value if fetch.failed_stage else ""))
-
-    def run_until(self, end: Instant,
-                  interval: Duration = Duration(86_400)) -> List[RefreshResult]:
-        """Run periodically until *end*, advancing the shared clock."""
-        results: List[RefreshResult] = []
-        while self._clock.now() < end:
-            step = min(interval, end - self._clock.now())
-            if step.seconds <= 0:
-                break
-            self._clock.advance(step)
-            results.extend(self.run_once())
-        return results

@@ -12,8 +12,6 @@ reproduction's compliant senders can be among them:
   model (JSON-renderable), re-exported here;
 * :class:`ReportCollector` — accumulates per-recipient-domain session
   results inside a sending MTA over a reporting window;
-* :class:`ReportInbox` — the receiving side, for tests and the
-  ecosystem's report-consuming domains;
 * :class:`ReportAggregator` — the operator-side ingestion point that
   collects received reports per policy domain (fed by the delivery
   campaign's mailbox sweep and the ``repro tlsrpt`` CLI).
@@ -37,7 +35,7 @@ from repro.dns.name import canonical_host
 
 __all__ = [
     "ResultType", "FailureDetail", "PolicySummary", "TlsRptReport",
-    "ReportCollector", "ReportInbox", "ReportAggregator",
+    "ReportCollector", "ReportAggregator",
     "result_type_for_fetch_stage", "result_type_for_tls_failure",
 ]
 
@@ -129,39 +127,15 @@ class ReportCollector:
 
 
 # ---------------------------------------------------------------------------
-# Receipt
-# ---------------------------------------------------------------------------
-
-class ReportInbox:
-    """A receiving endpoint that stores submitted reports.
-
-    Install as the HTTPS ``rua`` route handler and/or watch a mailbox
-    address; tests and the ecosystem's report-consuming domains read
-    :attr:`received`.
-    """
-
-    def __init__(self, domain: str):
-        self.domain = domain
-        self.received: List[TlsRptReport] = []
-
-    def submit(self, report_json: str) -> bool:
-        try:
-            self.received.append(TlsRptReport.from_json(report_json))
-        except (KeyError, ValueError, json.JSONDecodeError):
-            return False
-        return True
-
-
-# ---------------------------------------------------------------------------
 # Operator-side aggregation
 # ---------------------------------------------------------------------------
 
 class ReportAggregator:
     """Ingests received reports, indexed per recipient policy domain.
 
-    This is the operator side of the RFC 8460 loop: reports arrive via
-    any channel (mailbox sweep, HTTPS collector, a saved report dir)
-    and the aggregator gives downstream consumers —
+    This is the operator side of the RFC 8460 loop: reports arrive
+    from the mailbox sweep or a saved report dir, and the aggregator
+    gives downstream consumers —
     :class:`repro.obs.tlsrpt_monitor.TlsRptMonitor`, the verdict-driven
     repair planner — one indexed view of them.  Malformed submissions
     are counted, never raised.

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.dns.name import DnsName
-from repro.errors import DnssecBogus
 
 
 class ChainStatus(enum.Enum):
@@ -117,12 +116,3 @@ class DnssecAuthority:
                 and name.label_count() > 1):
             return ChainStatus.INSECURE
         return status
-
-    def require_secure(self, name: DnsName | str) -> None:
-        """Raise :class:`DnssecBogus` unless the chain is fully secure."""
-        status = self.validate(name)
-        if status is ChainStatus.BOGUS:
-            raise DnssecBogus(f"bogus DNSSEC chain for {name}")
-        if status is ChainStatus.INSECURE:
-            raise DnssecBogus(
-                f"no secure DNSSEC chain for {name}; DANE unusable")

@@ -133,9 +133,6 @@ class DnsName:
         n = len(other.labels)
         return len(self.labels) >= n and self.labels[-n:] == other.labels
 
-    def strictly_under(self, other: "DnsName") -> bool:
-        return self != other and self.is_subdomain_of(other)
-
 
 def _set_text(name: DnsName, text: str) -> None:
     object.__setattr__(name, "text", text)
@@ -193,18 +190,6 @@ def registrable_part(name: DnsName | str) -> str:
             return ""
     sld = effective_sld(name)
     return (sld or name).text
-
-
-def second_label(name: DnsName | str) -> str:
-    """The label left of the public suffix (``tutanota`` in
-    ``mta-sts.tutanota.com``) — the token the paper compares to infer
-    whether two outsourced services share a provider (Section 4.5.1)."""
-    if isinstance(name, str):
-        name = DnsName.parse(name)
-    sld = effective_sld(name)
-    if sld is None:
-        return name.labels[0]
-    return sld.labels[0]
 
 
 def levenshtein(a: str, b: str, *, cap: int | None = None) -> int:

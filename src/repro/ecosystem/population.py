@@ -142,6 +142,8 @@ ORG_ADOPTION_SPIKE = 461          # Jan 2 2024, one .org organisation
 
 #: Number of scan months (Nov 2023 .. Sep 2024 inclusive).
 SCAN_MONTHS = 11
+#: Weekly snapshots 2021-09 .. 2024-09 (the adoption curve's span).
+TOTAL_WEEKS = 160
 LUCIDGROW_MONTH = 2               # Jan 2024
 DMARC_SPIKE_MONTH = 7             # Jun 2024
 PORKBUN_MONTH = 9                 # Aug 2024
@@ -218,9 +220,6 @@ class PopulationConfig:
 
     scale: float = 0.05              # 1.0 = paper-scale (68k STS domains)
     seed: int = 20240929
-    total_weeks: int = 160          # 2021-09 .. 2024-09 weekly snapshots
-    scan_months: int = SCAN_MONTHS
-    include_events: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale < math.inf:
@@ -259,22 +258,22 @@ class _Sampler:
                 return mode
         return PolicyMode.TESTING
 
-    def onset_month(self, months: int) -> int:
+    def onset_month(self) -> int:
         """Sample a fault onset so cross-sections grow roughly linearly:
         ~60% of final faults existed at month 0, the rest appear
         uniformly over the window."""
         if self.rng.random() < 0.6:
             return 0
-        return self.rng.randrange(1, max(2, months))
+        return self.rng.randrange(1, SCAN_MONTHS)
 
-    def adoption_week(self, total_weeks: int) -> int:
+    def adoption_week(self) -> int:
         """Quadratic-growth adoption curve: a 3-4x rise over the window
         (Figure 2), so |adopters by week w| ~ a + (1-a) * (w/W)^2."""
         u = self.rng.random()
         a = INITIAL_ADOPTION_FRACTION
         if u < a:
             return 0
-        return int(total_weeks * (((u - a) / (1 - a)) ** 0.5))
+        return int(TOTAL_WEEKS * (((u - a) / (1 - a)) ** 0.5))
 
 
 def generate_population(config: PopulationConfig) -> Dict[str, TldPopulation]:
@@ -293,14 +292,13 @@ def generate_population(config: PopulationConfig) -> Dict[str, TldPopulation]:
         sts_count = config.scaled(anchors["sts_domains"])
         for _ in range(sts_count):
             serial += 1
-            plan = _make_plan(f"domain{serial:06d}.{tld}", tld, config,
-                              sampler, provider_quota)
+            plan = _make_plan(f"domain{serial:06d}.{tld}", tld, sampler,
+                              provider_quota)
             boutique_cycle = _assign_boutique(plan, boutique_cycle, rng)
             population.plans.append(plan)
         populations[tld] = population
 
-    if config.include_events:
-        serial = _add_event_cohorts(populations, config, sampler, serial)
+    serial = _add_event_cohorts(populations, config, sampler, serial)
 
     _assign_tlsrpt(populations, config, rng)
     return populations
@@ -372,12 +370,11 @@ def _pick_policy_provider(quota: Dict[str, int],
     return choice
 
 
-def _make_plan(name: str, tld: str, config: PopulationConfig,
-               sampler: _Sampler, provider_quota: Dict[str, int]
-               ) -> DomainPlan:
+def _make_plan(name: str, tld: str, sampler: _Sampler,
+               provider_quota: Dict[str, int]) -> DomainPlan:
     rng = sampler.rng
     plan = DomainPlan(name=name, tld=tld,
-                      adoption_week=sampler.adoption_week(config.total_weeks),
+                      adoption_week=sampler.adoption_week(),
                       mode=sampler.pick_mode())
 
     # --- managing entities --------------------------------------------
@@ -414,8 +411,7 @@ def _make_plan(name: str, tld: str, config: PopulationConfig,
         plan.policy_provider = None
 
     # --- fault schedule ---------------------------------------------------
-    months = config.scan_months
-    _sample_faults(plan, RECORD_RATES, sampler, months)
+    _sample_faults(plan, RECORD_RATES, sampler)
     if plan.boutique_policy_host == "policyfarm.mxascen.com":
         # The single-admin group is competently run; only per-customer
         # faults at self-managed rates, never host-wide ones.
@@ -423,15 +419,15 @@ def _make_plan(name: str, tld: str, config: PopulationConfig,
                               if f not in (Fault.POLICY_DNS_UNRESOLVABLE,
                                            Fault.POLICY_TCP_CLOSED,
                                            Fault.POLICY_TCP_TIMEOUT)},
-                       sampler, months, at_most_one_of=RETRIEVAL_BLOCKING)
+                       sampler, at_most_one_of=RETRIEVAL_BLOCKING)
     elif plan.boutique_policy_host is not None:
-        _sample_faults(plan, UNCLASSIFIED_POLICY_RATES, sampler, months,
+        _sample_faults(plan, UNCLASSIFIED_POLICY_RATES, sampler,
                        at_most_one_of=RETRIEVAL_BLOCKING)
     elif plan.policy_provider is None:
-        _sample_faults(plan, SELF_POLICY_RATES, sampler, months,
+        _sample_faults(plan, SELF_POLICY_RATES, sampler,
                        at_most_one_of=RETRIEVAL_BLOCKING)
     else:
-        _sample_faults(plan, THIRD_POLICY_RATES, sampler, months,
+        _sample_faults(plan, THIRD_POLICY_RATES, sampler,
                        at_most_one_of=RETRIEVAL_BLOCKING)
 
     if plan.email_provider is None:
@@ -439,7 +435,7 @@ def _make_plan(name: str, tld: str, config: PopulationConfig,
             if sampler.rng.random() < rate:
                 all_mx = sampler.rng.random() < ALL_INVALID_SHARE["self"]
                 plan.faults.append(ScheduledFault(
-                    fault, sampler.onset_month(months),
+                    fault, sampler.onset_month(),
                     mx_index=None if all_mx else 0))
                 break   # one certificate fault class per domain
     elif plan.email_provider not in ("Tutanota", "MxAscen"):
@@ -481,10 +477,10 @@ def _make_plan(name: str, tld: str, config: PopulationConfig,
                     # be matched against history.
                     first_scan = _first_scan_month(plan.adoption_week)
                     onset = sampler.rng.randrange(
-                        first_scan + 1, max(first_scan + 2, months))
+                        first_scan + 1, max(first_scan + 2, SCAN_MONTHS))
                     plan.mx_migration_month = onset
                 else:
-                    onset = sampler.onset_month(months)
+                    onset = sampler.onset_month()
                 plan.faults.append(ScheduledFault(fault, onset))
                 break   # inconsistency classes are mutually exclusive
 
@@ -492,7 +488,7 @@ def _make_plan(name: str, tld: str, config: PopulationConfig,
 
 
 def _sample_faults(plan: DomainPlan, rates: Dict[Fault, float],
-                   sampler: _Sampler, months: int,
+                   sampler: _Sampler,
                    at_most_one_of: frozenset = frozenset()) -> None:
     picked_blocking = False
     for fault, rate in rates.items():
@@ -502,7 +498,7 @@ def _sample_faults(plan: DomainPlan, rates: Dict[Fault, float],
             if picked_blocking:
                 continue
             picked_blocking = True
-        plan.faults.append(ScheduledFault(fault, sampler.onset_month(months)))
+        plan.faults.append(ScheduledFault(fault, sampler.onset_month()))
 
 
 def _assign_boutique(plan: DomainPlan, cycle: int,
@@ -522,12 +518,11 @@ def _add_event_cohorts(populations: Dict[str, TldPopulation],
                        serial: int) -> int:
     """The paper's discrete incidents, as dedicated cohorts."""
     rng = sampler.rng
-    months = config.scan_months
-    final_week = config.total_weeks - 1
+    final_week = TOTAL_WEEKS - 1
 
     # Porkbun LLC: newly registered domains (Aug 2024 onward) whose
     # self-managed policy hosts present invalid certificates.
-    porkbun_week = config.total_weeks - 8
+    porkbun_week = TOTAL_WEEKS - 8
     for _ in range(config.scaled(PORKBUN_COHORT)):
         serial += 1
         plan = DomainPlan(
@@ -592,7 +587,7 @@ def _assign_tlsrpt(populations: Dict[str, TldPopulation],
     the MTA-STS curve closely in absolute numbers; we synthesise their
     weekly counts as metadata.
     """
-    weeks = config.total_weeks
+    weeks = TOTAL_WEEKS
     for population in populations.values():
         for plan in population.plans:
             if rng.random() < TLSRPT_OF_STS_FINAL:

@@ -172,12 +172,6 @@ class PolicyHostProvider:
         self.hosted_policies[customer_domain] = text
         self.web_server.host_policy(customer_domain, text)
 
-    def update_policy(self, customer_domain: str, policy: Policy) -> None:
-        assert self.web_server is not None
-        text = render_policy(policy)
-        self.hosted_policies[customer_domain] = text
-        self.web_server.host_policy(customer_domain, text)
-
     def customer_opts_out(self, world: World, customer_domain: str) -> None:
         """Apply this provider's documented opt-out behaviour."""
         assert self.web_server is not None

@@ -37,7 +37,6 @@ class World:
     """A fully wired simulated internet."""
 
     def __init__(self, *, start: Instant = DEFAULT_START,
-                 tlds: tuple[str, ...] = DEFAULT_TLDS,
                  retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self.clock = Clock(start)
         self.retry_policy = retry_policy
@@ -62,7 +61,7 @@ class World:
         self.resolver = Resolver(self.network, self.clock,
                                  retry_policy=retry_policy)
         self.tld_servers: Dict[str, AuthoritativeServer] = {}
-        for tld in tlds:
+        for tld in DEFAULT_TLDS:
             server = AuthoritativeServer(
                 f"{tld}-registry", self.dns_ip_pool.allocate(), self.network)
             zone = Zone(apex=DnsName.parse(tld))

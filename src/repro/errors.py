@@ -63,10 +63,6 @@ class ConnectionReset(NetworkError):
         super().__init__(message or "connection reset")
 
 
-class HostUnreachable(NetworkError):
-    """The target IP is not allocated to any simulated host."""
-
-
 # ---------------------------------------------------------------------------
 # Persistence layer
 # ---------------------------------------------------------------------------
@@ -123,12 +119,6 @@ class CnameLoop(DnsError):
     rcode = "SERVFAIL"
 
 
-class DnssecBogus(DnsError):
-    """DNSSEC validation failed: the chain of trust is broken."""
-
-    rcode = "SERVFAIL"
-
-
 # ---------------------------------------------------------------------------
 # TLS / PKI layer
 # ---------------------------------------------------------------------------
@@ -159,14 +149,6 @@ class TlsFailure(enum.Enum):
     NOT_YET_VALID = "not-yet-valid"
     REVOKED = "revoked"
     HANDSHAKE_ALERT = "handshake-alert"      # generic fatal alert
-
-
-# ---------------------------------------------------------------------------
-# SMTP layer
-# ---------------------------------------------------------------------------
-
-class SmtpError(ReproError):
-    """Base class for SMTP conversation failures."""
 
 
 # ---------------------------------------------------------------------------

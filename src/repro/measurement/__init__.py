@@ -11,14 +11,10 @@ from repro.measurement.senderside import SenderSideTestbed, SenderProfile
 from repro.measurement.notify import DisclosureCampaign
 from repro.measurement.offline import OfflineAssessment, assess_zone
 from repro.measurement.repair import RepairAction, apply_repairs, plan_repairs
-from repro.measurement.zone_export import (
-    audit_zone_corpus, export_world_zones, reimport_zones,
-)
 
 __all__ = [
     "OfflineAssessment", "assess_zone",
     "RepairAction", "apply_repairs", "plan_repairs",
-    "audit_zone_corpus", "export_world_zones", "reimport_zones",
     "DomainSnapshot", "SnapshotStore", "Scanner",
     "EntityClassifier", "EntityVerdict",
     "categorize", "snapshot_summary",

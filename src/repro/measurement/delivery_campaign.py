@@ -61,12 +61,12 @@ certificate failures, plaintext downgrades, successes), the
 coordinator closes each collector's window at virtual-day boundaries
 (and once more when the message workload drains), and finished reports
 travel through the simulated world to each recipient's published
-``rua`` endpoints — ``mailto:`` through a second per-lane
+``mailto:`` ``rua`` endpoints through a second per-lane
 :class:`~repro.smtp.queue.MailQueue` over the lane's protocol-only
 transport (so report delivery itself faces the fault layer and
 retries; RFC 8460 §3 forbids gating report mail on the very policies
-being reported on), ``https:`` through injected
-:class:`~repro.core.reporting.ReportInbox` collectors.  After the
+being reported on); an ``https:`` endpoint has no receiver in the
+world and counts as ``tlsrpt.https_unreachable``.  After the
 campaign a mailbox sweep over the canonically sorted recipient world
 feeds a :class:`~repro.core.reporting.ReportAggregator` and a
 :class:`~repro.obs.tlsrpt_monitor.TlsRptMonitor`, whose received
@@ -352,7 +352,6 @@ class _SenderLane:
 
     def run_wave(self, selected: Sequence[int], now: Instant,
                  *, flush_reports: bool = False,
-                 https_inboxes: Optional[Dict[str, object]] = None,
                  ) -> Tuple[List[dict], Dict[str, int]]:
         """Refresh the cache, submit this wave's admissions, retry
         everything due (messages and reports), optionally close the
@@ -379,7 +378,7 @@ class _SenderLane:
 
         if self.report_queue is not None:
             if flush_reports:
-                self._flush_reports(https_inboxes or {})
+                self._flush_reports()
             self.report_queue.run_due()
             still_pending: List[QueueEntry] = []
             for entry in self.report_queue.entries:
@@ -440,7 +439,7 @@ class _SenderLane:
 
     # -- TLSRPT window flush -------------------------------------------
 
-    def _flush_reports(self, https_inboxes: Dict[str, object]) -> None:
+    def _flush_reports(self) -> None:
         """Close the collector's window and hand every finished report
         to the recipient's published ``rua`` endpoints."""
         assert self.collector is not None
@@ -461,11 +460,7 @@ class _SenderLane:
                         tag=report.report_id)
                     self._bump("tlsrpt.enqueued")
                 elif endpoint.startswith("https://"):
-                    inbox = https_inboxes.get(endpoint)
-                    if inbox is not None and inbox.submit(body):
-                        self._bump("tlsrpt.https_submitted")
-                    else:
-                        self._bump("tlsrpt.https_unreachable")
+                    self._bump("tlsrpt.https_unreachable")
                 else:
                     self._bump("tlsrpt.endpoint_unsupported")
 
@@ -633,17 +628,15 @@ def _commit_wave(state_dir: str, manifest: dict, wave: int, now: Instant,
 # The campaign driver
 # ---------------------------------------------------------------------------
 
-def _sweep_tlsrpt_reports(world, https_inboxes: Optional[Dict[str, object]],
-                          ) -> Tuple[List[TlsRptReport], int]:
+def _sweep_tlsrpt_reports(world) -> Tuple[List[TlsRptReport], int]:
     """Collect every TLSRPT report the world received.
 
     Walks every registered SMTP listener's mailbox (deterministic
     endpoint order; provider-shared MX hosts included, which per-domain
-    handles would miss) for ``tls-reports@`` mail plus any injected
-    HTTPS inboxes, parses the bodies (counting malformed ones), and
-    returns the reports in canonical (policy domain, reporter, report
-    id) order — the same byte-identity ordering whatever order the
-    report mail arrived in."""
+    handles would miss) for ``tls-reports@`` mail, parses the bodies
+    (counting malformed ones), and returns the reports in canonical
+    (policy domain, reporter, report id) order — the same byte-identity
+    ordering whatever order the report mail arrived in."""
     parsed: List[TlsRptReport] = []
     malformed = 0
     for listener in world.network.listeners():
@@ -656,9 +649,6 @@ def _sweep_tlsrpt_reports(world, https_inboxes: Optional[Dict[str, object]],
                 parsed.append(TlsRptReport.from_json(stored.body))
             except (KeyError, ValueError):
                 malformed += 1
-    for endpoint in sorted(https_inboxes or {}):
-        inbox = https_inboxes[endpoint]
-        parsed.extend(getattr(inbox, "received", ()))
     parsed.sort(key=lambda r: (r.policy_domain, r.organization_name,
                                r.report_id))
     return parsed, malformed
@@ -667,14 +657,11 @@ def _sweep_tlsrpt_reports(world, https_inboxes: Optional[Dict[str, object]],
 def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                           progress: Optional[Callable] = None,
                           thresholds: Optional[DeliveryThresholds] = None,
-                          metrics_jsonl_path: Optional[str] = None,
                           state_dir: Optional[str] = None,
                           resume: bool = False,
                           max_waves: Optional[int] = None,
                           tlsrpt_thresholds: Optional[
                               TlsRptThresholds] = None,
-                          tlsrpt_https_inboxes: Optional[
-                              Dict[str, object]] = None,
                           ) -> DeliveryResult:
     """Run (or resume) one delivery campaign to completion.
 
@@ -727,8 +714,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
                    key=lambda lane: lane.identity)
     world_build_seconds = time.perf_counter() - build_started
 
-    monitor = DeliveryMonitor(thresholds, backpressure=config.backpressure,
-                              jsonl_path=metrics_jsonl_path)
+    monitor = DeliveryMonitor(thresholds, backpressure=config.backpressure)
     ledger_parts: List[str] = []
     start_wave = 0
     finalized_before = 0
@@ -841,8 +827,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
         counters: Dict[str, int] = {}
         for index in sorted(running):
             lane_rows, lane_counters = lanes[index].run_wave(
-                selected.get(index, ()), now,
-                flush_reports=flush, https_inboxes=tlsrpt_https_inboxes)
+                selected.get(index, ()), now, flush_reports=flush)
             schedule.update(index)
             rows.extend(lane_rows)
             for key, value in lane_counters.items():
@@ -886,8 +871,7 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
     tlsrpt_aggregator: Optional[ReportAggregator] = None
     tlsrpt_monitor: Optional[TlsRptMonitor] = None
     if config.tlsrpt:
-        tlsrpt_reports, malformed = _sweep_tlsrpt_reports(
-            world, tlsrpt_https_inboxes)
+        tlsrpt_reports, malformed = _sweep_tlsrpt_reports(world)
         tlsrpt_aggregator = ReportAggregator()
         for report in tlsrpt_reports:
             tlsrpt_aggregator.add(report)

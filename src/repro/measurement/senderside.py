@@ -132,8 +132,7 @@ class DeliverabilityTest:
 
 
 def synthesize_test_log(profiles: List[SenderProfile],
-                        *, seed: int = 20230201,
-                        total_tests: int = TEST_COUNT
+                        *, seed: int = 20230201
                         ) -> List["DeliverabilityTest"]:
     """A test log with the §6.1 shape: every sender tests at least
     once, a long tail re-tests (3,806 tests over 2,394 senders), and
@@ -159,7 +158,7 @@ def synthesize_test_log(profiles: List[SenderProfile],
             profile.identity,
             Instant(start.epoch_seconds + rng.randrange(span)),
             pick_operator(profile)))
-    extra = max(0, total_tests - len(profiles))
+    extra = max(0, TEST_COUNT - len(profiles))
     for _ in range(extra):
         profile = rng.choice(profiles)
         log.append(DeliverabilityTest(

@@ -211,17 +211,6 @@ class VerdictCache:
         """Non-counting freshness probe (evicts stale entries)."""
         return self._fresh_value(canonical_host(domain)) is not None
 
-    def lookup(self, domain: str) -> Optional[str]:
-        """A counted cache read without the compute path."""
-        value = self._fresh_value(canonical_host(domain))
-        if value is not None:
-            self.hit_count += 1
-        return value
-
-    def evict(self, domain: str) -> None:
-        if self._entries.pop(canonical_host(domain), None) is not None:
-            self.eviction_count += 1
-
     def _fresh_value(self, key: str) -> Optional[str]:
         entry = self._entries.get(key)
         if entry is None:
@@ -514,7 +503,6 @@ class _WindowAccumulator:
 
 def run_serve(config: ServeConfig, *,
               thresholds: Optional[ServeThresholds] = None,
-              metrics_path: Optional[str] = None,
               progress: Optional[Callable[[int, int], None]] = None,
               ) -> ServeResult:
     """Replay the seeded query mix against the evolving world.
@@ -540,7 +528,7 @@ def run_serve(config: ServeConfig, *,
     service = _VerdictService(config)
     service.bind(Scanner(world), config.month_index)
     cache = VerdictCache(world.clock)
-    monitor = ServeMonitor(thresholds, jsonl_path=metrics_path)
+    monitor = ServeMonitor(thresholds)
     total_registry = MetricsRegistry()
 
     stats = ServeStats(

@@ -5,8 +5,8 @@ scan instant — exactly the fields the paper's pipeline stores: the raw
 TXT strings, MX/NS/A records, the policy host's CNAME and addresses,
 the staged policy-fetch outcome, the parsed policy, and the per-MX
 STARTTLS/certificate verdicts.  The :class:`SnapshotStore` indexes
-snapshots by month and by domain, which is all the longitudinal
-analyses (Figures 4-10) need.
+snapshots by month; the longitudinal analyses (Figures 4-10) read
+them as columns (:mod:`repro.measurement.columnar`).
 """
 
 from __future__ import annotations
@@ -169,17 +169,13 @@ class DomainSnapshot:
 class SnapshotStore:
     """All snapshots of one measurement campaign.
 
-    Snapshots are indexed by month *and* by domain as they arrive, so
-    :meth:`month` and :meth:`domain_history` — called per month by
-    every figure series — cost O(that month / that domain's history),
-    not O(whole store).
+    Snapshots are indexed by month as they arrive, so :meth:`month`
+    and :meth:`get` cost O(that month), not O(whole store).
     """
 
     def __init__(self):
         #: month_index -> {domain -> snapshot}
         self._by_month: Dict[int, Dict[str, DomainSnapshot]] = {}
-        #: domain -> {month_index -> snapshot}
-        self._by_domain: Dict[str, Dict[int, DomainSnapshot]] = {}
         self._count = 0
 
     def add(self, snapshot: DomainSnapshot) -> None:
@@ -187,8 +183,6 @@ class SnapshotStore:
         if snapshot.domain not in month:
             self._count += 1
         month[snapshot.domain] = snapshot
-        self._by_domain.setdefault(
-            snapshot.domain, {})[snapshot.month_index] = snapshot
 
     def merge(self, other: "SnapshotStore") -> None:
         """Fold *other*'s snapshots in, in canonical (month, domain)
@@ -219,10 +213,6 @@ class SnapshotStore:
 
     def get(self, month_index: int, domain: str) -> Optional[DomainSnapshot]:
         return self._by_month.get(month_index, {}).get(domain)
-
-    def domain_history(self, domain: str) -> List[DomainSnapshot]:
-        by_month = self._by_domain.get(domain, {})
-        return [by_month[month] for month in sorted(by_month)]
 
     def latest_month(self) -> int:
         if not self._by_month:

@@ -42,17 +42,6 @@ class IpAddress:
                 raise ValueError(f"invalid IPv4 address: {text!r}")
         return cls(text, family)
 
-    def same_slash24(self, other: "IpAddress") -> bool:
-        """True when both are IPv4 addresses in the same /24.
-
-        The paper's Heuristic 1 groups "identical or nearby IP
-        addresses" under a single administrator; a shared /24 is the
-        proxy for "nearby" used here.
-        """
-        if self.family != 4 or other.family != 4:
-            return False
-        return self.text.rsplit(".", 1)[0] == other.text.rsplit(".", 1)[0]
-
     def __str__(self) -> str:
         return self.text
 
@@ -80,6 +69,3 @@ class IpPool:
         c, d = divmod(index, 254)
         b_extra, c = divmod(c, 256)
         return IpAddress.v4(10, (self._base + b_extra) % 256, c, d + 1)
-
-    def allocate_block(self, count: int) -> list[IpAddress]:
-        return [self.allocate() for _ in range(count)]

@@ -20,7 +20,7 @@ metrics).  This package explains *campaigns*:
 """
 
 from repro.obs.exporters import (
-    append_jsonl_line, month_jsonl_line, parse_prometheus_exposition,
+    month_jsonl_line, parse_prometheus_exposition,
     prometheus_exposition, read_month_records, write_lines_atomic,
 )
 from repro.obs.monitor import (
@@ -33,7 +33,6 @@ from repro.obs.progress import ProgressEvent, ProgressPrinter, ProgressTracker
 __all__ = [
     "prometheus_exposition", "parse_prometheus_exposition",
     "month_jsonl_line", "read_month_records", "write_lines_atomic",
-    "append_jsonl_line",
     "FeedMonitor", "FeedRecord", "HealthFinding", "HealthReport",
     "CampaignMonitor", "Thresholds", "build_month_registry",
     "ProgressEvent", "ProgressTracker", "ProgressPrinter",

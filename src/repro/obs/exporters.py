@@ -26,7 +26,6 @@ from repro.trace import Histogram, MetricsRegistry
 __all__ = [
     "prometheus_exposition", "parse_prometheus_exposition",
     "month_jsonl_line", "read_month_records", "write_lines_atomic",
-    "append_jsonl_line",
 ]
 
 
@@ -196,12 +195,3 @@ def write_lines_atomic(path: str, lines: Iterable[str]) -> int:
         path, "\n".join(materialised) + "\n" if materialised else "")
     return len(materialised)
 
-
-def append_jsonl_line(path: str, line: str) -> None:
-    """Append one record to an append-only JSONL feed.
-
-    The line is written with a single ``write`` call so concurrent
-    readers of the feed never observe a torn record.
-    """
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")

@@ -11,8 +11,8 @@ their pipelines for exactly this reason.  The delivery engine, the
 One :class:`FeedMonitor` serves them all.  It holds
 :class:`FeedRecord` snapshots — an index, a date and a deterministic
 :class:`~repro.trace.MetricsRegistry` per scan month, delivery wave or
-metrics window — keeps their JSONL feed (live appends, atomic full
-writes, offline re-reads), and evaluates its subclass's rule table
+metrics window — keeps their JSONL feed (atomic full writes, offline
+re-reads), and evaluates its subclass's rule table
 into a :class:`HealthReport` of OK/WARN/ALERT findings.  A
 :class:`Rule` reads one :class:`Signal` (a counter, a counter ratio,
 or a histogram's p99) over one scope (the record, the cumulative
@@ -46,8 +46,7 @@ from typing import (
 
 from repro.measurement.taxonomy import PRIMARY_BUCKETS
 from repro.obs.exporters import (
-    append_jsonl_line, month_jsonl_line, read_month_records,
-    write_lines_atomic,
+    month_jsonl_line, read_month_records, write_lines_atomic,
 )
 from repro.trace import MetricsRegistry
 
@@ -266,11 +265,9 @@ class HealthReport:
 class FeedMonitor:
     """Collects feed records and evaluates the subclass's rule table.
 
-    ``jsonl_path`` turns on the live feed: every added record is
-    appended to that file as it arrives, so a crashed run still leaves
-    the records it finished.  :meth:`write_jsonl` writes the whole feed
-    atomically (temp file + ``os.replace``); :meth:`from_jsonl` reads
-    it back for offline re-evaluation.
+    :meth:`write_jsonl` writes the whole feed atomically (temp file +
+    ``os.replace``); :meth:`from_jsonl` reads it back for offline
+    re-evaluation.
     """
 
     #: set by each subclass: the report title, the unit of record, the
@@ -282,21 +279,15 @@ class FeedMonitor:
     threshold_class: type
     ok_detail: str
 
-    def __init__(self, thresholds=None, *,
-                 jsonl_path: Optional[str] = None):
+    def __init__(self, thresholds=None):
         self.thresholds = thresholds or self.threshold_class()
         self.records: List[FeedRecord] = []
-        self.jsonl_path = jsonl_path
 
     # -- capture ------------------------------------------------------
 
     def add_record(self, record: FeedRecord) -> FeedRecord:
         self.records.append(record)
         self.records.sort(key=lambda r: r.index)
-        if self.jsonl_path is not None:
-            append_jsonl_line(
-                self.jsonl_path,
-                month_jsonl_line(record.index, record.date, record.metrics))
         return record
 
     # -- (de)serialisation --------------------------------------------
@@ -633,9 +624,8 @@ class DeliveryMonitor(FeedMonitor):
     ok_detail = "{metrics[deliver.finalized]} finalized, all checks passed"
 
     def __init__(self, thresholds=None, *,
-                 backpressure: Optional[int] = None,
-                 jsonl_path: Optional[str] = None):
-        super().__init__(thresholds, jsonl_path=jsonl_path)
+                 backpressure: Optional[int] = None):
+        super().__init__(thresholds)
         self.backpressure = backpressure
 
     def observe_wave(self, wave_index: int, date: str,

@@ -95,8 +95,8 @@ class TlsRptMonitor(FeedMonitor):
     ok_detail = ("{metrics[tlsrpt.reports]} report(s), "
                  "{metrics[tlsrpt.sessions]} session(s), all checks passed")
 
-    def __init__(self, thresholds=None, *, jsonl_path=None):
-        super().__init__(thresholds, jsonl_path=jsonl_path)
+    def __init__(self, thresholds=None):
+        super().__init__(thresholds)
         self._verdict_tallies: Dict[Tuple[str, ResultType], int] = \
             defaultdict(int)
 

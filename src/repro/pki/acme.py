@@ -70,11 +70,3 @@ class AcmeService:
             raise AcmeChallengeError(
                 f"{name} resolves to {[a.text for a in addresses]}, "
                 f"none controlled by requester")
-
-    def can_renew(self, name: str, controlled_ips: set[str]) -> bool:
-        """Whether a renewal for *name* would pass validation now."""
-        try:
-            self._validate_control(name, controlled_ips)
-        except AcmeChallengeError:
-            return False
-        return True

@@ -9,6 +9,9 @@ from repro.clock import DAY, Clock
 from repro.pki.certificate import Certificate, CertTemplate
 from repro.pki.keys import KeyPair
 
+#: Validity of a CA's self-signed root.
+ROOT_LIFETIME_DAYS = 3650
+
 
 class TrustStore:
     """The set of root certificates a client trusts."""
@@ -53,7 +56,7 @@ class CertificateAuthority:
     depend on chain depth, only on trust, names, and validity.
     """
 
-    def __init__(self, name: str, clock: Clock, *, root_lifetime_days: int = 3650):
+    def __init__(self, name: str, clock: Clock):
         self.name = name
         self._clock = clock
         self.key = KeyPair(label=f"ca:{name}")
@@ -65,7 +68,7 @@ class CertificateAuthority:
             issuer_cn=name,
             issuer_key=self.key,
             not_before=now,
-            not_after=now + DAY * root_lifetime_days,
+            not_after=now + DAY * ROOT_LIFETIME_DAYS,
             is_ca=True,
         )
         self.root = replace(root, signature=self.key.sign(root.tbs_payload()))

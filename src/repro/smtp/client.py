@@ -22,7 +22,6 @@ from typing import Dict, Optional
 from repro import trace
 from repro.clock import Clock
 from repro.dns.name import DnsName, canonical_host
-from repro.dns.records import RRType
 from repro.dns.resolver import Resolver
 from repro.errors import DnsError, NetworkError, TlsError, TlsFailure
 from repro.netsim.ip import IpAddress
@@ -237,20 +236,3 @@ class SmtpProbe:
         trace.event("starttls", outcome="established",
                     verdict=result.failure_class())
         return result
-
-    def probe_domain(self, domain: str | DnsName) -> list[ProbeResult]:
-        """Probe every MX of *domain* (or its apex A record fallback)."""
-        if isinstance(domain, str):
-            domain = self._resolver.name(domain)
-        mx_answer = self._resolver.try_resolve(domain, RRType.MX)
-        hostnames: list[str] = []
-        if mx_answer is not None:
-            records = sorted(mx_answer.records,
-                             key=lambda r: (r.preference, r.exchange.text))  # type: ignore[attr-defined]
-            hostnames = [r.exchange.text for r in records]  # type: ignore[attr-defined]
-        else:
-            # Implicit MX: fall back to the apex A/AAAA record (§2.2.3).
-            apex = self._resolver.try_resolve(domain, RRType.A)
-            if apex is not None:
-                hostnames = [domain.text]
-        return [self.probe_host(h) for h in hostnames]

@@ -56,7 +56,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "Span", "Tracer", "MetricsRegistry", "Histogram", "TraceReport",
-    "current_tracer", "event", "child_span", "resource_span",
+    "current_tracer", "event", "child_span",
 ]
 
 #: Upper bucket bounds (virtual seconds) for the backoff histogram.
@@ -395,13 +395,6 @@ def child_span(name: str, target: str = ""):
     if tracer is None:
         return _NULL_SPAN_CONTEXT
     return tracer.child(name, target)
-
-
-def resource_span(key: str, name: str, target: str = ""):
-    tracer = current_tracer()
-    if tracer is None:
-        return _NULL_SPAN_CONTEXT
-    return tracer.resource(key, name, target)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,7 @@ class HttpsClient:
         self._clock = clock
         self._retry_policy = retry_policy
 
-    def fetch(self, host: str | DnsName, path: str,
-              *, validate_tls: bool = True) -> FetchOutcome:
+    def fetch(self, host: str | DnsName, path: str) -> FetchOutcome:
         host_text = canonical_host(host)
         outcome = FetchOutcome(url=f"https://{host_text}{path}")
 
@@ -129,8 +128,7 @@ class HttpsClient:
         try:
             session = handshake(
                 server.tls, host_text,
-                trust_store=self._trust_store if validate_tls else None,
-                now=self._clock.now() if validate_tls else None)
+                trust_store=self._trust_store, now=self._clock.now())
             outcome.certificate = session.certificate
         except TlsError as exc:
             outcome.failed_stage = PolicyFetchStage.TLS

@@ -71,12 +71,6 @@ class WebServer:
         host = f"mta-sts.{canonical_host(domain)}"
         self.remove_route(host, WELL_KNOWN_STS_PATH)
 
-    def hosted_policy_domains(self) -> list[str]:
-        return sorted(host[len("mta-sts."):]
-                      for (host, path) in self._routes
-                      if path == WELL_KNOWN_STS_PATH
-                      and host.startswith("mta-sts."))
-
     # -- request handling ----------------------------------------------------
 
     def handle(self, host: str, path: str) -> HttpResponse:

@@ -48,17 +48,13 @@ def _campaign_state(tmp_path_factory, name, *, faults=False):
     from repro.ecosystem.population import PopulationConfig
     from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
     from repro.measurement.executor import ScanExecutor
-    from repro.netsim.network import FaultPlan
-
-    def fault_factory(month):
-        return FaultPlan.seeded(seed=1000 + month, rate=0.2)
 
     state_dir = str(tmp_path_factory.mktemp(name) / "state")
     timeline = EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=0.004, seed=7)))
     run_campaign(timeline, CAMPAIGN_MONTHS, state_dir=state_dir,
                  executor=ScanExecutor(backend="serial", jobs=1),
-                 fault_plan_factory=fault_factory if faults else None)
+                 fault_seed=1000 if faults else None)
     return state_dir
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.report import (
-    format_percent, render_drift_table, render_series, render_table,
-    render_trace_summary,
+    render_drift_table, render_series, render_table,
 )
 from repro.analysis.series import run_campaign
 from repro.ecosystem.population import PopulationConfig
@@ -41,32 +40,6 @@ class TestRenderSeries:
     def test_title_prepended(self):
         text = render_series([("x", 1.0)], title="Series")
         assert text.splitlines()[0] == "Series"
-
-    def test_format_percent(self):
-        assert format_percent(12.345) == "12.3%"
-        assert format_percent(12.345, 2) == "12.35%"
-
-
-class TestRenderTraceSummary:
-    def test_empty_report_has_explicit_notice(self):
-        # Regression: summarising a trace with zero recorded spans used
-        # to produce a bare "(empty)" table with no explanation.
-        from repro.trace import TraceReport
-        text = render_trace_summary(TraceReport())
-        assert "no spans recorded" in text
-        assert "zero domains scanned" in text
-
-    def test_zero_domain_scan_end_to_end(self):
-        from repro.measurement.executor import ScanExecutor
-        timeline = EcosystemTimeline(
-            TimelineConfig(PopulationConfig(scale=0.002, seed=3)))
-        materialized = timeline.materialize(0)
-        executor = ScanExecutor(trace=True)
-        _, stats = executor.scan(materialized.world, [], 0,
-                                 instant=materialized.instant)
-        assert stats.domains_scanned == 0
-        assert "no spans recorded" in render_trace_summary(
-            executor.last_trace)
 
 
 class TestRenderDriftTable:

@@ -13,7 +13,6 @@ from repro.analysis.series import load_campaign, run_campaign
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.executor import ScanExecutor
-from repro.netsim.network import FaultPlan
 from repro.obs.monitor import CampaignMonitor
 from tests.test_analysis_golden import figure_dump
 
@@ -24,10 +23,6 @@ KILL_AFTER = 2     # months observed before the simulated crash
 def _timeline(scale=0.004, seed=7):
     return EcosystemTimeline(
         TimelineConfig(PopulationConfig(scale=scale, seed=seed)))
-
-
-def _fault_factory(month):
-    return FaultPlan.seeded(seed=1000 + month, rate=0.2)
 
 
 class _Killed(Exception):
@@ -53,7 +48,7 @@ def _run(timeline, *, faults=False, state_dir=None, resume=False,
     return run_campaign(
         timeline, MONTHS, executor=ScanExecutor(),
         monitor=monitor, state_dir=state_dir, resume=resume,
-        fault_plan_factory=_fault_factory if faults else None)
+        fault_seed=1000 if faults else None)
 
 
 @pytest.mark.parametrize("faults", [False, True],

@@ -33,9 +33,6 @@ class TestInstant:
     def test_subtract_duration(self):
         assert (Instant.parse("2024-01-02") - DAY).date_string() == "2024-01-01"
 
-    def test_month_string(self):
-        assert Instant.parse("2024-09-29").month_string() == "2024-09"
-
 
 class TestDuration:
     def test_of_composite(self):

@@ -53,11 +53,6 @@ class TestParseValid:
         text = VALID + "future_field: hello\r\n"
         assert parse_policy(text).mode is PolicyMode.ENFORCE
 
-    def test_requires_delivery_refusal(self):
-        assert parse_policy(VALID).requires_delivery_refusal()
-        testing = parse_policy(VALID.replace("enforce", "testing"))
-        assert not testing.requires_delivery_refusal()
-
     def test_render_round_trips(self):
         policy = parse_policy(VALID)
         assert parse_policy(render_policy(policy)) == policy

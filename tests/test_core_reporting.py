@@ -8,7 +8,7 @@ import json
 from repro.clock import DAY, Duration
 from repro.core.policy import Policy, PolicyMode
 from repro.core.reporting import (
-    FailureDetail, PolicySummary, ReportCollector, ReportInbox, ResultType,
+    FailureDetail, PolicySummary, ReportCollector, ResultType,
     TlsRptReport, result_type_for_fetch_stage, result_type_for_tls_failure,
 )
 from repro.core.sender import MtaStsSender
@@ -97,16 +97,6 @@ class TestCollector:
         collector.record_success("a.com")
         collector.close_window()
         assert collector.close_window() == []
-
-
-class TestSubmitter:
-    """Submitting a report body to a receiving :class:`ReportInbox`."""
-
-    def test_malformed_submission_rejected(self):
-        inbox = ReportInbox("x.com")
-        assert not inbox.submit("{not json")
-        assert not inbox.submit("{}")
-        assert inbox.received == []
 
 
 class TestSenderIntegration:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.name import (
-    DnsName, effective_sld, levenshtein, registrable_part, second_label,
+    DnsName, effective_sld, levenshtein, registrable_part,
 )
 
 
@@ -59,8 +59,6 @@ class TestArithmetic:
         sub = DnsName.parse("a.b.example.com")
         assert sub.is_subdomain_of(apex)
         assert apex.is_subdomain_of(apex)
-        assert sub.strictly_under(apex)
-        assert not apex.strictly_under(apex)
         assert not apex.is_subdomain_of(sub)
 
     def test_not_subdomain_of_partial_label(self):
@@ -90,12 +88,6 @@ class TestEffectiveSld:
     def test_registrable_part_falls_back(self):
         assert registrable_part("com") == "com"
         assert registrable_part("deep.sub.example.org") == "example.org"
-
-    def test_second_label(self):
-        # §4.5.1: 'tutanota' from both mail.tutanota.de and
-        # mta-sts.tutanota.com identifies the shared provider.
-        assert second_label("mail.tutanota.de") == "tutanota"
-        assert second_label("mta-sts.tutanota.com") == "tutanota"
 
 
 class TestLevenshtein:

@@ -1,12 +1,9 @@
 """Unit tests for the simulated DNSSEC chain and DANE validation."""
 
-import pytest
-
 from repro.core.dane import DaneValidator, TlsaVerdict, verify_dane
 from repro.dns.dnssec import ChainStatus, DnssecAuthority, ZoneSigningState
 from repro.dns.name import DnsName
 from repro.dns.records import TlsaRecord
-from repro.errors import DnssecBogus
 from repro.pki.certificate import CertTemplate, make_self_signed
 from repro.clock import Instant
 
@@ -58,12 +55,6 @@ class TestDnssecChain:
         state = authority.sign_zone("example.com")
         state.ds_mismatch = True
         assert authority.validate("example.com") is ChainStatus.INSECURE
-
-    def test_require_secure_raises(self):
-        authority = DnssecAuthority()
-        authority.sign_zone("com")
-        with pytest.raises(DnssecBogus):
-            authority.require_secure("unsigned-zone.com")
 
 
 class TestVerifyDane:

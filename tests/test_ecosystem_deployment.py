@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.fetch import PolicyFetcher
-from repro.core.policy import Policy, PolicyMode
 from repro.core.tlsrpt import TlsRptRecord
 from repro.dns.name import DnsName
 from repro.dns.records import RRType
@@ -168,16 +167,6 @@ class TestPolicyProviders:
         assert patterns["Sendmarc"] == "a.com._mta-sts.sdmarc.net"
         assert patterns["OnDMARC"] == \
             "_mta-sts.a.com._mta-sts.smart.ondmarc.com"
-
-    def test_policy_update_via_provider(self, world, fetcher):
-        provider = table2_providers()[3]     # EasyDMARC
-        deploy_domain(world, DomainSpec(domain="upd.com",
-                                        policy_provider=provider))
-        new_policy = Policy(version="STSv1", mode=PolicyMode.NONE,
-                            max_age=60, mx_patterns=())
-        provider.update_policy("upd.com", new_policy)
-        result = fetcher.fetch_policy("upd.com")
-        assert result.policy.mode is PolicyMode.NONE
 
 
 class TestOptOutBehaviors:

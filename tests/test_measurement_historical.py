@@ -5,9 +5,7 @@ import pytest
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.errors import MismatchClass
-from repro.measurement.historical import (
-    historical_series, match_against_history,
-)
+from repro.measurement.historical import historical_series
 from repro.measurement.inconsistency import classify_snapshot
 from repro.measurement.notify import DisclosureCampaign
 from repro.measurement.scanner import Scanner
@@ -27,10 +25,9 @@ class TestHistoricalMatching:
         current = store.get(1, "example.com")
         assert (classify_snapshot(current).mismatch_class
                 is MismatchClass.DOMAIN)
-        match = match_against_history(store, current)
-        assert match.matched
-        assert match.matched_month == 0
-        assert match.historical_mx == ("mail.example.com",)
+        # The month-1 policy still names the month-0 MX.
+        month1 = historical_series(store)[1]
+        assert (month1["candidates"], month1["matched"]) == (1, 1)
 
     def test_never_matching_domain(self, world, simple_domain):
         scanner = Scanner(world)
@@ -39,8 +36,8 @@ class TestHistoricalMatching:
         world.resolver.flush_cache()
         store.add(scanner.scan_domain("example.com", 0))
         store.add(scanner.scan_domain("example.com", 1))
-        current = store.get(1, "example.com")
-        assert not match_against_history(store, current).matched
+        month1 = historical_series(store)[1]
+        assert (month1["candidates"], month1["matched"]) == (1, 0)
 
     def test_rate_combines_both(self, world):
         migrated = deploy_domain(world, DomainSpec(domain="moved.com"))

@@ -60,7 +60,8 @@ class TestSnapshotStore:
         store = SnapshotStore()
         for month in (0, 1, 2):
             store.add(scanner.scan_domain("example.com", month))
-        history = store.domain_history("example.com")
+        history = [store.get(month, "example.com")
+                   for month in store.months()]
         assert [s.month_index for s in history] == [0, 1, 2]
         assert store.latest_month() == 2
 

@@ -16,7 +16,7 @@ from repro.measurement.columnar import taxonomy_census_view, view_of
 from repro.measurement.executor import ScanExecutor
 from repro.netsim.network import FaultPlan
 from repro.obs.exporters import (
-    append_jsonl_line, month_jsonl_line, parse_prometheus_exposition,
+    month_jsonl_line, parse_prometheus_exposition,
     prometheus_exposition, read_month_records, write_lines_atomic,
 )
 from repro.obs.monitor import build_month_registry
@@ -167,13 +167,6 @@ class TestAtomicWrites:
         # The original survives and the temp file was cleaned up.
         assert path.read_text(encoding="utf-8") == "previous\n"
         assert os.listdir(tmp_path) == ["feed.jsonl"]
-
-    def test_append_jsonl_line_appends(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        append_jsonl_line(str(path), '{"month":0}')
-        append_jsonl_line(str(path), '{"month":1}')
-        assert path.read_text(encoding="utf-8").splitlines() == [
-            '{"month":0}', '{"month":1}']
 
     def test_trace_write_jsonl_leaves_no_temp_files(self, tmp_path):
         timeline = EcosystemTimeline(

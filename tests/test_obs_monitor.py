@@ -8,8 +8,6 @@ later month must surface as an ALERT naming that month."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.ecosystem.population import PopulationConfig
@@ -242,19 +240,6 @@ class TestFaultSpike:
         # The months before the plan landed stay clean.
         clean = [f for f in report.findings if f.index < 3]
         assert all(f.level == OK for f in clean)
-
-
-class TestLiveFeed:
-    def test_observed_months_appended_as_they_complete(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        monitor = CampaignMonitor(jsonl_path=str(path))
-        observe(monitor, 0)
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
-        observe(monitor, 1)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines == monitor.to_jsonl_lines()
-        for line in lines:
-            assert json.loads(line)["type"] == "month"
 
 
 class TestCliMonitor:

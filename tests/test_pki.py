@@ -233,7 +233,3 @@ class TestAcme:
     def test_unresolvable_name_fails(self, acme_setup):
         with pytest.raises(AcmeChallengeError):
             acme_setup.issue_dv(["mta-sts.ghost.com"], {"10.5.5.5"})
-
-    def test_can_renew_tracks_dns(self, acme_setup):
-        assert acme_setup.can_renew("mta-sts.example.com", {"10.5.5.5"})
-        assert not acme_setup.can_renew("mta-sts.example.com", {"10.7.7.7"})

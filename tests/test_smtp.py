@@ -144,20 +144,6 @@ class TestProbe:
         assert result.used_helo_fallback
         assert result.failure_class() == "no-starttls"
 
-    def test_probe_domain_walks_mx_rrset(self, env):
-        probe = self.make_probe(env)
-        results = probe.probe_domain("example.com")
-        assert [r.mx_hostname for r in results] == ["mail.example.com"]
-
-    def test_probe_domain_implicit_mx(self, env):
-        network, clock, ca, store, resolver, zone, mx = env
-        from repro.dns.records import RRType
-        zone.remove(DnsName.parse("example.com"), RRType.MX)
-        zone.add(ARecord(DnsName.parse("example.com"), 300, mx.ip))
-        resolver.flush_cache()
-        results = probe = self.make_probe(env).probe_domain("example.com")
-        assert [r.mx_hostname for r in results] == ["example.com"]
-
 
 class TestDelivery:
     def make_mta(self, env, **kwargs):

@@ -9,8 +9,8 @@ Covers the persistence layer three ways:
 * **integrity** — a flipped byte, a truncated shard, a missing shard,
   a damaged manifest, or a foreign schema version all raise
   :class:`StoreCorruption` naming the offending artifact;
-* **indexes & merge** — ``month()``/``domain_history()`` reflect the
-  per-month/per-domain indexes, and ``merge()`` rejects differing
+* **indexes & merge** — ``month()``/``months()`` reflect the
+  per-month index, and ``merge()`` rejects differing
   collisions while staying idempotent for equal re-merges.
 """
 
@@ -463,9 +463,9 @@ class TestStoreIndexes:
 
     def test_domain_history_is_sorted_by_month(self):
         store = _store_with(2, 0, 1)
-        assert [s.month_index for s in store.domain_history("d.example")] \
-            == [0, 1, 2]
-        assert store.domain_history("absent.example") == []
+        assert [store.get(month, "d.example").month_index
+                for month in store.months()] == [0, 1, 2]
+        assert store.get(0, "absent.example") is None
 
     def test_re_add_same_key_does_not_double_count(self):
         store = _store_with(0)
@@ -474,7 +474,7 @@ class TestStoreIndexes:
         store.add(replacement)
         assert len(store) == 1
         assert store.get(0, "d.example") == replacement
-        assert store.domain_history("d.example") == [replacement]
+        assert store.month(0) == [replacement]
 
 
 class TestMerge:

@@ -198,10 +198,6 @@ class TestWebServer:
         assert web.handle("other.example.com", "/x").body == "hi"
         assert web.handle("other.example.com", "/y").status == 404
 
-    def test_hosted_policy_domains(self, https_world):
-        network, resolver, web, client, zone = https_world
-        assert web.hosted_policy_domains() == ["example.com"]
-
     def test_request_counter(self, https_world):
         network, resolver, web, client, zone = https_world
         before = web.request_count
