@@ -8,9 +8,10 @@ nothing flushes — then resumes from the surviving state directory and
 byte-compares three artifacts against an uninterrupted reference run.
 
 * **scan campaign** — the child SIGKILLs itself the moment month
-  ``--kill-after`` commits; compared are the store's
-  ``canonical_bytes()``, the monthly metrics JSONL feed and the health
-  report text.
+  ``--kill-after`` commits; compared are the committed store's
+  ``canonical_bytes()`` (``load_state`` of the resumed state dir
+  against that of a reference run with its own state dir), the
+  monthly metrics JSONL feed and the health report text.
 * **delivery campaign** — the 40-sender campaign of
   ``tests/test_delivery_campaign.py`` (scale 0.004, seed 11, month 3,
   5 messages each, backpressure 60).  The child SIGKILLs itself from
@@ -51,7 +52,9 @@ from repro.measurement.delivery_campaign import (
     DeliveryCampaignConfig, run_delivery_campaign,
 )
 from repro.measurement.executor import ScanExecutor
-from repro.measurement.store_io import DELIVERY_KIND, read_manifest
+from repro.measurement.store_io import (
+    DELIVERY_KIND, load_state, read_manifest,
+)
 from repro.obs.monitor import CampaignMonitor
 
 FAULT_SEEDS = [None, 4242]
@@ -118,14 +121,14 @@ def _run_scan_config(args, fault_seed, keep_dir: str = None) -> bool:
     label = f"scan {_label(fault_seed)}"
     months = list(range(args.months))
 
-    reference_monitor = CampaignMonitor()
-    reference = run_campaign(
-        _timeline(args), months, executor=ScanExecutor(),
-        monitor=reference_monitor,
-        fault_seed=fault_seed)
-
+    reference_dir = tempfile.mkdtemp(prefix="crash-resume-reference-")
     state_dir = keep_dir or tempfile.mkdtemp(prefix="crash-resume-")
     try:
+        reference_monitor = CampaignMonitor()
+        run_campaign(
+            _timeline(args), months, executor=ScanExecutor(),
+            monitor=reference_monitor, state_dir=reference_dir,
+            fault_seed=fault_seed)
         code = _spawn(_scan_child, args, fault_seed, state_dir)
         if code != -signal.SIGKILL:
             print(f"[{label}] FAIL: child exited {code}, expected "
@@ -137,19 +140,21 @@ def _run_scan_config(args, fault_seed, keep_dir: str = None) -> bool:
               f"committed; resuming")
 
         resumed_monitor = CampaignMonitor()
-        resumed = run_campaign(
+        run_campaign(
             _timeline(args), months, executor=ScanExecutor(),
             monitor=resumed_monitor, state_dir=state_dir, resume=True,
             fault_seed=fault_seed)
         return _compare(label, [
-            ("canonical_bytes", reference.store.canonical_bytes()
-             == resumed.store.canonical_bytes()),
+            ("canonical_bytes",
+             load_state(reference_dir).store.canonical_bytes()
+             == load_state(state_dir).store.canonical_bytes()),
             ("metrics jsonl", reference_monitor.to_jsonl()
              == resumed_monitor.to_jsonl()),
             ("health report", reference_monitor.health().render()
              == resumed_monitor.health().render()),
         ])
     finally:
+        shutil.rmtree(reference_dir, ignore_errors=True)
         if keep_dir is None:
             shutil.rmtree(state_dir, ignore_errors=True)
 

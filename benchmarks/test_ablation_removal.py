@@ -12,8 +12,6 @@
    opted-out enforce-mode customer under each strategy.
 """
 
-import pytest
-
 from repro.clock import DAY, Duration
 from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode, render_policy

@@ -9,7 +9,7 @@ different-provider domains are inconsistent.
 """
 
 from repro.analysis.report import render_table
-from benchmarks.conftest import SCALE, paper_row
+from benchmarks.conftest import paper_row
 
 
 def test_figure10(benchmark, campaign):

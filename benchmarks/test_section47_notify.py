@@ -11,12 +11,11 @@ from benchmarks.conftest import SCALE, paper_row
 
 
 def test_section47(benchmark, campaign, timeline):
-    latest = campaign.store.latest()
-    misconfigured = [snap for snap in latest if categorize(snap)]
+    misconfigured = [snap for snap in campaign.latest if categorize(snap)]
 
     # The campaign delivers through the same simulated SMTP fabric the
     # scanner used, so it needs the final month's world to be alive.
-    materialized = timeline.materialize(campaign.store.latest_month())
+    materialized = timeline.materialize(max(campaign.months()))
 
     def run():
         disclosure = DisclosureCampaign(materialized.world,

@@ -9,13 +9,9 @@ files, Tutanota rejects mail while leaving policies stale.
 """
 
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
-from repro.ecosystem.providers import (
-    OptOutBehavior, TABLE2_DOMAIN_COUNTS, table2_providers,
-)
+from repro.ecosystem.providers import TABLE2_DOMAIN_COUNTS, table2_providers
 from repro.ecosystem.world import World
-from repro.measurement.delegation import (
-    delegation_census, probe_opted_out, table2_rows,
-)
+from repro.measurement.delegation import probe_opted_out, table2_rows
 from repro.analysis.report import render_table
 from benchmarks.conftest import SCALE, paper_row
 

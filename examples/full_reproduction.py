@@ -106,8 +106,8 @@ def main(scale: float = 0.01) -> None:
         f"{findings.not_deployed_use_dane[2]:.1f}%")
 
     print("\n--- §4.7: disclosure campaign ---")
-    final_month = campaign.store.latest_month()
-    misconfigured = [s for s in campaign.store.latest() if categorize(s)]
+    final_month = max(campaign.months())
+    misconfigured = [s for s in campaign.latest if categorize(s)]
     materialized = timeline.materialize(final_month)
     disclosure = DisclosureCampaign(materialized.world,
                                     extra_bounce_rate=0.22)

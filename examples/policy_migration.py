@@ -11,7 +11,7 @@ Demonstrates the operational hazards the paper documents:
 Run:  python examples/policy_migration.py
 """
 
-from repro.clock import DAY, Duration
+from repro.clock import Duration
 from repro.core.fetch import PolicyFetcher
 from repro.core.lifecycle import check_removal_sequence, plan_removal
 from repro.core.policy import Policy, PolicyMode, render_policy

@@ -5,7 +5,9 @@ time series behind Figures 4-10.
 per scan month and runs the full scanner); :class:`CampaignAnalysis`
 then answers every figure's question from the month columns of a
 :class:`~repro.measurement.columnar.ColumnarStore`, so benchmarks
-share one campaign run.
+share one campaign run.  A month's snapshot objects live only while
+that month is serialised into its shard and columns; the campaign
+keeps the final month's, for per-domain callers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.measurement.columnar import (
     taxonomy_census_view,
 )
 from repro.measurement.executor import ScanExecutor, ScanStats
-from repro.measurement.snapshots import SnapshotStore
+from repro.measurement.snapshots import DomainSnapshot
 from repro.netsim.network import FaultPlan
 # Called through the module so that per-call wrappers (perfbench's
 # tracer) installed on ``store_io`` see the calls.
@@ -46,14 +48,16 @@ __all__ = [
 class CampaignAnalysis:
     """Everything one full scan campaign produced.
 
-    Every figure series and census reads ``columns``; ``store`` holds
-    the live campaign's snapshot objects and is ``None`` for a
-    campaign loaded from disk, which decodes straight to columns.
+    Every figure series and census reads ``columns``.  ``latest`` holds
+    the live campaign's snapshot objects of its final month, in domain
+    order; earlier months exist only as columns (and, with a state
+    dir, as shards).  It is ``None`` for a campaign loaded from disk,
+    which decodes straight to columns.
     """
 
     timeline: EcosystemTimeline
     columns: ColumnarStore
-    store: Optional[SnapshotStore] = None
+    latest: Optional[List[DomainSnapshot]] = None
     summaries: Dict[int, SnapshotSummary] = field(default_factory=dict)
     stats_by_month: Dict[int, ScanStats] = field(default_factory=dict)
 
@@ -248,12 +252,20 @@ def run_campaign(timeline: EcosystemTimeline,
     rescanned, while their world *builds* are still replayed, so the
     long-lived world reaches the first unscanned month in exactly the
     state an uninterrupted run would have.  The resumed campaign's
-    store is therefore byte-identical (``canonical_bytes``) to an
+    committed state is therefore byte-identical (``canonical_bytes``
+    of :func:`~repro.measurement.store_io.load_state`) to an
     uninterrupted run's on both backends, with or without fault
     plans.  Each committed shard is read and verified once, when the
-    loop reaches its month; a damaged one raises
-    :class:`~repro.errors.StoreCorruption` before any later month is
-    scanned.
+    loop reaches its month; its rows become the month's columns, and
+    snapshot objects only for the final month.  A damaged shard
+    raises :class:`~repro.errors.StoreCorruption` before any later
+    month is scanned.
+
+    Each month is scanned into a store of its own, serialised once
+    (:func:`~repro.measurement.store_io.month_rows`, which feeds both
+    its shard and its columns) and released before the next month is
+    built, so the campaign holds one month of snapshots on top of the
+    columns.  ``analysis.latest`` keeps the final month's snapshots.
 
     With ``fault_seed``, month *m* is scanned under
     ``FaultPlan.seeded(seed=fault_seed + m, rate=fault_rate)`` (the
@@ -272,21 +284,21 @@ def run_campaign(timeline: EcosystemTimeline,
     if state_dir is not None:
         committed = _committed_entries(state_dir, timeline, months, resume)
         population = population_to_dict(timeline.config.population)
-    store = SnapshotStore()
-    analysis = CampaignAnalysis(timeline=timeline, columns=ColumnarStore(),
-                                store=store)
+    analysis = CampaignAnalysis(timeline=timeline, columns=ColumnarStore())
+    final = max(months, default=None)
     for month in months:
         entry = committed.get(month)
         if entry is not None:
-            # Committed month: its verified shard rows become both its
-            # snapshots and its columns.  The scan is skipped; the
-            # (cheap, deterministic) world build is replayed so the
-            # long-lived world carries forward exactly as in the
-            # uninterrupted run.
+            # Committed month: its verified shard rows become its
+            # columns, and its snapshots only if it is the final month.
+            # The scan is skipped; the (cheap, deterministic) world
+            # build is replayed so the long-lived world carries forward
+            # exactly as in the uninterrupted run.
             rows = store_io.load_shard_rows(state_dir, entry)
-            for snapshot in store_io.month_snapshots(entry, rows):
-                store.add(snapshot)
+            if month == final:
+                analysis.latest = store_io.month_snapshots(entry, rows)
             analysis.columns.add_month(month, rows)
+            del rows
             materializer.materialize(month)
             analysis._record_month(month, entry.date,
                                    ScanStats.from_dict(entry.stats),
@@ -300,9 +312,9 @@ def run_campaign(timeline: EcosystemTimeline,
             materialized.world.network.install_fault_plan(
                 FaultPlan.seeded(seed=fault_seed + month, rate=fault_rate))
         try:
-            _, stats = executor.scan(
+            store, stats = executor.scan(
                 materialized.world, materialized.deployed.keys(), month,
-                store, materialized.instant)
+                instant=materialized.instant)
         finally:
             if fault_seed is not None:
                 # Plans must never fault world materialisation: the
@@ -311,6 +323,9 @@ def run_campaign(timeline: EcosystemTimeline,
         stats.world_build_seconds = build_seconds
         # One serialisation of the month feeds its shard and its columns.
         rows = store_io.month_rows(store, month)
+        if month == final:
+            analysis.latest = store.month(month)
+        del store
         if state_dir is not None:
             stats.checkpoints_written = 1
             commit_started = time.perf_counter()
@@ -321,6 +336,9 @@ def run_campaign(timeline: EcosystemTimeline,
                                   population=population)
             stats.checkpoint_seconds = time.perf_counter() - commit_started
         analysis.columns.add_month(month, rows)
+        # Neither the rows nor (but for the final month) the snapshots
+        # outlive the month: the next month's build starts without them.
+        del rows
         analysis._record_month(month, materialized.instant.date_string(),
                                stats, materialized.build_stats, monitor)
     return analysis

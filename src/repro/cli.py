@@ -362,7 +362,7 @@ def _cmd_campaign(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.state_dir:
-        print(f"store: {len(analysis.store.months())} months committed "
+        print(f"store: {len(analysis.months())} months committed "
               f"-> {args.state_dir}")
     if args.metrics_out:
         records = monitor.write_jsonl(args.metrics_out)

@@ -167,10 +167,12 @@ class DomainSnapshot:
 
 
 class SnapshotStore:
-    """All snapshots of one measurement campaign.
+    """Snapshots by month: the month one scan produced (a population
+    scan, or one month of a campaign), or the committed months of a
+    state dir (:func:`~repro.measurement.store_io.load_state`).
 
-    Snapshots are indexed by month as they arrive, so :meth:`month`
-    and :meth:`get` cost O(that month), not O(whole store).
+    The index is kept as snapshots arrive, so :meth:`month` and
+    :meth:`get` cost O(that month), not O(whole store).
     """
 
     def __init__(self):
@@ -213,14 +215,6 @@ class SnapshotStore:
 
     def get(self, month_index: int, domain: str) -> Optional[DomainSnapshot]:
         return self._by_month.get(month_index, {}).get(domain)
-
-    def latest_month(self) -> int:
-        if not self._by_month:
-            raise ValueError("store is empty")
-        return max(self._by_month)
-
-    def latest(self) -> List[DomainSnapshot]:
-        return self.month(self.latest_month())
 
     def __len__(self) -> int:
         return self._count

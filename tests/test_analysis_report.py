@@ -89,13 +89,13 @@ class TestCampaignAnalysis:
     def test_campaign_summaries_match_store(self, small_campaign):
         summary = small_campaign.latest_summary()
         assert summary.total_sts == sum(
-            1 for s in small_campaign.store.latest() if s.sts_like)
+            1 for s in small_campaign.latest if s.sts_like)
 
     def test_verdicts_cover_every_domain(self, small_campaign):
         from repro.measurement.classify import EntityClassifier
         from repro.measurement.columnar import ENTITY_KEYS
-        month = small_campaign.store.latest_month()
-        snapshots = small_campaign.store.month(month)
+        month = max(small_campaign.months())
+        snapshots = small_campaign.latest
         view = small_campaign.columns.month_view(month)
         verdicts = EntityClassifier(snapshots).classify_all()
         assert set(verdicts) == {s.domain for s in snapshots}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.attacks import DnsSpoofer, PolicyHostBlocker, StarttlsStripper
-from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
 from repro.core.sender import MtaStsSender
 from repro.ecosystem.deployment import DomainSpec, deploy_domain

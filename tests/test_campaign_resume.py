@@ -2,10 +2,12 @@
 
 The contract under test: a campaign killed after any committed month
 and resumed with ``resume=True`` produces *byte-identical* results to
-an uninterrupted run — the store's ``canonical_bytes``, the monitor's
-monthly metrics feed, and the health report — with and without seeded
-fault plans.
+an uninterrupted run — the committed store's ``canonical_bytes``, the
+monitor's monthly metrics feed, and the health report — with and
+without seeded fault plans.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,8 @@ from repro.analysis.series import load_campaign, run_campaign
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 from repro.measurement.executor import ScanExecutor
+from repro.measurement.snapshots import DomainSnapshot
+from repro.measurement.store_io import load_state
 from repro.obs.monitor import CampaignMonitor
 from tests.test_analysis_golden import figure_dump
 
@@ -54,10 +58,12 @@ def _run(timeline, *, faults=False, state_dir=None, resume=False,
 @pytest.mark.parametrize("faults", [False, True],
                          ids=["clean", "faulted"])
 def test_kill_and_resume_is_byte_identical(tmp_path, faults):
+    reference_dir = str(tmp_path / "reference")
     reference_monitor = CampaignMonitor()
-    reference = _run(_timeline(), faults=faults, monitor=reference_monitor)
+    reference = _run(_timeline(), faults=faults, state_dir=reference_dir,
+                     monitor=reference_monitor)
 
-    state_dir = str(tmp_path)
+    state_dir = str(tmp_path / "resumed")
     with pytest.raises(_Killed):
         _run(_timeline(), faults=faults, state_dir=state_dir,
              monitor=_CrashingMonitor(KILL_AFTER))
@@ -66,8 +72,9 @@ def test_kill_and_resume_is_byte_identical(tmp_path, faults):
     resumed = _run(_timeline(), faults=faults, state_dir=state_dir,
                    resume=True, monitor=resumed_monitor)
 
-    assert (resumed.store.canonical_bytes()
-            == reference.store.canonical_bytes())
+    assert (load_state(state_dir).store.canonical_bytes()
+            == load_state(reference_dir).store.canonical_bytes())
+    assert resumed.latest == reference.latest
     assert resumed_monitor.to_jsonl() == reference_monitor.to_jsonl()
     assert (resumed_monitor.health().render()
             == reference_monitor.health().render())
@@ -79,12 +86,34 @@ class _ForbiddenExecutor(ScanExecutor):
         raise AssertionError("a fully committed campaign must not rescan")
 
 
-def test_resume_with_everything_committed_rescans_nothing(tmp_path):
+def test_resume_with_everything_committed_rescans_nothing(tmp_path,
+                                                          monkeypatch):
+    """The resume scans nothing and leaves the committed state as it
+    was.  Each month's rows become columns; snapshot objects are
+    decoded for the final month alone, one ``from_dict`` per row of
+    its shard, and equal the uninterrupted run's."""
     state_dir = str(tmp_path)
     first = _run(_timeline(), state_dir=state_dir)
+    committed = load_state(state_dir)
+    decoded = Counter()
+    from_dict = DomainSnapshot.from_dict.__func__
+
+    def counted_from_dict(cls, data):
+        decoded[data["month_index"]] += 1
+        return from_dict(cls, data)
+
+    monkeypatch.setattr(DomainSnapshot, "from_dict",
+                        classmethod(counted_from_dict))
     again = run_campaign(_timeline(), MONTHS, executor=_ForbiddenExecutor(),
                          state_dir=state_dir, resume=True)
-    assert again.store.canonical_bytes() == first.store.canonical_bytes()
+    monkeypatch.undo()
+
+    final = max(MONTHS)
+    assert decoded == {final: committed.entry(final).rows}
+    assert (load_state(state_dir).store.canonical_bytes()
+            == committed.store.canonical_bytes())
+    assert again.latest == first.latest
+    assert figure_dump(again) == figure_dump(first)
     # Persisted per-month stats come back verbatim, checkpoint marker
     # included.
     for month in MONTHS:

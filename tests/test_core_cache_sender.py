@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.clock import DAY, Duration, HOUR
+from repro.clock import Duration
 from repro.core.cache import PolicyCache
 from repro.core.dane import DaneValidator
-from repro.core.fetch import PolicyFetcher
 from repro.core.policy import Policy, PolicyMode
 from repro.core.sender import MtaStsSender, SenderPolicyConfig
 from repro.dns.name import DnsName
-from repro.dns.records import RRType, TlsaRecord
+from repro.dns.records import TlsaRecord
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.smtp.delivery import DeliveryStatus, Message

@@ -1,7 +1,5 @@
 """Unit tests for mx pattern matching (RFC 8461 §4.1)."""
 
-import pytest
-
 from repro.core.matching import (
     mx_pattern_matches, policy_covers_mx, uncovered_mx_hosts,
     unused_patterns,

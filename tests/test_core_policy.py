@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import record
 from repro.core.policy import (
-    MAX_POLICY_AGE, Policy, PolicyMode, check_policy_text, parse_policy,
+    MAX_POLICY_AGE, PolicyMode, check_policy_text, parse_policy,
     render_policy,
 )
 from repro.core.record import evaluate_txt_rrset

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.record import (
-    StsRecord, evaluate_txt_rrset, parse_sts_record,
-)
+from repro.core.record import evaluate_txt_rrset, parse_sts_record
 from repro.errors import RecordError, StsRecordError
 
 

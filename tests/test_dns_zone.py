@@ -4,7 +4,7 @@ import pytest
 
 from repro.dns.name import DnsName
 from repro.dns.records import (
-    ARecord, CnameRecord, MxRecord, NsRecord, RRType, TlsaRecord, TxtRecord,
+    ARecord, CnameRecord, MxRecord, RRType, TxtRecord,
 )
 from repro.dns.zone import Zone, parse_master_file, serialize_zone
 from repro.netsim.ip import IpAddress

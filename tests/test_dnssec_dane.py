@@ -1,6 +1,6 @@
 """Unit tests for the simulated DNSSEC chain and DANE validation."""
 
-from repro.core.dane import DaneValidator, TlsaVerdict, verify_dane
+from repro.core.dane import DaneValidator, verify_dane
 from repro.dns.dnssec import ChainStatus, DnssecAuthority, ZoneSigningState
 from repro.dns.name import DnsName
 from repro.dns.records import TlsaRecord

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.fetch import PolicyFetcher
 from repro.core.tlsrpt import TlsRptRecord
 from repro.dns.name import DnsName
 from repro.dns.records import RRType

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.clock import Instant
 from repro.core.policy import PolicyMode
 from repro.ecosystem.misconfig import RETRIEVAL_BLOCKING, Fault
 from repro.ecosystem.population import (

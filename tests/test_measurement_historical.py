@@ -1,7 +1,5 @@
 """Tests for historical MX matching (Figure 9) and disclosure (§4.7)."""
 
-import pytest
-
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.errors import MismatchClass

@@ -1,8 +1,5 @@
 """Tests for the scanner, snapshot store, and entity classification."""
 
-import pytest
-
-from repro.core.policy import Policy, PolicyMode
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.ecosystem.providers import default_email_providers, table2_providers
@@ -63,11 +60,6 @@ class TestSnapshotStore:
         history = [store.get(month, "example.com")
                    for month in store.months()]
         assert [s.month_index for s in history] == [0, 1, 2]
-        assert store.latest_month() == 2
-
-    def test_empty_store_raises(self):
-        with pytest.raises(ValueError):
-            SnapshotStore().latest_month()
 
 
 class TestEntityClassifier:

@@ -6,9 +6,7 @@ from repro.core.policy import Policy, PolicyMode
 from repro.ecosystem.deployment import DomainSpec, deploy_domain
 from repro.ecosystem.misconfig import Fault, apply_fault
 from repro.errors import MisconfigCategory, MismatchClass
-from repro.measurement.inconsistency import (
-    classify_mismatch, classify_snapshot, mismatch_census,
-)
+from repro.measurement.inconsistency import classify_mismatch, mismatch_census
 from repro.measurement.scanner import Scanner
 from repro.measurement.taxonomy import (
     categorize, delivery_failure_expected, snapshot_summary,

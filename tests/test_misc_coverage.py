@@ -2,8 +2,6 @@
 derivations, entity-verdict semantics, error taxonomy completeness,
 and queue introspection."""
 
-import pytest
-
 from repro.core.fetch import PolicyFetchResult
 from repro.core.record import evaluate_txt_rrset
 from repro.errors import (

@@ -1,14 +1,21 @@
-"""Every module-level import in ``src/repro`` is used: a name a module
-imports at top level, or under ``if TYPE_CHECKING:``, appears
-somewhere else in that module.  A name listed in ``__all__`` or
-written in a string annotation counts as a use; a re-export says so
-by naming itself in ``__all__``.
+"""Every module-level import in ``src/repro``, ``tests/``,
+``benchmarks/`` and ``examples/`` is used: a name a module imports at
+top level, or under ``if TYPE_CHECKING:``, appears somewhere else in
+that module.  A name listed in ``__all__`` or written in a string
+annotation counts as a use; a re-export says so by naming itself in
+``__all__``.  ``perfbench/`` is not covered: the benchmark's code
+changes only together with the benchmark.
 """
 
 import ast
 from pathlib import Path
 
 import repro
+
+SRC = Path(repro.__file__).resolve().parent
+REPO = SRC.parent.parent
+#: The directories whose modules the rule covers.
+CHECKED = (SRC, REPO / "tests", REPO / "benchmarks", REPO / "examples")
 
 
 def _is_type_checking(node: ast.stmt) -> bool:
@@ -81,9 +88,10 @@ def _unused_imports(path: Path, root: Path) -> list:
 
 
 def test_every_module_level_import_is_used():
-    root = Path(repro.__file__).parent
-    modules = sorted(root.rglob("*.py"))
-    assert modules
-    offenders = [hit for path in modules
-                 for hit in _unused_imports(path, root)]
+    offenders = []
+    for directory in CHECKED:
+        modules = sorted(directory.rglob("*.py"))
+        assert modules, directory
+        offenders += [hit for path in modules
+                      for hit in _unused_imports(path, REPO)]
     assert offenders == []

@@ -1,7 +1,5 @@
 """Tests for the offline zone assessment and the CLI."""
 
-import pytest
-
 from repro.cli import main
 from repro.errors import MismatchClass
 from repro.measurement.offline import assess_zone

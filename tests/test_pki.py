@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.clock import DAY, Clock, Instant
+from repro.clock import Clock, Instant
 from repro.errors import TlsFailure
 from repro.pki.acme import AcmeChallengeError, AcmeService
 from repro.pki.ca import CertificateAuthority, TrustStore

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.clock import DAY, Duration, HOUR
-from repro.core.fetch import PolicyFetcher
+from repro.clock import DAY, Duration
 from repro.core.policy import Policy, PolicyMode, render_policy
 from repro.core.refresh import RefreshDaemon
 from repro.core.sender import MtaStsSender

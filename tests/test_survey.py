@@ -3,8 +3,8 @@
 import pytest
 
 from repro.survey.analysis import analyze
-from repro.survey.questionnaire import Questionnaire, build_questionnaire
-from repro.survey.synthesize import Respondent, synthesize_respondents
+from repro.survey.questionnaire import build_questionnaire
+from repro.survey.synthesize import synthesize_respondents
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.series import run_campaign
-from repro.analysis.takeaways import Takeaway, compute_takeaways
+from repro.analysis.takeaways import compute_takeaways
 from repro.ecosystem.population import PopulationConfig
 from repro.ecosystem.timeline import EcosystemTimeline, TimelineConfig
 

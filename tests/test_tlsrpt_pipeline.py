@@ -16,7 +16,6 @@ The tentpole invariants under test:
 """
 
 import functools
-import os
 
 import pytest
 
