@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Instant:
     """A point in simulated time, in whole seconds since the epoch."""
 
@@ -65,7 +65,7 @@ class Instant:
         return self.to_datetime().strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Duration:
     """A span of simulated time, in whole seconds.  May be negative."""
 

@@ -32,7 +32,7 @@ def ttl_fresh(stored_at: Instant, ttl_seconds: int, now: Instant) -> bool:
     return now < stored_at + Duration(ttl_seconds)
 
 
-@dataclass
+@dataclass(slots=True)
 class CachedPolicy:
     """One domain's cached policy plus bookkeeping."""
 
@@ -65,6 +65,8 @@ class CachedPolicy:
 
 class PolicyCache:
     """Per-sender MTA-STS policy cache."""
+
+    __slots__ = ("_clock", "_entries", "store_count", "hit_count")
 
     def __init__(self, clock: Clock):
         self._clock = clock

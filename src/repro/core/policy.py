@@ -32,7 +32,7 @@ class PolicyMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Policy:
     """A parsed, valid MTA-STS policy."""
 
@@ -69,7 +69,7 @@ def _valid_mx_pattern(pattern: str) -> bool:
     return bool(_MX_PATTERN_RE.match(pattern.lower()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyCheck:
     """Lenient parse result: a policy if salvageable, plus all faults."""
 

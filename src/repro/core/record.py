@@ -36,7 +36,7 @@ _EXT_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,31}$")
 _EXT_VALUE_RE = re.compile(r"^[\x21-\x3a\x3c\x3e-\x7e]+$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StsRecord:
     """A parsed, valid MTA-STS TXT record."""
 
@@ -101,7 +101,7 @@ def parse_sts_record(text: str) -> StsRecord:
     return StsRecord("STSv1", record_id, tuple(extensions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxtRrsetEvaluation:
     """Outcome of evaluating a domain's whole ``_mta-sts`` TXT RRset."""
 

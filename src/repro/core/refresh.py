@@ -35,6 +35,8 @@ class RefreshDaemon:
     regular intervals", commonly daily with a window of a day or more.
     """
 
+    __slots__ = ("_cache", "_fetcher", "_clock", "refresh_window")
+
     def __init__(self, cache: PolicyCache, fetcher: PolicyFetcher,
                  clock: Clock, *,
                  refresh_window: Duration = Duration(86_400)):

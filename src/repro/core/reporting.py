@@ -44,7 +44,7 @@ __all__ = [
 # Collection
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _DomainTally:
     policy_type: str = "no-policy-found"
     policy_strings: Tuple[str, ...] = ()
@@ -60,6 +60,9 @@ class ReportCollector:
     rolls a 24-hour window (RFC 8460 reports are daily) and emits
     :class:`TlsRptReport` objects on :meth:`close_window`.
     """
+
+    __slots__ = ("organization", "contact", "_clock", "_window_start",
+                 "_tallies", "_report_serial")
 
     def __init__(self, organization: str, contact: str, clock: Clock):
         self.organization = organization

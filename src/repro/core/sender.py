@@ -31,7 +31,7 @@ from repro.pki.validation import validate_chain
 from repro.smtp.delivery import DeliveryAttempt, Message, SendingMta
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SenderPolicyConfig:
     """Which transport-security validations this sender performs."""
 
@@ -53,6 +53,10 @@ class ValidationEvent:
 
 class MtaStsSender:
     """A sending MTA that implements MTA-STS (and optionally DANE)."""
+
+    __slots__ = ("identity", "reporter", "_clock", "_trust_store",
+                 "_fetcher", "_dane", "config", "cache", "record_events",
+                 "events", "_mta", "_active_policy", "_active_mechanism")
 
     def __init__(self, identity: str, network: Network, resolver: Resolver,
                  trust_store: TrustStore, clock: Clock,
@@ -91,10 +95,6 @@ class MtaStsSender:
         self._active_policy: Optional[Policy] = None
         self._active_mechanism: str = "opportunistic"
 
-    def _note(self, event: ValidationEvent) -> None:
-        if self.record_events:
-            self.events.append(event)
-
     # -- policy discovery -------------------------------------------------
 
     def _discover_policy(self, domain: str) -> Optional[Policy]:
@@ -115,9 +115,10 @@ class MtaStsSender:
         fetch = self._fetcher.fetch_policy(domain)
         if fetch.policy is not None and fetch.failed_stage is None:
             self.cache.store(domain, fetch.policy, record.id)
-            self._note(ValidationEvent(
-                domain, "mta-sts", "fetched-policy",
-                f"id={record.id} mode={fetch.policy.mode.value}"))
+            if self.record_events:
+                self.events.append(ValidationEvent(
+                    domain, "mta-sts", "fetched-policy",
+                    f"id={record.id} mode={fetch.policy.mode.value}"))
             if self.reporter is not None:
                 from repro.core.policy import render_policy
                 self.reporter.record_policy(
@@ -129,8 +130,9 @@ class MtaStsSender:
         # the sender degrades to opportunistic TLS (the downgrade window
         # the paper warns about).
         stage = fetch.failed_stage.value if fetch.failed_stage else ""
-        self._note(ValidationEvent(
-            domain, "mta-sts", "fetch-failed", stage))
+        if self.record_events:
+            self.events.append(ValidationEvent(
+                domain, "mta-sts", "fetch-failed", stage))
         if self.reporter is not None:
             from repro.core.reporting import result_type_for_fetch_stage
             self.reporter.record_policy(domain, "sts", ())
@@ -147,13 +149,15 @@ class MtaStsSender:
         if policy_covers_mx(policy, mx_hostname):
             return True, "mx-matched"
         if policy.mode is PolicyMode.ENFORCE:
-            self._note(ValidationEvent(
-                domain, "mta-sts", "refused",
-                f"{mx_hostname} matches no mx pattern"))
+            if self.record_events:
+                self.events.append(ValidationEvent(
+                    domain, "mta-sts", "refused",
+                    f"{mx_hostname} matches no mx pattern"))
             return False, "mx-pattern-mismatch"
-        self._note(ValidationEvent(
-            domain, "mta-sts", "testing-mismatch",
-            f"{mx_hostname} matches no mx pattern (testing mode)"))
+        if self.record_events:
+            self.events.append(ValidationEvent(
+                domain, "mta-sts", "testing-mismatch",
+                f"{mx_hostname} matches no mx pattern (testing mode)"))
         return True, "testing-mode-mismatch"
 
     def _gate(self, domain: str, mx_hostname: str,
@@ -163,8 +167,9 @@ class MtaStsSender:
             verdict = self._dane.verify_mx(mx_hostname, certificate)
             if verdict.matched:
                 return True, "dane-matched"
-            self._note(ValidationEvent(
-                domain, "dane", "refused", verdict.detail))
+            if self.record_events:
+                self.events.append(ValidationEvent(
+                    domain, "dane", "refused", verdict.detail))
             return False, f"dane: {verdict.detail}"
 
         policy = self._active_policy
@@ -181,13 +186,15 @@ class MtaStsSender:
                     validation.failure.value),
                 mx_hostname=mx_hostname, detail=validation.detail)
         if policy.mode is PolicyMode.ENFORCE:
-            self._note(ValidationEvent(
-                domain, "mta-sts", "refused",
-                f"{mx_hostname}: {validation.detail}"))
+            if self.record_events:
+                self.events.append(ValidationEvent(
+                    domain, "mta-sts", "refused",
+                    f"{mx_hostname}: {validation.detail}"))
             return False, f"pkix: {validation.detail}"
-        self._note(ValidationEvent(
-            domain, "mta-sts", "testing-cert-failure",
-            f"{mx_hostname}: {validation.detail}"))
+        if self.record_events:
+            self.events.append(ValidationEvent(
+                domain, "mta-sts", "testing-cert-failure",
+                f"{mx_hostname}: {validation.detail}"))
         return True, "testing-mode-cert-failure"
 
     # -- public API ----------------------------------------------------------
@@ -221,8 +228,9 @@ class MtaStsSender:
 
         outcome = self._mta.send(message, attempt=attempt)
         if outcome.delivered:
-            self._note(ValidationEvent(
-                domain, self._active_mechanism, "delivered"))
+            if self.record_events:
+                self.events.append(ValidationEvent(
+                    domain, self._active_mechanism, "delivered"))
             if self.reporter is not None:
                 self.reporter.record_success(domain)
         return outcome

@@ -38,7 +38,7 @@ _MAILTO_RE = re.compile(r"^mailto:[^@\s,!]+@[a-z0-9.-]+$", re.IGNORECASE)
 _HTTPS_RE = re.compile(r"^https://\S+$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TlsRptRecord:
     """A parsed TLSRPT record."""
 

@@ -50,30 +50,32 @@ class DnssecAuthority:
     """Tracks signing state for every zone in the simulation."""
 
     def __init__(self):
-        self._zones: Dict[DnsName, ZoneSigningState] = {}
-        root = DnsName(("",)) if False else None  # the root is implicit
-        del root
+        #: apex text -> signing state; the root is implicit
+        self._zones: Dict[str, ZoneSigningState] = {}
 
     def set_state(self, state: ZoneSigningState) -> None:
-        self._zones[state.apex] = state
+        self._zones[state.apex.text] = state
 
     def sign_zone(self, apex: DnsName | str, *,
                   publish_ds: bool = True) -> ZoneSigningState:
         if isinstance(apex, str):
             apex = DnsName.parse(apex)
         state = ZoneSigningState(apex, signed=True, ds_in_parent=publish_ds)
-        self._zones[apex] = state
+        self._zones[apex.text] = state
         return state
 
     def state_for(self, apex: DnsName) -> Optional[ZoneSigningState]:
-        return self._zones.get(apex)
+        return self._zones.get(apex.text)
 
     def chain_for(self, name: DnsName) -> list[ZoneSigningState]:
-        """Zone states from the TLD down to the closest enclosing zone."""
+        """Zone states from the TLD down to the closest enclosing zone:
+        the suffixes of the name's text, shortest first."""
         chain: list[ZoneSigningState] = []
-        for depth in range(1, name.label_count() + 1):
-            apex = DnsName(name.labels[-depth:])
-            state = self._zones.get(apex)
+        text = name.text
+        dot = len(text)
+        while dot >= 0:
+            dot = text.rfind(".", 0, dot)
+            state = self._zones.get(text[dot + 1:])
             if state is not None:
                 chain.append(state)
         return chain

@@ -17,8 +17,9 @@ the library accepts an extended suffix set for users who need one.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, Tuple, TypeVar
 
 V = TypeVar("V")
@@ -57,29 +58,31 @@ DEFAULT_MULTI_LABEL_SUFFIXES = frozenset({
 })
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@functools.total_ordering
 class DnsName:
     """A fully-qualified DNS name, stored lowercase without a root dot.
 
-    The dotted ``text`` and the hash are computed once, at construction,
-    because every resolver, zone and delegation lookup reads them;
-    equality and ordering are by ``labels`` alone.
+    A name holds its dotted ``text`` and that text's hash and nothing
+    else: every resolver, zone and delegation lookup reads those two,
+    and a world holds thousands of names whose labels repeat across
+    names.  :attr:`labels` is derived from the text on each read, for
+    the label arithmetic that needs it.  Equality and the hash are the
+    text's; ordering is by the label tuple, which text order does not
+    follow (``("a", "com") < ("a-b", "com")``, while ``"a-b.com" <
+    "a.com"``).  Names are immutable.
     """
 
-    labels: Tuple[str, ...]
-    text: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("text", "_hash")
 
-    def __post_init__(self) -> None:
-        _set_text(self, ".".join(self.labels))
+    def __init__(self, labels: Iterable[str]) -> None:
+        _set_text(self, ".".join(labels))
 
     @classmethod
     def parse(cls, text: str) -> "DnsName":
         text = text.strip().rstrip(".").casefold()
         if not text:
             raise ValueError("empty DNS name")
-        labels = tuple(text.split("."))
-        for label in labels:
+        for label in text.split("."):
             if not label:
                 raise ValueError(f"empty label in {text!r}")
             if len(label) > 63:
@@ -89,11 +92,7 @@ class DnsName:
         # Every label plus its dot: the canonical text plus the root dot.
         if len(text) + 1 > 254:
             raise ValueError(f"name too long: {text!r}")
-        # *text* is already the joined labels: skip the re-join.
-        name = object.__new__(cls)
-        object.__setattr__(name, "labels", labels)
-        _set_text(name, text)
-        return name
+        return _from_text(text)
 
     @classmethod
     def try_parse(cls, text: str) -> "DnsName | None":
@@ -102,12 +101,35 @@ class DnsName:
         except ValueError:
             return None
 
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(self.text.split("."))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DnsName:
+            return NotImplemented
+        return self.text == other.text  # type: ignore[attr-defined]
+
+    def __lt__(self, other: "DnsName") -> bool:
+        if other.__class__ is not DnsName:
+            return NotImplemented
+        return self.text.split(".") < other.text.split(".")
+
     def __hash__(self) -> int:
         return self._hash
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
-        # Rebuilt from its labels: a str hash differs between processes.
-        return self.__class__, (self.labels,)
+        # Rebuilt from its text: a str hash differs between processes.
+        return _from_text, (self.text,)
+
+    def __repr__(self) -> str:
+        return f"DnsName(labels={self.labels!r})"
 
     def __str__(self) -> str:
         return self.text
@@ -115,23 +137,33 @@ class DnsName:
     # -- label arithmetic ----------------------------------------------
 
     def label_count(self) -> int:
-        return len(self.labels)
+        return self.text.count(".") + 1
 
     def parent(self) -> "DnsName":
-        if len(self.labels) <= 1:
+        dot = self.text.find(".")
+        if dot < 0:
             raise ValueError(f"{self.text!r} has no parent")
-        return DnsName(self.labels[1:])
+        return _from_text(self.text[dot + 1:])
 
     def child(self, label: str) -> "DnsName":
         return DnsName.parse(f"{label}.{self.text}")
 
     def tld(self) -> str:
-        return self.labels[-1]
+        return self.text.rpartition(".")[2]
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True if *self* equals *other* or sits underneath it."""
-        n = len(other.labels)
-        return len(self.labels) >= n and self.labels[-n:] == other.labels
+        text, suffix = self.text, other.text
+        return text == suffix or (text.endswith(suffix)
+                                  and text[-len(suffix) - 1] == ".")
+
+
+def _from_text(text: str) -> DnsName:
+    """The name whose dotted text is *text*, which is already canonical
+    (a parsed name's text, or a suffix of one)."""
+    name = object.__new__(DnsName)
+    _set_text(name, text)
+    return name
 
 
 def _set_text(name: DnsName, text: str) -> None:
@@ -154,16 +186,6 @@ def longest_suffix_match(table: Mapping[str, V], name: DnsName) -> V | None:
         text = text[dot + 1:]
 
 
-def _suffix_length(name: DnsName,
-                   multi_label_suffixes: Iterable[str]) -> int:
-    """Number of labels in the public suffix of *name*."""
-    if len(name.labels) >= 2:
-        last_two = ".".join(name.labels[-2:])
-        if last_two in multi_label_suffixes:
-            return 2
-    return 1
-
-
 def effective_sld(name: DnsName | str,
                   multi_label_suffixes: Iterable[str] = DEFAULT_MULTI_LABEL_SUFFIXES,
                   ) -> "DnsName | None":
@@ -171,14 +193,22 @@ def effective_sld(name: DnsName | str,
 
     Returns ``None`` when *name* is itself a public suffix (no
     registrable part), mirroring how the paper tallies "effective SLDs
-    for each MX and NS entry".
+    for each MX and NS entry".  The public suffix is the last two
+    labels when *multi_label_suffixes* holds them, else the last one.
     """
     if isinstance(name, str):
         name = DnsName.parse(name)
-    suffix_len = _suffix_length(name, multi_label_suffixes)
-    if len(name.labels) <= suffix_len:
+    text = name.text
+    last = text.rfind(".")
+    if last < 0:
         return None
-    return DnsName(name.labels[-(suffix_len + 1):])
+    second = text.rfind(".", 0, last)
+    last_two = text[second + 1:]
+    if last_two not in multi_label_suffixes:
+        return _from_text(last_two)
+    if second < 0:
+        return None
+    return _from_text(text[text.rfind(".", 0, second) + 1:])
 
 
 def registrable_part(name: DnsName | str) -> str:

@@ -27,7 +27,7 @@ class RRType(enum.Enum):
     PTR = "PTR"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """Base record: every record has an owner name and a TTL."""
 
@@ -42,7 +42,7 @@ class ResourceRecord:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ARecord(ResourceRecord):
     address: IpAddress = field(default=IpAddress("0.0.0.0"))
 
@@ -54,7 +54,7 @@ class ARecord(ResourceRecord):
         return self.address.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AaaaRecord(ResourceRecord):
     address: IpAddress = field(default=IpAddress("::", 6))
 
@@ -66,7 +66,7 @@ class AaaaRecord(ResourceRecord):
         return self.address.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MxRecord(ResourceRecord):
     preference: int = 10
     exchange: DnsName = field(default=DnsName(("invalid",)))
@@ -79,7 +79,7 @@ class MxRecord(ResourceRecord):
         return f"{self.preference} {self.exchange.text}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NsRecord(ResourceRecord):
     nsdname: DnsName = field(default=DnsName(("invalid",)))
 
@@ -91,7 +91,7 @@ class NsRecord(ResourceRecord):
         return f"{self.nsdname.text}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxtRecord(ResourceRecord):
     text: str = ""
 
@@ -103,7 +103,7 @@ class TxtRecord(ResourceRecord):
         return f'"{self.text}"'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CnameRecord(ResourceRecord):
     target: DnsName = field(default=DnsName(("invalid",)))
 
@@ -115,7 +115,7 @@ class CnameRecord(ResourceRecord):
         return f"{self.target.text}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TlsaRecord(ResourceRecord):
     """A DANE TLSA record (RFC 6698).
 
@@ -138,7 +138,7 @@ class TlsaRecord(ResourceRecord):
                 f"{self.association}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PtrRecord(ResourceRecord):
     """Reverse-mapping record under ``in-addr.arpa``; the basis of the
     forward-confirmed reverse DNS (FCrDNS) identity the paper's
@@ -154,7 +154,7 @@ class PtrRecord(ResourceRecord):
         return f"{self.ptrdname.text}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoaRecord(ResourceRecord):
     mname: DnsName = field(default=DnsName(("ns1", "invalid")))
     rname: str = "hostmaster.invalid"

@@ -41,6 +41,8 @@ class QueryResult:
 class AuthoritativeServer:
     """Serves zones over the simulated network."""
 
+    __slots__ = ("name", "ip", "_zones", "fault", "query_count")
+
     def __init__(self, name: str, ip: IpAddress, network: Network):
         self.name = name
         self.ip = ip

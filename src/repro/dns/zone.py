@@ -22,7 +22,7 @@ from repro.netsim.ip import IpAddress
 _CNAME = RRType.CNAME.value
 
 
-@dataclass
+@dataclass(slots=True)
 class Zone:
     """A DNS zone: an apex name and its records, indexed by (name, type).
 

@@ -29,7 +29,7 @@ from repro.tls.handshake import TlsEndpoint
 from repro.web.server import HTTPS_PORT, WebServer
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainSpec:
     """How one domain's email and MTA-STS stack is arranged."""
 
@@ -66,7 +66,7 @@ class DomainSpec:
                 for i in range(self.self_mx_count)]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeployedDomain:
     """Handles to everything :func:`deploy_domain` built."""
 
@@ -263,8 +263,9 @@ def _remove_foreign_a_record(world: World, hostname: str,
                              ip: IpAddress) -> None:
     """Drop *hostname*'s A record from whichever hosted zone serves it."""
     name = world.resolver.name(hostname)
-    for i in range(1, len(name.labels)):
-        apex = DnsName(name.labels[i:])
+    apex = name
+    while "." in apex.text:
+        apex = apex.parent()
         server = world.server_for(apex.text)
         if server is None:
             continue

@@ -154,7 +154,7 @@ TLSRPT_OF_STS_INITIAL = 0.38
 TLSRPT_OF_STS_FINAL = 0.72
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledFault:
     """A fault active during scan months [start, end)."""
 
@@ -169,7 +169,7 @@ class ScheduledFault:
         return self.end_month is None or month < self.end_month
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainPlan:
     """Everything needed to materialise one domain at any instant."""
 

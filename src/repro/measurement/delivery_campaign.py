@@ -84,6 +84,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clock import DAY, Duration, Instant
 from repro.core.cache import PolicyCache
+from repro.core.dane import DaneValidator
 from repro.core.fetch import PolicyFetcher
 from repro.core.refresh import RefreshDaemon
 from repro.core.reporting import ReportAggregator, ReportCollector
@@ -265,12 +266,20 @@ class _SenderLane:
 
     Everything a lane mutates — queue, cache, wave counters — belongs
     to the lane alone; the wave barrier merges the lanes' integer
-    counters, which is order-independent.
+    counters, which is order-independent.  The policy fetcher and the
+    DANE validator hold no per-sender state, so one of each serves
+    every lane of a world.
     """
+
+    __slots__ = ("profile", "identity", "total", "next_seq", "recipients",
+                 "collector", "sender", "refresh", "queue", "report_queue",
+                 "_resolver", "_clock", "_mech_by_seq", "_wave_counters",
+                 "_cache_stores_seen", "_cache_hits_seen")
 
     def __init__(self, profile: SenderProfile, world,
                  recipients: Sequence[str],
-                 config: DeliveryCampaignConfig):
+                 config: DeliveryCampaignConfig, fetcher: PolicyFetcher,
+                 dane: DaneValidator):
         self.profile = profile
         self.identity = profile.identity
         self.total = config.messages_per_sender
@@ -281,12 +290,11 @@ class _SenderLane:
         rng = _random.Random(f"deliver:{config.seed}:{self.identity}")
         self.recipients = [recipients[rng.randrange(len(recipients))]
                            for _ in range(self.total)]
-        fetcher = PolicyFetcher(world.resolver, world.https_client)
         self.collector: Optional[ReportCollector] = None
         if config.tlsrpt:
             self.collector = ReportCollector(
                 self.identity, f"tlsrpt@{self.identity}", world.clock)
-        self.sender = make_sender(profile, world, fetcher,
+        self.sender = make_sender(profile, world, fetcher, dane,
                                   reporter=self.collector,
                                   record_events=False)
         self.refresh = RefreshDaemon(self.sender.cache, fetcher,
@@ -709,7 +717,10 @@ def run_delivery_campaign(config: DeliveryCampaignConfig, *,
             f"deployed recipient domains")
     profiles = synthesize_sender_population(config.senders,
                                             seed=config.sender_seed)
-    lanes = sorted((_SenderLane(profile, world, recipients, config)
+    fetcher = PolicyFetcher(world.resolver, world.https_client)
+    dane = DaneValidator(world.resolver, world.dnssec)
+    lanes = sorted((_SenderLane(profile, world, recipients, config,
+                                fetcher, dane)
                     for profile in profiles),
                    key=lambda lane: lane.identity)
     world_build_seconds = time.perf_counter() - build_started

@@ -20,6 +20,7 @@ simulated world:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List
@@ -58,7 +59,7 @@ OPERATOR_WEIGHTS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderProfile:
     """One sending domain's transport-security behaviour."""
 
@@ -70,23 +71,28 @@ class SenderProfile:
     prefers_sts_over_dane: bool = False
 
 
+#: One frozen config per combination of a profile's four flags (in
+#: field order, so at most 16), shared by every sender that validates
+#: alike.
+_policy_config = functools.lru_cache(maxsize=None)(SenderPolicyConfig)
+
+
 def make_sender(profile: SenderProfile, world: World,
-                fetcher: PolicyFetcher, *, reporter=None,
-                record_events: bool = True) -> MtaStsSender:
+                fetcher: PolicyFetcher, dane: DaneValidator, *,
+                reporter=None, record_events: bool = True) -> MtaStsSender:
     """An :class:`MtaStsSender` in *world* that behaves as *profile*
     says: which of MTA-STS and DANE it validates and which it prefers,
     whether it always requires PKIX, and whether it uses TLS at all.
-    *reporter* and *record_events* go to the sender unchanged."""
+    *fetcher* and *dane* hold no per-sender state, so every sender of
+    one world can share them.  *reporter* and *record_events* go to the
+    sender unchanged."""
     sender = MtaStsSender(
         profile.identity, world.network, world.resolver,
         world.trust_store, world.clock, fetcher,
-        config=SenderPolicyConfig(
-            validate_mta_sts=profile.validates_mta_sts,
-            validate_dane=profile.validates_dane,
-            prefer_mta_sts_over_dane=profile.prefers_sts_over_dane,
-            require_pkix_always=profile.require_pkix),
-        dane=DaneValidator(world.resolver, world.dnssec),
-        reporter=reporter, record_events=record_events)
+        config=_policy_config(
+            profile.validates_mta_sts, profile.validates_dane,
+            profile.prefers_sts_over_dane, profile.require_pkix),
+        dane=dane, reporter=reporter, record_events=record_events)
     sender._mta.opportunistic_tls = profile.uses_tls
     return sender
 
@@ -231,6 +237,7 @@ class SenderSideTestbed:
         self._world = world
         self._rng = random.Random(seed)
         self._fetcher = PolicyFetcher(world.resolver, world.https_client)
+        self._dane = DaneValidator(world.resolver, world.dnssec)
         self._probes: Dict[str, str] = {}
         self._build_probes()
 
@@ -297,7 +304,8 @@ class SenderSideTestbed:
     # -- running the campaign ----------------------------------------------------
 
     def run_probe(self, profile: SenderProfile) -> ProbeOutcome:
-        sender = make_sender(profile, self._world, self._fetcher)
+        sender = make_sender(profile, self._world, self._fetcher,
+                             self._dane)
         outcome = ProbeOutcome(sender=profile.identity)
 
         sts = sender.send(Message(f"test@{profile.identity}",

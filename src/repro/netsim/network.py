@@ -50,7 +50,7 @@ class TcpBehavior(enum.Enum):
     TIMEOUT = "timeout"    # SYN blackholed: firewall drop
 
 
-@dataclass
+@dataclass(slots=True)
 class Listener:
     """A registered service endpoint."""
 
@@ -75,7 +75,7 @@ class FaultKind(enum.Enum):
     FLAP = "flap"              # down on a clock-keyed square wave
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultSpec:
     """One scheduled fault on one endpoint.
 

@@ -42,7 +42,7 @@ def hostname_matches(pattern: str, hostname: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """An X.509-like certificate in the simulated PKI.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 _counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """An opaque simulated keypair."""
 

@@ -21,7 +21,7 @@ from repro.pki.ca import TrustStore
 from repro.pki.certificate import Certificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationResult:
     """Outcome of PKIX validation of one presented certificate."""
 

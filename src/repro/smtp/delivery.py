@@ -42,20 +42,23 @@ class DeliveryStatus(enum.Enum):
     UNREACHABLE = "unreachable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     recipient: str
     body: str = ""
+    #: The recipient's domain, canonicalised once when the message is
+    #: made: every delivery attempt routes, fetches and reports on it.
+    recipient_domain: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def recipient_domain(self) -> str:
+    def __post_init__(self) -> None:
         # canonical_host, not .lower(): the policy matcher and the
         # mismatch classifier both casefold (ẞ → ss, İ → i̇), so the
         # domain a delivery routes on must fold the same way or a
         # recipient spelled with a non-trivial case mapping would fetch
         # policies under one name and match mx patterns under another.
-        return canonical_host(self.recipient.rsplit("@", 1)[-1])
+        object.__setattr__(self, "recipient_domain", canonical_host(
+            self.recipient.rsplit("@", 1)[-1]))
 
 
 @dataclass
@@ -110,6 +113,10 @@ class SendingMta:
         detail)`` consulted before connecting, used for MTA-STS mx
         pattern matching.
     """
+
+    __slots__ = ("identity", "_network", "_resolver", "_trust_store",
+                 "_clock", "require_pkix", "opportunistic_tls",
+                 "security_gate", "mx_preflight", "_attempt_index")
 
     def __init__(self, identity: str, network: Network, resolver: Resolver,
                  trust_store: TrustStore, clock: Clock,

@@ -39,7 +39,7 @@ class QueueFull(RuntimeError):
     back and resubmit once in-flight entries finalise)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueEntry:
     message: Message
     enqueued_at: Instant
@@ -77,6 +77,9 @@ class MailQueue:
     invoke :meth:`run_due` to process every entry whose retry time has
     arrived.
     """
+
+    __slots__ = ("_sender", "_clock", "_schedule", "_lifetime", "_capacity",
+                 "_on_attempt", "entries")
 
     def __init__(self, sender, clock: Clock,
                  *, retry_schedule=DEFAULT_RETRY_SCHEDULE,

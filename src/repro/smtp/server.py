@@ -49,7 +49,7 @@ class EhloResponse:
         return "STARTTLS" in self.extensions
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredMessage:
     sender: str
     recipient: str
@@ -59,6 +59,11 @@ class StoredMessage:
 
 class MxHost:
     """One inbound mail server, addressable by one or more hostnames."""
+
+    __slots__ = ("hostname", "ip", "tls", "ehlo_supported",
+                 "greylist_first_contact", "hide_starttls_from_unknown",
+                 "reject_all_mail", "require_fcrdns_with", "_seen_peers",
+                 "mailbox", "session_count")
 
     def __init__(self, hostname: str | DnsName, ip: IpAddress,
                  network: Network, *, tls: Optional[TlsEndpoint] = None,

@@ -29,7 +29,7 @@ from repro.pki.certificate import Certificate, hostname_matches
 from repro.pki.validation import ValidationResult, validate_chain_cached
 
 
-@dataclass
+@dataclass(slots=True)
 class TlsEndpoint:
     """Server-side TLS configuration.
 

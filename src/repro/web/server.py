@@ -24,7 +24,7 @@ HTTPS_PORT = 443
 WELL_KNOWN_STS_PATH = "/.well-known/mta-sts.txt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HttpResponse:
     status: int
     body: str = ""
@@ -41,6 +41,9 @@ class HttpResponse:
 
 class WebServer:
     """A virtual-hosting HTTPS server on the simulated network."""
+
+    __slots__ = ("name", "ip", "tls", "_routes", "_default_response",
+                 "request_count")
 
     def __init__(self, name: str, ip: IpAddress, network: Network,
                  *, tls: Optional[TlsEndpoint] = None):
